@@ -90,10 +90,10 @@ def _draw_trials(task: SfeTask, trials: int, seed: int):
     return xs, ys, bs
 
 
-def _table_array(task: SfeTask) -> np.ndarray:
+def _require_table(task: SfeTask) -> np.ndarray:
     if task.table is None:
         raise TaskError("die-rolling simulation requires a materialized table")
-    return np.asarray(task.table, dtype=np.int64)
+    return task.table
 
 
 def _stats(outcomes: np.ndarray, aborted: np.ndarray, y_size: int, trials: int, seed: int) -> DrStats:
@@ -115,17 +115,15 @@ def run_honest(task: SfeTask, trials: int, seed: int = 0) -> DrStats:
     """Both parties honest: never aborts, outcomes exactly (b + y) mod |Y|."""
     if trials < 1:
         raise ValueError("trials must be positive")
-    table = _table_array(task)
-    xs, ys, bs = _draw_trials(task, trials, seed)
-    revealed = table[xs, ys]
-    aborted = revealed != table[xs, ys]  # identical by construction
+    _require_table(task)
+    _, ys, bs = _draw_trials(task, trials, seed)
     outcomes = (bs + ys) % task.y_size
-    return _stats(outcomes, aborted, task.y_size, trials, seed)
+    return _stats(outcomes, np.zeros(trials, dtype=bool), task.y_size, trials, seed)
 
 
 def honest_transcripts(task: SfeTask, trials: int, seed: int = 0) -> list[DrTranscript]:
     """The same runs as run_honest, materialized one transcript per trial."""
-    table = _table_array(task)
+    table = _require_table(task)
     xs, ys, bs = _draw_trials(task, trials, seed)
     out = []
     for x, y, b in zip(xs.tolist(), ys.tolist(), bs.tolist()):

@@ -4,21 +4,28 @@ A task is a total function f : X x Y -> B between finite index sets, with
 both inputs uniform and independent.  Tasks are either explicit tables or
 members of one of six parametric families (oblivious-transfer variants,
 equality, inner product, millionaire comparison) with closed-form
-baselines.  Tables are materialized only up to MATERIALIZE_CAP cells so
-that huge parametric instances stay usable through their formulas.
+baselines.  Tables are read-only int64 arrays, materialized only up to
+MATERIALIZE_CAP cells so that huge parametric instances stay usable
+through their formulas.
 """
 
 from __future__ import annotations
 
 import json
-from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 from pathlib import Path
 from typing import Optional, Union
 
+import numpy as np
+
 MATERIALIZE_CAP = 10**6  # tables are built only when x_size * y_size fits
+
+# cells of the unique-row table sorted at once by b_rand_bruteforce; bounds
+# its temporaries whatever the table's shape
+BRUTE_FORCE_BLOCK = 1 << 16
 
 FAMILY_TAGS = ("ot", "knot", "xot", "eq", "ip", "mp")
 
@@ -39,22 +46,46 @@ class FamilySpec:
             raise TaskError(f"unknown family tag {self.family!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SfeTask:
     """A finite SFE instance with uniform, independent inputs.
 
-    ``table[x][y]`` holds the output index f(x, y) when materialized.
+    ``table[x, y]`` holds the output index f(x, y) when materialized, as a
+    read-only 2-D int64 array converted here from any nested sequence of
+    integers.  Non-integer sizes, ragged rows, missing or non-integer
+    cells, values outside int64 and tables above MATERIALIZE_CAP raise
+    TaskError; validate_task reports shape, range and family violations.
     Instances above the materialization cap carry only ``family`` and
     answer pointwise/closed-form queries.  Tasks are immutable; every
-    operation on them is pure.
+    operation on them is pure.  Equality compares table contents.
     """
 
     name: str
     x_size: int
     y_size: int
     b_size: int
-    table: Optional[tuple[tuple[int, ...], ...]] = None
+    table: Optional[np.ndarray] = None
     family: Optional[FamilySpec] = None
+
+    def __post_init__(self):
+        for key in ("x_size", "y_size", "b_size"):
+            value = getattr(self, key)
+            if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+                raise TaskError(f"{key}={value!r} must be an integer")
+        if self.table is not None:
+            table = _as_table(self.table, self.x_size, self.y_size, self.b_size)
+            object.__setattr__(self, "table", table)
+
+    def __eq__(self, other):
+        if not isinstance(other, SfeTask):
+            return NotImplemented
+        if (self.name, self.x_size, self.y_size, self.b_size, self.family) != (
+            other.name, other.x_size, other.y_size, other.b_size, other.family
+        ):
+            return False
+        if self.table is None or other.table is None:
+            return self.table is other.table
+        return np.array_equal(self.table, other.table)
 
     @property
     def materialized(self) -> bool:
@@ -65,10 +96,67 @@ class SfeTask:
         if not (0 <= x < self.x_size and 0 <= y < self.y_size):
             raise TaskError(f"input pair ({x}, {y}) out of range")
         if self.table is not None:
-            return self.table[x][y]
+            return int(self.table[x, y])
         if self.family is not None:
             return family_value(self.family, x, y)
         raise TaskError("task has neither a table nor family parameters")
+
+
+def _check_cap(cells: int) -> None:
+    if cells > MATERIALIZE_CAP:
+        raise TaskError(
+            f"table of {cells} cells is above the materialization cap {MATERIALIZE_CAP}"
+        )
+
+
+def _as_table(raw, x_size: int, y_size: int, b_size: int) -> np.ndarray:
+    """``raw`` as a read-only 2-D int64 array, or TaskError naming bad cells."""
+    _check_cap(int(x_size) * int(y_size))
+    if isinstance(raw, np.ndarray) and not raw.flags.writeable:
+        table = raw  # already frozen, e.g. by family_table: no copy needed
+    else:
+        try:
+            table = np.array(raw)  # a private copy the caller cannot write to
+        except (ValueError, TypeError, OverflowError):  # e.g. ragged rows
+            table = None
+    integer = table is not None and (np.can_cast(table.dtype, np.int64) or table.size == 0)
+    if not integer or table.ndim != 2:
+        violations = _cell_violations(raw, x_size, y_size, b_size)
+        raise TaskError("; ".join(violations) or "table must be a 2-D array of integers")
+    _check_cap(table.size)
+    if table.dtype != np.int64:
+        table = table.astype(np.int64)
+    table.flags.writeable = False
+    return table
+
+
+def _cell_violations(raw, x_size: int, y_size: int, b_size: int) -> list[str]:
+    """Cell-by-cell report for a table numpy cannot take as 2-D integers.
+
+    Runs only on the error path, to name the offending rows and cells.
+    """
+    try:
+        rows = list(raw)
+    except TypeError:
+        return ["table must be a sequence of rows"]
+    violations = []
+    if len(rows) != x_size:
+        violations.append(f"table has {len(rows)} rows, expected x_size={x_size}")
+    for x, row in enumerate(rows):
+        try:
+            row = list(row)
+        except TypeError:
+            violations.append(f"table row {x} is not a sequence")
+            continue
+        if len(row) != y_size:
+            violations.append(f"table not total at x={x}: row length {len(row)}")
+            continue
+        for y, b in enumerate(row):
+            if b is None:
+                violations.append(f"table not total at ({x}, {y})")
+            elif not isinstance(b, (int, np.integer)) or not 0 <= b < b_size:
+                violations.append(f"entry {b!r} at ({x}, {y}) outside [0, {b_size})")
+    return violations
 
 
 def answer_vector(task: SfeTask, x: int) -> tuple[int, ...]:
@@ -78,7 +166,7 @@ def answer_vector(task: SfeTask, x: int) -> tuple[int, ...]:
         raise TaskError("answer vectors require a materialized table")
     if not 0 <= x < task.x_size:
         raise TaskError(f"x index {x} out of range")
-    return task.table[x]
+    return tuple(task.table[x].tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -142,6 +230,49 @@ def family_value(spec: FamilySpec, x: int, y: int) -> int:
     raise TaskError(f"unknown family tag {tag!r}")
 
 
+def family_table(spec: FamilySpec) -> np.ndarray:
+    """The whole table of a family task, ``family_value`` at every cell.
+
+    Built with array formulas in the index conventions above and returned
+    read-only.  The caller keeps x_size * y_size within MATERIALIZE_CAP.
+    """
+    p = spec.params
+    tag = spec.family
+    x_size, y_size, _ = _family_sizes(spec)
+    x = np.arange(x_size, dtype=np.int64)[:, None]
+    y = np.arange(y_size, dtype=np.int64)
+    if tag == "ot":
+        w, n = p["alphabet"], p["n"]
+        table = x // w ** (n - 1 - y)
+        table %= w
+    elif tag == "knot":
+        w, n = p["alphabet"], p["n"]
+        digits = x // w ** np.arange(n - 1, -1, -1, dtype=np.int64) % w
+        # combinations() yields k-subsets in lexicographic order, the rank order
+        subsets = np.array(list(combinations(range(n), p["k"])), dtype=np.intp)
+        table = digits[:, subsets[:, 0]]
+        for j in range(1, p["k"]):
+            table *= w
+            table += digits[:, subsets[:, j]]
+    elif tag == "xot":
+        n = p["n"]
+        x1, x2 = x >> n, x & ((1 << n) - 1)
+        table = np.hstack([x1, x2, x1 ^ x2])
+    elif tag == "eq":
+        table = (x == y).astype(np.int64)
+    elif tag == "ip":
+        table = x & (y + 1)
+        shift = 1
+        while shift < p["n"]:  # xor-fold every bit onto bit 0: the parity
+            table ^= table >> shift
+            shift *= 2
+        table &= 1
+    else:  # "mp"; _family_sizes has rejected unknown tags
+        table = (y >= x).astype(np.int64)
+    table.flags.writeable = False
+    return table
+
+
 def _family_sizes(spec: FamilySpec) -> tuple[int, int, int]:
     p = spec.params
     tag = spec.family
@@ -198,7 +329,7 @@ def make_family(family: str, **params: int) -> SfeTask:
     if set(params) != set(expected):
         raise TaskError(f"family {family!r} takes parameters {expected}, got {tuple(params)}")
     for key, value in params.items():
-        if not isinstance(value, int) or value < 1:
+        if not isinstance(value, int) or isinstance(value, bool) or value < 1:
             raise TaskError(f"parameter {key}={value!r} must be a positive integer")
     if family == "knot" and params["k"] >= params["n"]:
         raise TaskError("k-of-n OT requires k < n")
@@ -207,11 +338,7 @@ def make_family(family: str, **params: int) -> SfeTask:
 
     spec = FamilySpec(family, dict(params))
     x_size, y_size, b_size = _family_sizes(spec)
-    table = None
-    if x_size * y_size <= MATERIALIZE_CAP:
-        table = tuple(
-            tuple(family_value(spec, x, y) for y in range(y_size)) for x in range(x_size)
-        )
+    table = family_table(spec) if x_size * y_size <= MATERIALIZE_CAP else None
     return SfeTask(
         name=_family_name(spec),
         x_size=x_size,
@@ -241,20 +368,21 @@ def validate_task(task: SfeTask) -> list[str]:
         violations.append("task has neither a table nor family parameters")
         return violations
 
-    if task.table is not None:
-        if len(task.table) != task.x_size:
-            violations.append(
-                f"table has {len(task.table)} rows, expected x_size={task.x_size}"
-            )
-        for x, row in enumerate(task.table):
-            if len(row) != task.y_size:
-                violations.append(f"table not total at x={x}: row length {len(row)}")
-                continue
-            for y, b in enumerate(row):
-                if b is None:
-                    violations.append(f"table not total at ({x}, {y})")
-                elif not isinstance(b, int) or not 0 <= b < task.b_size:
-                    violations.append(f"entry {b!r} at ({x}, {y}) outside [0, {task.b_size})")
+    table = task.table
+    if table is not None:
+        rows, cols = table.shape
+        if rows != task.x_size:
+            violations.append(f"table has {rows} rows, expected x_size={task.x_size}")
+        if cols != task.y_size:
+            violations.extend(f"table not total at x={x}: row length {cols}" for x in range(rows))
+        elif table.size:
+            low, high = int(table.min()), int(table.max())
+            if low < 0 or high >= task.b_size:
+                top = min(task.b_size - 1, high)  # fits int64 whatever b_size is
+                for x, y in np.argwhere((table < 0) | (table > top)).tolist():
+                    violations.append(
+                        f"entry {table[x, y]} at ({x}, {y}) outside [0, {task.b_size})"
+                    )
 
     if task.family is not None:
         try:
@@ -267,15 +395,13 @@ def validate_task(task: SfeTask) -> list[str]:
                 f"family implies sizes {sizes}, task declares "
                 f"({task.x_size}, {task.y_size}, {task.b_size})"
             )
-        elif task.table is not None and not violations:
-            for x in range(task.x_size):
-                for y in range(task.y_size):
-                    expected = family_value(task.family, x, y)
-                    if task.table[x][y] != expected:
-                        violations.append(
-                            f"family/table mismatch at ({x}, {y}): "
-                            f"table {task.table[x][y]}, formula {expected}"
-                        )
+        elif table is not None and not violations:
+            expected = family_table(task.family)
+            for x, y in np.argwhere(table != expected).tolist():
+                violations.append(
+                    f"family/table mismatch at ({x}, {y}): "
+                    f"table {table[x, y]}, formula {expected[x, y]}"
+                )
     return violations
 
 
@@ -300,21 +426,30 @@ def b_rand_bruteforce(task: SfeTask) -> Fraction:
     """
     if task.table is None:
         raise TaskError("brute-force baseline requires a materialized table")
-    row_ids: dict[tuple[int, ...], int] = {}
-    ids = []
-    for row in task.table:
-        ids.append(row_ids.setdefault(row, len(row_ids)))
+    table = task.table
+    if table.size == 0:
+        raise TaskError("brute-force baseline requires a table with inputs and queries")
+    x_count, y_count = table.shape
+    # one opaque item per row, so that np.unique finds the distinct rows
+    row_items = np.ascontiguousarray(table).view(np.dtype((np.void, table.itemsize * y_count)))
+    _, first, counts = np.unique(row_items.ravel(), return_index=True, return_counts=True)
+    # Identical inputs share every answer, so at a query the modal count of
+    # an output is the largest multiplicity among distinct rows showing it.
+    # With distinct rows in order of falling multiplicity, a stable sort of
+    # each query's outputs puts that row first in its run of equal outputs.
+    by_count = np.argsort(-counts, kind="stable")
+    rows, weights = first[by_count], counts[by_count]
+    cols_per_block = max(1, BRUTE_FORCE_BLOCK // len(rows))
     best = 0
-    for ystar in range(task.y_size):
-        counts: dict[tuple[int, int], int] = defaultdict(int)
-        for x in range(task.x_size):
-            counts[(task.table[x][ystar], ids[x])] += 1
-        modal: dict[int, int] = defaultdict(int)
-        for (b, _), cnt in counts.items():
-            if cnt > modal[b]:
-                modal[b] = cnt
-        best = max(best, sum(modal.values()))
-    return Fraction(best, task.x_size)
+    for lo in range(0, y_count, cols_per_block):
+        block = table[rows, lo : lo + cols_per_block].T  # one line per query
+        order = np.argsort(block, axis=1, kind="stable")
+        outputs = np.take_along_axis(block, order, axis=1)
+        first_of_run = np.ones(outputs.shape, dtype=bool)
+        first_of_run[:, 1:] = outputs[:, 1:] != outputs[:, :-1]
+        modal_sums = np.where(first_of_run, weights[order], 0).sum(axis=1)
+        best = max(best, int(modal_sums.max()))
+    return Fraction(best, x_count)
 
 
 def b_rand_closed_form(task: SfeTask) -> Fraction:
@@ -364,7 +499,7 @@ def task_to_jsonable(task: SfeTask) -> dict:
         "x_size": task.x_size,
         "y_size": task.y_size,
         "b_size": task.b_size,
-        "table": [list(row) for row in task.table],
+        "table": task.table.tolist(),
     }
 
 
@@ -379,8 +514,8 @@ def task_from_jsonable(obj: dict) -> SfeTask:
     try:
         name = obj["name"]
         x_size, y_size, b_size = obj["x_size"], obj["y_size"], obj["b_size"]
-        table = tuple(tuple(row) for row in obj["table"])
-    except (KeyError, TypeError) as exc:
+        table = obj["table"]
+    except KeyError as exc:
         raise TaskError(f"malformed task document: {exc}") from exc
     return SfeTask(name=name, x_size=x_size, y_size=y_size, b_size=b_size, table=table)
 

@@ -1,8 +1,11 @@
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from sfebounds.cli import main
+from sfebounds.tasks import FAMILY_TAGS
 
 
 def run(capsys, *argv):
@@ -220,3 +223,106 @@ class TestTaskSourceHandling:
     def test_knot_requires_k(self, capsys):
         code, _, err = run(capsys, "bound", "--family", "knot", "--alphabet", "2", "--n", "4")
         assert code == 2 and "--k" in err
+
+
+def run_task_file(capsys, tmp_path, command, doc):
+    """Run one command on ``doc`` written as a task file.
+
+    The CLI runs in this process, so an exception that would end the real
+    command in a traceback fails the test instead of reaching stderr.
+    """
+    path = tmp_path / "task.json"
+    path.write_text(json.dumps(doc))
+    extra = ["--trials", "10"] if command == "simulate-dr" else []
+    return run(capsys, command, "--task-file", str(path), *extra)
+
+
+class TestTaskFileInput:
+    def test_string_size_exits_2(self, capsys, tmp_path):
+        doc = {"name": "t", "x_size": "2", "y_size": 2, "b_size": 2, "table": [[0, 1], [1, 0]]}
+        code, _, err = run_task_file(capsys, tmp_path, "brand", doc)
+        assert code == 2 and "x_size='2' must be an integer" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["bound", "simulate-dr"])
+    def test_boolean_family_parameter_exits_2(self, capsys, tmp_path, command):
+        doc = {"family": "ot", "params": {"alphabet": 2, "n": True}}
+        code, _, err = run_task_file(capsys, tmp_path, command, doc)
+        assert code == 2 and "n=True must be a positive integer" in err
+        assert "Traceback" not in err
+
+    def test_explicit_table_above_cap_exits_2(self, capsys, tmp_path):
+        doc = {"name": "big", "x_size": 1100, "y_size": 1000, "b_size": 2,
+               "table": [[0] * 1000] * 1100}
+        code, _, err = run_task_file(capsys, tmp_path, "brand", doc)
+        assert code == 2 and "above the materialization cap" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "table,message",
+        [
+            ([[0, 1], [0]], "table not total at x=1: row length 1"),
+            ([[0, 1], [0, None]], "table not total at (1, 1)"),
+            ([[0, 1], [0, 1.5]], "entry 1.5 at (1, 1) outside [0, 2)"),
+            ([[0, 1], [0, "1"]], "entry '1' at (1, 1) outside [0, 2)"),
+            ([[0, 1], [0, 2**63]], f"entry {2**63} at (1, 1) outside [0, 2)"),
+            ([[0, -(2**63) - 1], [0, 1]], f"entry {-(2**63) - 1} at (0, 1) outside [0, 2)"),
+        ],
+    )
+    def test_bad_cells_exit_2(self, capsys, tmp_path, table, message):
+        doc = {"name": "bad", "x_size": 2, "y_size": 2, "b_size": 2, "table": table}
+        code, _, err = run_task_file(capsys, tmp_path, "bound", doc)
+        assert code == 2 and message in err
+        assert "Traceback" not in err
+
+
+SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(-3, 12),
+    st.integers(),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.text(max_size=4),
+)
+JSON_VALUES = st.recursive(
+    SCALARS,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    max_leaves=12,
+)
+FAMILY_DOCS = st.fixed_dictionaries(
+    {
+        "family": st.sampled_from(FAMILY_TAGS) | SCALARS,
+        "params": st.dictionaries(
+            st.sampled_from(["alphabet", "n", "k", "m"]), st.integers(-1, 9) | SCALARS, max_size=3
+        )
+        | JSON_VALUES,
+    }
+)
+SMALL_INTS = st.integers(-1, 5)
+EXPLICIT_DOCS = st.fixed_dictionaries(
+    {
+        "name": JSON_VALUES,
+        "x_size": SMALL_INTS | SCALARS,
+        "y_size": SMALL_INTS | SCALARS,
+        "b_size": SMALL_INTS | SCALARS,
+        "table": st.lists(st.lists(SMALL_INTS | SCALARS, max_size=5), max_size=5) | JSON_VALUES,
+    }
+)
+
+
+class TestTaskFileFuzz:
+    @settings(
+        max_examples=300,
+        deadline=None,
+        derandomize=True,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        st.sampled_from(["brand", "bound", "simulate-dr"]),
+        FAMILY_DOCS | EXPLICIT_DOCS | JSON_VALUES,
+    )
+    def test_any_json_document_exits_cleanly(self, capsys, tmp_path, command, doc):
+        code, _, err = run_task_file(capsys, tmp_path, command, doc)
+        assert code in (0, 2, 3, 4)
+        assert "Traceback" not in err

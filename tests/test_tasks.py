@@ -1,9 +1,13 @@
 import itertools
 import json
+from collections import defaultdict
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sfebounds import tasks
 from sfebounds.tasks import (
@@ -14,6 +18,7 @@ from sfebounds.tasks import (
     answer_vector,
     b_rand_bruteforce,
     b_rand_closed_form,
+    family_value,
     make_family,
     validate_task,
 )
@@ -46,6 +51,37 @@ def random_table_task(x_size, y_size, b_size, seed, name="random"):
     return SfeTask(name=name, x_size=x_size, y_size=y_size, b_size=b_size, table=table)
 
 
+def dict_loop_b_rand(task):
+    """Reference: the row-id and per-query dictionary version of
+    b_rand_bruteforce, one Python step per (query, row) pair."""
+    table = [answer_vector(task, x) for x in range(task.x_size)]
+    row_ids: dict[tuple[int, ...], int] = {}
+    ids = [row_ids.setdefault(row, len(row_ids)) for row in table]
+    best = 0
+    for ystar in range(task.y_size):
+        counts: dict[tuple[int, int], int] = defaultdict(int)
+        for x in range(task.x_size):
+            counts[(table[x][ystar], ids[x])] += 1
+        modal: dict[int, int] = defaultdict(int)
+        for (b, _), cnt in counts.items():
+            if cnt > modal[b]:
+                modal[b] = cnt
+        best = max(best, sum(modal.values()))
+    return Fraction(best, task.x_size)
+
+
+@st.composite
+def tables_with_repeated_rows(draw):
+    """Random tables whose rows come from a smaller pool, so rows repeat."""
+    x_size = draw(st.integers(1, 14))
+    y_size = draw(st.integers(1, 14))
+    b_size = draw(st.integers(1, 4))
+    row = st.lists(st.integers(0, b_size - 1), min_size=y_size, max_size=y_size)
+    pool = draw(st.lists(row, min_size=1, max_size=x_size))
+    picks = draw(st.lists(st.integers(0, len(pool) - 1), min_size=x_size, max_size=x_size))
+    return SfeTask("random", x_size, y_size, b_size, table=[pool[i] for i in picks])
+
+
 def exhaustive_single_query_value(task):
     """Independent oracle: enumerate every deterministic single-query
     strategy (query, observation -> guessed answer tuple) outright."""
@@ -56,7 +92,7 @@ def exhaustive_single_query_value(task):
             wins = sum(
                 1
                 for x in range(task.x_size)
-                if mapping[task.table[x][ystar]] == task.table[x]
+                if mapping[task.f(x, ystar)] == answer_vector(task, x)
             )
             best = max(best, Fraction(wins, task.x_size))
     return best
@@ -118,6 +154,8 @@ class TestConstructors:
             ("mp", dict(n=1)),
             ("ot", dict(alphabet=0, n=2)),
             ("ot", dict(alphabet=2, n=-1)),
+            ("ot", dict(alphabet=2, n=True)),
+            ("eq", dict(n=False)),
         ],
     )
     def test_invalid_parameters_rejected(self, family, params):
@@ -139,6 +177,67 @@ class TestConstructors:
         big = make_family("ot", alphabet=2, n=40)
         assert not big.materialized
 
+    @pytest.mark.parametrize(
+        "sizes,shape", [((1001, 1000), (1, 1)), ((1, 1), (1001, 1000))], ids=["declared", "actual"]
+    )
+    def test_explicit_table_above_cap_rejected(self, sizes, shape):
+        with pytest.raises(TaskError, match="above the materialization cap"):
+            SfeTask("big", *sizes, 2, table=np.zeros(shape, dtype=np.int64))
+
+    def test_table_is_read_only_int64(self):
+        task = make_family("ot", alphabet=3, n=2)
+        assert task.table.dtype == np.int64 and task.table.shape == (9, 2)
+        assert not task.table.flags.writeable
+        assert type(task.f(5, 1)) is int
+        assert answer_vector(task, 5) == (1, 2)
+
+    def test_hand_built_table_is_a_private_copy(self):
+        rows = np.zeros((2, 2), dtype=np.int64)
+        task = SfeTask("copy", 2, 2, 2, table=rows)
+        rows[0, 0] = 1
+        assert task.f(0, 0) == 0 and not task.table.flags.writeable
+
+    def test_equality_compares_table_contents(self):
+        first = SfeTask("t", 2, 2, 2, table=((0, 1), (1, 0)))
+        assert first == SfeTask("t", 2, 2, 2, table=[[0, 1], [1, 0]])
+        assert first != SfeTask("t", 2, 2, 2, table=((0, 1), (1, 1)))
+        assert first != SfeTask("t", 2, 2, 2)
+        assert make_family("eq", n=4) == make_family("eq", n=4)
+
+
+SMALL_FAMILY_PARAMS = st.one_of(
+    st.tuples(
+        st.just("ot"),
+        st.fixed_dictionaries({"alphabet": st.integers(1, 4), "n": st.integers(1, 6)}),
+    ),
+    st.integers(2, 6).flatmap(
+        lambda n: st.tuples(
+            st.just("knot"),
+            st.fixed_dictionaries(
+                {"alphabet": st.integers(1, 3), "n": st.just(n), "k": st.integers(1, n - 1)}
+            ),
+        )
+    ),
+    st.tuples(st.just("xot"), st.fixed_dictionaries({"n": st.integers(1, 4)})),
+    st.tuples(st.just("eq"), st.fixed_dictionaries({"n": st.integers(2, 30)})),
+    st.tuples(st.just("ip"), st.fixed_dictionaries({"n": st.integers(1, 6)})),
+    st.tuples(st.just("mp"), st.fixed_dictionaries({"n": st.integers(2, 30)})),
+)
+
+
+class TestFamilyTables:
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(SMALL_FAMILY_PARAMS)
+    def test_array_table_equals_pointwise_formula(self, family_and_params):
+        family, params = family_and_params
+        task = make_family(family, **params)
+        expected = [
+            [family_value(task.family, x, y) for y in range(task.y_size)]
+            for x in range(task.x_size)
+        ]
+        assert task.table.tolist() == expected
+        assert validate_task(task) == []
+
 
 class TestValidation:
     def test_constructor_output_valid(self):
@@ -147,13 +246,12 @@ class TestValidation:
         assert sum(len(row) for row in task.table) == 9
 
     def test_missing_entry_reported(self):
-        task = SfeTask("broken", 2, 2, 2, table=((0, 1), (0,)))
-        violations = validate_task(task)
-        assert any("not total at x=1" in v for v in violations)
+        with pytest.raises(TaskError, match="not total at x=1"):
+            SfeTask("broken", 2, 2, 2, table=((0, 1), (0,)))
 
     def test_none_entry_reported(self):
-        task = SfeTask("broken", 2, 2, 2, table=((0, 1), (0, None)))
-        assert any("not total at (1, 1)" in v for v in validate_task(task))
+        with pytest.raises(TaskError, match=r"not total at \(1, 1\)"):
+            SfeTask("broken", 2, 2, 2, table=((0, 1), (0, None)))
 
     def test_family_table_mismatch_reported(self):
         good = make_family("ot", alphabet=2, n=2)
@@ -169,6 +267,9 @@ class TestValidation:
     def test_out_of_range_entry_reported(self):
         task = SfeTask("broken", 2, 2, 2, table=((0, 1), (0, 5)))
         assert any("outside [0, 2)" in v for v in validate_task(task))
+        for entry in (2, -1):  # both ends of the range
+            task = SfeTask("broken", 2, 2, 2, table=((0, 1), (0, entry)))
+            assert validate_task(task) == [f"entry {entry} at (1, 1) outside [0, 2)"]
 
     def test_empty_task_reported(self):
         assert validate_task(SfeTask("empty", 2, 2, 2)) != []
@@ -209,9 +310,31 @@ class TestBaselines:
             task = random_table_task(5, 3, 2, seed=100 + seed)
             assert b_rand_bruteforce(task) == exhaustive_single_query_value(task)
 
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(tables_with_repeated_rows(), st.sampled_from([1, 2, 3, 7, 1 << 16]))
+    @example(SfeTask("one row", 1, 9, 3, table=[[0, 1, 2, 0, 1, 2, 2, 2, 0]]), 4)
+    @example(SfeTask("one column", 9, 1, 3, table=[[0], [1], [1], [2], [2], [2], [0], [1], [2]]), 1)
+    @example(SfeTask("one output", 4, 3, 1, table=[[0, 0, 0]] * 4), 2)
+    def test_bruteforce_equals_dict_loop_reference(self, task, block):
+        # small blocks send every table through the multi-block path too
+        with mock.patch.object(tasks, "BRUTE_FORCE_BLOCK", block):
+            assert b_rand_bruteforce(task) == dict_loop_b_rand(task)
+
+    @pytest.mark.parametrize(
+        "shape,b_size", [((1, 5000), 3), ((5000, 1), 3), ((300, 200), 1), ((2000, 40), 2)]
+    )
+    def test_bruteforce_equals_dict_loop_reference_at_size(self, shape, b_size):
+        rng = np.random.default_rng(sum(shape) + b_size)
+        pool = rng.integers(0, b_size, size=(max(1, shape[0] // 3), shape[1]))
+        table = pool[rng.integers(0, len(pool), size=shape[0])]
+        task = SfeTask("sized", *shape, b_size, table=table)
+        assert b_rand_bruteforce(task) == dict_loop_b_rand(task)
+
     def test_bruteforce_requires_table(self):
         with pytest.raises(TaskError):
             b_rand_bruteforce(make_family("mp", n=10**9))
+        with pytest.raises(TaskError):
+            b_rand_bruteforce(SfeTask("no queries", 2, 0, 2, table=[[], []]))
 
     def test_closed_form_known_values(self):
         assert b_rand_closed_form(make_family("knot", alphabet=2, n=4, k=2)) == Fraction(1, 4)
@@ -294,7 +417,7 @@ class TestSerialization:
         path = tmp_path / "task.json"
         tasks.dump_task(task, path)
         loaded = tasks.load_task(path)
-        assert loaded.table == task.table
+        assert np.array_equal(loaded.table, task.table)
         assert (loaded.x_size, loaded.y_size, loaded.b_size) == (3, 2, 2)
 
     def test_explicit_form_schema(self, tmp_path):
