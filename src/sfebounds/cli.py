@@ -169,6 +169,10 @@ def cmd_curve(args: argparse.Namespace) -> int:
     br = tasks.b_rand(task)
     if br >= 1:
         raise bounds.InsecureTaskError(f"{task.name}: completely insecure (baseline {br})")
+    if 1 / br > sys.float_info.max:
+        raise ValueError(
+            "1/b_rand is beyond the float range; the trade-off curve is computed in floats"
+        )
     points = bounds.emit_curve(
         br,
         task.y_size,
@@ -183,6 +187,12 @@ def cmd_curve(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    if args.instances < 0:
+        raise ValueError(f"--instances must be at least 0, got {args.instances}")
+    if args.max_dim < 2:
+        raise ValueError(f"--max-dim must be at least 2, got {args.max_dim}")
+    if args.seed < 0:
+        raise ValueError(f"--seed must be at least 0, got {args.seed}")
     chosen = ("gentle", "sequential", "learning") if args.campaign == "all" else (args.campaign,)
     summaries = []
     violations = 0

@@ -1,16 +1,29 @@
 """Dense Hermitian linear algebra and randomized measurement-disturbance checks.
 
 Everything here operates on small (dim <= 16) complex matrices held as
-plain numpy arrays.  The module provides the norms and square roots the
+numpy arrays.  The module provides the norms and square roots the
 disturbance bounds are written in, checkers for the two gentle-measurement
 inequalities, the combined outcome-tuple POVM built by sandwiching one
 measurement inside the square roots of the others, and seeded generators
 for randomized verification campaigns.
 
+Stacked kernel: square roots, measurement-operator checks and the sandwich
+``op = r @ op @ r`` take stacks of shape (..., d, d) and broadcast over the
+leading axes, so one numpy call covers every element of every POVM of an
+instance; ``matrix_sqrt`` is the 2-D case.  numpy's stacked matmul, eigh,
+eigvalsh and svd make the same BLAS/LAPACK call on each matrix as a 2-D
+call does, so stacked results are bit-identical to matrix-at-a-time ones
+(the tests keep the matrix-at-a-time loops as references).
+Sums over elements keep Python's left-to-right ``sum`` order and inner
+products stay per-matrix ``np.vdot`` calls for the same reason (``einsum``
+and axis reductions may add in another order).
+
 Tolerance scheme: linear-algebra identities are trusted to 1e-9/1e-10,
 verification inequalities get a decade of extra headroom (1e-8) so stacked
 roundoff cannot produce false violations, and eigenvalues in [-1e-10, 0)
-are treated as roundoff while anything below -1e-8 is a hard error.
+are treated as roundoff while anything below -1e-8 is a hard error.  A
+stacked check applies the 2-D check to every matrix, and the first failing
+matrix in C order raises with the message the 2-D check gives.
 """
 
 from __future__ import annotations
@@ -37,9 +50,28 @@ def _as_matrix(a: np.ndarray) -> np.ndarray:
     return a
 
 
+def _dagger(a: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of every matrix in a stack."""
+    return np.swapaxes(a.conj(), -1, -2)
+
+
+def _hermitian_part(a: np.ndarray) -> np.ndarray:
+    return 0.5 * (a + _dagger(a))
+
+
+def _hermitian_defect(a: np.ndarray) -> np.ndarray:
+    """Largest entry of |a - a*| for every matrix in a stack."""
+    return np.abs(a - _dagger(a)).max(axis=(-2, -1))
+
+
+def _first(mask: np.ndarray) -> tuple:
+    """Index of the first true entry of ``mask`` in C order."""
+    return np.unravel_index(np.argmax(mask), mask.shape)
+
+
 def check_hermitian(a: np.ndarray, tol: float = HERMITIAN_TOL) -> np.ndarray:
     a = _as_matrix(a)
-    defect = np.abs(a - a.conj().T).max()
+    defect = _hermitian_defect(a)
     if defect > tol:
         raise ValueError(f"matrix is not Hermitian (defect {defect:.3e})")
     return a
@@ -55,13 +87,16 @@ def is_density_matrix(rho: np.ndarray, eig_tol: float = PSD_CLAMP_TOL, trace_tol
     return bool(np.linalg.eigvalsh(rho).min() >= -eig_tol)
 
 
+def _measurement_ok(stack: np.ndarray, tol: float = PSD_CLAMP_TOL) -> np.ndarray:
+    """``is_measurement_operator`` for every matrix in a stack."""
+    evals = np.linalg.eigvalsh(stack)
+    hermitian = ~(_hermitian_defect(stack) > HERMITIAN_TOL)
+    return hermitian & (evals.min(axis=-1) >= -tol) & (evals.max(axis=-1) <= 1.0 + tol)
+
+
 def is_measurement_operator(lam: np.ndarray, tol: float = PSD_CLAMP_TOL) -> bool:
     """Hermitian with spectrum inside [-tol, 1 + tol]."""
-    lam = _as_matrix(lam)
-    if np.abs(lam - lam.conj().T).max() > HERMITIAN_TOL:
-        return False
-    evals = np.linalg.eigvalsh(lam)
-    return bool(evals.min() >= -tol and evals.max() <= 1.0 + tol)
+    return bool(_measurement_ok(_as_matrix(lam), tol))
 
 
 @dataclass(frozen=True)
@@ -88,14 +123,12 @@ class Povm:
     def validate(self, tol: float = COMPLETENESS_TOL) -> None:
         """Raise unless every element is a measurement operator of common
         dimension and the elements sum to the identity within ``tol``."""
-        for i, e in enumerate(self.elements):
-            if e.shape[0] != self.dim:
-                raise ValueError("POVM elements have mixed dimensions")
-            if not is_measurement_operator(e):
-                raise ValueError(f"element {self.labels[i]!r} is not a measurement operator")
-        defect = operator_norm(sum(self.elements) - np.eye(self.dim))
-        if defect > tol:
-            raise ValueError(f"POVM completeness defect {defect:.3e} exceeds {tol:.0e}")
+        odd = next((i for i, e in enumerate(self.elements) if e.shape[0] != self.dim), None)
+        if odd is not None:
+            # the elements before the first odd one are checked first
+            _validate_stack(np.array(self.elements[:odd]), self.labels, tol=np.inf)
+            raise ValueError("POVM elements have mixed dimensions")
+        _validate_stack(np.array(self.elements), self.labels, tol)
 
     def completeness_defect(self) -> float:
         return operator_norm(sum(self.elements) - np.eye(self.dim))
@@ -188,23 +221,73 @@ def trace_norm(a: np.ndarray) -> float:
     return float(np.linalg.svd(_as_matrix(a), compute_uv=False).sum())
 
 
+def _operator_norms(stack: np.ndarray) -> np.ndarray:
+    return np.linalg.svd(stack, compute_uv=False).max(axis=-1)
+
+
 def operator_norm(a: np.ndarray) -> float:
     """Largest singular value."""
-    return float(np.linalg.svd(_as_matrix(a), compute_uv=False).max())
+    return float(_operator_norms(_as_matrix(a)))
+
+
+def _element_sum(stack: np.ndarray) -> np.ndarray:
+    """Sum over the element axis of POVMs stacked as (..., b, d, d), in the
+    order of ``sum(povm.elements)``."""
+    return sum(np.moveaxis(stack, -3, 0))
+
+
+def _validate_stack(stack: np.ndarray, labels: Sequence, tol: float = COMPLETENESS_TOL) -> None:
+    """``Povm.validate`` for POVMs stacked as (..., b, d, d), all labelled
+    by ``labels``.
+
+    The first invalid POVM in C order raises: for its first element that is
+    not a measurement operator, else for its completeness defect.
+    """
+    ok = _measurement_ok(stack)
+    defect = _operator_norms(_element_sum(stack) - np.eye(stack.shape[-1]))
+    bad = ~ok.all(axis=-1) | (defect > tol)
+    if bad.any():
+        i = _first(bad)
+        if not ok[i].all():
+            label = labels[int(np.argmin(ok[i]))]
+            raise ValueError(f"element {label!r} is not a measurement operator")
+        raise ValueError(f"POVM completeness defect {defect[i]:.3e} exceeds {tol:.0e}")
+
+
+def _psd_roots(stack: np.ndarray, hard_tol: float = PSD_HARD_TOL) -> np.ndarray:
+    """PSD square roots of a stack of matrices via Hermitian eigendecomposition.
+
+    Every matrix must be Hermitian within HERMITIAN_TOL.  Eigenvalues in
+    [-1e-10, 0) are clamped to zero as roundoff; anything below
+    ``-hard_tol`` is rejected as a genuinely indefinite input.
+    """
+    defect = _hermitian_defect(stack)
+    evals, vecs = np.linalg.eigh(stack)
+    low = evals.min(axis=-1)
+    bad = (defect > HERMITIAN_TOL) | (low < -hard_tol)
+    if bad.any():
+        i = _first(bad)
+        if defect[i] > HERMITIAN_TOL:
+            raise ValueError(f"matrix is not Hermitian (defect {defect[i]:.3e})")
+        raise ValueError(f"matrix has eigenvalue {low[i]:.3e}, not PSD")
+    root = (vecs * np.sqrt(np.clip(evals, 0.0, None))[..., None, :]) @ _dagger(vecs)
+    return _hermitian_part(root)
 
 
 def matrix_sqrt(a: np.ndarray, hard_tol: float = PSD_HARD_TOL) -> np.ndarray:
-    """PSD square root via Hermitian eigendecomposition.
+    """PSD square root of one matrix; see ``_psd_roots`` for the checks."""
+    return _psd_roots(_as_matrix(a), hard_tol)
 
-    Eigenvalues in [-1e-10, 0) are clamped to zero as roundoff; anything
-    below ``-hard_tol`` is rejected as a genuinely indefinite input.
+
+def _sandwich(op: np.ndarray, roots) -> np.ndarray:
+    """Conjugate ``op`` by each root in turn, the first innermost.
+
+    ``op`` and the roots broadcast over their leading axes, so one call
+    sandwiches a whole stack.
     """
-    a = check_hermitian(a)
-    evals, vecs = np.linalg.eigh(a)
-    if evals.min() < -hard_tol:
-        raise ValueError(f"matrix has eigenvalue {evals.min():.3e}, not PSD")
-    root = (vecs * np.sqrt(np.clip(evals, 0.0, None))) @ vecs.conj().T
-    return 0.5 * (root + root.conj().T)
+    for root in roots:
+        op = root @ op @ root
+    return op
 
 
 # ---------------------------------------------------------------------------
@@ -225,8 +308,7 @@ def check_gentle(rho: np.ndarray, lam: np.ndarray, tol: float = CHECK_TOL) -> Ge
     if not -PSD_CLAMP_TOL <= p <= 1.0 + PSD_CLAMP_TOL:
         raise ValueError(f"<lam, rho> = {p} outside [0, 1]")
     epsilon = min(max(1.0 - p, 0.0), 1.0)
-    root = matrix_sqrt(lam)
-    disturbance = trace_norm(rho - root @ rho @ root)
+    disturbance = trace_norm(rho - _sandwich(rho, [matrix_sqrt(lam)]))
     bound = 2.0 * float(np.sqrt(epsilon))
     return GentleReport(
         epsilon=epsilon,
@@ -245,11 +327,8 @@ def sequential_operator(lams: Sequence[np.ndarray]) -> np.ndarray:
     dim = mats[0].shape[0]
     if any(m.shape[0] != dim for m in mats):
         raise ValueError("measurement operators have mixed dimensions")
-    op = mats[0]
-    for lam in mats[1:]:
-        root = matrix_sqrt(lam)
-        op = root @ op @ root
-    return 0.5 * (op + op.conj().T)
+    roots = _psd_roots(np.array(mats[1:]).reshape(-1, dim, dim))
+    return _hermitian_part(_sandwich(mats[0], roots))
 
 
 def check_sequential(
@@ -282,6 +361,25 @@ def check_sequential(
 # ---------------------------------------------------------------------------
 
 
+def _combined_stack(
+    elements: Sequence[np.ndarray], roots: Sequence[np.ndarray], middle: int
+) -> np.ndarray:
+    """Combined elements for one middle choice, in ``itertools.product`` order.
+
+    ``elements[i]`` and ``roots[i]`` are POVM i's (b_i, d, d) stacks.  POVM i's
+    outcomes lie along axis i of a broadcast grid, so one sandwich builds all
+    prod(b_i) elements and computes each partial product once.
+    """
+    n = len(elements)
+
+    def on_axis(stack: np.ndarray, i: int) -> np.ndarray:
+        return stack.reshape((1,) * i + (len(stack),) + (1,) * (n - 1 - i) + stack.shape[1:])
+
+    outer = [on_axis(roots[i], i) for i in range(n) if i != middle]
+    op = _hermitian_part(_sandwich(on_axis(elements[middle], middle), outer))
+    return op.reshape((-1,) + op.shape[-2:])
+
+
 def combined_povm(povms: Sequence[Povm], middle: int = 0) -> Povm:
     """Outcome-tuple POVM with one input POVM sandwiched innermost.
 
@@ -303,18 +401,11 @@ def combined_povm(povms: Sequence[Povm], middle: int = 0) -> Povm:
     if any(p.dim != dim for p in povms):
         raise ValueError("POVMs have mixed dimensions")
 
-    outer = [i for i in range(n) if i != middle]
-    roots = {i: [matrix_sqrt(e) for e in povms[i].elements] for i in outer}
-    elements = []
-    labels = []
-    for combo in itertools.product(*(range(len(p.elements)) for p in povms)):
-        op = povms[middle].elements[combo[middle]]
-        for i in outer:
-            root = roots[i][combo[i]]
-            op = root @ op @ root
-        elements.append(0.5 * (op + op.conj().T))
-        labels.append(tuple(povms[i].labels[combo[i]] for i in range(n)))
-    return Povm(elements=tuple(elements), labels=tuple(labels))
+    stacks = [np.array(p.elements) for p in povms]
+    roots = [None if i == middle else _psd_roots(stack) for i, stack in enumerate(stacks)]
+    elements = _combined_stack(stacks, roots, middle)
+    labels = tuple(itertools.product(*(p.labels for p in povms)))
+    return Povm(elements=tuple(elements), labels=labels)
 
 
 def averaged_strategy_success(enc: QuantumEncoding, povms: Sequence[Povm]) -> LearnReport:
@@ -335,28 +426,37 @@ def averaged_strategy_success(enc: QuantumEncoding, povms: Sequence[Povm]) -> Le
     for i, p in enumerate(povms):
         if p.dim != dim:
             raise ValueError(f"POVM {i} dimension {p.dim} does not match states ({dim})")
+        if any(e.shape[0] != dim for e in p.elements):
+            raise ValueError(f"POVM {i} elements have mixed dimensions")
         for x in range(enc.x_count):
             if not 0 <= enc.functions[i][x] < len(p.elements):
                 raise ValueError(f"function {i} maps x={x} outside POVM {i}'s outcomes")
 
-    roots = [[matrix_sqrt(e) for e in p.elements] for p in povms]
+    stacks = [np.array(p.elements) for p in povms]
+    return _learn_report(enc, stacks, [_psd_roots(stack) for stack in stacks])
+
+
+def _learn_report(
+    enc: QuantumEncoding, elements: Sequence[np.ndarray], roots: Sequence[np.ndarray]
+) -> LearnReport:
+    """``averaged_strategy_success`` on POVM i's (b_i, d, d) element and
+    root stacks ``elements[i]`` and ``roots[i]``."""
+    n = len(elements)
+    picks = [list(f) for f in enc.functions]
     individual = []
     for i in range(n):
         p_i = sum(
-            enc.probs[x] * hs_inner(enc.states[x], povms[i].elements[enc.functions[i][x]]).real
+            enc.probs[x] * hs_inner(enc.states[x], elements[i][picks[i][x]]).real
             for x in range(enc.x_count)
         )
         individual.append(p_i)
 
     achieved = 0.0
     for j in range(n):
-        outer = [i for i in range(n) if i != j]
+        outer = [roots[i][picks[i]] for i in range(n) if i != j]
+        ops = _sandwich(elements[j][picks[j]], outer)
         for x in range(enc.x_count):
-            op = povms[j].elements[enc.functions[j][x]]
-            for i in outer:
-                root = roots[i][enc.functions[i][x]]
-                op = root @ op @ root
-            achieved += enc.probs[x] * hs_inner(enc.states[x], op).real
+            achieved += enc.probs[x] * hs_inner(enc.states[x], ops[x]).real
     achieved /= n
 
     average = sum(individual) / n
@@ -405,18 +505,16 @@ def random_povm(dim: int, outcomes: int, seed: Seed) -> Povm:
     """
     if dim < 1 or outcomes < 1:
         raise ValueError("dim and outcomes must be positive")
-    rng = _rng(seed)
-    parts = []
-    for _ in range(outcomes):
-        g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
-        parts.append(g @ g.conj().T)
+    # one draw in the order of per-part draws: real, then imaginary, per part
+    z = _rng(seed).standard_normal((outcomes, 2, dim, dim))
+    g = z[:, 0] + 1j * z[:, 1]
+    parts = g @ _dagger(g)
     total = sum(parts) + 1e-9 * np.eye(dim)
     evals, vecs = np.linalg.eigh(total)
     inv_root = (vecs / np.sqrt(evals)) @ vecs.conj().T
-    elements = [inv_root @ a @ inv_root for a in parts]
+    elements = inv_root @ parts @ inv_root
     residue = np.eye(dim) - sum(elements)
-    elements = [0.5 * (e + e.conj().T) + residue / outcomes for e in elements]
-    return Povm(elements=tuple(elements))
+    return Povm(elements=tuple(_hermitian_part(elements) + residue / outcomes))
 
 
 def random_encoding(
@@ -524,15 +622,17 @@ def learning_instance(
     b_size = int(meta.integers(2, 4))
     enc = random_encoding(x_count, dim, n, b_size, seed + [1])
     povms = [random_povm(dim, b_size, seed + [2, i]) for i in range(n)]
-    report = averaged_strategy_success(enc, povms)
-
-    max_defect = 0.0
-    min_eig = np.inf
-    for j in range(n):
-        tilde = combined_povm(povms, middle=j)
-        max_defect = max(max_defect, tilde.completeness_defect())
-        for e in tilde.elements:
-            min_eig = min(min_eig, float(np.linalg.eigvalsh(e).min()))
+    elements = np.array([p.elements for p in povms])  # (n, b, d, d)
+    roots = _psd_roots(elements)
+    report = _learn_report(enc, elements, roots)
+    # after the roots, so a bad POVM raises what the public functions raised
+    _validate_stack(elements, povms[0].labels)
+    if n == 1:
+        tilde = elements  # combined_povm returns a lone POVM unchanged
+    else:
+        tilde = np.array([_combined_stack(elements, roots, j) for j in range(n)])
+    max_defect = float(_operator_norms(_element_sum(tilde) - np.eye(dim)).max())
+    min_eig = float(np.linalg.eigvalsh(tilde).min())
 
     epsilons = [1.0 - p for p in report.individual_success]
     cs_lhs = float(sum(np.sqrt(max(e, 0.0)) for e in epsilons))

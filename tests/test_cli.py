@@ -129,6 +129,14 @@ class TestCurveCommand:
         )
         assert code == 2 and "error" in err
 
+    @pytest.mark.parametrize("extra", [[], ["--ca-max", "1.5"]])
+    def test_baseline_beyond_float_range_exits_2(self, capsys, extra):
+        code, out, err = run(
+            capsys, "curve", "--family", "ot", "--alphabet", "2", "--n", "1100", *extra
+        )
+        assert code == 2 and out == ""
+        assert err.startswith("error: 1/b_rand is beyond the float range")
+
 
 class TestVerifyCommand:
     def test_small_campaigns_pass(self, capsys):
@@ -160,6 +168,27 @@ class TestVerifyCommand:
         _, second, _ = run(capsys, *args)
         assert first == second
         assert len(first.strip().split("\n")) == 4
+
+    @pytest.mark.parametrize(
+        "flags,message",
+        [
+            (["--max-dim", "1"], "error: --max-dim must be at least 2, got 1"),
+            (["--max-dim", "-2"], "error: --max-dim must be at least 2, got -2"),
+            (["--instances", "-2"], "error: --instances must be at least 0, got -2"),
+            (["--seed", "-1"], "error: --seed must be at least 0, got -1"),
+        ],
+    )
+    def test_bad_flags_exit_2(self, capsys, flags, message):
+        code, out, err = run(capsys, "verify-lemmas", "--instances", "1", *flags)
+        assert code == 2 and out == ""
+        assert err == message + "\n"
+
+    def test_zero_instances_and_smallest_dimension(self, capsys):
+        code, out, _ = run(capsys, "verify-lemmas", "--instances", "0", "--max-dim", "2")
+        assert code == 0
+        assert out.endswith("learning: 0 instances, 0 violations\ntotal: 0 violations\n")
+        code, out, _ = run(capsys, "verify-lemmas", "--instances", "2", "--max-dim", "2")
+        assert code == 0 and "total: 0 violations" in out
 
 
 class TestSimulateCommand:
@@ -326,3 +355,31 @@ class TestTaskFileFuzz:
         code, _, err = run_task_file(capsys, tmp_path, command, doc)
         assert code in (0, 2, 3, 4)
         assert "Traceback" not in err
+
+
+class TestVerifyFlagFuzz:
+    @settings(
+        max_examples=40,
+        deadline=None,
+        derandomize=True,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        st.integers(-3, 3),
+        st.integers(-2, 10),
+        st.integers(-3, 3) | st.integers(-(2**70), 2**70),
+        st.sampled_from(["gentle", "sequential", "learning", "all"]),
+        st.booleans(),
+    )
+    def test_any_flag_set_exits_cleanly(self, capsys, instances, max_dim, seed, campaign, as_json):
+        argv = [
+            "verify-lemmas",
+            "--instances", str(instances),
+            "--max-dim", str(max_dim),
+            "--seed", str(seed),
+            "--campaign", campaign,
+        ]
+        code, _, err = run(capsys, *argv, *(["--json"] if as_json else []))
+        assert code in (0, 2, 3, 4)
+        assert "Traceback" not in err
+        assert (code == 2) == (instances < 0 or max_dim < 2 or seed < 0)

@@ -1,7 +1,11 @@
+import dataclasses
+import itertools
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sfebounds import measurements as m
 from sfebounds.measurements import (
@@ -26,6 +30,195 @@ def random_psd(dim, seed):
     rng = np.random.default_rng(seed)
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     return g @ g.conj().T
+
+
+# ---------------------------------------------------------------------------
+# references: the matrix-at-a-time loops that the stacked kernel replaced
+# ---------------------------------------------------------------------------
+
+
+def loop_matrix_sqrt(a):
+    a = np.asarray(a, dtype=complex)
+    defect = np.abs(a - a.conj().T).max()
+    if defect > m.HERMITIAN_TOL:
+        raise ValueError(f"matrix is not Hermitian (defect {defect:.3e})")
+    evals, vecs = np.linalg.eigh(a)
+    if evals.min() < -m.PSD_HARD_TOL:
+        raise ValueError(f"matrix has eigenvalue {evals.min():.3e}, not PSD")
+    root = (vecs * np.sqrt(np.clip(evals, 0.0, None))) @ vecs.conj().T
+    return 0.5 * (root + root.conj().T)
+
+
+def loop_random_povm(dim, outcomes, seed):
+    rng = np.random.default_rng(seed)
+    parts = []
+    for _ in range(outcomes):
+        g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        parts.append(g @ g.conj().T)
+    total = sum(parts) + 1e-9 * np.eye(dim)
+    evals, vecs = np.linalg.eigh(total)
+    inv_root = (vecs / np.sqrt(evals)) @ vecs.conj().T
+    elements = [inv_root @ a @ inv_root for a in parts]
+    residue = np.eye(dim) - sum(elements)
+    elements = [0.5 * (e + e.conj().T) + residue / outcomes for e in elements]
+    return Povm(elements=tuple(elements))
+
+
+def loop_measurement_operator(dim, seed):
+    t = np.random.default_rng(seed + [0]).uniform() ** 2
+    element = loop_random_povm(dim, 2, seed + [1]).elements[0]
+    return (1.0 - t) * np.eye(dim) + t * element
+
+
+def loop_validate(povm, tol=m.COMPLETENESS_TOL):
+    for i, e in enumerate(povm.elements):
+        if e.shape[0] != povm.dim:
+            raise ValueError("POVM elements have mixed dimensions")
+        if not (
+            np.abs(e - e.conj().T).max() <= m.HERMITIAN_TOL
+            and np.linalg.eigvalsh(e).min() >= -m.PSD_CLAMP_TOL
+            and np.linalg.eigvalsh(e).max() <= 1.0 + m.PSD_CLAMP_TOL
+        ):
+            raise ValueError(f"element {povm.labels[i]!r} is not a measurement operator")
+    defect = operator_norm(sum(povm.elements) - np.eye(povm.dim))
+    if defect > tol:
+        raise ValueError(f"POVM completeness defect {defect:.3e} exceeds {tol:.0e}")
+
+
+def loop_sequential_operator(lams):
+    op = np.asarray(lams[0], dtype=complex)
+    for lam in lams[1:]:
+        root = loop_matrix_sqrt(lam)
+        op = root @ op @ root
+    return 0.5 * (op + op.conj().T)
+
+
+def loop_combined_povm(povms, middle=0):
+    for p in povms:
+        loop_validate(p)
+    n = len(povms)
+    if n == 1:
+        return povms[0]
+    outer = [i for i in range(n) if i != middle]
+    roots = {i: [loop_matrix_sqrt(e) for e in povms[i].elements] for i in outer}
+    elements = []
+    labels = []
+    for combo in itertools.product(*(range(len(p.elements)) for p in povms)):
+        op = povms[middle].elements[combo[middle]]
+        for i in outer:
+            root = roots[i][combo[i]]
+            op = root @ op @ root
+        elements.append(0.5 * (op + op.conj().T))
+        labels.append(tuple(povms[i].labels[combo[i]] for i in range(n)))
+    return Povm(elements=tuple(elements), labels=tuple(labels))
+
+
+def loop_averaged_strategy_success(enc, povms):
+    n = len(povms)
+    roots = [[loop_matrix_sqrt(e) for e in p.elements] for p in povms]
+    individual = []
+    for i in range(n):
+        p_i = sum(
+            enc.probs[x] * hs_inner(enc.states[x], povms[i].elements[enc.functions[i][x]]).real
+            for x in range(enc.x_count)
+        )
+        individual.append(p_i)
+    achieved = 0.0
+    for j in range(n):
+        outer = [i for i in range(n) if i != j]
+        for x in range(enc.x_count):
+            op = povms[j].elements[enc.functions[j][x]]
+            for i in outer:
+                root = roots[i][enc.functions[i][x]]
+                op = root @ op @ root
+            achieved += enc.probs[x] * hs_inner(enc.states[x], op).real
+    achieved /= n
+    average = sum(individual) / n
+    bound = average - 2.0 * (n - 1) * float(np.sqrt(max(1.0 - average, 0.0)))
+    epsilons = [min(max(1.0 - p, 0.0), 1.0) for p in individual]
+    averaged_bound = 1.0 - sum(epsilons) / n - (2.0 * (n - 1) / n) * float(
+        sum(np.sqrt(e) for e in epsilons)
+    )
+    slack = achieved - bound
+    return m.LearnReport(
+        individual_success=tuple(individual),
+        average=average,
+        bound=bound,
+        achieved=achieved,
+        slack=slack,
+        holds=bool(slack >= -m.CHECK_TOL),
+        averaged_bound=averaged_bound,
+    )
+
+
+def loop_sequential_instance(seed, min_dim=2, max_dim=6, max_n=4):
+    seed = list(seed)
+    meta = np.random.default_rng(seed + [0])
+    dim = int(meta.integers(min_dim, max_dim + 1))
+    n = int(meta.integers(2, max_n + 1))
+    rank = int(meta.integers(1, dim + 1))
+    rho = random_density(dim, rank, seed + [1])
+    lams = [loop_measurement_operator(dim, seed + [2, k]) for k in range(n)]
+    epsilons = [min(max(1.0 - hs_inner(lam, rho).real, 0.0), 1.0) for lam in lams]
+    expectation = hs_inner(rho, loop_sequential_operator(lams)).real
+    lower = 1.0 - epsilons[0] - 2.0 * float(sum(np.sqrt(e) for e in epsilons[1:]))
+    return {
+        "seed": seed,
+        "dims": dim,
+        "n": n,
+        "epsilons": epsilons,
+        "bound": lower,
+        "achieved": expectation,
+        "holds": bool(expectation >= lower - m.CHECK_TOL),
+    }
+
+
+def loop_learning_instance(seed, min_dim=2, max_dim=6, max_n=4):
+    seed = list(seed)
+    meta = np.random.default_rng(seed + [0])
+    dim = int(meta.integers(min_dim, max_dim + 1))
+    n = int(meta.integers(1, max_n + 1))
+    x_count = int(meta.integers(2, 7))
+    b_size = int(meta.integers(2, 4))
+    enc = random_encoding(x_count, dim, n, b_size, seed + [1])
+    povms = [loop_random_povm(dim, b_size, seed + [2, i]) for i in range(n)]
+    report = loop_averaged_strategy_success(enc, povms)
+    max_defect = 0.0
+    min_eig = np.inf
+    for j in range(n):
+        tilde = loop_combined_povm(povms, middle=j)
+        max_defect = max(max_defect, tilde.completeness_defect())
+        for e in tilde.elements:
+            min_eig = min(min_eig, float(np.linalg.eigvalsh(e).min()))
+    epsilons = [1.0 - p for p in report.individual_success]
+    cs_lhs = float(sum(np.sqrt(max(e, 0.0)) for e in epsilons))
+    cs_rhs = float(np.sqrt(n) * np.sqrt(max(sum(epsilons), 0.0)))
+    holds = bool(
+        report.holds
+        and report.achieved >= report.averaged_bound - m.CHECK_TOL
+        and max_defect <= m.COMPLETENESS_TOL
+        and min_eig >= -m.PSD_CLAMP_TOL
+        and cs_lhs <= cs_rhs + 1e-12
+    )
+    return {
+        "seed": seed,
+        "dims": dim,
+        "n": n,
+        "epsilons": epsilons,
+        "bound": report.bound,
+        "achieved": report.achieved,
+        "holds": holds,
+        "averaged_bound": report.averaged_bound,
+        "completeness_defect": max_defect,
+        "min_eigenvalue": float(min_eig),
+        "cauchy_schwarz_gap": float(cs_rhs - cs_lhs),
+    }
+
+
+def error_message(fn, *args):
+    with pytest.raises(ValueError) as info:
+        fn(*args)
+    return str(info.value)
 
 
 class TestMatrixSqrt:
@@ -253,6 +446,9 @@ class TestLearnStrategy:
         enc = random_encoding(2, 3, 1, 2, seed=1)
         with pytest.raises(ValueError):
             averaged_strategy_success(enc, [random_povm(4, 2, seed=0)])
+        mixed = Povm(elements=(np.eye(3) / 2, np.eye(2) / 2))
+        with pytest.raises(ValueError, match="POVM 0 elements have mixed dimensions"):
+            averaged_strategy_success(enc, [mixed])
 
 
 class TestGenerators:
@@ -312,3 +508,103 @@ class TestPovmType:
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             Povm(elements=())
+
+
+DIMS = st.integers(1, 6)
+OUTCOMES = st.lists(st.integers(1, 3), min_size=1, max_size=4)
+SEEDS = st.integers(0, 2**32 - 1)
+
+
+def povm_family(dim, outcomes, seed):
+    return [random_povm(dim, b, [seed, i]) for i, b in enumerate(outcomes)]
+
+
+class TestStackedKernelMatchesLoops:
+    """The stacked kernel gives the loops' results bit for bit."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(st.integers(1, 8), st.integers(1, 3), SEEDS)
+    def test_random_povm(self, dim, outcomes, seed):
+        got = random_povm(dim, outcomes, seed).elements
+        want = loop_random_povm(dim, outcomes, seed).elements
+        assert len(got) == len(want)
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(DIMS, st.integers(1, 4), SEEDS)
+    def test_roots_and_sequential_operator(self, dim, count, seed):
+        lams = [m._random_measurement_operator(dim, [seed, k]) for k in range(count)]
+        for lam in lams:
+            assert np.array_equal(matrix_sqrt(lam), loop_matrix_sqrt(lam))
+        assert np.array_equal(sequential_operator(lams), loop_sequential_operator(lams))
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(DIMS, OUTCOMES, st.integers(0, 3), SEEDS)
+    def test_combined_povm(self, dim, outcomes, middle, seed):
+        povms = povm_family(dim, outcomes, seed)
+        middle %= len(povms)
+        got = combined_povm(povms, middle)
+        want = loop_combined_povm(povms, middle)
+        assert got.labels == want.labels
+        assert len(got.elements) == len(want.elements)
+        assert all(np.array_equal(a, b) for a, b in zip(got.elements, want.elements))
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(DIMS, OUTCOMES, st.integers(1, 6), SEEDS)
+    def test_learn_report(self, dim, outcomes, inputs, seed):
+        rng = np.random.default_rng([seed, 99])
+        enc = QuantumEncoding(
+            probs=rng.dirichlet(np.ones(inputs)),
+            states=tuple(
+                random_density(dim, int(rng.integers(1, dim + 1)), [seed, 98, x])
+                for x in range(inputs)
+            ),
+            functions=tuple(
+                tuple(int(v) for v in rng.integers(0, b, size=inputs)) for b in outcomes
+            ),
+        )
+        povms = povm_family(dim, outcomes, seed)
+        got = averaged_strategy_success(enc, povms)
+        want = loop_averaged_strategy_success(enc, povms)
+        assert dataclasses.asdict(got) == dataclasses.asdict(want)
+
+    @pytest.mark.parametrize(
+        "instance,reference",
+        [
+            (m.learning_instance, loop_learning_instance),
+            (m.sequential_instance, loop_sequential_instance),
+        ],
+    )
+    # 1x1 matrices: numpy sums a reduced axis pairwise there, Python's sum does not
+    @pytest.mark.parametrize("dims", [{}, {"min_dim": 1, "max_dim": 2}])
+    def test_campaign_records(self, instance, reference, dims):
+        got = m.run_campaign(instance, 60, seed=4, **dims)
+        want = [reference([4, idx], **dims) for idx in range(60)]
+        assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
+
+    @pytest.mark.parametrize(
+        "lams",
+        [
+            [np.eye(2), np.diag([1.0, -1e-3]), np.array([[0.0, 1.0], [0.0, 0.0]])],
+            [np.eye(2), np.array([[0.0, 1.0], [0.0, 0.0]]), np.diag([1.0, -1e-3])],
+            [np.eye(3), np.eye(3), np.diag([0.5, -2e-8, 1.0])],
+        ],
+    )
+    def test_first_bad_root_reported(self, lams):
+        assert error_message(sequential_operator, lams) == error_message(
+            loop_sequential_operator, lams
+        )
+
+    @pytest.mark.parametrize(
+        "elements",
+        [
+            (np.eye(2) / 2, np.eye(2) / 3),
+            (np.eye(2), np.diag([0.0, 2.0]), -np.eye(2)),
+            (np.diag([1.0, -1.0]), np.eye(3)),
+            (np.eye(2) / 2, np.eye(3), np.diag([1.0, -1.0])),
+            (np.eye(2) / 2, np.array([[0.5, 1.0], [0.0, 0.5]])),
+        ],
+    )
+    def test_first_validation_failure_reported(self, elements):
+        povm = Povm(elements=elements, labels=tuple("abc"[: len(elements)]))
+        assert error_message(povm.validate) == error_message(loop_validate, povm)
