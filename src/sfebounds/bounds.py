@@ -8,18 +8,29 @@ c > 1 solving
 
 guarantees that at least one party can cheat with probability >= c times
 their baseline.  The root is found in the transformed variable
-s = sqrt(1 - 1/c), which turns the equation into the quartic residual
+s = sqrt(1 - 1/c).  With u = 1 - s^2 and m = |Y| - 1 the equation becomes
+r(s) = 0 for the residual scaled by the baseline,
 
-    g(s) = 1 - K*(1 - s^2)*(1 - s^2 - 2*m*s),   K = 1/b_rand, m = |Y| - 1,
+    r(s) = b_rand - u*(u - 2*m*s),
 
-bracketed by g(0) = 1 - K < 0 and g(sqrt(1 - b_rand)) > 0.  Solving in s
-keeps the extreme regime well conditioned: excesses c - 1 down to ~1e-19
-map to s ~ 1e-10, comfortably representable, while c itself rounds to 1.0.
+which lies between b_rand - 1 and b_rand + 2*m on [0, 1] however large
+1/b_rand is.
+
+r has exactly one root in [0, 1], with r < 0 left of it and r > 0 right of
+it.  The ends have opposite signs: r(0) = b_rand - 1 < 0 and r(1) = b_rand > 0.
+Write v = u - 2*m*s; u and v are strictly decreasing on [0, 1].  While
+v > 0, u and v are both positive, so u*v falls and r rises strictly.  Once
+v <= 0, it stays so, u*v <= 0 and r >= b_rand > 0.
+
+Solving in s keeps the extreme regime well conditioned: excesses c - 1 down
+to ~1e-19 map to s ~ 1e-10, comfortably representable, while c itself
+rounds to 1.0.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from decimal import ROUND_HALF_UP, Decimal
 from fractions import Fraction
@@ -29,9 +40,7 @@ from .tasks import SfeTask, b_rand
 
 Rational = Union[Fraction, int, float]
 
-SOLVER_MAX_ITERATIONS = 200
-SOLVER_WIDTH_TARGET = Fraction(1, 10**16)  # bracket width in s
-SOLVER_RESIDUAL_TARGET = Fraction(1, 10**14)
+SOLVER_MAX_ITERATIONS = 1076  # proven bound on the halvings, see solve_fixed_point
 
 
 class InsecureTaskError(ValueError):
@@ -42,10 +51,11 @@ class InsecureTaskError(ValueError):
 class FixedPointResult:
     """Root of the security-constant equation.
 
-    ``s`` is the transformed root sqrt(1 - 1/c); ``epsilon`` is the excess
-    c - 1 computed as s^2/(1 - s^2) so tiny excesses survive rounding.
-    ``residual`` is g evaluated exactly (rational arithmetic) at the
-    solver's final estimate, before rounding s to a float.
+    ``s`` is the transformed root sqrt(1 - 1/c), correctly rounded;
+    ``epsilon`` is the excess c - 1 computed as s^2/(1 - s^2) so tiny
+    excesses survive rounding.  ``residual`` is the scaled residual r
+    evaluated exactly (rational arithmetic) at the solver's last midpoint,
+    then rounded to a float; being bounded on [0, 1], it cannot overflow.
     """
 
     c: float
@@ -77,27 +87,6 @@ class CurvePoint:
     c_b: float
 
 
-def bob_lower_bound(alice_cheat: Rational, y_size: int) -> float:
-    """Lower bound on the receiver's full-learning probability given the
-    sender's cheating probability.
-
-    Evaluates t - 2*(|Y|-1)*sqrt(1-t) with t = 1/(|Y|*alice_cheat).  The
-    value may be negative (a vacuous bound) and is returned unmodified.
-    Requires alice_cheat >= 1/|Y|, the blind-guess floor; at the floor the
-    bound is exactly 1.
-    """
-    if y_size < 1:
-        raise ValueError("y_size must be positive")
-    u = alice_cheat * y_size
-    if u < 1 - 1e-12:
-        raise ValueError(f"alice_cheat {alice_cheat} below the blind-guess floor 1/{y_size}")
-    uf = float(u)
-    if uf <= 1.0:
-        return 1.0
-    t = 1.0 / uf
-    return t - 2.0 * (y_size - 1) * math.sqrt(1.0 - t)
-
-
 def cb_from_ca(c_a: float, b_rand_value: Rational, y_size: int) -> float:
     """Lower bound on the receiver's gap factor c_B at sender gap c_A."""
     if c_a < 1:
@@ -109,24 +98,37 @@ def cb_from_ca(c_a: float, b_rand_value: Rational, y_size: int) -> float:
     return k * (inv - 2.0 * (y_size - 1) * math.sqrt(1.0 - inv))
 
 
-def _quartic_residual(k: Fraction, m: int):
-    def g(s: Fraction) -> Fraction:
-        u = 1 - s * s
-        return 1 - k * u * (u - 2 * m * s)
-
-    return g
-
-
 def solve_fixed_point(b_rand_value: Rational, y_size: int) -> FixedPointResult:
     """Solve the security-constant equation for given baseline and |Y|.
 
-    Bisection runs on the quartic residual g with exact rational
-    arithmetic, so sign decisions are never corrupted by rounding and the
-    bracket can shrink far below float resolution; it stops once the
-    bracket is narrower than 1e-16 and |g| <= 1e-14 at the midpoint (at
-    most 200 iterations).  A 1024-point pre-scan looks for unexpected
-    extra sign changes; if any exist the smallest root is taken and a
-    warning is attached.
+    Bisection of r on [0, 1] in exact rational arithmetic, so no sign
+    decision is corrupted by rounding.  The bracket [lo, hi] keeps
+    r(lo) <= 0 <= r(hi).  Each step replaces one end by the midpoint.  The
+    loop stops once the bracket lies inside the rounding interval of
+    s = float(midpoint): the closed interval between the halfway points to
+    the float neighbours of s, cut at 0 and 1.  That holds as soon as
+    float(lo) == float(hi), and also when an end of the bracket is itself a
+    halfway point that rounds away from the root.
+
+    Correct rounding.  The root lies in the bracket, strictly inside it
+    unless r is exactly 0 at the midpoint.  At the stop the bracket lies in
+    the rounding interval of s, so the root lies strictly between the two
+    halfway points around s and rounds to s; an exact root at the midpoint
+    rounds to s by definition.
+
+    Termination.  Every float in [0, 1] is a multiple of 2^-1074, so every
+    halfway point between two of them is a multiple of 2^-1075.  The k-th
+    midpoint is an odd multiple of 2^-k, and the bracket after it has width
+    2^-k with the midpoint as one end.  For k >= 1076 the midpoint is no
+    halfway point and no halfway point lies strictly inside the bracket, so
+    the bracket lies in the rounding interval of the midpoint's float.  The
+    loop therefore ends within SOLVER_MAX_ITERATIONS = 1076 halvings; the
+    warning for running out of them is a guard only.
+
+    ``c`` and ``epsilon`` come from the float s.  ValueError when a float
+    cannot carry them: 1 - s*s rounds to 0 (only |Y| = 1 with b_rand
+    below about 2^-106), or epsilon is not a normal float (for instance
+    inner product beyond n = 510).
     """
     if y_size < 1:
         raise ValueError("y_size must be positive")
@@ -136,55 +138,41 @@ def solve_fixed_point(b_rand_value: Rational, y_size: int) -> FixedPointResult:
     if br <= 0:
         raise ValueError("b_rand must be positive")
 
-    k = 1 / br
     m = y_size - 1
-    g = _quartic_residual(k, m)
     warnings: list[str] = []
-
-    s_hi = Fraction(math.sqrt(1.0 - float(br)))
-    while g(s_hi) <= 0:  # float sqrt can land a hair short of the sign flip
-        s_hi = (s_hi + 1) / 2
-
-    # pre-scan for multiple roots; the equation is expected to have one
-    lo, hi = Fraction(0), s_hi
-    changes = []
-    prev_sign = -1  # g(0) = 1 - K < 0
-    prev_s = Fraction(0)
-    for i in range(1, 1025):
-        s = s_hi * i / 1024
-        sign = 1 if g(s) >= 0 else -1
-        if sign != prev_sign:
-            changes.append((prev_s, s))
-        prev_sign, prev_s = sign, s
-    if len(changes) > 1:
-        warnings.append(f"{len(changes)} sign changes detected; using the smallest root")
-        lo, hi = changes[0]
-
-    mid = (lo + hi) / 2
-    g_mid = g(mid)
-    iterations = 0
+    lo, hi = Fraction(0), Fraction(1)
     for iterations in range(1, SOLVER_MAX_ITERATIONS + 1):
         mid = (lo + hi) / 2
-        g_mid = g(mid)
-        if g_mid == 0:
-            break
-        if g_mid < 0:
+        u = 1 - mid * mid
+        r_mid = br - u * (u - 2 * m * mid)
+        if r_mid <= 0:
             lo = mid
-        else:
+        if r_mid >= 0:
             hi = mid
-        if hi - lo <= SOLVER_WIDTH_TARGET and abs(g_mid) <= SOLVER_RESIDUAL_TARGET:
+        s = float(mid)
+        below = (Fraction(math.nextafter(s, 0)) + Fraction(s)) / 2
+        above = (Fraction(s) + Fraction(math.nextafter(s, 1))) / 2
+        if below <= lo and hi <= above:
             break
     else:
-        warnings.append("residual target not reached within iteration budget")
+        warnings.append("root not isolated to one float within the iteration budget")
 
-    s = float(mid)
-    c = 1.0 / (1.0 - s * s)
-    epsilon = s * s / (1.0 - s * s)
+    u = 1.0 - s * s
+    if u == 0.0:
+        raise ValueError(
+            f"s = sqrt(1 - 1/c) rounds to 1.0 for b_rand = {float(br)!r}, |Y| = {y_size}; "
+            "c = 1/(1 - s^2) is beyond a float"
+        )
+    epsilon = s * s / u
+    if epsilon < sys.float_info.min:
+        raise ValueError(
+            f"c - 1 = s^2/(1 - s^2) with s = {s!r} is below the smallest normal float"
+        )
     return FixedPointResult(
-        c=c,
+        c=1.0 / u,
         s=s,
         epsilon=epsilon,
-        residual=float(g_mid),
+        residual=float(r_mid),
         iterations=iterations,
         warnings=tuple(warnings),
     )

@@ -191,6 +191,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
         raise ValueError(f"--instances must be at least 0, got {args.instances}")
     if args.max_dim < 2:
         raise ValueError(f"--max-dim must be at least 2, got {args.max_dim}")
+    if args.max_dim > 16:  # the measurements layer is written for dim <= 16
+        raise ValueError(f"--max-dim must be at most 16, got {args.max_dim}")
     if args.seed < 0:
         raise ValueError(f"--seed must be at least 0, got {args.seed}")
     chosen = ("gentle", "sequential", "learning") if args.campaign == "all" else (args.campaign,)

@@ -21,24 +21,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Collection, Optional, Sequence, Union
+from typing import Callable, Collection, Union
 
 import numpy as np
 
 from .tasks import SfeTask, TaskError
-
-
-@dataclass(frozen=True)
-class DrTranscript:
-    """One protocol run: inputs, shift, reveal, and the agreed outcome."""
-
-    x: int
-    y: int
-    b: int
-    revealed_y: int
-    revealed_f: int
-    aborted: bool
-    outcome: Optional[int]
 
 
 @dataclass(frozen=True)
@@ -119,27 +106,6 @@ def run_honest(task: SfeTask, trials: int, seed: int = 0) -> DrStats:
     _, ys, bs = _draw_trials(task, trials, seed)
     outcomes = (bs + ys) % task.y_size
     return _stats(outcomes, np.zeros(trials, dtype=bool), task.y_size, trials, seed)
-
-
-def honest_transcripts(task: SfeTask, trials: int, seed: int = 0) -> list[DrTranscript]:
-    """The same runs as run_honest, materialized one transcript per trial."""
-    table = _require_table(task)
-    xs, ys, bs = _draw_trials(task, trials, seed)
-    out = []
-    for x, y, b in zip(xs.tolist(), ys.tolist(), bs.tolist()):
-        f = int(table[x, y])
-        out.append(
-            DrTranscript(
-                x=x,
-                y=y,
-                b=b,
-                revealed_y=y,
-                revealed_f=f,
-                aborted=False,
-                outcome=(b + y) % task.y_size,
-            )
-        )
-    return out
 
 
 def blind_alice(view: AliceView) -> np.ndarray:

@@ -69,24 +69,6 @@ def _first(mask: np.ndarray) -> tuple:
     return np.unravel_index(np.argmax(mask), mask.shape)
 
 
-def check_hermitian(a: np.ndarray, tol: float = HERMITIAN_TOL) -> np.ndarray:
-    a = _as_matrix(a)
-    defect = _hermitian_defect(a)
-    if defect > tol:
-        raise ValueError(f"matrix is not Hermitian (defect {defect:.3e})")
-    return a
-
-
-def is_density_matrix(rho: np.ndarray, eig_tol: float = PSD_CLAMP_TOL, trace_tol: float = 1e-10) -> bool:
-    """Hermitian, eigenvalues >= -eig_tol, unit trace within trace_tol."""
-    rho = _as_matrix(rho)
-    if np.abs(rho - rho.conj().T).max() > HERMITIAN_TOL:
-        return False
-    if abs(np.trace(rho).real - 1.0) > trace_tol or abs(np.trace(rho).imag) > trace_tol:
-        return False
-    return bool(np.linalg.eigvalsh(rho).min() >= -eig_tol)
-
-
 def _measurement_ok(stack: np.ndarray, tol: float = PSD_CLAMP_TOL) -> np.ndarray:
     """``is_measurement_operator`` for every matrix in a stack."""
     evals = np.linalg.eigvalsh(stack)

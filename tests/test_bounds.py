@@ -1,13 +1,15 @@
 import io
 import math
+import sys
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sfebounds import bounds
 from sfebounds.bounds import (
     InsecureTaskError,
-    bob_lower_bound,
     bound_report,
     ca_crossing,
     cb_from_ca,
@@ -53,28 +55,6 @@ def solve_directly_in_c(b_rand, y_size):
         else:
             hi = mid
     return 0.5 * (lo + hi)
-
-
-class TestBobLowerBound:
-    def test_boundary_is_exactly_one(self):
-        assert bob_lower_bound(Fraction(1, 3), 3) == 1.0
-        assert bob_lower_bound(1 / 3, 3) == 1.0  # float roundoff lands on the floor
-        assert bob_lower_bound(0.5, 2) == 1.0
-
-    def test_symmetric_point_two_inputs(self):
-        # at alice_cheat ~ c/2 for the two-input bit case both bounds meet
-        assert bob_lower_bound(0.5242, 2) == pytest.approx(0.5242, abs=2e-4)
-
-    def test_vacuous_region_returned_unclipped(self):
-        value = bob_lower_bound(1.0, 3)
-        assert value == pytest.approx(1 / 3 - 4 * math.sqrt(2 / 3), abs=1e-12)
-        assert value < 0
-
-    def test_below_floor_rejected(self):
-        with pytest.raises(ValueError):
-            bob_lower_bound(0.2, 3)
-        with pytest.raises(ValueError):
-            bob_lower_bound(0.5, 0)
 
 
 class TestCbFromCa:
@@ -144,6 +124,29 @@ class TestSolveFixedPoint:
         fp = solve_fixed_point(Fraction(1, 4), 1)
         assert fp.c == pytest.approx(2.0, abs=1e-12)
 
+    def test_tiny_baselines(self):
+        # 500-digit decimal bisection of r gives eps = 6.0247996627572103e-182
+        fp = solve_fixed_point(Fraction(2, 2**300), 2**300 - 1)  # inner product n=300
+        assert fp.epsilon == pytest.approx(6.02479966275721e-182, rel=1e-14)
+        for n in (200, 1500):  # 1-of-n bit OT; 1/b_rand beyond a float at n=1500
+            fp = solve_fixed_point(Fraction(1, 2 ** (n - 1)), n)
+            assert not fp.warnings
+            assert fp.iterations < 100
+            assert abs(fp.residual) < 1e-15
+
+    def test_halfway_end_of_the_bracket_ends_the_loop(self):
+        # equality n=5: after 58 halvings the bracket lies in the rounding
+        # interval of s, but one end is a halfway point rounding away from s;
+        # waiting for float(lo) == float(hi) would take 60
+        assert solve_fixed_point(Fraction(2, 5), 5).iterations == 58
+
+    def test_refuses_what_a_float_cannot_carry(self):
+        with pytest.raises(ValueError, match="rounds to 1.0"):
+            solve_fixed_point(Fraction(1, 2**110), 1)
+        for n in (540, 1100):  # inner product: eps subnormal, then s below every float
+            with pytest.raises(ValueError, match="smallest normal float"):
+                solve_fixed_point(Fraction(2, 2**n), 2**n - 1)
+
     def test_degenerate_baselines_rejected(self):
         with pytest.raises(InsecureTaskError):
             solve_fixed_point(Fraction(1), 2)
@@ -153,6 +156,95 @@ class TestSolveFixedPoint:
             solve_fixed_point(Fraction(0), 2)
         with pytest.raises(ValueError):
             solve_fixed_point(Fraction(-1, 2), 2)
+
+
+def scaled_residual(b_rand, y_size, s):
+    """r(s) = b_rand - u(u - 2ms), u = 1 - s^2, m = |Y| - 1, exactly."""
+    u = 1 - s * s
+    return b_rand - u * (u - 2 * (y_size - 1) * s)
+
+
+def rounding_interval(s):
+    """The halfway points between the float s and its float neighbours."""
+    return (
+        (Fraction(math.nextafter(s, -1)) + Fraction(s)) / 2,
+        (Fraction(s) + Fraction(math.nextafter(s, 2))) / 2,
+    )
+
+
+# (b_rand, |Y|) from the closed forms of the six families, up to scales where
+# the solver refuses, plus arbitrary baselines
+FAMILY_PAIRS = st.one_of(
+    # ot
+    st.builds(lambda w, n: (Fraction(1, w ** (n - 1)), n), st.integers(2, 6), st.integers(2, 1600)),
+    # knot
+    st.integers(2, 40).flatmap(
+        lambda n: st.builds(
+            lambda w, k: (Fraction(1, w ** (n - k)), math.comb(n, k)),
+            st.integers(2, 6),
+            st.integers(1, n - 1),
+        )
+    ),
+    st.builds(lambda n: (Fraction(1, 2**n), 3), st.integers(1, 1600)),  # xot
+    st.builds(lambda n: (Fraction(2, n), n), st.integers(3, 10**160)),  # eq
+    st.builds(lambda n: (Fraction(2, 2**n), 2**n - 1), st.integers(2, 1200)),  # ip
+    st.builds(lambda n: (Fraction(2, n), n - 1), st.integers(3, 10**160)),  # mp
+)
+ARBITRARY_PAIRS = st.tuples(
+    st.floats(0, 1, exclude_min=True, exclude_max=True).map(Fraction),
+    st.integers(1, 10**6),
+)
+HALF_BELOW_ONE = rounding_interval(1.0)[0]
+
+
+class TestSolverProofs:
+    """The three proofs in the bounds docstrings, checked in exact arithmetic."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(FAMILY_PAIRS | ARBITRARY_PAIRS)
+    @example((Fraction(2, 2**300), 2**300 - 1))
+    @example((Fraction(2, 2**540), 2**540 - 1))
+    @example((Fraction(1, 2**110), 1))
+    @example((Fraction(1, 2**1499), 1500))
+    @example((Fraction(1, 4096), 3))
+    def test_s_is_correctly_rounded(self, pair):
+        b_rand, y_size = pair
+        try:
+            fp = solve_fixed_point(b_rand, y_size)
+        except ValueError:
+            # a refusal is right only if s rounds to 1.0 or the root is below
+            # 2^-510, where c - 1 = s^2/(1 - s^2) is at most about 2^-1020
+            assert scaled_residual(b_rand, y_size, HALF_BELOW_ONE) <= 0 or (
+                scaled_residual(b_rand, y_size, Fraction(1, 2**510)) > 0
+            )
+            return
+        below, above = rounding_interval(fp.s)
+        r_below = scaled_residual(b_rand, y_size, below)
+        r_above = scaled_residual(b_rand, y_size, above)
+        assert r_below <= 0 <= r_above
+        assert float(r_below) <= fp.residual <= float(r_above)  # r at the last midpoint
+        assert not fp.warnings
+        assert fp.iterations <= bounds.SOLVER_MAX_ITERATIONS
+        assert fp.epsilon >= sys.float_info.min
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(FAMILY_PAIRS | ARBITRARY_PAIRS)
+    def test_one_sign_change_on_the_unit_interval(self, pair):
+        b_rand, y_size = pair
+        try:
+            fp = solve_fixed_point(b_rand, y_size)
+        except ValueError:
+            return
+        below, above = rounding_interval(fp.s)
+        root = Fraction(fp.s)
+        grid = {Fraction(i, 256) for i in range(257)}
+        grid |= {root * (1 + Fraction(sign, 2**j)) for sign in (-1, 1) for j in range(1, 64)}
+        grid |= {below, above}
+        for t in grid:
+            if 0 <= t < below:
+                assert scaled_residual(b_rand, y_size, t) < 0, t
+            elif above < t <= 1:
+                assert scaled_residual(b_rand, y_size, t) > 0, t
 
 
 class TestBoundReport:

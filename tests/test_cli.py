@@ -1,11 +1,12 @@
 import json
+import math
 
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from sfebounds.cli import main
-from sfebounds.tasks import FAMILY_TAGS
+from sfebounds.tasks import FAMILY_TAGS, MATERIALIZE_CAP
 
 
 def run(capsys, *argv):
@@ -60,6 +61,19 @@ class TestBoundCommand:
         assert code == 0
         payload = json.loads(out)
         assert abs(payload["epsilon"] - 2.5e-19) < 2.5e-20
+
+
+    def test_tiny_baseline_solves_without_warning(self, capsys):
+        for n in ("200", "1500"):  # 1/b_rand is beyond a float at n=1500
+            code, out, err = run(capsys, "bound", "--family", "ot", "--alphabet", "2", "--n", n)
+            assert code == 0 and err == ""
+            assert "warning" not in out
+
+    @pytest.mark.parametrize("n", ["540", "1100"])
+    def test_excess_below_float_range_exits_2(self, capsys, n):
+        code, out, err = run(capsys, "bound", "--family", "ip", "--n", n)
+        assert code == 2 and out == ""
+        assert err.startswith("error: c - 1 = s^2/(1 - s^2)")
 
 
 class TestBrandCommand:
@@ -176,6 +190,8 @@ class TestVerifyCommand:
             (["--max-dim", "-2"], "error: --max-dim must be at least 2, got -2"),
             (["--instances", "-2"], "error: --instances must be at least 0, got -2"),
             (["--seed", "-1"], "error: --seed must be at least 0, got -1"),
+            (["--max-dim", "17"], "error: --max-dim must be at most 16, got 17"),
+            (["--max-dim", "10" * 9], "error: --max-dim must be at most 16, got " + "10" * 9),
         ],
     )
     def test_bad_flags_exit_2(self, capsys, flags, message):
@@ -366,7 +382,7 @@ class TestVerifyFlagFuzz:
     )
     @given(
         st.integers(-3, 3),
-        st.integers(-2, 10),
+        st.integers(-2, 20) | st.integers(-(2**70), 2**70),
         st.integers(-3, 3) | st.integers(-(2**70), 2**70),
         st.sampled_from(["gentle", "sequential", "learning", "all"]),
         st.booleans(),
@@ -382,4 +398,82 @@ class TestVerifyFlagFuzz:
         code, _, err = run(capsys, *argv, *(["--json"] if as_json else []))
         assert code in (0, 2, 3, 4)
         assert "Traceback" not in err
-        assert (code == 2) == (instances < 0 or max_dim < 2 or seed < 0)
+        assert (code == 2) == (instances < 0 or not 2 <= max_dim <= 16 or seed < 0)
+
+
+def family_cells(family, alphabet, n, k):
+    """x_size * y_size of a family task, 0 for parameters make_family rejects."""
+    if n is None or n < 1 or alphabet < 2 or (family == "knot" and (k is None or not 1 <= k <= n)):
+        return 0
+    return {
+        "ot": lambda: alphabet**n * n,
+        "knot": lambda: alphabet**n * math.comb(n, k),
+        "xot": lambda: 4**n * 3,
+        "eq": lambda: n * n,
+        "ip": lambda: 2**n * (2**n - 1),
+        "mp": lambda: n * (n - 1),
+    }[family]()
+
+
+# --n up to the scales where the solver refuses (ip) or 1/b_rand leaves the
+# float range (ot, xot); eq and mp to 10^30
+SMALL_N = st.integers(-1, 16)
+FAMILY_N = {
+    "ot": SMALL_N | st.integers(17, 1600),
+    "knot": SMALL_N | st.integers(17, 40),
+    "xot": SMALL_N | st.integers(17, 1600),
+    "eq": SMALL_N | st.integers(17, 10**30),
+    "ip": SMALL_N | st.integers(17, 1200),
+    "mp": SMALL_N | st.integers(17, 10**30),
+}
+CA_FLOATS = st.floats(1, 1.1).map(repr) | st.sampled_from(["nan", "inf", "-inf", "0", "1e308"])
+
+
+@st.composite
+def task_flag_sets(draw):
+    """Flags of bound, brand, curve or simulate-dr on a family task whose
+    table, if built, has at most 10^4 cells.  Each optional flag is given
+    with probability ``odds``: 7/8 for the task flags, 1/2 for the others."""
+
+    def sometimes(flag, strategy, odds=4):
+        return [f"--{flag}={draw(strategy)}"] if draw(st.integers(0, 7)) < odds else []
+
+    command = draw(st.sampled_from(["bound", "brand", "curve", "simulate-dr"]))
+    family = draw(st.sampled_from(FAMILY_TAGS))
+    n = draw(FAMILY_N[family])
+    alphabet = draw(st.integers(2, 6) | st.integers(-1, 1000))
+    k = draw(st.integers(1, 12) | st.integers(-1, 0))
+    cells = family_cells(family, alphabet, n, k)
+    assume(cells <= 10**4 or cells > MATERIALIZE_CAP)
+    argv = [command, f"--family={family}", f"--alphabet={alphabet}"]
+    argv += sometimes("n", st.just(n), odds=7) + sometimes("k", st.just(k), odds=7)
+    if command == "curve":
+        argv += sometimes("samples", st.integers(2, 300) | st.integers(0, 1))
+        argv += sometimes("ca-min", CA_FLOATS)
+        argv += sometimes("ca-max", CA_FLOATS)
+        argv += ["--clip"] if draw(st.booleans()) else []
+    if command == "simulate-dr":
+        argv += sometimes("trials", st.integers(1, 10**4) | st.integers(-2, 0))
+        argv += sometimes("seed", st.integers(0, 2**70) | st.integers(-(2**70), -1))
+    if command != "curve":
+        argv += draw(st.sampled_from([[], ["--json"], ["--full-precision"]]))
+    return argv
+
+
+class TestTaskFlagFuzz:
+    @settings(
+        max_examples=300,
+        deadline=None,
+        derandomize=True,
+        suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.filter_too_much],
+    )
+    @given(task_flag_sets())
+    @example(["bound", "--family=ot", "--alphabet=2", "--n=1500"])
+    @example(["bound", "--family=ip", "--n=1100", "--json"])
+    @example(["curve", "--family=ot", "--alphabet=2", "--n=1500"])
+    @example(["curve", "--family=eq", "--n=5", "--ca-min=nan", "--ca-max=inf"])
+    @example(["simulate-dr", "--family=eq", "--n=5", "--trials=-2", "--seed=-1"])
+    def test_any_flag_set_exits_cleanly(self, capsys, argv):
+        code, _, err = run(capsys, *argv)
+        assert code in (0, 2, 3, 4)
+        assert "Traceback" not in err
