@@ -65,52 +65,9 @@ from .tasks import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BoundReport",
-    "CurvePoint",
-    "DrStats",
-    "FamilySpec",
-    "FixedPointResult",
-    "GentleReport",
-    "InsecureTaskError",
-    "KitaevBound",
-    "LearnReport",
-    "MATERIALIZE_CAP",
-    "Povm",
-    "QuantumEncoding",
-    "SequentialReport",
-    "SfeTask",
-    "TaskError",
-    "a_rand",
-    "answer_vector",
-    "averaged_strategy_success",
-    "b_rand",
-    "b_rand_bruteforce",
-    "b_rand_closed_form",
-    "blind_alice",
-    "bound_report",
-    "ca_crossing",
-    "cb_from_ca",
-    "check_gentle",
-    "check_sequential",
-    "combined_povm",
-    "emit_curve",
-    "hs_inner",
-    "kitaev_bound",
-    "load_task",
-    "make_family",
-    "matrix_sqrt",
-    "operator_norm",
-    "oracle_alice",
-    "random_density",
-    "random_encoding",
-    "random_povm",
-    "run_cheating_alice",
-    "run_cheating_bob",
-    "run_honest",
-    "sequential_operator",
-    "solve_fixed_point",
-    "trace_norm",
-    "validate_task",
-    "write_curve_csv",
-]
+# the public API is every name imported above; the submodules are not part of it
+__all__ = sorted(
+    name
+    for name in globals()
+    if not name.startswith("_") and name not in {"bounds", "dierolling", "measurements", "tasks"}
+)

@@ -25,10 +25,30 @@ v <= 0, it stays so, u*v <= 0 and r >= b_rand > 0.
 Solving in s keeps the extreme regime well conditioned: excesses c - 1 down
 to ~1e-19 map to s ~ 1e-10, comfortably representable, while c itself
 rounds to 1.0.
+
+The trade-off curve is c_B(c_A) = K*(1/c_A - 2m*sqrt(1 - 1/c_A)), K = 1/b_rand.
+At a float c_A, c_B and the c_B = 1 crossing are quotients
+(a + b*sqrt(R))/(c + d*sqrt(R)) of ints with a positive denominator, which
+one kernel, _rounded_ratio, rounds correctly.  A perfect square R takes one
+int true division, which Python rounds correctly.  Otherwise
+k = isqrt(R*4^t) gives k < 2^t*sqrt(R) < k + 1; once the denominator is
+positive at both ends, the quotient is monotone between them, and if both
+ends round to the same float, so does the value.  Each pass adds 64 to t.
+The loop ends: if b*c == a*d the quotient is a constant rational; otherwise
+it is irrational (a rational q would give (b - q*d)*sqrt(R) = q*c - a with
+b != q*d), so it is neither a float nor a halfway point, lies inside its
+rounding interval, and both ends converge into that interval.
+
+Each curve row prints the correctly rounded c_B at its printed c_A.  The
+default last row is the crossing: c_A rounded to a float and c_B = 1.0, the
+curve's value at the exact crossing.  The value at the rounded c_A would say
+little: near c_A = 1 the curve falls by about K*(1 + 2m^2) per unit of c_A,
+1e49 per ulp for 1-of-200 OT.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -87,15 +107,35 @@ class CurvePoint:
     c_b: float
 
 
+def _rounded_ratio(a: int, b: int, c: int, d: int, radicand: int) -> float:
+    """The float nearest (a + b*sqrt(R))/(c + d*sqrt(R)), for ints, R >= 0 and
+    a positive denominator; the module docstring proves rounding and termination."""
+    root = math.isqrt(radicand)
+    if root * root == radicand:
+        return (a + b * root) / (c + d * root)
+    for t in itertools.count(64, 64):
+        k = math.isqrt(radicand << 2 * t)
+        (n0, d0), (n1, d1) = [((a << t) + b * y, (c << t) + d * y) for y in (k, k + 1)]
+        if d0 > 0 and d1 > 0 and n0 / d0 == n1 / d1:
+            return n0 / d0
+
+
+def _c_b(c_a: float, n: int, d: int, m: int) -> float:
+    """c_B at c_A = p/q for b_rand = n/d: d*(q - 2m*sqrt((p - q)*p))/(n*p)."""
+    p, q = c_a.as_integer_ratio()
+    return _rounded_ratio(d * q, -2 * m * d, n * p, 0, (p - q) * p)
+
+
 def cb_from_ca(c_a: float, b_rand_value: Rational, y_size: int) -> float:
-    """Lower bound on the receiver's gap factor c_B at sender gap c_A."""
+    """Lower bound on the receiver's gap factor c_B at sender gap c_A, correctly rounded."""
     if c_a < 1:
         raise ValueError("c_a must be at least 1")
     if y_size < 1:
         raise ValueError("y_size must be positive")
-    k = float(1 / Fraction(b_rand_value))
-    inv = 1.0 / c_a
-    return k * (inv - 2.0 * (y_size - 1) * math.sqrt(1.0 - inv))
+    n, d = Fraction(b_rand_value).as_integer_ratio()
+    if n <= 0:
+        raise ValueError("b_rand must be positive")
+    return _c_b(c_a, n, d, y_size - 1)
 
 
 def solve_fixed_point(b_rand_value: Rational, y_size: int) -> FixedPointResult:
@@ -201,27 +241,25 @@ def bound_report(task: SfeTask) -> BoundReport:
 
 
 def ca_crossing(b_rand_value: Rational, y_size: int, target: float = 1.0) -> float:
-    """The c_A at which the trade-off curve c_B(c_A) falls to ``target``.
+    """The c_A at which the trade-off curve c_B(c_A) falls to ``target``, correctly rounded.
 
-    Float bisection on the strictly decreasing curve over [1, 1/b_rand].
+    With x = 1/c_A, t = sqrt(1 - x) and beta = b_rand*target = N/D, the
+    equation is t^2 + 2mt - (1 - beta) = 0, so t = sqrt(m^2 + 1 - beta) - m,
+    x = beta + 2mt and c_A = D/(N - 2m^2 D + 2m sqrt(D(D(m^2 + 1) - N))).  A
+    target below the curve's value at c_A = 1/b_rand gives 1/b_rand.
     """
-    br = Fraction(b_rand_value)
+    br, m = Fraction(b_rand_value), y_size - 1
     if not 0 < br < 1:
         raise ValueError("b_rand must lie in (0, 1)")
-    lo, hi = 1.0, float(1 / br)
-    if cb_from_ca(lo, br, y_size) < target:
+    if m < 0:
+        raise ValueError("y_size must be positive")
+    beta = br * Fraction(target)
+    if beta > 1:
         raise ValueError(f"curve starts below target {target}")
-    if cb_from_ca(hi, br, y_size) >= target:
-        return hi
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if cb_from_ca(mid, br, y_size) >= target:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+    if beta < br and 4 * m * m * (1 - br) < (br - beta) ** 2:
+        return float(1 / br)
+    n, d = beta.as_integer_ratio()
+    return _rounded_ratio(d, 0, n - 2 * m * m * d, 2 * m, d * (d * (m * m + 1) - n))
 
 
 def emit_curve(
@@ -234,27 +272,43 @@ def emit_curve(
 ) -> list[CurvePoint]:
     """Evenly spaced samples of the trade-off curve.
 
-    ``ca_max`` defaults to the point where c_B reaches 1, matching how the
-    curves are plotted.  With ``clip_below_one`` samples whose c_B drops
-    below 1 are dropped (the plots show only c_B >= 1).
+    ``ca_max`` defaults to the c_B = 1 crossing, matching how the curves are
+    plotted.  With ``clip_below_one`` samples whose c_B is below 1 are dropped
+    (the plots show only c_B >= 1).  OverflowError when 1/b_rand is beyond a
+    float, ValueError when the float c_A grid does not strictly increase.
     """
     br = Fraction(b_rand_value)
+    if br >= 1:
+        raise InsecureTaskError(f"baseline {br}: no trade-off curve to emit")
+    if br <= 0:
+        raise ValueError("b_rand must be positive")
+    if 1 / br > sys.float_info.max:
+        raise OverflowError(
+            "1/b_rand is beyond the float range; the trade-off curve is computed in floats"
+        )
     if samples < 2:
         raise ValueError("need at least 2 samples")
-    if ca_max is None:
+    at_crossing = ca_max is None
+    if at_crossing:
         ca_max = ca_crossing(br, y_size)
-    if not 1.0 <= ca_min < ca_max:
+    if not 1.0 <= ca_min <= ca_max:
         raise ValueError(f"bad c_a range [{ca_min}, {ca_max}]")
-    if ca_max > float(1 / br) * (1 + 1e-12):
+    if ca_max > float(1 / br):
         raise ValueError(f"ca_max {ca_max} beyond 1/b_rand = {float(1 / br)}")
     step = (ca_max - ca_min) / (samples - 1)
-    points = []
-    for i in range(samples):
-        c_a = ca_min + i * step
-        c_b = cb_from_ca(c_a, br, y_size)
-        if clip_below_one and c_b < 1.0 - 1e-12:
-            continue
-        points.append(CurvePoint(c_a=c_a, c_b=c_b))
+    grid = [ca_min + i * step for i in range(samples - 1)] + [ca_max]
+    if any(a >= b for a, b in zip(grid, grid[1:])):
+        raise ValueError(
+            f"--samples {samples} is too many for the c_A range [{ca_min!r}, {ca_max!r}]: "
+            "the float grid does not strictly increase"
+        )
+    n, d = br.as_integer_ratio()
+    rows = grid[:-1] if at_crossing else grid
+    points = [CurvePoint(c_a, _c_b(c_a, n, d, y_size - 1)) for c_a in rows]
+    if at_crossing:
+        points.append(CurvePoint(ca_max, 1.0))
+    if clip_below_one:
+        points = [p for p in points if p.c_b >= 1.0]
     return points
 
 

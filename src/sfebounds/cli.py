@@ -166,15 +166,8 @@ def cmd_brand(args: argparse.Namespace) -> int:
 
 def cmd_curve(args: argparse.Namespace) -> int:
     task = _task_from_args(args)
-    br = tasks.b_rand(task)
-    if br >= 1:
-        raise bounds.InsecureTaskError(f"{task.name}: completely insecure (baseline {br})")
-    if 1 / br > sys.float_info.max:
-        raise ValueError(
-            "1/b_rand is beyond the float range; the trade-off curve is computed in floats"
-        )
     points = bounds.emit_curve(
-        br,
+        tasks.b_rand(task),
         task.y_size,
         samples=args.samples,
         ca_min=args.ca_min,
@@ -200,24 +193,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     violations = 0
     records_out = []
     for name in chosen:
-        if name == "gentle":
-            records = measurements.run_campaign(
-                measurements.gentle_instance, args.instances, args.seed, max_dim=args.max_dim
-            )
-        elif name == "sequential":
-            records = measurements.run_campaign(
-                measurements.sequential_instance,
-                args.instances,
-                args.seed,
-                max_dim=min(args.max_dim, 6),
-            )
-        else:
-            records = measurements.run_campaign(
-                measurements.learning_instance,
-                args.instances,
-                args.seed,
-                max_dim=min(args.max_dim, 6),
-            )
+        instance = getattr(measurements, f"{name}_instance")
+        max_dim = args.max_dim if name == "gentle" else min(args.max_dim, 6)
+        records = measurements.run_campaign(instance, args.instances, args.seed, max_dim=max_dim)
         bad = sum(1 for r in records if not r["holds"])
         violations += bad
         summaries.append(f"{name}: {len(records)} instances, {bad} violations")
@@ -239,6 +217,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    if args.seed < 0:
+        raise ValueError(f"--seed must be at least 0, got {args.seed}")
     task = _task_from_args(args)
     stats = dierolling.run_honest(task, args.trials, args.seed)
     with _open_out(args) as out:
@@ -308,7 +288,7 @@ def main(argv=None) -> int:
     except bounds.InsecureTaskError as exc:
         print(f"completely insecure: {exc}", file=sys.stderr)
         return EXIT_INSECURE
-    except (tasks.TaskError, ValueError, OSError) as exc:
+    except (tasks.TaskError, ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_TASK
 

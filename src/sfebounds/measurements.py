@@ -70,15 +70,10 @@ def _first(mask: np.ndarray) -> tuple:
 
 
 def _measurement_ok(stack: np.ndarray, tol: float = PSD_CLAMP_TOL) -> np.ndarray:
-    """``is_measurement_operator`` for every matrix in a stack."""
+    """Hermitian with spectrum inside [-tol, 1 + tol], for every matrix in a stack."""
     evals = np.linalg.eigvalsh(stack)
     hermitian = ~(_hermitian_defect(stack) > HERMITIAN_TOL)
     return hermitian & (evals.min(axis=-1) >= -tol) & (evals.max(axis=-1) <= 1.0 + tol)
-
-
-def is_measurement_operator(lam: np.ndarray, tol: float = PSD_CLAMP_TOL) -> bool:
-    """Hermitian with spectrum inside [-tol, 1 + tol]."""
-    return bool(_measurement_ok(_as_matrix(lam), tol))
 
 
 @dataclass(frozen=True)

@@ -4,11 +4,13 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+import curve_reference as ref
 from sfebounds import bounds
 from sfebounds.bounds import (
+    CurvePoint,
     InsecureTaskError,
     bound_report,
     ca_crossing,
@@ -294,17 +296,27 @@ class TestCurves:
         assert len(points) == 200
         assert points[0].c_a == 1.0
         assert points[0].c_b == 2.0
-        assert points[-1].c_b == pytest.approx(1.0, abs=1e-9)
+        assert points[-1] == CurvePoint(ca_crossing(Fraction(1, 2), 2), 1.0)
         assert all(a.c_b > b.c_b for a, b in zip(points, points[1:]))
 
     def test_crossing_matches_frozen_value(self):
-        assert ca_crossing(Fraction(1, 2), 2) == pytest.approx(1.0531972647421806, abs=1e-9)
+        assert ca_crossing(Fraction(1, 2), 2) == 1.0531972647421808
+        assert ca_crossing(Fraction(1, 2**199), 200) == 1.0000063129320416  # ot 2,200
 
     def test_clip_drops_sub_one_samples(self):
         full = emit_curve(Fraction(1, 2), 2, samples=50, ca_max=1.06)
         clipped = emit_curve(Fraction(1, 2), 2, samples=50, ca_max=1.06, clip_below_one=True)
         assert len(clipped) < len(full)
-        assert all(p.c_b >= 1.0 - 1e-12 for p in clipped)
+        assert all(p.c_b >= 1.0 for p in clipped)
+        assert [p for p in full if p.c_b >= 1.0] == clipped
+        # one float past the crossing c_B is 1 - 1.3e-15: below 1, so dropped
+        crossing = ca_crossing(Fraction(1, 2), 2)
+        past = emit_curve(Fraction(1, 2), 2, samples=2, ca_min=1.0, ca_max=math.nextafter(crossing, 2))
+        assert 1 - 1e-12 < past[-1].c_b < 1.0
+        clipped = emit_curve(
+            Fraction(1, 2), 2, samples=2, ca_min=1.0, ca_max=past[-1].c_a, clip_below_one=True
+        )
+        assert clipped == past[:1]
 
     def test_range_validation(self):
         with pytest.raises(ValueError):
@@ -313,6 +325,13 @@ class TestCurves:
             emit_curve(Fraction(1, 2), 2, ca_min=1.05, ca_max=1.01)
         with pytest.raises(ValueError):
             emit_curve(Fraction(1, 2), 2, ca_max=2.5)  # beyond 1/b_rand
+        assert emit_curve(Fraction(1, 2), 2, samples=2, ca_max=2.0)[-1].c_a == 2.0
+        with pytest.raises(ValueError, match=r"--samples 200 .* \[1\.0, 1\.0000000000000024\]"):
+            emit_curve(Fraction(2, 10**7), 10**7 - 1)  # mp 10^7: 12 floats above 1.0
+        with pytest.raises(InsecureTaskError):
+            emit_curve(Fraction(1), 2)
+        with pytest.raises(OverflowError, match="1/b_rand is beyond the float range"):
+            emit_curve(Fraction(1, 2**1099), 1100)  # ot 2,1100
 
     def test_csv_format_and_round_trip(self):
         points = emit_curve(Fraction(1, 4), 3, samples=5)
@@ -330,6 +349,117 @@ class TestCurves:
         fp = solve_fixed_point(Fraction(1, 4), 7)  # inner product n=3
         assert fp.c == pytest.approx(1.0039, abs=5e-4)
         assert cb_from_ca(fp.c, Fraction(1, 4), 7) == pytest.approx(fp.c, abs=1e-10)
+
+
+# (b_rand, |Y|) from the closed forms of the six families, from n = 2 up to
+# the largest n `curve` accepts: 1/b_rand must be a float
+CURVE_PAIRS = st.one_of(
+    st.integers(2, 6).flatmap(  # ot
+        lambda w: st.builds(
+            lambda n: (Fraction(1, w ** (n - 1)), n), st.integers(2, 1 + int(1023 / math.log2(w)))
+        )
+    ),
+    st.integers(2, 40).flatmap(  # knot
+        lambda n: st.builds(
+            lambda w, k: (Fraction(1, w ** (n - k)), math.comb(n, k)),
+            st.integers(2, 6),
+            st.integers(1, n - 1),
+        )
+    ),
+    st.builds(lambda n: (Fraction(1, 2**n), 3), st.integers(2, 1023)),  # xot
+    st.builds(lambda n: (Fraction(2, n), n), st.integers(3, 10**160)),  # eq
+    st.builds(lambda n: (Fraction(2, 2**n), 2**n - 1), st.integers(2, 1024)),  # ip
+    st.builds(lambda n: (Fraction(2, n), n - 1), st.integers(3, 10**160)),  # mp
+)
+ULP_AT_ONE = 2.0**-52
+
+
+class TestCurveIsExact:
+    """Crossing and rows against the exact reference in curve_reference."""
+
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(CURVE_PAIRS | ARBITRARY_PAIRS.filter(lambda p: 1 / p[0] <= sys.float_info.max))
+    @example((Fraction(1, 2), 2))
+    @example((Fraction(1, 2**199), 200))
+    @example((Fraction(2, 2**1024), 2**1024 - 1))
+    def test_crossing_is_correctly_rounded(self, pair):
+        b_rand, y_size = pair
+        crossing = ca_crossing(b_rand, y_size)
+        assert crossing == ref.crossing(b_rand, y_size - 1)
+        assert ref.within_half_ulp(crossing, lambda h: ref.crossing_sign(b_rand, y_size - 1, h))
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(CURVE_PAIRS, st.integers(2, 200))
+    @example((Fraction(1, 2), 2), 200)  # ot 2,2
+    @example((Fraction(1, 2**199), 200), 200)  # ot 2,200
+    @example((Fraction(1, 2**1023), 1024), 200)  # ot 2,1024
+    @example((Fraction(2, 10**6), 10**6 - 1), 200)  # mp 10^6
+    @example((Fraction(2, 10**7), 10**7 - 1), 200)  # mp 10^7: refused
+    @example((Fraction(2, 10**7), 10**7 - 1), 10)
+    @example((Fraction(2, 10**9), 10**9 - 1), 2)  # mp 10^9: refused
+    def test_default_curve_is_correctly_rounded(self, pair, samples):
+        b_rand, y_size = pair
+        m = y_size - 1
+        crossing = ca_crossing(b_rand, y_size)
+        room = (crossing - 1) / ULP_AT_ONE  # floats above 1.0 up to the crossing, which is below 4/3
+        try:
+            points = emit_curve(b_rand, y_size, samples=samples)
+        except ValueError as exc:
+            assert f"--samples {samples}" in str(exc) and f"[1.0, {crossing!r}]" in str(exc)
+            assert room < 3 * (samples - 1)  # a step of 2 ulps or more always increases
+            return
+        assert room >= samples - 1
+        assert len(points) == samples
+        assert points[0] == CurvePoint(1.0, float(1 / b_rand))
+        assert points[-1] == CurvePoint(crossing, 1.0)
+        for left, right in zip(points, points[1:]):
+            assert left.c_a < right.c_a and left.c_b > right.c_b
+        for point in points[:-1]:
+            assert ref.within_half_ulp(point.c_b, lambda h: ref.curve_sign(point.c_a, b_rand, m, h))
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        CURVE_PAIRS | ARBITRARY_PAIRS.filter(lambda p: 1 / p[0] <= sys.float_info.max),
+        st.floats(-1e6, 1e6) | st.sampled_from([0.0, 1.0, 2.0]),
+    )
+    def test_crossing_of_any_target(self, pair, target):
+        b_rand, y_size = pair
+        m = y_size - 1
+        try:
+            crossing = ca_crossing(b_rand, y_size, target)
+        except ValueError:
+            assert target * b_rand > 1  # the curve starts at 1/b_rand
+            return
+        if ref.curve_sign(1 / b_rand, b_rand, m, target) > 0:  # the curve ends above target
+            assert crossing == float(1 / b_rand)
+        else:
+            assert ref.within_half_ulp(crossing, lambda h: ref.crossing_sign(b_rand, m, h, target))
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        st.lists(st.integers(-(2**200), 2**200), min_size=4, max_size=4),
+        st.integers(0, 2**300) | st.integers(0, 2**150).map(lambda r: r * r),
+    )
+    @example([2**53 + 3, 0, 1, 0], 0)  # a halfway point, rounded to even
+    @example([2**53 + 3, -5, 1, 0], 0)  # the end at sqrt(R) + 2^-t lies below it
+    @example([-(2**60) - 5, 2, 4, 0], 1)
+    def test_kernel_is_correctly_rounded(self, ints, radicand):
+        a, b, c, d = ints
+        assume(ref.sign_plus_root(Fraction(c), Fraction(d), Fraction(radicand)) > 0)
+        try:
+            value = bounds._rounded_ratio(a, b, c, d, radicand)
+        except OverflowError:  # beyond the largest float plus half an ulp
+            edge = Fraction(2**1024 - 2**970)
+            assert ref.sign_plus_root(a - edge * c, b - edge * d, radicand) >= 0 or (
+                ref.sign_plus_root(a + edge * c, b + edge * d, radicand) <= 0
+            )
+            return
+        assert ref.within_half_ulp(
+            value, lambda h: ref.sign_plus_root(a - h * c, b - h * d, Fraction(radicand))
+        )
+        root = math.isqrt(radicand)
+        if root * root == radicand:  # a rational: ties go to even, as in int / int
+            assert value == (a + b * root) / (c + d * root)
 
 
 class TestPresentation:

@@ -133,8 +133,23 @@ class TestCurveCommand:
         assert written.count("\n") == 11
 
     def test_insecure_task_exits_3(self, capsys):
-        code, _, err = run(capsys, "curve", "--family", "eq", "--n", "2")
-        assert code == 3 and "completely insecure" in err
+        code, out, err = run(capsys, "curve", "--family", "eq", "--n", "2")
+        assert code == 3 and out == ""
+        assert err == "completely insecure: baseline 1: no trade-off curve to emit\n"
+
+    @pytest.mark.parametrize("n", ["10000000", "1000000000"])
+    def test_grid_finer_than_floats_exits_2(self, capsys, n):
+        code, out, err = run(capsys, "curve", "--family", "mp", "--n", n)
+        assert code == 2 and out == ""
+        assert err.startswith("error: --samples 200 is too many for the c_A range [1.0, ")
+
+    def test_fewer_samples_fit_a_narrow_range(self, capsys):
+        code, out, err = run(capsys, "curve", "--family", "mp", "--n", "10000000", "--samples", "10")
+        assert code == 0 and err == ""
+        rows = [tuple(map(float, line.split(","))) for line in out.split("\n")[1:-1]]
+        assert len(rows) == 10 and rows[-1] == (1.0000000000000024, 1.0)
+        for (a0, b0), (a1, b1) in zip(rows, rows[1:]):
+            assert a0 < a1 and b0 > b1
 
     def test_bad_range_exits_2(self, capsys):
         code, _, err = run(
@@ -232,6 +247,12 @@ class TestSimulateCommand:
             capsys, "simulate-dr", "--family", "mp", "--n", "1000000000", "--trials", "10"
         )
         assert code == 2 and "error" in err
+
+    @pytest.mark.parametrize("seed", ["-1", "-123456789012345678901"])
+    def test_negative_seed_exits_2(self, capsys, seed):
+        code, out, err = run(capsys, "simulate-dr", "--family", "eq", "--n", "3", "--seed", seed)
+        assert code == 2 and out == ""
+        assert err == f"error: --seed must be at least 0, got {seed}\n"
 
 
 class TestTaskSourceHandling:
