@@ -77,21 +77,19 @@ def _draw_trials(task: SfeTask, trials: int, seed: int):
     return xs, ys, bs
 
 
-def _require_table(task: SfeTask) -> np.ndarray:
-    if task.table is None:
-        raise TaskError("die-rolling simulation requires a materialized table")
-    return task.table
+def _stats(outcomes: np.ndarray, y_size: int, trials: int, seed: int) -> DrStats:
+    """Statistics of ``trials`` (at least 1) outcomes.
 
-
-def _stats(outcomes: np.ndarray, aborted: np.ndarray, y_size: int, trials: int, seed: int) -> DrStats:
-    ok = ~aborted
-    hist = np.bincount(outcomes[ok], minlength=y_size)
-    tv = 0.5 * float(np.abs(hist / trials - 1.0 / y_size).sum()) if trials else 0.0
-    forcing = float(np.count_nonzero(ok & (outcomes == 0))) / trials
+    No trial ever aborts: the oracle is ideal, so every output the receiver
+    reveals matches the sender's own evaluation, and abort_count is 0.
+    """
+    hist = np.bincount(outcomes, minlength=y_size)
+    tv = 0.5 * float(np.abs(hist / trials - 1.0 / y_size).sum())
+    forcing = float(np.count_nonzero(outcomes == 0)) / trials
     return DrStats(
         trials=trials,
         outcome_histogram=tuple(int(c) for c in hist),
-        abort_count=int(np.count_nonzero(aborted)),
+        abort_count=0,
         tv_distance_from_uniform=tv,
         forcing_rate=forcing,
         seed=seed,
@@ -102,10 +100,11 @@ def run_honest(task: SfeTask, trials: int, seed: int = 0) -> DrStats:
     """Both parties honest: never aborts, outcomes exactly (b + y) mod |Y|."""
     if trials < 1:
         raise ValueError("trials must be positive")
-    _require_table(task)
+    if not task.materialized:
+        raise TaskError("die-rolling simulation requires a materialized table")
     _, ys, bs = _draw_trials(task, trials, seed)
     outcomes = (bs + ys) % task.y_size
-    return _stats(outcomes, np.zeros(trials, dtype=bool), task.y_size, trials, seed)
+    return _stats(outcomes, task.y_size, trials, seed)
 
 
 def blind_alice(view: AliceView) -> np.ndarray:
@@ -130,8 +129,6 @@ def run_cheating_alice(
     """
     if trials < 1:
         raise ValueError("trials must be positive")
-    if task.y_size < 1:
-        raise TaskError("y_size must be positive")
     xs, ys, _ = _draw_trials(task, trials, seed)
     view = AliceView(task=task, xs=xs, leaked_ys=ys, rng=_trial_rng(seed, 1))
     guesses = np.asarray(guesser(view), dtype=np.int64)
@@ -140,8 +137,7 @@ def run_cheating_alice(
     if guesses.min() < 0 or guesses.max() >= task.y_size:
         raise ValueError("strategy guessed outside the input range")
     outcomes = (ys - guesses) % task.y_size  # (b + y) mod |Y| with b = -guess
-    aborted = np.zeros(trials, dtype=bool)
-    return _stats(outcomes, aborted, task.y_size, trials, seed)
+    return _stats(outcomes, task.y_size, trials, seed)
 
 
 def _known_mask_and_fallback(
@@ -194,8 +190,7 @@ def run_cheating_bob(
     known, fallback = _known_mask_and_fallback(task, learner, required, xs, ys)
     revealed = np.where(known, required, fallback)
     outcomes = (bs + revealed) % task.y_size
-    aborted = np.zeros(trials, dtype=bool)  # revealed entries are always correct
-    return _stats(outcomes, aborted, task.y_size, trials, seed)
+    return _stats(outcomes, task.y_size, trials, seed)
 
 
 def kitaev_bound(n_outcomes: int) -> KitaevBound:

@@ -4,9 +4,12 @@ A task is a total function f : X x Y -> B between finite index sets, with
 both inputs uniform and independent.  Tasks are either explicit tables or
 members of one of six parametric families (oblivious-transfer variants,
 equality, inner product, millionaire comparison) with closed-form
-baselines.  Tables are read-only int64 arrays, materialized only up to
-MATERIALIZE_CAP cells so that huge parametric instances stay usable
-through their formulas.
+baselines.  SfeTask checks a task once, when it is built; nothing
+downstream re-checks.  Tables are read-only int64 arrays.  A family task
+builds its table from the family formulas only when the table is first
+read, and only up to MATERIALIZE_CAP cells, so bounds and curves, which
+need only the closed-form baseline, never build one, and huge parametric
+instances stay usable through their formulas.
 """
 
 from __future__ import annotations
@@ -46,35 +49,41 @@ class FamilySpec:
             raise TaskError(f"unknown family tag {self.family!r}")
 
 
-@dataclass(frozen=True, eq=False)
 class SfeTask:
     """A finite SFE instance with uniform, independent inputs.
 
-    ``table[x, y]`` holds the output index f(x, y) when materialized, as a
-    read-only 2-D int64 array converted here from any nested sequence of
-    integers.  Non-integer sizes, ragged rows, missing or non-integer
-    cells, values outside int64 and tables above MATERIALIZE_CAP raise
-    TaskError; validate_task reports shape, range and family violations.
-    Instances above the materialization cap carry only ``family`` and
-    answer pointwise/closed-form queries.  Tasks are immutable; every
+    A task has one source of cells: an explicit ``table`` or a ``family``
+    descriptor, never both.  ``table[x, y]`` holds the output index f(x, y)
+    as a read-only 2-D int64 array.  An explicit table is converted here
+    from any nested sequence of integers.  A family task within
+    MATERIALIZE_CAP builds its table from the family formulas on the first
+    read of ``table`` and keeps it; above the cap ``table`` is None and the
+    task answers pointwise and closed-form queries.
+
+    The constructor is the one place a task is checked: non-integer sizes,
+    ragged rows, missing or non-integer cells, values outside int64, tables
+    above MATERIALIZE_CAP and every violation validate_task reports raise
+    TaskError, so a task that exists is valid.  Tasks are immutable; every
     operation on them is pure.  Equality compares table contents.
     """
 
-    name: str
-    x_size: int
-    y_size: int
-    b_size: int
-    table: Optional[np.ndarray] = None
-    family: Optional[FamilySpec] = None
-
-    def __post_init__(self):
-        for key in ("x_size", "y_size", "b_size"):
-            value = getattr(self, key)
+    def __init__(self, name: str, x_size: int, y_size: int, b_size: int, table=None, family=None):
+        for key, value in (("x_size", x_size), ("y_size", y_size), ("b_size", b_size)):
             if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
                 raise TaskError(f"{key}={value!r} must be an integer")
-        if self.table is not None:
-            table = _as_table(self.table, self.x_size, self.y_size, self.b_size)
-            object.__setattr__(self, "table", table)
+        if table is not None and family is not None:
+            raise TaskError("a task takes a table or family parameters, not both")
+        if table is not None:
+            table = _as_table(table, x_size, y_size, b_size)
+        self.__dict__.update(
+            name=name, x_size=x_size, y_size=y_size, b_size=b_size, family=family, _table=table
+        )
+        violations = validate_task(self)
+        if violations:
+            raise TaskError("; ".join(violations))
+
+    def __setattr__(self, key, value):
+        raise AttributeError(f"SfeTask is immutable: cannot set {key!r}")
 
     def __eq__(self, other):
         if not isinstance(other, SfeTask):
@@ -83,23 +92,26 @@ class SfeTask:
             other.name, other.x_size, other.y_size, other.b_size, other.family
         ):
             return False
-        if self.table is None or other.table is None:
-            return self.table is other.table
-        return np.array_equal(self.table, other.table)
+        # one family spec derives one table; otherwise both tables are explicit
+        return self.family is not None or np.array_equal(self._table, other._table)
 
     @property
     def materialized(self) -> bool:
-        return self.table is not None
+        return self.family is None or self.x_size * self.y_size <= MATERIALIZE_CAP
+
+    @property
+    def table(self) -> Optional[np.ndarray]:
+        if self._table is None and self.materialized:  # a family task within the cap
+            self.__dict__["_table"] = family_table(self.family)
+        return self._table
 
     def f(self, x: int, y: int) -> int:
-        """Output index f(x, y), from the table or the family formula."""
+        """Output index f(x, y), from the family formula or the table."""
         if not (0 <= x < self.x_size and 0 <= y < self.y_size):
             raise TaskError(f"input pair ({x}, {y}) out of range")
-        if self.table is not None:
-            return int(self.table[x, y])
         if self.family is not None:
             return family_value(self.family, x, y)
-        raise TaskError("task has neither a table nor family parameters")
+        return int(self._table[x, y])
 
 
 def _check_cap(cells: int) -> None:
@@ -112,13 +124,10 @@ def _check_cap(cells: int) -> None:
 def _as_table(raw, x_size: int, y_size: int, b_size: int) -> np.ndarray:
     """``raw`` as a read-only 2-D int64 array, or TaskError naming bad cells."""
     _check_cap(int(x_size) * int(y_size))
-    if isinstance(raw, np.ndarray) and not raw.flags.writeable:
-        table = raw  # already frozen, e.g. by family_table: no copy needed
-    else:
-        try:
-            table = np.array(raw)  # a private copy the caller cannot write to
-        except (ValueError, TypeError, OverflowError):  # e.g. ragged rows
-            table = None
+    try:
+        table = np.array(raw)  # a private copy the caller cannot write to
+    except (ValueError, TypeError, OverflowError):  # e.g. ragged rows
+        table = None
     integer = table is not None and (np.can_cast(table.dtype, np.int64) or table.size == 0)
     if not integer or table.ndim != 2:
         violations = _cell_violations(raw, x_size, y_size, b_size)
@@ -318,7 +327,7 @@ _FAMILY_PARAM_KEYS = {
 
 
 def make_family(family: str, **params: int) -> SfeTask:
-    """Construct a parametric task, materializing its table when it fits.
+    """Construct a parametric task; its table is built on the first read.
 
     Raises TaskError on invalid parameter combinations (non-positive
     values, k >= n for k-of-n OT, n < 2 for equality or millionaire).
@@ -337,16 +346,7 @@ def make_family(family: str, **params: int) -> SfeTask:
         raise TaskError(f"family {family!r} requires n >= 2")
 
     spec = FamilySpec(family, dict(params))
-    x_size, y_size, b_size = _family_sizes(spec)
-    table = family_table(spec) if x_size * y_size <= MATERIALIZE_CAP else None
-    return SfeTask(
-        name=_family_name(spec),
-        x_size=x_size,
-        y_size=y_size,
-        b_size=b_size,
-        table=table,
-        family=spec,
-    )
+    return SfeTask(_family_name(spec), *_family_sizes(spec), family=spec)
 
 
 # ---------------------------------------------------------------------------
@@ -355,53 +355,44 @@ def make_family(family: str, **params: int) -> SfeTask:
 
 
 def validate_task(task: SfeTask) -> list[str]:
-    """Check totality, index ranges, and family/table agreement.
+    """Check the sizes, then an explicit table's shape and range or a
+    family's sizes.
 
-    Returns a list of human-readable violations; empty means valid.
-    Reports rather than raises so callers can surface every problem.
+    Returns a list of human-readable violations; empty means valid.  The
+    SfeTask constructor raises TaskError on a non-empty list, so every task
+    that exists passes.  A family table is never read here: family_table
+    builds it from the sizes the family implies, with every cell in
+    [0, b_size), so checking the sizes covers it.
     """
-    violations: list[str] = []
     if task.x_size < 1 or task.y_size < 1 or task.b_size < 1:
-        violations.append("sizes must all be positive")
-        return violations
-    if task.table is None and task.family is None:
-        violations.append("task has neither a table nor family parameters")
-        return violations
-
-    table = task.table
-    if table is not None:
-        rows, cols = table.shape
-        if rows != task.x_size:
-            violations.append(f"table has {rows} rows, expected x_size={task.x_size}")
-        if cols != task.y_size:
-            violations.extend(f"table not total at x={x}: row length {cols}" for x in range(rows))
-        elif table.size:
-            low, high = int(table.min()), int(table.max())
-            if low < 0 or high >= task.b_size:
-                top = min(task.b_size - 1, high)  # fits int64 whatever b_size is
-                for x, y in np.argwhere((table < 0) | (table > top)).tolist():
-                    violations.append(
-                        f"entry {table[x, y]} at ({x}, {y}) outside [0, {task.b_size})"
-                    )
-
+        return ["sizes must all be positive"]
     if task.family is not None:
         try:
             sizes = _family_sizes(task.family)
         except (KeyError, TaskError) as exc:
-            violations.append(f"bad family descriptor: {exc}")
-            return violations
+            return [f"bad family descriptor: {exc}"]
         if sizes != (task.x_size, task.y_size, task.b_size):
-            violations.append(
+            return [
                 f"family implies sizes {sizes}, task declares "
                 f"({task.x_size}, {task.y_size}, {task.b_size})"
-            )
-        elif table is not None and not violations:
-            expected = family_table(task.family)
-            for x, y in np.argwhere(table != expected).tolist():
-                violations.append(
-                    f"family/table mismatch at ({x}, {y}): "
-                    f"table {table[x, y]}, formula {expected[x, y]}"
-                )
+            ]
+        return []
+
+    table = task._table  # not task.table, which would try to build a family table
+    if table is None:
+        return ["task has neither a table nor family parameters"]
+    violations = []
+    rows, cols = table.shape
+    if rows != task.x_size:
+        violations.append(f"table has {rows} rows, expected x_size={task.x_size}")
+    if cols != task.y_size:
+        violations.extend(f"table not total at x={x}: row length {cols}" for x in range(rows))
+    elif table.size:
+        low, high = int(table.min()), int(table.max())
+        if low < 0 or high >= task.b_size:
+            top = min(task.b_size - 1, high)  # fits int64 whatever b_size is
+            for x, y in np.argwhere((table < 0) | (table > top)).tolist():
+                violations.append(f"entry {table[x, y]} at ({x}, {y}) outside [0, {task.b_size})")
     return violations
 
 
@@ -412,8 +403,6 @@ def validate_task(task: SfeTask) -> list[str]:
 
 def a_rand(task: SfeTask) -> Fraction:
     """Blind-guess success of the input holder with no output: 1/|Y|."""
-    if task.y_size < 1:
-        raise TaskError("y_size must be positive")
     return Fraction(1, task.y_size)
 
 
@@ -424,11 +413,9 @@ def b_rand_bruteforce(task: SfeTask) -> Fraction:
     outputs the most frequent answer tuple among inputs consistent with
     the observation.  Exhaustive over y*, exact over the uniform prior.
     """
-    if task.table is None:
-        raise TaskError("brute-force baseline requires a materialized table")
     table = task.table
-    if table.size == 0:
-        raise TaskError("brute-force baseline requires a table with inputs and queries")
+    if table is None:
+        raise TaskError("brute-force baseline requires a materialized table")
     x_count, y_count = table.shape
     # one opaque item per row, so that np.unique finds the distinct rows
     row_items = np.ascontiguousarray(table).view(np.dtype((np.void, table.itemsize * y_count)))
@@ -492,8 +479,6 @@ def b_rand(task: SfeTask) -> Fraction:
 def task_to_jsonable(task: SfeTask) -> dict:
     if task.family is not None:
         return {"family": task.family.family, "params": dict(task.family.params)}
-    if task.table is None:
-        raise TaskError("cannot serialize a task with neither table nor family")
     return {
         "name": task.name,
         "x_size": task.x_size,

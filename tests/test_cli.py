@@ -1,10 +1,13 @@
+import hashlib
 import json
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
+from sfebounds import tasks
 from sfebounds.cli import main
 from sfebounds.tasks import FAMILY_TAGS, MATERIALIZE_CAP
 
@@ -289,6 +292,76 @@ class TestTaskSourceHandling:
     def test_knot_requires_k(self, capsys):
         code, _, err = run(capsys, "bound", "--family", "knot", "--alphabet", "2", "--n", "4")
         assert code == 2 and "--k" in err
+
+
+# The five README commands and the SHA-256 of their stdout, recorded before
+# family tables were built on first read.  The curve rows are correctly
+# rounded, the bounds are rounded to 4 decimals and the verify-lemmas text is
+# counts only, so the bytes do not depend on the platform.
+README_COMMANDS = (
+    (
+        "bound --family ot --alphabet 2 --n 2",
+        "01fe12c49db31ec43ad9d6b14b395ffd6c09868c0d8986c0af499f52872dddab",
+    ),
+    (
+        "brand --family knot --alphabet 2 --n 4 --k 2",
+        "61072d9ac83d6ac6cc30a2e124d1ec71b1c239a89b80c6c8a45811af272786f7",
+    ),
+    (
+        "curve --family knot --alphabet 2 --n 4 --k 2 --samples 100",
+        "4ff21bf56dd54fc8f020ffe067d4c2b9c8df19b55fb87148f07914864072fbd4",
+    ),
+    (
+        "verify-lemmas --instances 1000 --max-dim 8 --seed 1",
+        "d62e26f1d8a4d2a8a1ee7818ea00f045ee46119d9778b1cadd9ef40275d7625f",
+    ),
+    (
+        "simulate-dr --family mp --n 4 --trials 100000 --seed 0",
+        "1aca33c7266a1fbe3f582ebde084107663a55127ac15346e2ae1f1a790c41268",
+    ),
+)
+
+
+def test_readme_commands_print_the_recorded_bytes(capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    for command, digest in README_COMMANDS:
+        assert f"sfe-bounds {command}\n" in readme
+        code, out, err = run(capsys, *command.split())
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, command
+
+
+FAMILY_TASK = ("--family", "knot", "--alphabet", "2", "--n", "4", "--k", "2")
+
+
+class TestFamilyTableOnFirstRead:
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["bound"],
+            ["bound", "--json"],
+            ["curve", "--samples", "20"],
+            ["simulate-dr", "--trials", "1000"],
+        ],
+    )
+    def test_commands_that_need_no_table_build_none(self, capsys, monkeypatch, command):
+        argv = [command[0], *FAMILY_TASK, *command[1:]]
+        expected = run(capsys, *argv)
+        assert expected[0] == 0
+
+        def refuse(spec):
+            raise AssertionError(f"family table of {spec} built")
+
+        monkeypatch.setattr(tasks, "family_table", refuse)
+        assert run(capsys, *argv) == expected
+
+    def test_brand_builds_the_table_once(self, capsys, monkeypatch):
+        built = []
+        real = tasks.family_table
+        monkeypatch.setattr(tasks, "family_table", lambda spec: built.append(spec) or real(spec))
+        code, out, _ = run(capsys, "brand", *FAMILY_TASK)
+        assert code == 0 and "agree: yes" in out
+        assert len(built) == 1
 
 
 def run_task_file(capsys, tmp_path, command, doc):

@@ -201,7 +201,8 @@ class TestConstructors:
         first = SfeTask("t", 2, 2, 2, table=((0, 1), (1, 0)))
         assert first == SfeTask("t", 2, 2, 2, table=[[0, 1], [1, 0]])
         assert first != SfeTask("t", 2, 2, 2, table=((0, 1), (1, 1)))
-        assert first != SfeTask("t", 2, 2, 2)
+        with pytest.raises(TaskError, match="^task has neither a table nor family parameters$"):
+            SfeTask("t", 2, 2, 2)
         assert make_family("eq", n=4) == make_family("eq", n=4)
 
 
@@ -231,11 +232,16 @@ class TestFamilyTables:
     def test_array_table_equals_pointwise_formula(self, family_and_params):
         family, params = family_and_params
         task = make_family(family, **params)
+        table = task.table  # built by family_table on this first read
+        # what lets validate_task skip the range checks on derived tables
+        assert table.shape == (task.x_size, task.y_size)
+        assert table.dtype == np.int64 and not table.flags.writeable
+        assert 0 <= table.min() and table.max() < task.b_size
         expected = [
             [family_value(task.family, x, y) for y in range(task.y_size)]
             for x in range(task.x_size)
         ]
-        assert task.table.tolist() == expected
+        assert table.tolist() == expected
         assert validate_task(task) == []
 
 
@@ -254,33 +260,36 @@ class TestValidation:
             SfeTask("broken", 2, 2, 2, table=((0, 1), (0, None)))
 
     def test_family_table_mismatch_reported(self):
+        # a table and a family together could disagree, so they are refused,
+        # even when the table is the family's own
         good = make_family("ot", alphabet=2, n=2)
-        rows = [list(r) for r in good.table]
-        rows[0][1] ^= 1
-        bad = SfeTask(
-            good.name, good.x_size, good.y_size, good.b_size,
-            table=tuple(tuple(r) for r in rows), family=good.family,
-        )
-        violations = validate_task(bad)
-        assert any("family/table mismatch at (0, 1)" in v for v in violations)
+        both = "^a task takes a table or family parameters, not both$"
+        with pytest.raises(TaskError, match=both):
+            SfeTask(
+                good.name, good.x_size, good.y_size, good.b_size,
+                table=good.table, family=good.family,
+            )
 
     def test_out_of_range_entry_reported(self):
-        task = SfeTask("broken", 2, 2, 2, table=((0, 1), (0, 5)))
-        assert any("outside [0, 2)" in v for v in validate_task(task))
+        with pytest.raises(TaskError, match=r"outside \[0, 2\)"):
+            SfeTask("broken", 2, 2, 2, table=((0, 1), (0, 5)))
         for entry in (2, -1):  # both ends of the range
-            task = SfeTask("broken", 2, 2, 2, table=((0, 1), (0, entry)))
-            assert validate_task(task) == [f"entry {entry} at (1, 1) outside [0, 2)"]
+            with pytest.raises(TaskError) as refused:
+                SfeTask("broken", 2, 2, 2, table=((0, 1), (0, entry)))
+            assert str(refused.value) == f"entry {entry} at (1, 1) outside [0, 2)"
 
     def test_empty_task_reported(self):
-        assert validate_task(SfeTask("empty", 2, 2, 2)) != []
+        with pytest.raises(TaskError, match="^task has neither a table nor family parameters$"):
+            SfeTask("empty", 2, 2, 2)
 
     def test_unmaterialized_family_validates_quickly(self):
         assert validate_task(make_family("mp", n=10**9)) == []
 
     def test_family_size_mismatch_reported(self):
         good = make_family("eq", n=3)
-        bad = SfeTask(good.name, 4, good.y_size, good.b_size, family=good.family)
-        assert any("family implies sizes" in v for v in validate_task(bad))
+        sizes = r"^family implies sizes \(3, 3, 2\), task declares \(4, 3, 2\)$"
+        with pytest.raises(TaskError, match=sizes):
+            SfeTask(good.name, 4, good.y_size, good.b_size, family=good.family)
 
 
 class TestBaselines:
