@@ -56,7 +56,7 @@ from decimal import ROUND_HALF_UP, Decimal
 from fractions import Fraction
 from typing import Iterable, Optional, TextIO, Union
 
-from .tasks import SfeTask, b_rand
+from .tasks import SfeTask, a_rand, b_rand
 
 Rational = Union[Fraction, int, float]
 
@@ -231,7 +231,7 @@ def bound_report(task: SfeTask) -> BoundReport:
         name=task.name,
         y_size=task.y_size,
         b_rand=br,
-        a_rand=Fraction(1, task.y_size),
+        a_rand=a_rand(task),
         c=fp.c,
         epsilon=fp.epsilon,
         alice_bound=fp.c / task.y_size,

@@ -3,7 +3,7 @@
 Commands are deterministic given their full flag set (seeds included) and
 emit byte-identical output across runs.  Exit codes: 0 success, 2 invalid
 task/file/range, 3 completely-insecure task (baseline already 1), 4 a
-verification or simulation invariant was violated.
+violation in a verify-lemmas campaign or brand's two baselines disagreeing.
 
 Relative --out paths are resolved against $SFEBOUNDS_OUT_DIR when set.
 """
@@ -28,11 +28,17 @@ EXIT_INSECURE = 3
 EXIT_VIOLATION = 4
 
 
+def _families_taking(key: str) -> str:
+    return "/".join(tag for tag, names in tasks.FAMILY_PARAMS.items() if key in names)
+
+
 def _add_task_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--family", choices=tasks.FAMILY_TAGS, help="parametric family tag")
-    parser.add_argument("--alphabet", type=int, default=2, help="alphabet size for ot/knot")
+    parser.add_argument(
+        "--alphabet", type=int, default=2, help=f"alphabet size for {_families_taking('alphabet')}"
+    )
     parser.add_argument("--n", type=int, help="family size parameter")
-    parser.add_argument("--k", type=int, help="subset size for knot")
+    parser.add_argument("--k", type=int, help=f"subset size for {_families_taking('k')}")
     parser.add_argument("--task-file", help="JSON task file (explicit table or family form)")
 
 
@@ -51,14 +57,11 @@ def _task_from_args(args: argparse.Namespace) -> tasks.SfeTask:
         return tasks.load_task(args.task_file)
     if args.n is None:
         raise tasks.TaskError("--n is required with --family")
-    params = {"n": args.n}
-    if args.family in ("ot", "knot"):
-        params["alphabet"] = args.alphabet
-    if args.family == "knot":
-        if args.k is None:
-            raise tasks.TaskError("--k is required with --family knot")
-        params["k"] = args.k
-    return tasks.make_family(args.family, **params)
+    names = tasks.FAMILY_PARAMS[args.family]
+    if args.k is None and "k" in names:
+        raise tasks.TaskError(f"--k is required with --family {args.family}")
+    flags = {"n": args.n, "alphabet": args.alphabet, "k": args.k}
+    return tasks.make_family(args.family, **{key: flags[key] for key in flags if key in names})
 
 
 def _resolve_out_path(raw: str) -> Path:
@@ -225,7 +228,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
             out.write(f"aborts: {stats.abort_count}\n")
             out.write(f"tv_distance: {stats.tv_distance_from_uniform!r}\n")
             out.write(f"forcing_rate: {stats.forcing_rate!r}\n")
-    return EXIT_VIOLATION if stats.abort_count else EXIT_OK
+    return EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -20,7 +20,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import comb
 from pathlib import Path
-from typing import Optional, Union
+from typing import Callable, NamedTuple, Optional, Union
 
 import numpy as np
 
@@ -30,16 +30,68 @@ MATERIALIZE_CAP = 10**6  # tables are built only when x_size * y_size fits
 # its temporaries whatever the table's shape
 BRUTE_FORCE_BLOCK = 1 << 16
 
-FAMILY_TAGS = ("ot", "knot", "xot", "eq", "ip", "mp")
-
 
 class TaskError(ValueError):
     """Malformed task, family parameters, or query."""
 
 
+class _Family(NamedTuple):
+    """One parametric family; the callables take its parameters by name."""
+
+    keys: tuple[str, ...]  # parameter names, in the order messages list them
+    sizes: Callable[..., tuple[int, int, int]]  # (x_size, y_size, b_size)
+    name: str  # str.format template over the parameters
+    b_rand: Callable[..., Fraction]  # closed-form single-query baseline
+    rule: Optional[tuple[Callable[..., bool], str]] = None  # extra check and its message
+
+
+_FAMILIES = {
+    "ot": _Family(
+        ("alphabet", "n"),
+        lambda alphabet, n: (alphabet**n, n, alphabet),
+        "1-of-{n} OT (alphabet {alphabet})",
+        lambda alphabet, n: Fraction(1, alphabet ** (n - 1)),
+    ),
+    "knot": _Family(
+        ("alphabet", "n", "k"),
+        lambda alphabet, n, k: (alphabet**n, comb(n, k), alphabet**k),
+        "{k}-of-{n} OT (alphabet {alphabet})",
+        lambda alphabet, n, k: Fraction(1, alphabet ** (n - k)),
+        (lambda alphabet, n, k: k < n, "k-of-n OT requires k < n"),
+    ),
+    "xot": _Family(
+        ("n",), lambda n: (4**n, 3, 2**n), "XOR OT ({n}-bit strings)", lambda n: Fraction(1, 2**n)
+    ),
+    "eq": _Family(
+        ("n",),
+        lambda n: (n, n, 2),
+        "equality (n={n})",
+        lambda n: Fraction(2, n),
+        (lambda n: n >= 2, "family 'eq' requires n >= 2"),
+    ),
+    "ip": _Family(
+        ("n",), lambda n: (2**n, 2**n - 1, 2), "inner product (n={n})", lambda n: Fraction(2, 2**n)
+    ),
+    "mp": _Family(
+        ("n",),
+        lambda n: (n, n - 1, 2),
+        "millionaire (n={n})",
+        lambda n: Fraction(2, n),
+        (lambda n: n >= 2, "family 'mp' requires n >= 2"),
+    ),
+}
+
+FAMILY_TAGS = tuple(_FAMILIES)
+FAMILY_PARAMS = {tag: family.keys for tag, family in _FAMILIES.items()}
+
+
 @dataclass(frozen=True)
 class FamilySpec:
-    """Parametric family descriptor: a tag from FAMILY_TAGS plus int params."""
+    """Parametric family descriptor: a tag from FAMILY_TAGS plus int params.
+
+    The constructor is the one place family parameters are checked: it keeps
+    its own copy of ``params`` and raises TaskError on any the family refuses.
+    """
 
     family: str
     params: dict
@@ -47,6 +99,26 @@ class FamilySpec:
     def __post_init__(self):
         if self.family not in FAMILY_TAGS:
             raise TaskError(f"unknown family tag {self.family!r}")
+        params = dict(self.params)
+        object.__setattr__(self, "params", params)
+        family = _FAMILIES[self.family]
+        if set(params) != set(family.keys):
+            raise TaskError(
+                f"family {self.family!r} takes parameters {family.keys}, got {tuple(params)}"
+            )
+        for key, value in params.items():
+            if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+                raise TaskError(f"parameter {key}={value!r} must be a positive integer")
+        if family.rule is not None and not family.rule[0](**params):
+            raise TaskError(family.rule[1])
+
+    @property
+    def name(self) -> str:
+        return _FAMILIES[self.family].name.format(**self.params)
+
+    @property
+    def sizes(self) -> tuple[int, int, int]:  # (x_size, y_size, b_size)
+        return _FAMILIES[self.family].sizes(**self.params)
 
 
 class SfeTask:
@@ -234,9 +306,7 @@ def family_value(spec: FamilySpec, x: int, y: int) -> int:
         return int(x == y)
     if tag == "ip":
         return ((x & (y + 1)).bit_count()) % 2
-    if tag == "mp":
-        return int(y >= x)
-    raise TaskError(f"unknown family tag {tag!r}")
+    return int(y >= x)  # "mp"
 
 
 def family_table(spec: FamilySpec) -> np.ndarray:
@@ -247,7 +317,7 @@ def family_table(spec: FamilySpec) -> np.ndarray:
     """
     p = spec.params
     tag = spec.family
-    x_size, y_size, _ = _family_sizes(spec)
+    x_size, y_size, _ = spec.sizes
     x = np.arange(x_size, dtype=np.int64)[:, None]
     y = np.arange(y_size, dtype=np.int64)
     if tag == "ot":
@@ -276,77 +346,19 @@ def family_table(spec: FamilySpec) -> np.ndarray:
             table ^= table >> shift
             shift *= 2
         table &= 1
-    else:  # "mp"; _family_sizes has rejected unknown tags
+    else:  # "mp"
         table = (y >= x).astype(np.int64)
     table.flags.writeable = False
     return table
 
 
-def _family_sizes(spec: FamilySpec) -> tuple[int, int, int]:
-    p = spec.params
-    tag = spec.family
-    if tag == "ot":
-        return p["alphabet"] ** p["n"], p["n"], p["alphabet"]
-    if tag == "knot":
-        w, n, k = p["alphabet"], p["n"], p["k"]
-        return w**n, comb(n, k), w**k
-    if tag == "xot":
-        n = p["n"]
-        return 4**n, 3, 2**n
-    if tag == "eq":
-        return p["n"], p["n"], 2
-    if tag == "ip":
-        n = p["n"]
-        return 2**n, 2**n - 1, 2
-    if tag == "mp":
-        n = p["n"]
-        return n, n - 1, 2
-    raise TaskError(f"unknown family tag {tag!r}")
-
-
-def _family_name(spec: FamilySpec) -> str:
-    p = spec.params
-    return {
-        "ot": lambda: f"1-of-{p['n']} OT (alphabet {p['alphabet']})",
-        "knot": lambda: f"{p['k']}-of-{p['n']} OT (alphabet {p['alphabet']})",
-        "xot": lambda: f"XOR OT ({p['n']}-bit strings)",
-        "eq": lambda: f"equality (n={p['n']})",
-        "ip": lambda: f"inner product (n={p['n']})",
-        "mp": lambda: f"millionaire (n={p['n']})",
-    }[spec.family]()
-
-
-_FAMILY_PARAM_KEYS = {
-    "ot": ("alphabet", "n"),
-    "knot": ("alphabet", "n", "k"),
-    "xot": ("n",),
-    "eq": ("n",),
-    "ip": ("n",),
-    "mp": ("n",),
-}
-
-
 def make_family(family: str, **params: int) -> SfeTask:
     """Construct a parametric task; its table is built on the first read.
 
-    Raises TaskError on invalid parameter combinations (non-positive
-    values, k >= n for k-of-n OT, n < 2 for equality or millionaire).
+    Raises TaskError on parameters FamilySpec refuses.
     """
-    if family not in FAMILY_TAGS:
-        raise TaskError(f"unknown family tag {family!r}")
-    expected = _FAMILY_PARAM_KEYS[family]
-    if set(params) != set(expected):
-        raise TaskError(f"family {family!r} takes parameters {expected}, got {tuple(params)}")
-    for key, value in params.items():
-        if not isinstance(value, int) or isinstance(value, bool) or value < 1:
-            raise TaskError(f"parameter {key}={value!r} must be a positive integer")
-    if family == "knot" and params["k"] >= params["n"]:
-        raise TaskError("k-of-n OT requires k < n")
-    if family in ("eq", "mp") and params["n"] < 2:
-        raise TaskError(f"family {family!r} requires n >= 2")
-
-    spec = FamilySpec(family, dict(params))
-    return SfeTask(_family_name(spec), *_family_sizes(spec), family=spec)
+    spec = FamilySpec(family, params)
+    return SfeTask(spec.name, *spec.sizes, family=spec)
 
 
 # ---------------------------------------------------------------------------
@@ -367,10 +379,7 @@ def validate_task(task: SfeTask) -> list[str]:
     if task.x_size < 1 or task.y_size < 1 or task.b_size < 1:
         return ["sizes must all be positive"]
     if task.family is not None:
-        try:
-            sizes = _family_sizes(task.family)
-        except (KeyError, TaskError) as exc:
-            return [f"bad family descriptor: {exc}"]
+        sizes = task.family.sizes
         if sizes != (task.x_size, task.y_size, task.b_size):
             return [
                 f"family implies sizes {sizes}, task declares "
@@ -443,21 +452,7 @@ def b_rand_closed_form(task: SfeTask) -> Fraction:
     """Per-family closed form of the single-query baseline."""
     if task.family is None:
         raise TaskError("closed-form baseline requires family parameters")
-    p = task.family.params
-    tag = task.family.family
-    if tag == "ot":
-        return Fraction(1, p["alphabet"] ** (p["n"] - 1))
-    if tag == "knot":
-        return Fraction(1, p["alphabet"] ** (p["n"] - p["k"]))
-    if tag == "xot":
-        return Fraction(1, 2 ** p["n"])
-    if tag == "eq":
-        return Fraction(2, p["n"])
-    if tag == "ip":
-        return Fraction(2, 2 ** p["n"])
-    if tag == "mp":
-        return Fraction(2, p["n"])
-    raise TaskError(f"unknown family tag {tag!r}")
+    return _FAMILIES[task.family.family].b_rand(**task.family.params)
 
 
 def b_rand(task: SfeTask) -> Fraction:

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from sfebounds import tasks
 from sfebounds.tasks import (
     MATERIALIZE_CAP,
+    FamilySpec,
     SfeTask,
     TaskError,
     a_rand,
@@ -156,11 +157,40 @@ class TestConstructors:
             ("ot", dict(alphabet=2, n=-1)),
             ("ot", dict(alphabet=2, n=True)),
             ("eq", dict(n=False)),
+            ("knot", dict(alphabet=2, n=4, k=4)),
+            ("ot", {"alphabet": "2", "n": 2}),
         ],
     )
     def test_invalid_parameters_rejected(self, family, params):
-        with pytest.raises(TaskError):
+        with pytest.raises(TaskError) as built:
             make_family(family, **params)
+        # a spec built by hand is checked the same way, with the same message
+        with pytest.raises(TaskError) as spec:
+            FamilySpec(family, params)
+        assert str(spec.value) == str(built.value)
+
+    def test_spec_keeps_its_own_params(self):
+        params = {"n": 5}
+        spec = FamilySpec("eq", params)
+        params["n"] = 1
+        assert spec.params == {"n": 5}
+        assert make_family("eq", n=5).family == spec
+
+    @pytest.mark.parametrize(
+        "family,params,name,sizes",
+        [  # recorded from the per-family code these records replaced
+            ("ot", dict(alphabet=3, n=4), "1-of-4 OT (alphabet 3)", (81, 4, 3)),
+            ("knot", dict(alphabet=2, n=5, k=3), "3-of-5 OT (alphabet 2)", (32, 10, 8)),
+            ("xot", dict(n=3), "XOR OT (3-bit strings)", (64, 3, 8)),
+            ("eq", dict(n=7), "equality (n=7)", (7, 7, 2)),
+            ("ip", dict(n=4), "inner product (n=4)", (16, 15, 2)),
+            ("mp", dict(n=9), "millionaire (n=9)", (9, 8, 2)),
+        ],
+    )
+    def test_names_and_sizes(self, family, params, name, sizes):
+        task = make_family(family, **params)
+        assert task.name == name
+        assert (task.x_size, task.y_size, task.b_size) == sizes
 
     def test_unknown_family_rejected(self):
         with pytest.raises(TaskError):
@@ -243,6 +273,7 @@ class TestFamilyTables:
         ]
         assert table.tolist() == expected
         assert validate_task(task) == []
+        assert b_rand_bruteforce(task) == b_rand_closed_form(task)
 
 
 class TestValidation:
