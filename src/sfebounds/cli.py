@@ -18,7 +18,8 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from . import bounds, dierolling, measurements, tasks
+# measurements and dierolling, which load numpy, are imported by their commands
+from . import bounds, tasks
 
 OUT_DIR_ENV = "SFEBOUNDS_OUT_DIR"
 
@@ -178,6 +179,8 @@ def cmd_curve(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    from . import measurements
+
     if args.instances < 0:
         raise ValueError(f"--instances must be at least 0, got {args.instances}")
     if args.max_dim < 2:
@@ -215,6 +218,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_simulate(args: argparse.Namespace) -> int:
+    from . import dierolling
+
     if args.seed < 0:
         raise ValueError(f"--seed must be at least 0, got {args.seed}")
     task = _task_from_args(args)
@@ -260,7 +265,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify-lemmas", help="randomized measurement-bound campaigns")
     _add_output_flags(p_verify)
     p_verify.add_argument("--instances", type=int, default=1000)
-    p_verify.add_argument("--max-dim", type=int, default=8)
+    p_verify.add_argument(
+        "--max-dim",
+        type=int,
+        default=8,
+        help="largest matrix dimension, 2 to 16; the sequential and learning campaigns cap it at 6",
+    )
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument(
         "--campaign", choices=("gentle", "sequential", "learning", "all"), default="all"

@@ -5,11 +5,13 @@ both inputs uniform and independent.  Tasks are either explicit tables or
 members of one of six parametric families (oblivious-transfer variants,
 equality, inner product, millionaire comparison) with closed-form
 baselines.  SfeTask checks a task once, when it is built; nothing
-downstream re-checks.  Tables are read-only int64 arrays.  A family task
-builds its table from the family formulas only when the table is first
-read, and only up to MATERIALIZE_CAP cells, so bounds and curves, which
-need only the closed-form baseline, never build one, and huge parametric
-instances stay usable through their formulas.
+downstream re-checks.  Tables are read-only int64 numpy arrays; numpy is
+imported inside the functions that build or read them, so a family task
+used through its formulas never loads it.  A family task builds its table
+from the family formulas only when the table is first read, and only up
+to MATERIALIZE_CAP cells, so bounds and curves, which need only the
+closed-form baseline, never build one, and huge parametric instances stay
+usable through their formulas.
 """
 
 from __future__ import annotations
@@ -19,12 +21,20 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb
+from numbers import Integral
 from pathlib import Path
-from typing import Callable, NamedTuple, Optional, Union
+from typing import TYPE_CHECKING, Callable, NamedTuple, Optional, Union
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 MATERIALIZE_CAP = 10**6  # tables are built only when x_size * y_size fits
+
+# A family whose sizes or baseline would take a power or a binomial above
+# 2**MAX_SIZE_BITS (4215 decimal digits) is refused before one is computed:
+# larger ones can exhaust memory, and would not print within Python's
+# default limit of 4300 digits for converting an int to a string.
+MAX_SIZE_BITS = 14000
 
 # cells of the unique-row table sorted at once by b_rand_bruteforce; bounds
 # its temporaries whatever the table's shape
@@ -43,6 +53,9 @@ class _Family(NamedTuple):
     name: str  # str.format template over the parameters
     b_rand: Callable[..., Fraction]  # closed-form single-query baseline
     rule: Optional[tuple[Callable[..., bool], str]] = None  # extra check and its message
+    # bits enough for every power and binomial among the sizes and the
+    # baseline, found without taking one; None when there are none
+    bits: Optional[Callable[..., int]] = None
 
 
 _FAMILIES = {
@@ -51,6 +64,7 @@ _FAMILIES = {
         lambda alphabet, n: (alphabet**n, n, alphabet),
         "1-of-{n} OT (alphabet {alphabet})",
         lambda alphabet, n: Fraction(1, alphabet ** (n - 1)),
+        bits=lambda alphabet, n: n * (alphabet - 1).bit_length(),
     ),
     "knot": _Family(
         ("alphabet", "n", "k"),
@@ -58,9 +72,14 @@ _FAMILIES = {
         "{k}-of-{n} OT (alphabet {alphabet})",
         lambda alphabet, n, k: Fraction(1, alphabet ** (n - k)),
         (lambda alphabet, n, k: k < n, "k-of-n OT requires k < n"),
+        bits=lambda alphabet, n, k: n * max(alphabet - 1, 1).bit_length(),  # comb(n, k) < 2**n
     ),
     "xot": _Family(
-        ("n",), lambda n: (4**n, 3, 2**n), "XOR OT ({n}-bit strings)", lambda n: Fraction(1, 2**n)
+        ("n",),
+        lambda n: (4**n, 3, 2**n),
+        "XOR OT ({n}-bit strings)",
+        lambda n: Fraction(1, 2**n),
+        bits=lambda n: 2 * n,
     ),
     "eq": _Family(
         ("n",),
@@ -70,7 +89,11 @@ _FAMILIES = {
         (lambda n: n >= 2, "family 'eq' requires n >= 2"),
     ),
     "ip": _Family(
-        ("n",), lambda n: (2**n, 2**n - 1, 2), "inner product (n={n})", lambda n: Fraction(2, 2**n)
+        ("n",),
+        lambda n: (2**n, 2**n - 1, 2),
+        "inner product (n={n})",
+        lambda n: Fraction(2, 2**n),
+        bits=lambda n: n,
     ),
     "mp": _Family(
         ("n",),
@@ -111,6 +134,12 @@ class FamilySpec:
                 raise TaskError(f"parameter {key}={value!r} must be a positive integer")
         if family.rule is not None and not family.rule[0](**params):
             raise TaskError(family.rule[1])
+        if family.bits is not None and family.bits(**params) > MAX_SIZE_BITS:
+            named = ", ".join(f"{key}={params[key]}" for key in family.keys)
+            raise TaskError(
+                f"family {self.family!r} with {named} is too large: "
+                f"its sizes are capped at 2**{MAX_SIZE_BITS}"
+            )
 
     @property
     def name(self) -> str:
@@ -141,7 +170,7 @@ class SfeTask:
 
     def __init__(self, name: str, x_size: int, y_size: int, b_size: int, table=None, family=None):
         for key, value in (("x_size", x_size), ("y_size", y_size), ("b_size", b_size)):
-            if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+            if not isinstance(value, Integral) or isinstance(value, bool):
                 raise TaskError(f"{key}={value!r} must be an integer")
         if table is not None and family is not None:
             raise TaskError("a task takes a table or family parameters, not both")
@@ -158,6 +187,8 @@ class SfeTask:
         raise AttributeError(f"SfeTask is immutable: cannot set {key!r}")
 
     def __eq__(self, other):
+        import numpy as np
+
         if not isinstance(other, SfeTask):
             return NotImplemented
         if (self.name, self.x_size, self.y_size, self.b_size, self.family) != (
@@ -195,6 +226,8 @@ def _check_cap(cells: int) -> None:
 
 def _as_table(raw, x_size: int, y_size: int, b_size: int) -> np.ndarray:
     """``raw`` as a read-only 2-D int64 array, or TaskError naming bad cells."""
+    import numpy as np
+
     _check_cap(int(x_size) * int(y_size))
     try:
         table = np.array(raw)  # a private copy the caller cannot write to
@@ -215,6 +248,7 @@ def _cell_violations(raw, x_size: int, y_size: int, b_size: int) -> list[str]:
     """Cell-by-cell report for a table numpy cannot take as 2-D integers.
 
     Runs only on the error path, to name the offending rows and cells.
+    Integral covers numpy's integer scalars, which numpy registers with it.
     """
     try:
         rows = list(raw)
@@ -235,7 +269,7 @@ def _cell_violations(raw, x_size: int, y_size: int, b_size: int) -> list[str]:
         for y, b in enumerate(row):
             if b is None:
                 violations.append(f"table not total at ({x}, {y})")
-            elif not isinstance(b, (int, np.integer)) or not 0 <= b < b_size:
+            elif not isinstance(b, Integral) or not 0 <= b < b_size:
                 violations.append(f"entry {b!r} at ({x}, {y}) outside [0, {b_size})")
     return violations
 
@@ -315,6 +349,8 @@ def family_table(spec: FamilySpec) -> np.ndarray:
     Built with array formulas in the index conventions above and returned
     read-only.  The caller keeps x_size * y_size within MATERIALIZE_CAP.
     """
+    import numpy as np
+
     p = spec.params
     tag = spec.family
     x_size, y_size, _ = spec.sizes
@@ -387,6 +423,8 @@ def validate_task(task: SfeTask) -> list[str]:
             ]
         return []
 
+    import numpy as np
+
     table = task._table  # not task.table, which would try to build a family table
     if table is None:
         return ["task has neither a table nor family parameters"]
@@ -422,6 +460,8 @@ def b_rand_bruteforce(task: SfeTask) -> Fraction:
     outputs the most frequent answer tuple among inputs consistent with
     the observation.  Exhaustive over y*, exact over the uniform prior.
     """
+    import numpy as np
+
     table = task.table
     if table is None:
         raise TaskError("brute-force baseline requires a materialized table")

@@ -1,6 +1,9 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -67,10 +70,19 @@ class TestBoundCommand:
 
 
     def test_tiny_baseline_solves_without_warning(self, capsys):
-        for n in ("200", "1500"):  # 1/b_rand is beyond a float at n=1500
+        for n in ("200", "1500", "14000"):  # 1/b_rand is beyond a float from n=1025
             code, out, err = run(capsys, "bound", "--family", "ot", "--alphabet", "2", "--n", n)
             assert code == 0 and err == ""
             assert "warning" not in out
+
+    @pytest.mark.parametrize("n", ["14001", "20000", "100000000000000000000"])
+    def test_family_above_the_size_cap_exits_2_before_any_output(self, capsys, n):
+        code, out, err = run(capsys, "bound", "--family", "ot", "--alphabet", "2", "--n", n)
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: family 'ot' with alphabet=2, n={n} is too large: "
+            "its sizes are capped at 2**14000\n"
+        )
 
     @pytest.mark.parametrize("n", ["540", "1100"])
     def test_excess_below_float_range_exits_2(self, capsys, n):
@@ -362,6 +374,94 @@ class TestFamilyTableOnFirstRead:
         code, out, _ = run(capsys, "brand", *FAMILY_TASK)
         assert code == 0 and "agree: yes" in out
         assert len(built) == 1
+
+
+SRC = Path(tasks.__file__).resolve().parents[1]
+NUMPY_MODULES = {"numpy", "sfebounds.measurements", "sfebounds.dierolling"}
+
+
+# Prefixed to the code a fresh interpreter runs: at exit, it writes the
+# names in sys.modules to $MODULES_OUT.
+PROBE = """
+import atexit, json, os, sys
+
+def record_modules():
+    with open(os.environ["MODULES_OUT"], "w") as handle:
+        json.dump(list(sys.modules), handle)
+
+atexit.register(record_modules)
+"""
+# what ``python -m sfebounds`` runs
+RUN_MAIN = 'import runpy; sys.argv[0] = "sfebounds"; runpy.run_module("sfebounds", run_name="__main__")'
+
+
+def run_python(tmp_path, code, *argv):
+    """``python -c code argv`` in a fresh interpreter that imports sfebounds
+    from this tree: exit code, stdout, stderr, and the modules it imported."""
+    env = dict(os.environ, MODULES_OUT=str(tmp_path / "modules.json"))
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
+    proc = subprocess.run(
+        [sys.executable, "-c", PROBE + code, *argv],
+        capture_output=True, text=True, env=env, timeout=120, check=False,
+    )
+    imported = set(json.loads((tmp_path / "modules.json").read_text()))
+    return proc.returncode, proc.stdout, proc.stderr, imported
+
+
+class TestImportsPerCommand:
+    """bound and curve on a family need neither tables nor matrices, so a
+    fresh process running them never imports numpy."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bound", "--family", "ot", "--alphabet", "2", "--n", "2"],
+            ["bound", "--family", "ot", "--alphabet", "2", "--n", "2", "--json"],
+            ["bound", "--family", "mp", "--n", "1000000000", "--full-precision"],
+            ["curve", *FAMILY_TASK, "--samples", "100"],
+            ["curve", "--family", "ip", "--n", "6", "--json"],
+            ["bound", "--family", "ot", "--alphabet", "2", "--n", "20000"],
+        ],
+    )
+    def test_bound_and_curve_on_a_family_leave_numpy_unloaded(self, capsys, tmp_path, argv):
+        code, out, err, imported = run_python(tmp_path, RUN_MAIN, *argv)
+        assert (code, out, err) == run(capsys, *argv)
+        assert "sfebounds.bounds" in imported and not imported & NUMPY_MODULES
+
+    def test_family_task_file_leaves_numpy_unloaded(self, capsys, tmp_path):
+        path = tmp_path / "task.json"
+        path.write_text(json.dumps({"family": "xot", "params": {"n": 3}}))
+        argv = ["bound", "--task-file", str(path), "--json"]
+        code, out, err, imported = run_python(tmp_path, RUN_MAIN, *argv)
+        assert (code, err) == (0, "") and out == run(capsys, *argv)[1]
+        assert not imported & NUMPY_MODULES
+
+    def test_package_import_leaves_numpy_unloaded(self, tmp_path):
+        code, _, err, imported = run_python(tmp_path, "import sfebounds")
+        assert (code, err) == (0, "")
+        assert "sfebounds" in imported and not imported & (NUMPY_MODULES | {"sfebounds.tasks"})
+
+    @pytest.mark.parametrize(
+        "command,digest",
+        [pin for pin in README_COMMANDS if pin[0].split()[0] in ("brand", "verify-lemmas", "simulate-dr")],
+    )
+    def test_table_and_matrix_commands_print_the_recorded_bytes(self, tmp_path, command, digest):
+        code, out, err, imported = run_python(tmp_path, RUN_MAIN, *command.split())
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+        assert "numpy" in imported
+
+    def test_explicit_task_file_prints_the_recorded_bytes(self, tmp_path):
+        path = tmp_path / "task.json"
+        table = [[0, 0], [0, 1], [1, 0], [1, 1]]
+        path.write_text(json.dumps({"name": "ot-2bit", "x_size": 4, "y_size": 2, "b_size": 2, "table": table}))
+        code, out, err, imported = run_python(tmp_path, RUN_MAIN, "bound", "--task-file", str(path))
+        assert (code, err) == (0, "")
+        assert out == (
+            "task: ot-2bit\ny_size: 2\nb_rand: 1/2\na_rand: 1/2\nc: 1.0484\n"
+            "epsilon: 0.048384205847352986\nalice_bound: 0.5242\nbob_bound: 0.5242\n"
+        )
+        assert "numpy" in imported
 
 
 def run_task_file(capsys, tmp_path, command, doc):

@@ -1,0 +1,84 @@
+import importlib
+
+import pytest
+
+import sfebounds
+
+PUBLIC_NAMES = [
+    "BoundReport",
+    "CurvePoint",
+    "DrStats",
+    "FamilySpec",
+    "FixedPointResult",
+    "GentleReport",
+    "InsecureTaskError",
+    "KitaevBound",
+    "LearnReport",
+    "MATERIALIZE_CAP",
+    "Povm",
+    "QuantumEncoding",
+    "SequentialReport",
+    "SfeTask",
+    "TaskError",
+    "a_rand",
+    "answer_vector",
+    "averaged_strategy_success",
+    "b_rand",
+    "b_rand_bruteforce",
+    "b_rand_closed_form",
+    "blind_alice",
+    "bound_report",
+    "ca_crossing",
+    "cb_from_ca",
+    "check_gentle",
+    "check_sequential",
+    "combined_povm",
+    "emit_curve",
+    "hs_inner",
+    "kitaev_bound",
+    "load_task",
+    "make_family",
+    "matrix_sqrt",
+    "operator_norm",
+    "oracle_alice",
+    "random_density",
+    "random_encoding",
+    "random_povm",
+    "run_cheating_alice",
+    "run_cheating_bob",
+    "run_honest",
+    "sequential_operator",
+    "solve_fixed_point",
+    "trace_norm",
+    "validate_task",
+    "write_curve_csv",
+]
+
+SUBMODULES = ("bounds", "dierolling", "measurements", "tasks")
+
+
+def test_public_names_are_pinned():
+    assert sfebounds.__all__ == PUBLIC_NAMES
+    assert sfebounds.__version__ == "0.1.0"
+
+
+def test_star_import_binds_every_name_to_its_definition():
+    namespace = {}
+    exec("from sfebounds import *", namespace)
+    assert set(PUBLIC_NAMES) <= set(namespace)
+    modules = [importlib.import_module(f"sfebounds.{name}") for name in SUBMODULES]
+    for name in PUBLIC_NAMES:
+        assert any(vars(module).get(name) is namespace[name] for module in modules), name
+
+
+def test_unknown_attribute_raises_attribute_error():
+    with pytest.raises(AttributeError, match="^module 'sfebounds' has no attribute 'nope'$"):
+        sfebounds.nope
+    with pytest.raises(ImportError):
+        exec("from sfebounds import nope", {})
+
+
+def test_dir_lists_the_public_names_and_submodules_resolve():
+    assert set(PUBLIC_NAMES) <= set(dir(sfebounds))
+    for name in SUBMODULES:
+        assert getattr(sfebounds, name) is importlib.import_module(f"sfebounds.{name}")

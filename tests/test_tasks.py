@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from sfebounds import tasks
 from sfebounds.tasks import (
     MATERIALIZE_CAP,
+    MAX_SIZE_BITS,
     FamilySpec,
     SfeTask,
     TaskError,
@@ -159,6 +160,14 @@ class TestConstructors:
             ("eq", dict(n=False)),
             ("knot", dict(alphabet=2, n=4, k=4)),
             ("ot", {"alphabet": "2", "n": 2}),
+            ("ot", dict(alphabet=2, n=MAX_SIZE_BITS + 1)),
+            ("ot", dict(alphabet=3, n=MAX_SIZE_BITS // 2 + 1)),
+            ("ot", dict(alphabet=2**MAX_SIZE_BITS + 1, n=1)),
+            ("ot", dict(alphabet=2, n=10**20)),
+            ("knot", dict(alphabet=2, n=10**20, k=1)),
+            ("knot", dict(alphabet=1, n=MAX_SIZE_BITS + 1, k=MAX_SIZE_BITS // 2)),
+            ("xot", dict(n=MAX_SIZE_BITS // 2 + 1)),
+            ("ip", dict(n=10**11)),
         ],
     )
     def test_invalid_parameters_rejected(self, family, params):
@@ -168,6 +177,29 @@ class TestConstructors:
         with pytest.raises(TaskError) as spec:
             FamilySpec(family, params)
         assert str(spec.value) == str(built.value)
+
+    @pytest.mark.parametrize(
+        "family,params,sizes",
+        [
+            ("ot", dict(alphabet=2, n=MAX_SIZE_BITS), (2**MAX_SIZE_BITS, MAX_SIZE_BITS, 2)),
+            ("ot", dict(alphabet=1, n=10**20), (1, 10**20, 1)),
+            ("knot", dict(alphabet=4, n=MAX_SIZE_BITS // 2, k=1), (2**MAX_SIZE_BITS, 7000, 4)),
+            ("xot", dict(n=MAX_SIZE_BITS // 2), (2**MAX_SIZE_BITS, 3, 2 ** (MAX_SIZE_BITS // 2))),
+            ("ip", dict(n=MAX_SIZE_BITS), (2**MAX_SIZE_BITS, 2**MAX_SIZE_BITS - 1, 2)),
+            ("mp", dict(n=10**100), (10**100, 10**100 - 1, 2)),
+        ],
+    )
+    def test_sizes_up_to_the_cap_accepted(self, family, params, sizes):
+        task = make_family(family, **params)
+        assert (task.x_size, task.y_size, task.b_size) == sizes
+
+    def test_size_cap_names_the_parameters(self):
+        with pytest.raises(TaskError) as refused:
+            FamilySpec("knot", {"n": 10**20, "k": 1, "alphabet": 2})
+        assert str(refused.value) == (
+            "family 'knot' with alphabet=2, n=100000000000000000000, k=1 is too large: "
+            "its sizes are capped at 2**14000"
+        )
 
     def test_spec_keeps_its_own_params(self):
         params = {"n": 5}
@@ -226,6 +258,16 @@ class TestConstructors:
         task = SfeTask("copy", 2, 2, 2, table=rows)
         rows[0, 0] = 1
         assert task.f(0, 0) == 0 and not task.table.flags.writeable
+
+    @pytest.mark.parametrize("size", [np.int64(2), np.int32(2), 2])
+    def test_integer_sizes_accepted(self, size):
+        task = SfeTask("t", size, size, size, table=[[0, 1], [1, 0]])
+        assert (task.x_size, task.y_size, task.b_size) == (2, 2, 2) and task.f(1, 0) == 1
+
+    @pytest.mark.parametrize("size", [True, 2.0, "2", np.float64(2), np.bool_(True)])
+    def test_non_integer_sizes_refused(self, size):
+        with pytest.raises(TaskError, match=r"^x_size=.* must be an integer$"):
+            SfeTask("t", size, 2, 2, table=[[0, 1], [1, 0]])
 
     def test_equality_compares_table_contents(self):
         first = SfeTask("t", 2, 2, 2, table=((0, 1), (1, 0)))
