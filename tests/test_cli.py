@@ -120,6 +120,25 @@ class TestBrandCommand:
         assert "closed form" not in out
 
 
+@pytest.mark.parametrize("command", ["bound", "brand"])
+@pytest.mark.parametrize("as_json", [[], ["--json"]])
+def test_unprintable_number_leaves_no_partial_output(capsys, tmp_path, command, as_json):
+    # b_rand = 1/2^2999 has 903 digits, beyond a 640-digit int-to-string limit
+    argv = [command, "--family", "ot", "--alphabet", "2", "--n", "3000", *as_json]
+    out_file = tmp_path / "out.txt"
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        printed = run(capsys, *argv)
+        written = run(capsys, *argv, "--out", str(out_file))
+    finally:
+        sys.set_int_max_str_digits(limit)
+    for code, out, err in (printed, written):
+        assert (code, out) == (2, "")
+        assert err.startswith("error: Exceeds the limit (640 digits)")
+    assert not out_file.exists()
+
+
 class TestCurveCommand:
     def test_knot_curve_shape(self, capsys):
         code, out, _ = run(

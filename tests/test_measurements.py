@@ -1,6 +1,10 @@
 import dataclasses
 import itertools
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -608,3 +612,98 @@ class TestStackedKernelMatchesLoops:
     def test_first_validation_failure_reported(self, elements):
         povm = Povm(elements=elements, labels=tuple("abc"[: len(elements)]))
         assert error_message(povm.validate) == error_message(loop_validate, povm)
+
+
+CAMPAIGNS = [m.gentle_instance, m.sequential_instance, m.learning_instance]
+
+
+class TestCampaignKernels:
+    """run_campaign passes many instances to one stacked kernel call; every
+    record is the one its instance function gives alone."""
+
+    @pytest.mark.parametrize("instance", CAMPAIGNS, ids=lambda fn: fn.__name__)
+    def test_every_record_replays_alone(self, instance):
+        records = m.run_campaign(instance, 300, seed=8)
+        alone = [instance([8, idx]) for idx in range(300)]
+        assert json.dumps(records, sort_keys=True) == json.dumps(alone, sort_keys=True)
+
+    # 1x1 matrices (min_dim=1) included: numpy reduces their axes in another order
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(
+        st.sampled_from(CAMPAIGNS),
+        st.sampled_from([{}, {"min_dim": 1, "max_dim": 2}, {"min_dim": 1, "max_dim": 4}]),
+        st.integers(1, 9),
+        st.lists(st.integers(0, 39), max_size=24),
+    )
+    def test_records_do_not_depend_on_chunks_or_groups(self, instance, dims, chunk, picks):
+        want = [instance([9, idx], **dims) for idx in picks]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(m, "_CHUNK", chunk)
+            got = instance.campaign.records([[9, idx] for idx in picks], **dims)
+        assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
+
+    @pytest.mark.parametrize("instance", [*CAMPAIGNS, lambda seed: 1 / 0])
+    def test_zero_instances(self, instance):
+        assert m.run_campaign(instance, 0, seed=1) == []
+
+    def test_lowest_failing_instance_raises_across_shape_groups(self):
+        campaign = m.gentle_instance.campaign
+
+        def failing(seed, dim):
+            # lam = 2E - I with rho on the top eigenvector of E: <lam, rho>
+            # = 2 e_max - 1 passes the range check, and the root of lam fails
+            # on its eigenvalue 2 e_min - 1 < 0
+            seed, _, _, gaussians = campaign.draw(seed, min_dim=dim, max_dim=dim)
+            evals, vecs = np.linalg.eigh(m._povm_elements(gaussians)[0])
+            assert evals[0] < 0.45 and evals[-1] > 0.55
+            return seed, vecs[:, -1:], 2.0, gaussians
+
+        # instances 0 and 2 form the dimension-2 group, instance 1 the dimension-3 one
+        good = campaign.draw([5, 0], min_dim=2, max_dim=2)
+        drawn = [good, failing([5, 1], 3), failing([5, 5], 2)]
+        alone = [error_message(campaign.kernel, [one]) for one in drawn[1:]]
+        assert alone[0].startswith("matrix has eigenvalue") and alone[0] != alone[1]
+        runner = m._Campaign(draw=lambda idx: drawn[idx], kernel=campaign.kernel)
+        assert error_message(runner.records, range(3)) == alone[0]
+
+
+SRC = Path(m.__file__).resolve().parents[1]
+
+# In a fresh interpreter: run the learning campaign, then print the peak RSS
+# in KB less the size of the records, which grow with any implementation.
+# VmHWM is this process's own peak: ru_maxrss would include the RSS of the
+# process that spawned it.
+MEMORY_CHILD = """
+import sys
+from sfebounds import measurements
+
+def size(obj, seen):
+    if id(obj) in seen:
+        return 0
+    seen.add(id(obj))
+    items = obj.values() if isinstance(obj, dict) else obj if isinstance(obj, list) else ()
+    return sys.getsizeof(obj) + sum(size(item, seen) for item in items)
+
+records = measurements.run_campaign(
+    measurements.learning_instance, int(sys.argv[1]), 0, max_dim=4
+)
+with open("/proc/self/status") as status:
+    peak = next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+print(peak - size(records, set()) // 1024)
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads /proc/self/status")
+def test_campaign_memory_does_not_grow_with_instances():
+    # the kernel holds one chunk of instances at a time: 10x the instances
+    # may not add 2 MB beyond the records (holding all 2000 at once adds ~14)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
+    children = [
+        subprocess.Popen(
+            [sys.executable, "-c", MEMORY_CHILD, str(count)], stdout=subprocess.PIPE, env=env
+        )
+        for count in (200, 2000)
+    ]
+    small, large = (int(child.communicate(timeout=120)[0]) for child in children)
+    assert abs(large - small) < 2 * 1024
