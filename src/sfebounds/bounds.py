@@ -234,25 +234,19 @@ def bound_report(task: SfeTask) -> BoundReport:
     )
 
 
-def ca_crossing(b_rand_value: Rational, y_size: int, target: float = 1.0) -> float:
-    """The c_A at which the trade-off curve c_B(c_A) falls to ``target``, correctly rounded.
+def ca_crossing(b_rand_value: Rational, y_size: int) -> float:
+    """The c_A at which the trade-off curve c_B(c_A) falls to 1, correctly rounded.
 
-    With x = 1/c_A, t = sqrt(1 - x) and beta = b_rand*target = N/D, the
-    equation is t^2 + 2mt - (1 - beta) = 0, so t = sqrt(m^2 + 1 - beta) - m,
-    x = beta + 2mt and c_A = D/(N - 2m^2 D + 2m sqrt(D(D(m^2 + 1) - N))).  A
-    target below the curve's value at c_A = 1/b_rand gives 1/b_rand.
+    With x = 1/c_A, t = sqrt(1 - x) and b_rand = N/D, the equation is
+    t^2 + 2mt - (1 - b_rand) = 0, so t = sqrt(m^2 + 1 - b_rand) - m,
+    x = b_rand + 2mt and c_A = D/(N - 2m^2 D + 2m sqrt(D(D(m^2 + 1) - N))).
     """
     br, m = Fraction(b_rand_value), y_size - 1
     if not 0 < br < 1:
         raise ValueError("b_rand must lie in (0, 1)")
     if m < 0:
         raise ValueError("y_size must be positive")
-    beta = br * Fraction(target)
-    if beta > 1:
-        raise ValueError(f"curve starts below target {target}")
-    if beta < br and 4 * m * m * (1 - br) < (br - beta) ** 2:
-        return float(1 / br)
-    n, d = beta.as_integer_ratio()
+    n, d = br.as_integer_ratio()
     return _rounded_ratio(d, 0, n - 2 * m * m * d, 2 * m, d * (d * (m * m + 1) - n))
 
 
@@ -313,7 +307,6 @@ def write_curve_csv(points: Iterable[CurvePoint], out: TextIO) -> None:
         out.write(f"{pt.c_a!r},{pt.c_b!r}\n")
 
 
-def present(value: float, digits: int = 4) -> str:
-    """Round half away from zero to ``digits`` decimals, for display."""
-    quantum = Decimal(1).scaleb(-digits)
-    return str(Decimal(repr(value)).quantize(quantum, rounding=ROUND_HALF_UP))
+def present(value: float) -> str:
+    """Round half away from zero to 4 decimals, for display."""
+    return str(Decimal(repr(value)).quantize(Decimal("0.0001"), rounding=ROUND_HALF_UP))

@@ -2,16 +2,18 @@
 
 Commands are deterministic given their full flag set (seeds included) and
 emit byte-identical output across runs.  Exit codes: 0 success, 2 invalid
-task/file/range, 3 completely-insecure task (baseline already 1), 4 a
-violation in a verify-lemmas campaign or brand's two baselines disagreeing.
+task/file/range or out of memory, 3 completely-insecure task (baseline
+already 1), 4 a violation in a verify-lemmas campaign or brand's two
+baselines disagreeing.
 
-Relative --out paths are resolved against $SFEBOUNDS_OUT_DIR when set.
+Each command returns its whole output, and ``main`` writes it once, to --out
+(relative paths resolve against $SFEBOUNDS_OUT_DIR when set) or to stdout.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
+import io
 import json
 import os
 import sys
@@ -65,22 +67,14 @@ def _task_from_args(args: argparse.Namespace) -> tasks.SfeTask:
     return tasks.make_family(args.family, **{key: flags[key] for key in flags if key in names})
 
 
-def _resolve_out_path(raw: str) -> Path:
+def _write(raw: str, text: str) -> None:
+    """Write ``text`` to the file at ``raw``, relative to $SFEBOUNDS_OUT_DIR when set."""
     path = Path(raw)
     base = os.environ.get(OUT_DIR_ENV)
     if base and not path.is_absolute():
         path = Path(base) / path
     path.parent.mkdir(parents=True, exist_ok=True)
-    return path
-
-
-@contextlib.contextmanager
-def _open_out(args: argparse.Namespace):
-    if args.out:
-        with open(_resolve_out_path(args.out), "w", encoding="utf-8", newline="") as handle:
-            yield handle
-    else:
-        yield sys.stdout
+    path.write_text(text, encoding="utf-8", newline="")
 
 
 def _fmt(value: float, args: argparse.Namespace) -> str:
@@ -95,10 +89,9 @@ def _rational(value: Fraction) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
-def cmd_bound(args: argparse.Namespace) -> int:
+def cmd_bound(args: argparse.Namespace) -> tuple[str, int]:
     task = _task_from_args(args)
     report = bounds.bound_report(task)
-    # format all of it first, so that a number too long to print leaves no partial output
     if args.json:
         text = _json_line(
             {
@@ -129,17 +122,15 @@ def cmd_bound(args: argparse.Namespace) -> int:
             f"alice_bound: {_fmt(report.alice_bound, args)}\n"
             f"bob_bound: {_fmt(report.bob_bound, args)}\n"
         )
-    with _open_out(args) as out:
-        out.write(text)
-    return EXIT_OK
+    return text, EXIT_OK
 
 
-def cmd_brand(args: argparse.Namespace) -> int:
+def cmd_brand(args: argparse.Namespace) -> tuple[str, int]:
     task = _task_from_args(args)
     closed = tasks.b_rand_closed_form(task) if task.family is not None else None
     brute = tasks.b_rand_bruteforce(task) if task.materialized else None
     ar = tasks.a_rand(task)
-    # format all of it first, so that a number too long to print leaves no partial output
+    agree = closed == brute if closed is not None and brute is not None else None
     if args.json:
         text = _json_line(
             {
@@ -149,7 +140,7 @@ def cmd_brand(args: argparse.Namespace) -> int:
                 "a_rand": _rational(ar),
                 "b_rand_closed_form": _rational(closed) if closed is not None else None,
                 "b_rand_bruteforce": _rational(brute) if brute is not None else None,
-                "agree": (closed == brute) if closed is not None and brute is not None else None,
+                "agree": agree,
             }
         )
     else:
@@ -158,17 +149,13 @@ def cmd_brand(args: argparse.Namespace) -> int:
             lines.append(f"b_rand (closed form): {_rational(closed)}")
         if brute is not None:
             lines.append(f"b_rand (brute force): {_rational(brute)}")
-        if closed is not None and brute is not None:
-            lines.append(f"agree: {'yes' if closed == brute else 'NO'}")
+        if agree is not None:
+            lines.append(f"agree: {'yes' if agree else 'NO'}")
         text = "".join(f"{line}\n" for line in lines)
-    with _open_out(args) as out:
-        out.write(text)
-    if closed is not None and brute is not None and closed != brute:
-        return EXIT_VIOLATION
-    return EXIT_OK
+    return text, EXIT_VIOLATION if agree is False else EXIT_OK
 
 
-def cmd_curve(args: argparse.Namespace) -> int:
+def cmd_curve(args: argparse.Namespace) -> tuple[str, int]:
     task = _task_from_args(args)
     points = bounds.emit_curve(
         tasks.b_rand(task),
@@ -178,12 +165,12 @@ def cmd_curve(args: argparse.Namespace) -> int:
         ca_max=args.ca_max,
         clip_below_one=args.clip,
     )
-    with _open_out(args) as out:
-        bounds.write_curve_csv(points, out)
-    return EXIT_OK
+    out = io.StringIO()
+    bounds.write_curve_csv(points, out)
+    return out.getvalue(), EXIT_OK
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
     from . import measurements
 
     if args.instances < 0:
@@ -195,50 +182,40 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.seed < 0:
         raise ValueError(f"--seed must be at least 0, got {args.seed}")
     chosen = ("gentle", "sequential", "learning") if args.campaign == "all" else (args.campaign,)
-    summaries = []
-    violations = 0
-    records_out = []
+    summary, violations, records_out = "", 0, []
     for name in chosen:
         instance = getattr(measurements, f"{name}_instance")
         max_dim = args.max_dim if name == "gentle" else min(args.max_dim, 6)
         records = measurements.run_campaign(instance, args.instances, args.seed, max_dim=max_dim)
         bad = sum(1 for r in records if not r["holds"])
         violations += bad
-        summaries.append(f"{name}: {len(records)} instances, {bad} violations")
+        summary += f"{name}: {len(records)} instances, {bad} violations\n"
         records_out.extend({"campaign": name, **r} for r in records)
+    # one text for --records and --json, formatted only when one of them asks
+    lines = "".join(map(_json_line, records_out)) if args.records or args.json else ""
     if args.records:
-        with open(_resolve_out_path(args.records), "w", encoding="utf-8", newline="") as handle:
-            for record in records_out:
-                handle.write(json.dumps(record, sort_keys=True))
-                handle.write("\n")
-    with _open_out(args) as out:
-        if args.json:
-            for record in records_out:
-                out.write(_json_line(record))
-        else:
-            for line in summaries:
-                out.write(line + "\n")
-            out.write(f"total: {violations} violations\n")
-    return EXIT_VIOLATION if violations else EXIT_OK
+        _write(args.records, lines)
+    text = lines if args.json else summary + f"total: {violations} violations\n"
+    return text, EXIT_VIOLATION if violations else EXIT_OK
 
 
-def cmd_simulate(args: argparse.Namespace) -> int:
+def cmd_simulate(args: argparse.Namespace) -> tuple[str, int]:
     from . import dierolling
 
     if args.seed < 0:
         raise ValueError(f"--seed must be at least 0, got {args.seed}")
     task = _task_from_args(args)
     stats = dierolling.run_honest(task, args.trials, args.seed)
-    with _open_out(args) as out:
-        if args.json:
-            out.write(_json_line(dierolling.stats_to_jsonable(stats)))
-        else:
-            out.write(f"task: {task.name}\n")
-            out.write(f"trials: {stats.trials}\n")
-            out.write(f"aborts: {stats.abort_count}\n")
-            out.write(f"tv_distance: {stats.tv_distance_from_uniform!r}\n")
-            out.write(f"forcing_rate: {stats.forcing_rate!r}\n")
-    return EXIT_OK
+    if args.json:
+        return _json_line(dierolling.stats_to_jsonable(stats)), EXIT_OK
+    text = (
+        f"task: {task.name}\n"
+        f"trials: {stats.trials}\n"
+        f"aborts: {stats.abort_count}\n"
+        f"tv_distance: {stats.tv_distance_from_uniform!r}\n"
+        f"forcing_rate: {stats.forcing_rate!r}\n"
+    )
+    return text, EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -297,12 +274,20 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        text, code = args.fn(args)
+        if args.out:
+            _write(args.out, text)
+        else:
+            sys.stdout.write(text)
+        return code
     except bounds.InsecureTaskError as exc:
         print(f"completely insecure: {exc}", file=sys.stderr)
         return EXIT_INSECURE
     except (tasks.TaskError, ValueError, OverflowError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BAD_TASK
+    except MemoryError as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_BAD_TASK
 
 

@@ -25,7 +25,7 @@ from typing import Callable, Collection, Union
 
 import numpy as np
 
-from .tasks import SfeTask, TaskError
+from .tasks import MATERIALIZE_CAP, SfeTask, TaskError
 
 
 @dataclass(frozen=True)
@@ -100,8 +100,9 @@ def run_honest(task: SfeTask, trials: int, seed: int = 0) -> DrStats:
     """Both parties honest: never aborts, outcomes exactly (b + y) mod |Y|."""
     if trials < 1:
         raise ValueError("trials must be positive")
-    if not task.materialized:
-        raise TaskError("die-rolling simulation requires a materialized table")
+    # no table is read: the histogram has y_size bins and inputs are drawn as int64
+    if task.y_size > MATERIALIZE_CAP or task.x_size >= 2**63:
+        raise TaskError(f"die-rolling needs y_size <= {MATERIALIZE_CAP} and x_size < 2**63")
     _, ys, bs = _draw_trials(task, trials, seed)
     outcomes = (bs + ys) % task.y_size
     return _stats(outcomes, task.y_size, trials, seed)

@@ -24,14 +24,14 @@ and sums along the last axis of each matrix (traces, singular values),
 which add the same entries in the same order for a stack as for one
 matrix.
 
-Campaigns: ``run_campaign`` draws every instance's random numbers from its
-own seeded generators, exactly as a lone instance does, and passes the
-draws ``_CHUNK`` instances at a time to the campaign's kernel, which groups
-them by shape and runs each linear-algebra step once per group.  The chunk
-bounds the stacks, and so the memory, whatever the number of instances.
-An instance function is the kernel on a list of one draw, so replaying one
-instance runs the code the campaign ran.  A campaign that fails raises what
-its lowest-index failing instance raises alone.
+Campaigns: a campaign is a pair ``(draw, kernel)``: ``draw`` takes one
+instance's random numbers from its own seeded generators, and ``kernel``
+turns a list of draws into records, running each linear-algebra step once
+per shape group.  One runner, ``_records``, passes ``_CHUNK`` draws per
+kernel call, which bounds the stacks and the memory.  An instance function
+is the kernel on one draw, so a replay runs the code the campaign ran.  A
+chunk that fails, in a draw or in the kernel, reruns one instance at a
+time, so a campaign raises what its lowest-index failing instance raises.
 
 Tolerance scheme: linear-algebra identities are trusted to 1e-9/1e-10,
 verification inequalities get a decade of extra headroom (1e-8) so stacked
@@ -105,11 +105,12 @@ def _stacked(fn: Callable[..., np.ndarray], *columns: Sequence) -> list:
     return out
 
 
-def _measurement_ok(stack: np.ndarray, tol: float = PSD_CLAMP_TOL) -> np.ndarray:
-    """Hermitian with spectrum inside [-tol, 1 + tol], for every matrix in a stack."""
+def _measurement_ok(stack: np.ndarray) -> np.ndarray:
+    """Hermitian with spectrum in [-PSD_CLAMP_TOL, 1 + PSD_CLAMP_TOL], per matrix of a stack."""
     evals = np.linalg.eigvalsh(stack)
     hermitian = ~(_hermitian_defect(stack) > HERMITIAN_TOL)
-    return hermitian & (evals.min(axis=-1) >= -tol) & (evals.max(axis=-1) <= 1.0 + tol)
+    low, high = evals.min(axis=-1), evals.max(axis=-1)
+    return hermitian & (low >= -PSD_CLAMP_TOL) & (high <= 1.0 + PSD_CLAMP_TOL)
 
 
 @dataclass(frozen=True)
@@ -133,15 +134,15 @@ class Povm:
     def dim(self) -> int:
         return self.elements[0].shape[0]
 
-    def validate(self, tol: float = COMPLETENESS_TOL) -> None:
+    def validate(self) -> None:
         """Raise unless every element is a measurement operator of common
-        dimension and the elements sum to the identity within ``tol``."""
+        dimension and the elements sum to the identity within COMPLETENESS_TOL."""
         odd = next((i for i, e in enumerate(self.elements) if e.shape[0] != self.dim), None)
         if odd is not None:
             # the elements before the first odd one are checked first
             _validate_stack(np.array(self.elements[:odd]), self.labels, tol=np.inf)
             raise ValueError("POVM elements have mixed dimensions")
-        _validate_stack(np.array(self.elements), self.labels, tol)
+        _validate_stack(np.array(self.elements), self.labels)
 
     def completeness_defect(self) -> float:
         return operator_norm(sum(self.elements) - np.eye(self.dim))
@@ -277,17 +278,17 @@ def _validate_stack(stack: np.ndarray, labels: Sequence, tol: float = COMPLETENE
         raise ValueError(f"POVM completeness defect {defect[i]:.3e} exceeds {tol:.0e}")
 
 
-def _psd_roots(stack: np.ndarray, hard_tol: float = PSD_HARD_TOL) -> np.ndarray:
+def _psd_roots(stack: np.ndarray) -> np.ndarray:
     """PSD square roots of a stack of matrices via Hermitian eigendecomposition.
 
     Every matrix must be Hermitian within HERMITIAN_TOL.  Eigenvalues in
     [-1e-10, 0) are clamped to zero as roundoff; anything below
-    ``-hard_tol`` is rejected as a genuinely indefinite input.
+    -PSD_HARD_TOL is rejected as a genuinely indefinite input.
     """
     defect = _hermitian_defect(stack)
     evals, vecs = np.linalg.eigh(stack)
     low = evals.min(axis=-1)
-    bad = (defect > HERMITIAN_TOL) | (low < -hard_tol)
+    bad = (defect > HERMITIAN_TOL) | (low < -PSD_HARD_TOL)
     if bad.any():
         i = _first(bad)
         if defect[i] > HERMITIAN_TOL:
@@ -297,9 +298,9 @@ def _psd_roots(stack: np.ndarray, hard_tol: float = PSD_HARD_TOL) -> np.ndarray:
     return _hermitian_part(root)
 
 
-def matrix_sqrt(a: np.ndarray, hard_tol: float = PSD_HARD_TOL) -> np.ndarray:
+def matrix_sqrt(a: np.ndarray) -> np.ndarray:
     """PSD square root of one matrix; see ``_psd_roots`` for the checks."""
-    return _psd_roots(_as_matrix(a), hard_tol)
+    return _psd_roots(_as_matrix(a))
 
 
 def _sandwich(op: np.ndarray, roots) -> np.ndarray:
@@ -318,7 +319,7 @@ def _sandwich(op: np.ndarray, roots) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _gentle_reports(rhos: Sequence, lams: Sequence, tol: float = CHECK_TOL) -> list:
+def _gentle_reports(rhos: Sequence, lams: Sequence) -> list:
     """``check_gentle`` on each (rho, lam) pair of square complex matrices of
     equal shape: every range check, then the roots and the trace norms
     stacked per shape."""
@@ -341,13 +342,13 @@ def _gentle_reports(rhos: Sequence, lams: Sequence, tol: float = CHECK_TOL) -> l
                 epsilon=epsilon,
                 disturbance=disturbance,
                 bound=bound,
-                holds=bool(disturbance <= bound + tol),
+                holds=bool(disturbance <= bound + CHECK_TOL),
             )
         )
     return reports
 
 
-def check_gentle(rho: np.ndarray, lam: np.ndarray, tol: float = CHECK_TOL) -> GentleReport:
+def check_gentle(rho: np.ndarray, lam: np.ndarray) -> GentleReport:
     """Verify the disturbance bound for one (state, measurement) pair.
 
     epsilon = 1 - <lam, rho>; disturbance is the trace-norm distance from
@@ -356,7 +357,7 @@ def check_gentle(rho: np.ndarray, lam: np.ndarray, tol: float = CHECK_TOL) -> Ge
     rho, lam = _as_matrix(rho), _as_matrix(lam)
     if rho.shape != lam.shape:
         raise ValueError(f"dimension mismatch: {rho.shape} vs {lam.shape}")
-    return _gentle_reports([rho], [lam], tol)[0]
+    return _gentle_reports([rho], [lam])[0]
 
 
 def _sequential_operators(first: np.ndarray, rest: np.ndarray) -> np.ndarray:
@@ -378,7 +379,7 @@ def sequential_operator(lams: Sequence[np.ndarray]) -> np.ndarray:
     return _sequential_operators(mats[0], np.array(mats[1:]).reshape(-1, dim, dim))
 
 
-def _sequential_reports(rhos: Sequence, lam_lists: Sequence, tol: float = CHECK_TOL) -> list:
+def _sequential_reports(rhos: Sequence, lam_lists: Sequence) -> list:
     """``check_sequential`` on each (rho, lams) pair, rho a square complex
     matrix: every epsilon, then the sandwiched operators stacked per shape."""
     epsilons = [
@@ -398,15 +399,13 @@ def _sequential_reports(rhos: Sequence, lam_lists: Sequence, tol: float = CHECK_
                 epsilons=tuple(eps),
                 expectation=expectation,
                 lower_bound=lower,
-                holds=bool(expectation >= lower - tol),
+                holds=bool(expectation >= lower - CHECK_TOL),
             )
         )
     return reports
 
 
-def check_sequential(
-    rho: np.ndarray, lams: Sequence[np.ndarray], tol: float = CHECK_TOL
-) -> SequentialReport:
+def check_sequential(rho: np.ndarray, lams: Sequence[np.ndarray]) -> SequentialReport:
     """Verify the cumulative-disturbance bound for a measurement sequence.
 
     With eps_k = 1 - <L_k, rho>, the sandwiched expectation must stay
@@ -414,7 +413,7 @@ def check_sequential(
     """
     if len(lams) < 2:
         raise ValueError("sequential check needs at least two operators")
-    return _sequential_reports([_as_matrix(rho)], [lams], tol)[0]
+    return _sequential_reports([_as_matrix(rho)], [lams])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -658,17 +657,6 @@ def random_encoding(
     return _encodings([_encoding_draw(x_count, dim, n_functions, b_size, seed)])[0]
 
 
-def encoding_to_jsonable(enc: QuantumEncoding) -> dict:
-    """Canonical JSON form, used for reproducibility checks."""
-    return {
-        "probs": [float(p) for p in enc.probs],
-        "states": [
-            [[[float(v.real), float(v.imag)] for v in row] for row in s] for s in enc.states
-        ],
-        "functions": [list(f) for f in enc.functions],
-    }
-
-
 # ---------------------------------------------------------------------------
 # randomized verification campaigns
 #
@@ -689,95 +677,72 @@ def _operator_draw(dim: int, seed: list) -> tuple:
 
 
 def _measurement_operators(t: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Random POVM elements pulled toward the identity by t: t has shape
-    (...,) and g, the POVMs' Gaussians, (..., 2, d, d)."""
+    """Random POVM elements pulled toward the identity by t, which spreads
+    epsilon over [0, 1]: t has shape (...,) and g, the POVMs' Gaussians,
+    (..., 2, d, d)."""
     t = np.asarray(t)[..., None, None]
     return (1.0 - t) * np.eye(g.shape[-1]) + t * _povm_elements(g)[..., 0, :, :]
 
 
-def _random_measurement_operator(dim: int, seed: Sequence[int]) -> np.ndarray:
-    """A generic measurement operator: a random POVM element pulled toward
-    the identity by a random amount, spreading epsilon over [0, 1]."""
-    return _measurement_operators(*_operator_draw(dim, list(seed)))
+def _records(campaign: tuple, seeds: Iterable, **kwargs) -> list[dict]:
+    """The records of the instances seeded by ``seeds``, in order, for a
+    campaign ``(draw, kernel)``, drawn ``_CHUNK`` instances per kernel call.
 
-
-@dataclass(frozen=True)
-class _Campaign:
-    """A campaign: ``draw`` takes one instance's random numbers from its
-    seeds, and ``kernel`` turns a list of draws into their records."""
-
-    draw: Callable[..., tuple]
-    kernel: Callable[[list], list]
-
-    def records(self, seeds: Iterable, **kwargs) -> list[dict]:
-        """The records of the instances seeded by ``seeds``, in order.
-
-        Draws and kernel calls go ``_CHUNK`` instances at a time.  When an
-        instance fails, this raises what the lowest-index failing instance
-        raises alone.
-        """
-        seeds = iter(seeds)
-        records = []
-        while chunk := list(itertools.islice(seeds, _CHUNK)):
-            drawn = []
-            for seed in chunk:
-                try:
-                    drawn.append(self.draw(seed, **kwargs))
-                except ValueError:
-                    if drawn:
-                        self._checked(drawn)  # an earlier instance's failure comes first
-                    raise
-            records += self._checked(drawn)
-        return records
-
-    def _checked(self, drawn: list) -> list[dict]:
+    A chunk that fails, in a draw or in the kernel, runs again one instance
+    at a time, so its lowest-index failing instance raises: a stacked step
+    raises for the first failure in its own shape group, not the chunk's.
+    """
+    draw, kernel = campaign
+    seeds = iter(seeds)
+    records = []
+    while chunk := list(itertools.islice(seeds, _CHUNK)):
         try:
-            return self.kernel(drawn)
+            records += kernel([draw(seed, **kwargs) for seed in chunk])
         except ValueError:
-            # a stacked step raises for the first failure in its own shape
-            # group, which need not be the first instance that fails
-            for one in drawn:
-                self.kernel([one])
+            for seed in chunk:
+                kernel([draw(seed, **kwargs)])
             raise
+    return records
 
 
 def _instance(kernel: Callable[[list], list]):
-    """Make a draw function into its campaign's instance function.
-
-    The instance function takes the draw's arguments and returns the record
-    that ``kernel`` gives for that one draw.  Its ``campaign`` attribute
-    lets ``run_campaign`` pass many draws to one kernel call.
-    """
+    """Make a draw function into its campaign's instance function: the
+    record that ``kernel`` gives for one draw.  Its ``campaign`` attribute,
+    ``(draw, kernel)``, lets ``run_campaign`` pass many draws to one call."""
 
     def decorate(draw: Callable[..., tuple]) -> Callable[..., dict]:
-        campaign = _Campaign(draw, kernel)
-
         @functools.wraps(draw)
         def instance(seed: Sequence[int], **kwargs) -> dict:
-            return campaign.records([seed], **kwargs)[0]
+            return kernel([draw(seed, **kwargs)])[0]
 
-        instance.campaign = campaign
+        instance.campaign = draw, kernel
         return instance
 
     return decorate
 
 
-def _gentle_kernel(drawn: list) -> list[dict]:
-    seeds, rho_gaussians, ts, gs = zip(*drawn)
-    rhos = _stacked(_densities, rho_gaussians)
-    reports = _gentle_reports(rhos, _stacked(_measurement_operators, ts, gs))
-    return [
-        {
-            "seed": seed,
-            "dims": rho.shape[-1],
-            "n": 1,
-            "epsilons": [report.epsilon],
-            "bound": report.bound,
-            "achieved": report.disturbance,
-            "holds": report.holds,
-        }
-        for seed, rho, report in zip(seeds, rhos, reports)
-    ]
+def _operator_kernel(reports: Callable, fields: Callable) -> Callable[[list], list]:
+    """The kernel of a campaign whose draws are a state and its measurement
+    operators.  It builds the densities and the operators stacked by shape,
+    checks them with ``reports``, and takes the record fields n, epsilons,
+    bound and achieved from each report with ``fields``."""
+
+    def kernel(drawn: list) -> list[dict]:
+        seeds, rho_gaussians, ts, gs = zip(*drawn)
+        rhos = _stacked(_densities, rho_gaussians)
+        checked = reports(rhos, _stacked(_measurement_operators, ts, gs))
+        return [
+            {"seed": seed, "dims": rho.shape[-1], **fields(report), "holds": report.holds}
+            for seed, rho, report in zip(seeds, rhos, checked)
+        ]
+
+    return kernel
+
+
+_gentle_kernel = _operator_kernel(
+    _gentle_reports,
+    lambda r: {"n": 1, "epsilons": [r.epsilon], "bound": r.bound, "achieved": r.disturbance},
+)
 
 
 @_instance(_gentle_kernel)
@@ -791,22 +756,15 @@ def gentle_instance(seed: Sequence[int], min_dim: int = 2, max_dim: int = 8):
     return seed, _complex_gaussians(_rng(seed + [1]), (dim, rank)), t, g
 
 
-def _sequential_kernel(drawn: list) -> list[dict]:
-    seeds, rho_gaussians, ts, gs = zip(*drawn)
-    rhos = _stacked(_densities, rho_gaussians)
-    reports = _sequential_reports(rhos, _stacked(_measurement_operators, ts, gs))
-    return [
-        {
-            "seed": seed,
-            "dims": rho.shape[-1],
-            "n": len(report.epsilons),
-            "epsilons": list(report.epsilons),
-            "bound": report.lower_bound,
-            "achieved": report.expectation,
-            "holds": report.holds,
-        }
-        for seed, rho, report in zip(seeds, rhos, reports)
-    ]
+_sequential_kernel = _operator_kernel(
+    _sequential_reports,
+    lambda r: {
+        "n": len(r.epsilons),
+        "epsilons": list(r.epsilons),
+        "bound": r.lower_bound,
+        "achieved": r.expectation,
+    },
+)
 
 
 @_instance(_sequential_kernel)
@@ -900,14 +858,7 @@ def learning_instance(
 def run_campaign(
     instance_fn: Callable[..., dict], instances: int, seed: int, **kwargs
 ) -> list[dict]:
-    """Run ``instances`` independent instances seeded from (seed, index).
-
-    An instance function of this module runs through its campaign's kernel,
-    many instances per call, and gives the records that calling it once per
-    instance gives; any other callable is called once per instance.
-    """
-    seeds = ([seed, idx] for idx in range(instances))
-    campaign = getattr(instance_fn, "campaign", None)
-    if campaign is None:
-        return [instance_fn(s, **kwargs) for s in seeds]
-    return campaign.records(seeds, **kwargs)
+    """Run ``instances`` independent instances of a campaign of this module,
+    seeded from (seed, index): the records that calling ``instance_fn`` once
+    per instance gives, computed many instances per kernel call."""
+    return _records(instance_fn.campaign, ([seed, idx] for idx in range(instances)), **kwargs)

@@ -33,12 +33,12 @@ def curve_sign(c_a, b_rand: Fraction, m: int, h) -> int:
     return sign_plus_root(inv - Fraction(h) * b_rand, Fraction(-2 * m), 1 - inv)
 
 
-def crossing_sign(b_rand: Fraction, m: int, h, target=1) -> int:
-    """The sign of crossing - h for h >= 1, where c_B(crossing) = target.
+def crossing_sign(b_rand: Fraction, m: int, h) -> int:
+    """The sign of crossing - h, where c_B(crossing) = 1.
 
-    c_B falls strictly from c_B(1) = K >= target, so the crossing lies
-    right of h exactly when h < 1 or c_B(h) > target."""
-    return 1 if h < 1 else curve_sign(h, b_rand, m, target)
+    c_B falls strictly from c_B(1) = K > 1, so the crossing lies right of h
+    exactly when h < 1 or c_B(h) > 1."""
+    return 1 if h < 1 else curve_sign(h, b_rand, m, 1)
 
 
 def within_half_ulp(value: float, sign_minus) -> bool:

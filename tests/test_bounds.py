@@ -415,24 +415,6 @@ class TestCurveIsExact:
         for point in points[:-1]:
             assert ref.within_half_ulp(point.c_b, lambda h: ref.curve_sign(point.c_a, b_rand, m, h))
 
-    @settings(max_examples=60, deadline=None, derandomize=True)
-    @given(
-        CURVE_PAIRS | ARBITRARY_PAIRS.filter(lambda p: 1 / p[0] <= sys.float_info.max),
-        st.floats(-1e6, 1e6) | st.sampled_from([0.0, 1.0, 2.0]),
-    )
-    def test_crossing_of_any_target(self, pair, target):
-        b_rand, y_size = pair
-        m = y_size - 1
-        try:
-            crossing = ca_crossing(b_rand, y_size, target)
-        except ValueError:
-            assert target * b_rand > 1  # the curve starts at 1/b_rand
-            return
-        if ref.curve_sign(1 / b_rand, b_rand, m, target) > 0:  # the curve ends above target
-            assert crossing == float(1 / b_rand)
-        else:
-            assert ref.within_half_ulp(crossing, lambda h: ref.crossing_sign(b_rand, m, h, target))
-
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(
         st.lists(st.integers(-(2**200), 2**200), min_size=4, max_size=4),

@@ -224,6 +224,11 @@ class TestVerifyCommand:
             assert record["campaign"] == "learning"
             assert record["holds"] is True
             assert json.dumps(record, sort_keys=True) == line
+        code, out, _ = run(
+            capsys, "verify-lemmas", "--instances", "5", "--seed", "2",
+            "--campaign", "learning", "--records", str(records), "--json",
+        )
+        assert code == 0 and out == records.read_text()
 
     def test_json_stream_deterministic(self, capsys):
         args = ("verify-lemmas", "--instances", "4", "--seed", "3", "--campaign", "gentle", "--json")
@@ -281,6 +286,37 @@ class TestSimulateCommand:
             capsys, "simulate-dr", "--family", "mp", "--n", "1000000000", "--trials", "10"
         )
         assert code == 2 and "error" in err
+
+    def test_task_beyond_the_table_cap_runs(self, capsys):
+        task = tasks.make_family("mp", n=2000)
+        assert not task.materialized  # simulate-dr reads no table
+        code, out, err = run(
+            capsys, "simulate-dr", "--family", "mp", "--n", "2000", "--trials", "100", "--json"
+        )
+        assert (code, err) == (0, "")
+        histogram = json.loads(out)["histogram"]
+        assert len(histogram) == task.y_size and sum(histogram) == 100
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="limits the child's address space")
+    def test_out_of_memory_exits_2_without_traceback(self):
+        import resource
+
+        limit = 2 * 1024**3
+
+        def limit_address_space():
+            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
+        proc = subprocess.run(
+            [sys.executable, "-m", "sfebounds", "simulate-dr", "--family", "mp", "--n", "4",
+             "--trials", "10000000000"],
+            capture_output=True, text=True, env=env, timeout=120, check=False,
+            preexec_fn=limit_address_space,
+        )
+        assert (proc.returncode, proc.stdout) == (2, "")
+        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        assert "Traceback" not in proc.stderr
 
     @pytest.mark.parametrize("seed", ["-1", "-123456789012345678901"])
     def test_negative_seed_exits_2(self, capsys, seed):

@@ -361,7 +361,7 @@ class TestSequential:
             meta = np.random.default_rng(seed)
             dim = int(meta.integers(2, 6))
             rho = random_density(dim, dim, seed + [1])
-            lams = [m._random_measurement_operator(dim, seed + [2, k]) for k in range(3)]
+            lams = [m._measurement_operators(*m._operator_draw(dim, seed + [2, k])) for k in range(3)]
             base = check_sequential(rho, lams)
             perm = list(rng.permutation(3))
             shuffled = check_sequential(rho, [lams[p] for p in perm])
@@ -480,9 +480,10 @@ class TestGenerators:
             random_encoding(2, 2, 0, 2, seed=0)
 
     def test_encoding_serialization_reproducible(self):
-        first = json.dumps(m.encoding_to_jsonable(random_encoding(4, 3, 2, 2, seed=9)))
-        second = json.dumps(m.encoding_to_jsonable(random_encoding(4, 3, 2, 2, seed=9)))
-        assert first == second
+        first, second = (random_encoding(4, 3, 2, 2, seed=9) for _ in range(2))
+        assert np.array_equal(first.probs, second.probs)
+        assert np.array_equal(first.states, second.states)
+        assert first.functions == second.functions
 
     def test_campaign_records_are_order_independent(self):
         full = m.run_campaign(m.gentle_instance, 10, seed=5)
@@ -537,7 +538,7 @@ class TestStackedKernelMatchesLoops:
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(DIMS, st.integers(1, 4), SEEDS)
     def test_roots_and_sequential_operator(self, dim, count, seed):
-        lams = [m._random_measurement_operator(dim, [seed, k]) for k in range(count)]
+        lams = [m._measurement_operators(*m._operator_draw(dim, [seed, k])) for k in range(count)]
         for lam in lams:
             assert np.array_equal(matrix_sqrt(lam), loop_matrix_sqrt(lam))
         assert np.array_equal(sequential_operator(lams), loop_sequential_operator(lams))
@@ -639,32 +640,50 @@ class TestCampaignKernels:
         want = [instance([9, idx], **dims) for idx in picks]
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(m, "_CHUNK", chunk)
-            got = instance.campaign.records([[9, idx] for idx in picks], **dims)
+            got = m._records(instance.campaign, [[9, idx] for idx in picks], **dims)
         assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
 
-    @pytest.mark.parametrize("instance", [*CAMPAIGNS, lambda seed: 1 / 0])
+    @pytest.mark.parametrize("instance", CAMPAIGNS, ids=lambda fn: fn.__name__)
     def test_zero_instances(self, instance):
         assert m.run_campaign(instance, 0, seed=1) == []
 
     def test_lowest_failing_instance_raises_across_shape_groups(self):
-        campaign = m.gentle_instance.campaign
+        draw, kernel = m.gentle_instance.campaign
 
         def failing(seed, dim):
             # lam = 2E - I with rho on the top eigenvector of E: <lam, rho>
             # = 2 e_max - 1 passes the range check, and the root of lam fails
             # on its eigenvalue 2 e_min - 1 < 0
-            seed, _, _, gaussians = campaign.draw(seed, min_dim=dim, max_dim=dim)
+            seed, _, _, gaussians = draw(seed, min_dim=dim, max_dim=dim)
             evals, vecs = np.linalg.eigh(m._povm_elements(gaussians)[0])
             assert evals[0] < 0.45 and evals[-1] > 0.55
             return seed, vecs[:, -1:], 2.0, gaussians
 
         # instances 0 and 2 form the dimension-2 group, instance 1 the dimension-3 one
-        good = campaign.draw([5, 0], min_dim=2, max_dim=2)
+        good = draw([5, 0], min_dim=2, max_dim=2)
         drawn = [good, failing([5, 1], 3), failing([5, 5], 2)]
-        alone = [error_message(campaign.kernel, [one]) for one in drawn[1:]]
+        alone = [error_message(kernel, [one]) for one in drawn[1:]]
         assert alone[0].startswith("matrix has eigenvalue") and alone[0] != alone[1]
-        runner = m._Campaign(draw=lambda idx: drawn[idx], kernel=campaign.kernel)
-        assert error_message(runner.records, range(3)) == alone[0]
+        assert error_message(m._records, (lambda idx: drawn[idx], kernel), range(3)) == alone[0]
+
+    @pytest.mark.parametrize(
+        "draw_fails,kernel_fails,message",
+        [(2, 1, "kernel fails at 1"), (0, 1, "draw fails at 0")],
+    )
+    def test_lowest_failing_instance_raises_from_draw_or_kernel(
+        self, draw_fails, kernel_fails, message
+    ):
+        def draw(idx):
+            if idx == draw_fails:
+                raise ValueError(f"draw fails at {idx}")
+            return idx
+
+        def kernel(drawn):
+            if kernel_fails in drawn:
+                raise ValueError(f"kernel fails at {kernel_fails}")
+            return [{"index": idx} for idx in drawn]
+
+        assert error_message(m._records, (draw, kernel), range(4)) == message
 
 
 SRC = Path(m.__file__).resolve().parents[1]
