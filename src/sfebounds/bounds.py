@@ -26,6 +26,14 @@ Solving in s keeps the extreme regime well conditioned: excesses c - 1 down
 to ~1e-19 map to s ~ 1e-10, comfortably representable, while c itself
 rounds to 1.0.
 
+The solver bisects on dyadic integers.  With b_rand = N/D, a point
+s = M/2^k and U = 4^k - M^2,
+
+    r(M/2^k) = (N*16^k - D*U*(U - 2*m*M*2^k)) / (D*16^k),
+
+so each sign decision is the sign of one int, and s and the residual are
+int true divisions, which Python rounds correctly.
+
 The trade-off curve is c_B(c_A) = K*(1/c_A - 2m*sqrt(1 - 1/c_A)), K = 1/b_rand.
 At a float c_A, c_B and the c_B = 1 crossing are quotients
 (a + b*sqrt(R))/(c + d*sqrt(R)) of ints with a positive denominator, which
@@ -74,7 +82,7 @@ class FixedPointResult:
     ``s`` is the transformed root sqrt(1 - 1/c), correctly rounded;
     ``epsilon`` is the excess c - 1 computed as s^2/(1 - s^2) so tiny
     excesses survive rounding.  ``residual`` is the scaled residual r
-    evaluated exactly (rational arithmetic) at the solver's last midpoint,
+    evaluated exactly (an int over D*16^k) at the solver's last midpoint,
     then rounded to a float; being bounded on [0, 1], it cannot overflow.
     """
 
@@ -140,20 +148,31 @@ def cb_from_ca(c_a: float, b_rand_value: Rational, y_size: int) -> float:
 def solve_fixed_point(b_rand_value: Rational, y_size: int) -> FixedPointResult:
     """Solve the security-constant equation for given baseline and |Y|.
 
-    Bisection of r on [0, 1] in exact rational arithmetic, so no sign
-    decision is corrupted by rounding.  The bracket [lo, hi] keeps
-    r(lo) <= 0 <= r(hi).  Each step replaces one end by the midpoint.  The
+    Bisection of r on [0, 1] in exact integer arithmetic (the module
+    docstring gives the dyadic form), so no sign decision is corrupted by
+    rounding.  After k halvings the bracket is [lo, hi]/2^k for ints lo and
+    hi and keeps r(lo/2^k) <= 0 <= r(hi/2^k); the k-th midpoint is mid/2^k
+    with mid the sum of the previous ends, and it replaces one end.  The
     loop stops once the bracket lies inside the rounding interval of
-    s = float(midpoint): the closed interval between the halfway points to
-    the float neighbours of s, cut at 0 and 1.  That holds as soon as
-    float(lo) == float(hi), and also when an end of the bracket is itself a
-    halfway point that rounds away from the root.
+    s = mid/2^k rounded to a float: the closed interval between the halfway
+    points to the float neighbours of s, cut at 0 and 1.  That holds as
+    soon as both ends round to the same float, and also when an end of the
+    bracket is itself a halfway point that rounds away from the root.  Each
+    float is p/q with q a power of two, so the test compares ints
+    cross-multiplied.
+
+    Skipped tests.  The bracket has width 2^-k unless r is exactly 0 at the
+    midpoint.  While mid < 2^52 and k <= 1073, s <= 2^(52-k), a normal
+    float; every float gap at or below it is at most 2^(-1-k) and the one
+    above it 2^-k, so the rounding interval is at most 0.75 * 2^-k wide and
+    cannot hold the bracket.  The loop skips the test there.
 
     Correct rounding.  The root lies in the bracket, strictly inside it
     unless r is exactly 0 at the midpoint.  At the stop the bracket lies in
     the rounding interval of s, so the root lies strictly between the two
     halfway points around s and rounds to s; an exact root at the midpoint
-    rounds to s by definition.
+    rounds to s by definition.  s is the int true division mid / 2^k,
+    which Python rounds correctly.
 
     Termination.  Every float in [0, 1] is a multiple of 2^-1074, so every
     halfway point between two of them is a multiple of 2^-1075.  The k-th
@@ -176,20 +195,27 @@ def solve_fixed_point(b_rand_value: Rational, y_size: int) -> FixedPointResult:
     if br <= 0:
         raise ValueError("b_rand must be positive")
 
+    n, d = br.as_integer_ratio()
     m = y_size - 1
-    lo, hi = Fraction(0), Fraction(1)
-    for iterations in range(1, SOLVER_MAX_ITERATIONS + 1):
-        mid = (lo + hi) / 2
-        u = 1 - mid * mid
-        r_mid = br - u * (u - 2 * m * mid)
-        if r_mid <= 0:
+    lo, hi = 0, 1
+    for k in range(1, SOLVER_MAX_ITERATIONS + 1):
+        mid = lo + hi
+        u = (1 << 2 * k) - mid * mid
+        r_num = (n << 4 * k) - d * u * (u - (2 * m * mid << k))
+        lo, hi = 2 * lo, 2 * hi
+        if r_num <= 0:
             lo = mid
-        if r_mid >= 0:
+        if r_num >= 0:
             hi = mid
-        s = float(mid)
-        below = (Fraction(math.nextafter(s, 0)) + Fraction(s)) / 2
-        above = (Fraction(s) + Fraction(math.nextafter(s, 1))) / 2
-        if below <= lo and hi <= above:
+        if lo != hi and mid.bit_length() <= 52 and k <= 1073:
+            continue  # the rounding interval is narrower than the bracket
+        s = mid / (1 << k)
+        (p0, q0), (p1, q1), (p2, q2) = (
+            x.as_integer_ratio() for x in (math.nextafter(s, 0), s, math.nextafter(s, 1))
+        )
+        # the halfway points are below/(2*q0*q1) and above/(2*q1*q2)
+        below, above = p0 * q1 + p1 * q0, p1 * q2 + p2 * q1
+        if below << k <= 2 * lo * q0 * q1 and 2 * hi * q1 * q2 <= above << k:
             break
 
     u = 1.0 - s * s
@@ -207,8 +233,8 @@ def solve_fixed_point(b_rand_value: Rational, y_size: int) -> FixedPointResult:
         c=1.0 / u,
         s=s,
         epsilon=epsilon,
-        residual=float(r_mid),
-        iterations=iterations,
+        residual=r_num / (d << 4 * k),
+        iterations=k,
     )
 
 

@@ -570,7 +570,8 @@ def _learn_reports(encs: Sequence, elements: Sequence, roots: Sequence) -> list:
 
 
 def _rng(seed: Seed) -> np.random.Generator:
-    return np.random.default_rng(seed)
+    # the stream of np.random.default_rng(seed), without its dispatch on the seed's type
+    return np.random.Generator(np.random.PCG64(seed))
 
 
 def _complex_gaussians(rng: np.random.Generator, shape: tuple) -> np.ndarray:
@@ -672,6 +673,16 @@ def random_encoding(
 _CHUNK = 64
 
 
+def _check_sizes(min_dim: int, max_dim: int, max_n: int = 1, min_n: int = 1) -> None:
+    """Refuse draw parameters that leave no dimension or operator count to draw."""
+    if min_dim < 1:
+        raise ValueError(f"min_dim must be at least 1, got {min_dim}")
+    if max_dim < min_dim:
+        raise ValueError(f"max_dim must be at least min_dim = {min_dim}, got {max_dim}")
+    if max_n < min_n:
+        raise ValueError(f"max_n must be at least {min_n}, got {max_n}")
+
+
 def _operator_draw(dim: int, seed: list) -> tuple:
     return _rng(seed + [0]).uniform() ** 2, _povm_draw(_rng(seed + [1]), dim, 2)
 
@@ -748,6 +759,7 @@ _gentle_kernel = _operator_kernel(
 @_instance(_gentle_kernel)
 def gentle_instance(seed: Sequence[int], min_dim: int = 2, max_dim: int = 8):
     """One random state and measurement operator through ``check_gentle``."""
+    _check_sizes(min_dim, max_dim)
     seed = list(seed)
     meta = _rng(seed + [0])
     dim = int(meta.integers(min_dim, max_dim + 1))
@@ -773,6 +785,7 @@ def sequential_instance(
 ):
     """One random state and 2 to ``max_n`` measurement operators through
     ``check_sequential``."""
+    _check_sizes(min_dim, max_dim, max_n, 2)
     seed = list(seed)
     meta = _rng(seed + [0])
     dim = int(meta.integers(min_dim, max_dim + 1))
@@ -844,6 +857,7 @@ def learning_instance(
     seed: Sequence[int], min_dim: int = 2, max_dim: int = 6, max_n: int = 4
 ):
     """One encoding-plus-POVMs instance with full combined-POVM audits."""
+    _check_sizes(min_dim, max_dim, max_n)
     seed = list(seed)
     meta = _rng(seed + [0])
     dim = int(meta.integers(min_dim, max_dim + 1))

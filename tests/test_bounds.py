@@ -8,7 +8,8 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import curve_reference as ref
-from sfebounds import bounds
+import solver_reference
+from sfebounds import bounds, tasks
 from sfebounds.bounds import (
     CurvePoint,
     InsecureTaskError,
@@ -130,6 +131,8 @@ class TestSolveFixedPoint:
         # 500-digit decimal bisection of r gives eps = 6.0247996627572103e-182
         fp = solve_fixed_point(Fraction(2, 2**300), 2**300 - 1)  # inner product n=300
         assert fp.epsilon == pytest.approx(6.02479966275721e-182, rel=1e-14)
+        # inner product n=510, the last one whose c - 1 is a normal float
+        assert solve_fixed_point(Fraction(2, 2**510), 2**510 - 1).epsilon >= sys.float_info.min
         for n in (200, 1500):  # 1-of-n bit OT; 1/b_rand beyond a float at n=1500
             fp = solve_fixed_point(Fraction(1, 2 ** (n - 1)), n)
             assert fp.iterations < 100
@@ -144,7 +147,7 @@ class TestSolveFixedPoint:
     def test_refuses_what_a_float_cannot_carry(self):
         with pytest.raises(ValueError, match="rounds to 1.0"):
             solve_fixed_point(Fraction(1, 2**110), 1)
-        for n in (540, 1100):  # inner product: eps subnormal, then s below every float
+        for n in (511, 540, 1100):  # inner product: eps subnormal, then s below every float
             with pytest.raises(ValueError, match="smallest normal float"):
                 solve_fixed_point(Fraction(2, 2**n), 2**n - 1)
 
@@ -245,6 +248,61 @@ class TestSolverProofs:
                 assert scaled_residual(b_rand, y_size, t) < 0, t
             elif above < t <= 1:
                 assert scaled_residual(b_rand, y_size, t) > 0, t
+
+
+def solver_outcome(solve, b_rand_value, y_size):
+    """The solver's result with every field, or the type and message of its refusal."""
+    try:
+        return repr(solve(b_rand_value, y_size))
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def family_pair(family, **params):
+    task = make_family(family, **params)
+    return tasks.b_rand(task), task.y_size
+
+
+# b_rand = N/D with D up to 10^60, or a power of two down to 2^-1000
+RANDOM_BASELINES = st.one_of(
+    st.integers(2, 10**60).flatmap(
+        lambda d: st.builds(Fraction, st.integers(1, d - 1), st.just(d))
+    ),
+    st.integers(1, 1000).map(lambda e: Fraction(1, 2**e)),
+)
+
+
+class TestAgainstFractionReference:
+    """The dyadic-integer solver against its Fraction form in solver_reference."""
+
+    @pytest.mark.parametrize(
+        "pair",
+        [
+            family_pair("ip", n=510),  # solves, epsilon just above the normal range
+            family_pair("ip", n=511),  # refused: epsilon below the smallest normal float
+            family_pair("mp", n=10**9),
+            family_pair("ot", alphabet=2, n=200),
+            (Fraction(1, 2**110), 1),  # refused: 1 - s*s rounds to 0
+        ],
+        ids=["ip 510", "ip 511", "mp 10^9", "ot 2,200", "|Y|=1 b_rand=2^-110"],
+    )
+    def test_named_extremes(self, pair):
+        expected = solver_outcome(solver_reference.solve_fixed_point, *pair)
+        assert solver_outcome(solve_fixed_point, *pair) == expected
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(RANDOM_BASELINES, st.integers(1, 10**6))
+    @example(Fraction(9, 16), 1)  # r = 0 at the first midpoint, 1/2
+    @example(Fraction(105, 256), 2)  # r = 0 at the second midpoint, 1/4
+    @example(1 - Fraction(1, 2**1040), 10**6)  # a subnormal root: the test runs from k = 1074
+    @example(Fraction(1), 2)
+    @example(Fraction(3, 2), 2)
+    @example(Fraction(0), 2)
+    @example(Fraction(-1, 2), 2)
+    @example(Fraction(1, 2), 0)
+    def test_same_result_or_refusal(self, b_rand_value, y_size):
+        expected = solver_outcome(solver_reference.solve_fixed_point, b_rand_value, y_size)
+        assert solver_outcome(solve_fixed_point, b_rand_value, y_size) == expected
 
 
 class TestBoundReport:

@@ -398,6 +398,30 @@ def test_readme_commands_print_the_recorded_bytes(capsys):
         assert hashlib.sha256(out.encode()).hexdigest() == digest, command
 
 
+# bound --json prints the solver's residual and iterations beside c, s and
+# epsilon; these digests pin all of them for the benchmark's bound tasks
+# and for ip 510, the last inner product that solves.
+BOUND_JSON_DIGESTS = (
+    ("--family ot --alphabet 2 --n 2", "f6e79736ce54d2fe2ca00e85d4e9085f73370bd86d2c2bb882fc785227e6dd89"),
+    ("--family ot --alphabet 2 --n 40", "a661e4969dcb36180cf43c8e0834fe24567f0b5e2931f2cc30b9eba715224dd1"),
+    ("--family ot --alphabet 2 --n 200", "d492da897c1246c0e89ff2c14647a47e7221b18ba8ec841254df9b996844b9ea"),
+    ("--family knot --alphabet 3 --n 5 --k 2", "9ca2f710c22c561e1c62ab373cff7b1b969626ca058a2fdd17425c3d3731d234"),
+    ("--family xot --n 5", "f661e8d7b6fd82aaf2b3a1bcf7f5038915d04f8646b816ffd7f12dfa9117b0f1"),
+    ("--family eq --n 60", "bb9ecd36277934718ddb0c11ec0283578e1c01eda7327ae4e8970df57c388ba5"),
+    ("--family ip --n 6", "db5d128b31f510cdd454c4179a880cee0aac6b59f00cf619cb61938db4239290"),
+    ("--family mp --n 100000", "7a8d8a23aeaf1738880941cb52f4ac6e498bd6a0990980e345fb97268a9bf153"),
+    ("--family mp --n 1000000000", "bfd2a6bfb412459c8a06026cd7dd072c1280c30618d3aab1f4c62133cfd357c3"),
+    ("--family ip --n 510", "654fb67931874c16c49c42a6446d885a18a0b1583154d3a83063a35824c7bc49"),
+)
+
+
+@pytest.mark.parametrize("task,digest", BOUND_JSON_DIGESTS, ids=[task for task, _ in BOUND_JSON_DIGESTS])
+def test_bound_json_prints_the_recorded_bytes(capsys, task, digest):
+    code, out, err = run(capsys, "bound", *task.split(), "--json")
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 FAMILY_TASK = ("--family", "knot", "--alphabet", "2", "--n", "4", "--k", "2")
 
 

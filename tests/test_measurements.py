@@ -686,6 +686,46 @@ class TestCampaignKernels:
         assert error_message(m._records, (draw, kernel), range(4)) == message
 
 
+class TestCampaignParameters:
+    """Each draw refuses sizes it cannot draw from, naming the parameter,
+    before it builds a generator."""
+
+    @pytest.mark.parametrize(
+        "instance,kwargs,message",
+        [
+            (m.gentle_instance, {"min_dim": 0, "max_dim": 3}, "min_dim must be at least 1, got 0"),
+            (m.gentle_instance, {"min_dim": 5, "max_dim": 3}, "max_dim must be at least min_dim = 5, got 3"),
+            (m.sequential_instance, {"min_dim": -1}, "min_dim must be at least 1, got -1"),
+            (m.sequential_instance, {"max_dim": 1}, "max_dim must be at least min_dim = 2, got 1"),
+            (m.sequential_instance, {"max_n": 1}, "max_n must be at least 2, got 1"),
+            (m.learning_instance, {"min_dim": 0, "max_dim": 0}, "min_dim must be at least 1, got 0"),
+            (m.learning_instance, {"min_dim": 4, "max_dim": 3}, "max_dim must be at least min_dim = 4, got 3"),
+            (m.learning_instance, {"max_n": 0}, "max_n must be at least 1, got 0"),
+        ],
+    )
+    def test_bad_sizes_raise_before_any_generator(self, monkeypatch, instance, kwargs, message):
+        def no_generator(seed):
+            raise AssertionError("a generator was built")
+
+        monkeypatch.setattr(m, "_rng", no_generator)
+        assert error_message(lambda: m.run_campaign(instance, 5, 3, **kwargs)) == message
+        assert error_message(lambda: instance([3, 0], **kwargs)) == message
+
+    @pytest.mark.parametrize("instance", CAMPAIGNS, ids=lambda fn: fn.__name__)
+    def test_smallest_sizes_run(self, instance):
+        records = m.run_campaign(instance, 7, 3, min_dim=1, max_dim=1)
+        assert [r["dims"] for r in records] == [1] * 7
+        floor = {m.sequential_instance: 2, m.learning_instance: 1}.get(instance)
+        if floor is not None:
+            assert {r["n"] for r in m.run_campaign(instance, 7, 3, max_n=floor)} == {floor}
+
+    @pytest.mark.parametrize("seed", [0, 7, [3, 1], [5, 17, 2, 1]])
+    def test_generator_is_the_default_rng_stream(self, seed):
+        assert np.array_equal(
+            m._rng(seed).standard_normal(16), np.random.default_rng(seed).standard_normal(16)
+        )
+
+
 SRC = Path(m.__file__).resolve().parents[1]
 
 # In a fresh interpreter: run the learning campaign, then print the peak RSS
