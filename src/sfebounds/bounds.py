@@ -37,11 +37,13 @@ int true divisions, which Python rounds correctly.
 The trade-off curve is c_B(c_A) = K*(1/c_A - 2m*sqrt(1 - 1/c_A)), K = 1/b_rand.
 At a float c_A, c_B and the c_B = 1 crossing are quotients
 (a + b*sqrt(R))/(c + d*sqrt(R)) of ints with a positive denominator, which
-one kernel, _rounded_ratio, rounds correctly.  A perfect square R takes one
-int true division, which Python rounds correctly.  Otherwise
-k = isqrt(R*4^t) gives k < 2^t*sqrt(R) < k + 1; once the denominator is
-positive at both ends, the quotient is monotone between them, and if both
-ends round to the same float, so does the value.  Each pass adds 64 to t.
+one kernel, _rounded_ratio, rounds correctly.  Each pass takes one
+k = isqrt(R*4^t).  If k*k == R*4^t, R is a perfect square, sqrt(R) = k/2^t,
+and the quotient is exactly (a*2^t + b*k)/(c*2^t + d*k), one int true
+division, which Python rounds correctly.  Otherwise k < 2^t*sqrt(R) < k + 1;
+once the denominator is positive at both ends, the quotient is monotone
+between them, and if both ends round to the same float, so does the value.
+Each pass adds 64 to t.
 The loop ends: if b*c == a*d the quotient is a constant rational; otherwise
 it is irrational (a rational q would give (b - q*d)*sqrt(R) = q*c - a with
 b != q*d), so it is neither a float nor a halfway point, lies inside its
@@ -117,13 +119,11 @@ class CurvePoint:
 def _rounded_ratio(a: int, b: int, c: int, d: int, radicand: int) -> float:
     """The float nearest (a + b*sqrt(R))/(c + d*sqrt(R)), for ints, R >= 0 and
     a positive denominator; the module docstring proves rounding and termination."""
-    root = math.isqrt(radicand)
-    if root * root == radicand:
-        return (a + b * root) / (c + d * root)
     for t in itertools.count(64, 64):
-        k = math.isqrt(radicand << 2 * t)
+        scaled = radicand << 2 * t
+        k = math.isqrt(scaled)
         (n0, d0), (n1, d1) = [((a << t) + b * y, (c << t) + d * y) for y in (k, k + 1)]
-        if d0 > 0 and d1 > 0 and n0 / d0 == n1 / d1:
+        if k * k == scaled or d0 > 0 and d1 > 0 and n0 / d0 == n1 / d1:
             return n0 / d0
 
 

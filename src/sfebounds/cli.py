@@ -8,6 +8,8 @@ baselines disagreeing.
 
 Each command returns its whole output, and ``main`` writes it once, to --out
 (relative paths resolve against $SFEBOUNDS_OUT_DIR when set) or to stdout.
+Each command accepts only the flags it reads: all take --out, all but curve
+(always CSV) take --json, and only bound takes --full-precision.
 """
 
 from __future__ import annotations
@@ -43,14 +45,6 @@ def _add_task_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--n", type=int, help="family size parameter")
     parser.add_argument("--k", type=int, help=f"subset size for {_families_taking('k')}")
     parser.add_argument("--task-file", help="JSON task file (explicit table or family form)")
-
-
-def _add_output_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--json", action="store_true", help="machine-readable JSON output")
-    parser.add_argument(
-        "--full-precision", action="store_true", help="disable 4-decimal table rounding"
-    )
-    parser.add_argument("--out", help="write output to this file instead of stdout")
 
 
 def _task_from_args(args: argparse.Namespace) -> tasks.SfeTask:
@@ -227,17 +221,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bound = sub.add_parser("bound", help="solve the security constant and both bounds")
     _add_task_flags(p_bound)
-    _add_output_flags(p_bound)
     p_bound.set_defaults(fn=cmd_bound)
 
     p_brand = sub.add_parser("brand", help="black-box baselines (closed form and brute force)")
     _add_task_flags(p_brand)
-    _add_output_flags(p_brand)
     p_brand.set_defaults(fn=cmd_brand)
 
     p_curve = sub.add_parser("curve", help="emit the c_A vs c_B trade-off curve as CSV")
     _add_task_flags(p_curve)
-    _add_output_flags(p_curve)
     p_curve.add_argument("--samples", type=int, default=200)
     p_curve.add_argument("--ca-min", type=float, default=1.0)
     p_curve.add_argument("--ca-max", type=float, default=None, help="defaults to the c_B = 1 crossing")
@@ -245,7 +236,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_curve.set_defaults(fn=cmd_curve)
 
     p_verify = sub.add_parser("verify-lemmas", help="randomized measurement-bound campaigns")
-    _add_output_flags(p_verify)
     p_verify.add_argument("--instances", type=int, default=1000)
     p_verify.add_argument(
         "--max-dim",
@@ -262,11 +252,18 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate-dr", help="honest die-rolling runs over an SFE oracle")
     _add_task_flags(p_sim)
-    _add_output_flags(p_sim)
     p_sim.add_argument("--trials", type=int, default=100000)
     p_sim.add_argument("--seed", type=int, default=0)
     p_sim.set_defaults(fn=cmd_simulate)
 
+    # each command takes exactly the output flags it reads
+    for p in (p_bound, p_brand, p_verify, p_sim):
+        p.add_argument("--json", action="store_true", help="machine-readable JSON output")
+    p_bound.add_argument(
+        "--full-precision", action="store_true", help="disable 4-decimal table rounding"
+    )
+    for p in sub.choices.values():
+        p.add_argument("--out", help="write output to this file instead of stdout")
     return parser
 
 

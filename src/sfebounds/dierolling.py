@@ -77,12 +77,13 @@ def _draw_trials(task: SfeTask, trials: int, seed: int):
     return xs, ys, bs
 
 
-def _stats(outcomes: np.ndarray, y_size: int, trials: int, seed: int) -> DrStats:
-    """Statistics of ``trials`` (at least 1) outcomes.
+def _stats(outcomes: np.ndarray, y_size: int, seed: int) -> DrStats:
+    """Statistics of at least one outcome.
 
     No trial ever aborts: the oracle is ideal, so every output the receiver
     reveals matches the sender's own evaluation, and abort_count is 0.
     """
+    trials = len(outcomes)
     hist = np.bincount(outcomes, minlength=y_size)
     tv = 0.5 * float(np.abs(hist / trials - 1.0 / y_size).sum())
     forcing = float(np.count_nonzero(outcomes == 0)) / trials
@@ -105,7 +106,7 @@ def run_honest(task: SfeTask, trials: int, seed: int = 0) -> DrStats:
         raise TaskError(f"die-rolling needs y_size <= {MATERIALIZE_CAP} and x_size < 2**63")
     _, ys, bs = _draw_trials(task, trials, seed)
     outcomes = (bs + ys) % task.y_size
-    return _stats(outcomes, task.y_size, trials, seed)
+    return _stats(outcomes, task.y_size, seed)
 
 
 def blind_alice(view: AliceView) -> np.ndarray:
@@ -138,7 +139,7 @@ def run_cheating_alice(
     if guesses.min() < 0 or guesses.max() >= task.y_size:
         raise ValueError("strategy guessed outside the input range")
     outcomes = (ys - guesses) % task.y_size  # (b + y) mod |Y| with b = -guess
-    return _stats(outcomes, task.y_size, trials, seed)
+    return _stats(outcomes, task.y_size, seed)
 
 
 def _known_mask_and_fallback(
@@ -191,7 +192,7 @@ def run_cheating_bob(
     known, fallback = _known_mask_and_fallback(task, learner, required, xs, ys)
     revealed = np.where(known, required, fallback)
     outcomes = (bs + revealed) % task.y_size
-    return _stats(outcomes, task.y_size, trials, seed)
+    return _stats(outcomes, task.y_size, seed)
 
 
 def kitaev_bound(n_outcomes: int) -> KitaevBound:

@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence, Union
 
 import numpy as np
@@ -214,7 +214,7 @@ class LearnReport:
     achieved: float
     slack: float
     holds: bool
-    averaged_bound: float = field(default=float("nan"))
+    averaged_bound: float
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import math
@@ -11,7 +12,7 @@ from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from sfebounds import tasks
-from sfebounds.cli import main
+from sfebounds.cli import build_parser, main
 from sfebounds.tasks import FAMILY_TAGS, MATERIALIZE_CAP
 
 
@@ -498,7 +499,7 @@ class TestImportsPerCommand:
             ["bound", "--family", "ot", "--alphabet", "2", "--n", "2", "--json"],
             ["bound", "--family", "mp", "--n", "1000000000", "--full-precision"],
             ["curve", *FAMILY_TASK, "--samples", "100"],
-            ["curve", "--family", "ip", "--n", "6", "--json"],
+            ["curve", "--family", "ip", "--n", "6"],
             ["bound", "--family", "ot", "--alphabet", "2", "--n", "20000"],
         ],
     )
@@ -541,6 +542,46 @@ class TestImportsPerCommand:
             "epsilon: 0.048384205847352986\nalice_bound: 0.5242\nbob_bound: 0.5242\n"
         )
         assert "numpy" in imported
+
+
+class TestFlagsPerCommand:
+    """Each command accepts exactly the flags it reads."""
+
+    def test_each_command_registers_exactly_the_flags_it_reads(self):
+        task_flags = {"--family", "--alphabet", "--n", "--k", "--task-file"}
+        expected = {
+            "bound": task_flags | {"--json", "--full-precision", "--out"},
+            "brand": task_flags | {"--json", "--out"},
+            "curve": task_flags | {"--samples", "--ca-min", "--ca-max", "--clip", "--out"},
+            "verify-lemmas": {
+                "--instances", "--max-dim", "--seed", "--campaign", "--records", "--json", "--out",
+            },
+            "simulate-dr": task_flags | {"--trials", "--seed", "--json", "--out"},
+        }
+        parser = build_parser()
+        (commands,) = [a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        registered = {
+            name: {flag for action in sub._actions for flag in action.option_strings} - {"-h", "--help"}
+            for name, sub in commands.items()
+        }
+        assert registered == expected
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["curve", "--family", "ot", "--alphabet", "2", "--n", "2", "--samples", "3", "--json"],
+            ["curve", "--family", "ot", "--alphabet", "2", "--n", "2", "--samples", "3", "--full-precision"],
+            ["brand", *FAMILY_TASK, "--full-precision"],
+            ["verify-lemmas", "--instances", "1", "--full-precision"],
+            ["simulate-dr", "--family", "mp", "--n", "4", "--trials", "10", "--full-precision"],
+        ],
+    )
+    def test_a_flag_the_command_does_not_read_exits_2(self, tmp_path, argv):
+        code, out, err, _ = run_python(tmp_path, RUN_MAIN, *argv)
+        assert (code, out) == (2, "")
+        assert err.startswith("usage: sfe-bounds ")
+        assert err.endswith(f"\nsfe-bounds: error: unrecognized arguments: {argv[-1]}\n")
+        assert "Traceback" not in err
 
 
 def run_task_file(capsys, tmp_path, command, doc):
@@ -728,8 +769,10 @@ def task_flag_sets(draw):
     if command == "simulate-dr":
         argv += sometimes("trials", st.integers(1, 10**4) | st.integers(-2, 0))
         argv += sometimes("seed", st.integers(0, 2**70) | st.integers(-(2**70), -1))
-    if command != "curve":
+    if command == "bound":
         argv += draw(st.sampled_from([[], ["--json"], ["--full-precision"]]))
+    elif command != "curve":
+        argv += draw(st.sampled_from([[], ["--json"]]))
     return argv
 
 
