@@ -8,8 +8,9 @@ baselines disagreeing.
 
 Each command returns its whole output, and ``main`` writes it once, to --out
 (relative paths resolve against $SFEBOUNDS_OUT_DIR when set) or to stdout.
-Each command accepts only the flags it reads: all take --out, all but curve
-(always CSV) take --json, and only bound takes --full-precision.
+Each command accepts only the flags it reads, and refuses any other with its
+own usage: all take --out, all but curve (always CSV) take --json, and only
+bound takes --full-precision.
 """
 
 from __future__ import annotations
@@ -212,12 +213,23 @@ def cmd_simulate(args: argparse.Namespace) -> tuple[str, int]:
     return text, EXIT_OK
 
 
+class _CommandParser(argparse.ArgumentParser):
+    """A command's parser: it refuses a flag it does not take with its own usage,
+    where the top-level parser would print the list of commands."""
+
+    def parse_known_args(self, args=None, namespace=None):
+        namespace, extras = super().parse_known_args(args, namespace)
+        if extras:
+            self.error(f"unrecognized arguments: {' '.join(extras)}")
+        return namespace, extras
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sfe-bounds",
         description="Cheating-probability lower bounds for secure function evaluation.",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
+    sub = parser.add_subparsers(dest="command", required=True, parser_class=_CommandParser)
 
     p_bound = sub.add_parser("bound", help="solve the security constant and both bounds")
     _add_task_flags(p_bound)
@@ -260,7 +272,9 @@ def build_parser() -> argparse.ArgumentParser:
     for p in (p_bound, p_brand, p_verify, p_sim):
         p.add_argument("--json", action="store_true", help="machine-readable JSON output")
     p_bound.add_argument(
-        "--full-precision", action="store_true", help="disable 4-decimal table rounding"
+        "--full-precision",
+        action="store_true",
+        help="text output only: print c and both bounds unrounded (--json always does)",
     )
     for p in sub.choices.values():
         p.add_argument("--out", help="write output to this file instead of stdout")

@@ -459,6 +459,19 @@ def b_rand_bruteforce(task: SfeTask) -> Fraction:
     The receiver picks the best query y*, observes b = f(x, y*), and
     outputs the most frequent answer tuple among inputs consistent with
     the observation.  Exhaustive over y*, exact over the uniform prior.
+
+    The rows are deduplicated and each query's outputs sorted on a private
+    copy of the table in the narrowest unsigned type that holds its largest
+    cell, uint8 when every output is below 256.  The cast is exact: the
+    constructor keeps every cell in [0, b_size) and in int64, so no cell is
+    negative and the largest fits the type chosen for it.  On 8- and 16-bit
+    cells numpy's stable sort is a radix sort, and the dedup compares one
+    or two bytes per cell where int64 takes eight.
+
+    The result does not depend on how distinct rows of equal multiplicity
+    are ordered: an output's modal weight is the largest multiplicity among
+    the rows showing it, and every row tied at that maximum gives the same
+    weight.
     """
     import numpy as np
 
@@ -466,8 +479,10 @@ def b_rand_bruteforce(task: SfeTask) -> Fraction:
     if table is None:
         raise TaskError("brute-force baseline requires a materialized table")
     x_count, y_count = table.shape
+    # C order for the row view below: family_table builds knot tables in Fortran order
+    cells = table.astype(np.min_scalar_type(int(table.max())), order="C")
     # one opaque item per row, so that np.unique finds the distinct rows
-    row_items = np.ascontiguousarray(table).view(np.dtype((np.void, table.itemsize * y_count)))
+    row_items = cells.view(np.dtype((np.void, cells.itemsize * y_count)))
     _, first, counts = np.unique(row_items.ravel(), return_index=True, return_counts=True)
     # Identical inputs share every answer, so at a query the modal count of
     # an output is the largest multiplicity among distinct rows showing it.
@@ -478,7 +493,7 @@ def b_rand_bruteforce(task: SfeTask) -> Fraction:
     cols_per_block = max(1, BRUTE_FORCE_BLOCK // len(rows))
     best = 0
     for lo in range(0, y_count, cols_per_block):
-        block = table[rows, lo : lo + cols_per_block].T  # one line per query
+        block = cells[rows, lo : lo + cols_per_block].T  # one line per query
         order = np.argsort(block, axis=1, kind="stable")
         outputs = np.take_along_axis(block, order, axis=1)
         first_of_run = np.ones(outputs.shape, dtype=bool)

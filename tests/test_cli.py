@@ -579,8 +579,9 @@ class TestFlagsPerCommand:
     def test_a_flag_the_command_does_not_read_exits_2(self, tmp_path, argv):
         code, out, err, _ = run_python(tmp_path, RUN_MAIN, *argv)
         assert (code, out) == (2, "")
-        assert err.startswith("usage: sfe-bounds ")
-        assert err.endswith(f"\nsfe-bounds: error: unrecognized arguments: {argv[-1]}\n")
+        # the command's own usage and name, not the top-level list of commands
+        assert err.startswith(f"usage: sfe-bounds {argv[0]} [-h] ")
+        assert err.endswith(f"\nsfe-bounds {argv[0]}: error: unrecognized arguments: {argv[-1]}\n")
         assert "Traceback" not in err
 
 

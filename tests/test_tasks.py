@@ -1,5 +1,6 @@
 import itertools
 import json
+import tracemalloc
 from collections import defaultdict
 from fractions import Fraction
 from unittest import mock
@@ -411,6 +412,31 @@ class TestBaselines:
         table = pool[rng.integers(0, len(pool), size=shape[0])]
         task = SfeTask("sized", *shape, b_size, table=table)
         assert b_rand_bruteforce(task) == dict_loop_b_rand(task)
+
+    @pytest.mark.parametrize("top", [255, 256, 65535, 65536, 2**32 - 1, 2**32, 2**63 - 1])
+    def test_bruteforce_equals_dict_loop_reference_at_each_width(self, top):
+        # cells at the edges of uint8, uint16, uint32 and uint64: a copy in
+        # any narrower type would wrap top onto one of the smaller values
+        values = sorted({v for v in (0, 1, 255, 65535, 2**32 - 1, top - 1, top) if v <= top})
+        # every pair of values is a row, so each query shows every value and
+        # merging any two values would lower the result
+        pairs = np.array(list(itertools.product(values, repeat=2)), dtype=np.int64)
+        picks = np.repeat(np.arange(len(pairs)), np.resize([1, 2, 2, 3, 3], len(pairs)))
+        table = pairs[np.random.default_rng(top % 997).permutation(picks)]  # tied multiplicities
+        task = SfeTask("edges", len(table), 2, top + 1, table=table)
+        assert b_rand_bruteforce(task) == dict_loop_b_rand(task)
+        assert task.table.dtype == np.int64 and not task.table.flags.writeable
+
+    def test_bruteforce_peak_memory_is_below_the_table(self):
+        task = make_family("mp", n=1000)
+        table = task.table  # built before tracing, so only the brute force counts
+        tracemalloc.start()
+        try:
+            b_rand_bruteforce(task)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < table.nbytes
 
     def test_bruteforce_requires_table(self):
         with pytest.raises(TaskError):
