@@ -302,6 +302,8 @@ def emit_curve(
         )
     if samples < 2:
         raise ValueError("need at least 2 samples")
+    if y_size < 1:
+        raise ValueError("y_size must be positive")
     at_crossing = ca_max is None
     if at_crossing:
         ca_max = ca_crossing(br, y_size)

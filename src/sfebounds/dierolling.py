@@ -70,6 +70,10 @@ def _trial_rng(seed: int, *stream: int) -> np.random.Generator:
 
 
 def _draw_trials(task: SfeTask, trials: int, seed: int):
+    """Each trial's x, y and shift b.  No table is read: the histogram has
+    y_size bins and the inputs are drawn as int64, which bounds the sizes."""
+    if task.y_size > MATERIALIZE_CAP or task.x_size >= 2**63:
+        raise TaskError(f"die-rolling needs y_size <= {MATERIALIZE_CAP} and x_size < 2**63")
     rng = _trial_rng(seed, 0)
     xs = rng.integers(0, task.x_size, size=trials)
     ys = rng.integers(0, task.y_size, size=trials)
@@ -101,9 +105,6 @@ def run_honest(task: SfeTask, trials: int, seed: int = 0) -> DrStats:
     """Both parties honest: never aborts, outcomes exactly (b + y) mod |Y|."""
     if trials < 1:
         raise ValueError("trials must be positive")
-    # no table is read: the histogram has y_size bins and inputs are drawn as int64
-    if task.y_size > MATERIALIZE_CAP or task.x_size >= 2**63:
-        raise TaskError(f"die-rolling needs y_size <= {MATERIALIZE_CAP} and x_size < 2**63")
     _, ys, bs = _draw_trials(task, trials, seed)
     outcomes = (bs + ys) % task.y_size
     return _stats(outcomes, task.y_size, seed)

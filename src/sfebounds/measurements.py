@@ -10,19 +10,22 @@ for randomized verification campaigns.
 Stacked kernel: square roots, measurement-operator checks and the sandwich
 ``op = r @ op @ r`` take stacks of shape (..., d, d) and broadcast over the
 leading axes, so one numpy call covers every element of every POVM of an
-instance, and in a campaign of every instance of one shape;
-``matrix_sqrt`` is the 2-D case.  numpy's stacked matmul, eigh, eigvalsh
-and svd make the same BLAS/LAPACK call on each matrix as a 2-D call does,
-so stacked results are bit-identical to matrix-at-a-time ones (the tests
-keep the matrix-at-a-time loops as references).  Sums over elements add
-in Python's left-to-right ``sum`` order (``_element_sum``), inner products
-stay per-matrix ``np.vdot`` calls, and an instance's scalar sums run per
-instance in its own order, for the same reason: ``einsum`` and axis
-reductions may add in another order (numpy sums a reduced axis of 1x1
+instance, and in a campaign of every instance of one shape; ``matrix_sqrt``
+is the 2-D case.  Sandwiches have two layouts only: ``_sandwich``
+conjugates a stack by a sequence of roots (the gentle and sequential
+checks), and ``_combined_stack`` lays each POVM's outcomes on an axis of
+its own (the combined POVM, its audit, and the learn-everything strategy,
+whose correct elements are one-outcome POVMs).  numpy's stacked matmul,
+eigh, eigvalsh and svd make the same BLAS/LAPACK call on each matrix as a
+2-D call does, so stacked results are bit-identical to matrix-at-a-time
+ones (the tests keep the matrix-at-a-time loops as references).  Sums over
+elements add in Python's left-to-right ``sum`` order (``_element_sum``),
+inner products stay per-matrix ``np.vdot`` calls, and an instance's scalar
+sums run per instance in its own order, for the same reason: ``einsum`` and
+axis reductions may add in another order (numpy sums a reduced axis of 1x1
 matrices pairwise, for one).  The axis reductions left are minima, maxima,
 and sums along the last axis of each matrix (traces, singular values),
-which add the same entries in the same order for a stack as for one
-matrix.
+which add the same entries in the same order for a stack as for one matrix.
 
 Campaigns: a campaign is a pair ``(draw, kernel)``: ``draw`` takes one
 instance's random numbers from its own seeded generators, and ``kernel``
@@ -429,7 +432,8 @@ def _combined_stack(
     ``elements[i]`` and ``roots[i]`` are POVM i's (..., b_i, d, d) stacks,
     with the same leading axes for every i.  POVM i's outcomes lie along
     axis i of a broadcast grid, so one sandwich builds all prod(b_i)
-    elements and computes each partial product once.
+    elements and computes each partial product once.  The result is the raw
+    sandwich: callers that audit it as a POVM take its Hermitian part.
     """
     n = len(elements)
 
@@ -438,7 +442,7 @@ def _combined_stack(
         return stack.reshape(stack.shape[:-3] + grid + stack.shape[-2:])
 
     outer = [on_axis(roots[i], i) for i in range(n) if i != middle]
-    op = _hermitian_part(_sandwich(on_axis(elements[middle], middle), outer))
+    op = _sandwich(on_axis(elements[middle], middle), outer)
     return op.reshape(op.shape[: op.ndim - 2 - n] + (-1,) + op.shape[-2:])
 
 
@@ -465,7 +469,7 @@ def combined_povm(povms: Sequence[Povm], middle: int = 0) -> Povm:
 
     stacks = [np.array(p.elements) for p in povms]
     roots = [None if i == middle else _psd_roots(stack) for i, stack in enumerate(stacks)]
-    elements = _combined_stack(stacks, roots, middle)
+    elements = _hermitian_part(_combined_stack(stacks, roots, middle))
     labels = tuple(itertools.product(*(p.labels for p in povms)))
     return Povm(elements=tuple(elements), labels=labels)
 
@@ -498,19 +502,6 @@ def averaged_strategy_success(enc: QuantumEncoding, povms: Sequence[Povm]) -> Le
     return _learn_reports([enc], stacks, [_psd_roots(stack) for stack in stacks])[0]
 
 
-def _middle_sandwiches(picked: np.ndarray, roots: np.ndarray) -> np.ndarray:
-    """For (..., n, d, d) stacks of the n POVMs' correct elements and their
-    roots at one input: element j conjugated by the other roots, per j."""
-    n = picked.shape[-3]
-    return np.stack(
-        [
-            _sandwich(picked[..., j, :, :], [roots[..., i, :, :] for i in range(n) if i != j])
-            for j in range(n)
-        ],
-        axis=-3,
-    )
-
-
 def _learn_reports(encs: Sequence, elements: Sequence, roots: Sequence) -> list:
     """``averaged_strategy_success`` of k instances with n POVMs each:
     ``encs`` are their encodings, and ``elements[i]`` and ``roots[i]`` are
@@ -520,9 +511,12 @@ def _learn_reports(encs: Sequence, elements: Sequence, roots: Sequence) -> list:
     instance = np.repeat(np.arange(len(encs)), [enc.x_count for enc in encs])
     picks = [np.concatenate([enc.functions[i] for enc in encs]) for i in range(n)]
     # row (instance, x) of at and ops: at[.][i] is POVM i's element for f_i(x),
-    # ops[.][j] the sandwich for middle choice j
-    at = np.stack([e[instance, f] for e, f in zip(elements, picks)], axis=-3)
-    ops = _middle_sandwiches(at, np.stack([r[instance, f] for r, f in zip(roots, picks)], axis=-3))
+    # and ops[.][j], for middle choice j, is the combined POVM of the n
+    # correct elements taken as one-outcome POVMs
+    correct = [e[instance, f][:, None] for e, f in zip(elements, picks)]
+    correct_roots = [r[instance, f][:, None] for r, f in zip(roots, picks)]
+    at = np.concatenate(correct, axis=1)
+    ops = np.concatenate([_combined_stack(correct, correct_roots, j) for j in range(n)], axis=1)
 
     reports = []
     start = 0
@@ -805,7 +799,7 @@ def _audit(elements: Sequence, roots: Sequence) -> np.ndarray:
     defect, low = [], []
     for j in range(n):
         # combined_povm returns a lone POVM unchanged
-        tilde = elements[0] if n == 1 else _combined_stack(elements, roots, j)
+        tilde = elements[0] if n == 1 else _hermitian_part(_combined_stack(elements, roots, j))
         defect.append(_operator_norms(_element_sum(tilde) - np.eye(dim)))
         low.append(np.linalg.eigvalsh(tilde).min(axis=(-2, -1)))
     return np.stack([np.max(defect, axis=0), np.min(low, axis=0)], axis=-1)

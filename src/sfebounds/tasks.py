@@ -245,9 +245,12 @@ def _as_table(raw, x_size: int, y_size: int, b_size: int) -> np.ndarray:
 
 
 def _cell_violations(raw, x_size: int, y_size: int, b_size: int) -> list[str]:
-    """Cell-by-cell report for a table numpy cannot take as 2-D integers.
+    """Cell-by-cell report of a bad table: its row count, then each row that
+    is not a sequence or not y_size long, and each cell that is missing or
+    not an integer in [0, b_size), in row-major order.
 
-    Runs only on the error path, to name the offending rows and cells.
+    The one reporter for tables numpy cannot take as 2-D integers and for
+    int64 tables validate_task refuses; it runs only on the error path.
     Integral covers numpy's integer scalars, which numpy registers with it.
     """
     try:
@@ -410,7 +413,10 @@ def validate_task(task: SfeTask) -> list[str]:
     SfeTask constructor raises TaskError on a non-empty list, so every task
     that exists passes.  A family table is never read here: family_table
     builds it from the sizes the family implies, with every cell in
-    [0, b_size), so checking the sizes covers it.
+    [0, b_size), so checking the sizes covers it.  An explicit table is
+    accepted by its shape and its minimum and maximum alone;
+    ``_cell_violations`` is the one reporter of what is wrong with one that
+    is not, as it is for tables numpy cannot take as 2-D integers.
     """
     if task.x_size < 1 or task.y_size < 1 or task.b_size < 1:
         return ["sizes must all be positive"]
@@ -423,24 +429,14 @@ def validate_task(task: SfeTask) -> list[str]:
             ]
         return []
 
-    import numpy as np
-
     table = task._table  # not task.table, which would try to build a family table
     if table is None:
         return ["task has neither a table nor family parameters"]
-    violations = []
-    rows, cols = table.shape
-    if rows != task.x_size:
-        violations.append(f"table has {rows} rows, expected x_size={task.x_size}")
-    if cols != task.y_size:
-        violations.extend(f"table not total at x={x}: row length {cols}" for x in range(rows))
-    elif table.size:
-        low, high = int(table.min()), int(table.max())
-        if low < 0 or high >= task.b_size:
-            top = min(task.b_size - 1, high)  # fits int64 whatever b_size is
-            for x, y in np.argwhere((table < 0) | (table > top)).tolist():
-                violations.append(f"entry {table[x, y]} at ({x}, {y}) outside [0, {task.b_size})")
-    return violations
+    shape_ok = table.shape == (task.x_size, task.y_size)
+    if shape_ok and int(table.min()) >= 0 and int(table.max()) < task.b_size:
+        return []
+    # Python ints, which print as 5 where numpy's print as np.int64(5)
+    return _cell_violations(table.tolist(), task.x_size, task.y_size, task.b_size)
 
 
 # ---------------------------------------------------------------------------
@@ -561,6 +557,8 @@ def load_task(path: Union[str, Path]) -> SfeTask:
             obj = json.load(handle)
         except json.JSONDecodeError as exc:
             raise TaskError(f"invalid JSON in {path}: {exc}") from exc
+        except RecursionError as exc:  # json's decoder recurses once per level
+            raise TaskError(f"task document in {path} is nested too deeply") from exc
     return task_from_jsonable(obj)
 
 

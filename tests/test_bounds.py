@@ -389,6 +389,12 @@ class TestCurves:
         with pytest.raises(OverflowError, match="1/b_rand is beyond the float range"):
             emit_curve(Fraction(1, 2**1099), 1100)  # ot 2,1100
 
+    @pytest.mark.parametrize("y_size", [0, -3])
+    def test_nonpositive_y_size_refused_with_explicit_ca_max(self, y_size):
+        # an explicit ca_max skips ca_crossing, which also refuses it
+        with pytest.raises(ValueError, match="^y_size must be positive$"):
+            emit_curve(Fraction(1, 2), y_size, samples=3, ca_max=1.5)
+
     def test_csv_format_and_round_trip(self):
         points = emit_curve(Fraction(1, 4), 3, samples=5)
         buffer = io.StringIO()

@@ -635,6 +635,22 @@ class TestTaskFileInput:
         assert code == 2 and message in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "[" * 100_000 + "]" * 100_000,
+            '{"name": "t", "x_size": 1, "y_size": 1, "b_size": 2, "table": '
+            + "[" * 5000 + "1" + "]" * 5000 + "}",
+        ],
+        ids=["bare-array", "explicit-table"],
+    )
+    def test_deeply_nested_json_exits_2(self, capsys, tmp_path, text):
+        path = tmp_path / "task.json"
+        path.write_text(text)
+        code, _, err = run(capsys, "bound", "--task-file", str(path))
+        assert code == 2
+        assert err == f"error: task document in {path} is nested too deeply\n"
+
 
 SCALARS = st.one_of(
     st.none(),

@@ -59,6 +59,25 @@ class TestHonestRuns:
             dr.run_honest(make_family("eq", n=3), 0, seed=0)
 
 
+RUNNERS = {
+    "honest": lambda task: dr.run_honest(task, 10, seed=0),
+    "cheating_alice": lambda task: dr.run_cheating_alice(task, dr.blind_alice, 10, seed=0),
+    "cheating_bob": lambda task: dr.run_cheating_bob(task, "full", 10, seed=0),
+}
+
+
+@pytest.mark.parametrize("runner", sorted(RUNNERS))
+@pytest.mark.parametrize(
+    "family,params", [("ot", dict(alphabet=2, n=70)), ("knot", dict(alphabet=2, n=40, k=20))]
+)
+def test_every_runner_refuses_sizes_it_cannot_draw(runner, family, params):
+    # ot 2,70 has x_size 2**70, beyond int64; knot 2,40,20 has y_size
+    # comb(40, 20), about 1.4e11 histogram bins
+    refusal = r"^die-rolling needs y_size <= 1000000 and x_size < 2\*\*63$"
+    with pytest.raises(TaskError, match=refusal):
+        RUNNERS[runner](make_family(family, **params))
+
+
 class TestCheatingAlice:
     def test_blind_guesser_hits_inverse_y(self):
         task = make_family("eq", n=3)

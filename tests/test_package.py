@@ -1,4 +1,6 @@
+import ast
 import importlib
+from pathlib import Path
 
 import pytest
 
@@ -82,3 +84,42 @@ def test_dir_lists_the_public_names_and_submodules_resolve():
     assert set(PUBLIC_NAMES) <= set(dir(sfebounds))
     for name in SUBMODULES:
         assert getattr(sfebounds, name) is importlib.import_module(f"sfebounds.{name}")
+
+
+PACKAGE_DIR = Path(sfebounds.__file__).parent
+
+
+def _private_definitions(tree: ast.Module) -> list:
+    """Module-level functions, classes and constants whose names start with
+    one underscore."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.extend(t.id for t in targets if isinstance(t, ast.Name))
+    return [name for name in names if name.startswith("_") and not name.startswith("__")]
+
+
+def test_every_private_module_level_name_is_referenced_in_the_package():
+    """A helper whose last caller is deleted goes with it: every ``_name``
+    defined at module level is loaded, imported or read as an attribute
+    somewhere in the package."""
+    trees = {path.name: ast.parse(path.read_text()) for path in sorted(PACKAGE_DIR.glob("*.py"))}
+    used = set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                used.update(alias.name for alias in node.names)
+    orphans = [
+        f"{module}: {name}"
+        for module, tree in trees.items()
+        for name in _private_definitions(tree)
+        if name not in used
+    ]
+    assert orphans == []

@@ -359,6 +359,34 @@ class TestValidation:
     def test_unmaterialized_family_validates_quickly(self):
         assert validate_task(make_family("mp", n=10**9)) == []
 
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(
+        st.integers(0, 4).flatmap(
+            lambda cols: st.lists(
+                st.lists(
+                    st.integers(-3, 5) | st.sampled_from([-(2**63), 2**63 - 1]),
+                    min_size=cols,
+                    max_size=cols,
+                ),
+                max_size=4,
+            )
+        ),
+        st.integers(1, 3),
+        st.integers(1, 3),
+        st.sampled_from([1, 2, 3, 2**70]),
+        st.booleans(),
+    )
+    def test_every_refusal_is_the_cell_reporters(self, rows, x_size, y_size, b_size, as_array):
+        # an int64 array goes through validate_task, a list through _as_table
+        table = np.array(rows, dtype=np.int64) if as_array else rows
+        expected = tasks._cell_violations(rows, x_size, y_size, b_size)
+        try:
+            SfeTask("t", x_size, y_size, b_size, table=table)
+        except TaskError as refused:
+            assert str(refused) == "; ".join(expected)
+        else:
+            assert expected == []
+
     def test_family_size_mismatch_reported(self):
         good = make_family("eq", n=3)
         sizes = r"^family implies sizes \(3, 3, 2\), task declares \(4, 3, 2\)$"
