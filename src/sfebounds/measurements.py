@@ -36,6 +36,16 @@ is the kernel on one draw, so a replay runs the code the campaign ran.  A
 chunk that fails, in a draw or in the kernel, reruns one instance at a
 time, so a campaign raises what its lowest-index failing instance raises.
 
+Generators: every stream is the one ``np.random.default_rng(seed)`` gives,
+but numpy hashes one seed at a time, which costs more than most draws.
+``_rng`` computes the same PCG64 state (``_pcg64_states``) and sets it on
+one reused generator per thread.  While ``_records`` draws a chunk, the
+first request for a seed ``instance + tail`` hashes that tail for the
+chunk's instances in one pass, and the others find their state in a table
+that is emptied when the draws end.  The table is only a cache: a seed it
+lacks is hashed alone, so no stream depends on chunking or reruns.  As the
+generator is reused, a draw finishes with one before it asks for the next.
+
 Tolerance scheme: linear-algebra identities are trusted to 1e-9/1e-10,
 verification inequalities get a decade of extra headroom (1e-8) so stacked
 roundoff cannot produce false violations, and eigenvalues in [-1e-10, 0)
@@ -46,8 +56,10 @@ matrix in C order raises with the message the 2-D check gives.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import itertools
+import threading
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence, Union
 
@@ -225,12 +237,17 @@ class LearnReport:
 # ---------------------------------------------------------------------------
 
 
-def hs_inner(a: np.ndarray, b: np.ndarray) -> complex:
-    """Trace inner product Tr(a* b)."""
+def _same_shape(a: np.ndarray, b: np.ndarray) -> tuple:
+    """``a`` and ``b`` as square complex matrices of one shape."""
     a, b = _as_matrix(a), _as_matrix(b)
     if a.shape != b.shape:
         raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return complex(np.vdot(a, b))
+    return a, b
+
+
+def hs_inner(a: np.ndarray, b: np.ndarray) -> complex:
+    """Trace inner product Tr(a* b)."""
+    return complex(np.vdot(*_same_shape(a, b)))
 
 
 def _trace_norms(stack: np.ndarray) -> np.ndarray:
@@ -325,10 +342,11 @@ def _sandwich(op: np.ndarray, roots) -> np.ndarray:
 def _gentle_reports(rhos: Sequence, lams: Sequence) -> list:
     """``check_gentle`` on each (rho, lam) pair of square complex matrices of
     equal shape: every range check, then the roots and the trace norms
-    stacked per shape."""
+    stacked per shape.  The kernels take inner products with bare
+    ``np.vdot``, the same bits as ``hs_inner`` on matrices they checked."""
     epsilons = []
     for rho, lam in zip(rhos, lams):
-        p = hs_inner(lam, rho).real
+        p = complex(np.vdot(lam, rho)).real
         if not -PSD_CLAMP_TOL <= p <= 1.0 + PSD_CLAMP_TOL:
             raise ValueError(f"<lam, rho> = {p} outside [0, 1]")
         epsilons.append(min(max(1.0 - p, 0.0), 1.0))
@@ -357,9 +375,7 @@ def check_gentle(rho: np.ndarray, lam: np.ndarray) -> GentleReport:
     epsilon = 1 - <lam, rho>; disturbance is the trace-norm distance from
     rho to sqrt(lam) rho sqrt(lam); the bound is 2*sqrt(epsilon).
     """
-    rho, lam = _as_matrix(rho), _as_matrix(lam)
-    if rho.shape != lam.shape:
-        raise ValueError(f"dimension mismatch: {rho.shape} vs {lam.shape}")
+    rho, lam = _same_shape(rho, lam)
     return _gentle_reports([rho], [lam])[0]
 
 
@@ -386,7 +402,7 @@ def _sequential_reports(rhos: Sequence, lam_lists: Sequence) -> list:
     """``check_sequential`` on each (rho, lams) pair, rho a square complex
     matrix: every epsilon, then the sandwiched operators stacked per shape."""
     epsilons = [
-        [min(max(1.0 - hs_inner(lam, rho).real, 0.0), 1.0) for lam in lams]
+        [min(max(1.0 - complex(np.vdot(lam, rho)).real, 0.0), 1.0) for lam in lams]
         for rho, lams in zip(rhos, lam_lists)
     ]
     ops = _stacked(
@@ -395,7 +411,7 @@ def _sequential_reports(rhos: Sequence, lam_lists: Sequence) -> list:
     )
     reports = []
     for rho, op, eps in zip(rhos, ops, epsilons):
-        expectation = hs_inner(rho, op).real
+        expectation = complex(np.vdot(rho, op)).real
         lower = 1.0 - eps[0] - 2.0 * float(sum(np.sqrt(e) for e in eps[1:]))
         reports.append(
             SequentialReport(
@@ -416,7 +432,8 @@ def check_sequential(rho: np.ndarray, lams: Sequence[np.ndarray]) -> SequentialR
     """
     if len(lams) < 2:
         raise ValueError("sequential check needs at least two operators")
-    return _sequential_reports([_as_matrix(rho)], [lams])[0]
+    rho = _as_matrix(rho)
+    return _sequential_reports([rho], [[_same_shape(lam, rho)[0] for lam in lams]])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -499,7 +516,10 @@ def averaged_strategy_success(enc: QuantumEncoding, povms: Sequence[Povm]) -> Le
                 raise ValueError(f"function {i} maps x={x} outside POVM {i}'s outcomes")
 
     stacks = [np.array(p.elements)[None] for p in povms]
-    return _learn_reports([enc], stacks, [_psd_roots(stack) for stack in stacks])[0]
+    roots = [_psd_roots(stack) for stack in stacks]
+    for state in enc.states:
+        _same_shape(state, stacks[0][0, 0])
+    return _learn_reports([enc], stacks, roots)[0]
 
 
 def _learn_reports(encs: Sequence, elements: Sequence, roots: Sequence) -> list:
@@ -525,13 +545,13 @@ def _learn_reports(encs: Sequence, elements: Sequence, roots: Sequence) -> list:
         at_x, ops_x = at[start : start + enc.x_count], ops[start : start + enc.x_count]
         start += enc.x_count
         individual = [
-            sum(enc.probs[x] * hs_inner(enc.states[x], at_x[x][i]).real for x in xs)
+            sum(enc.probs[x] * complex(np.vdot(enc.states[x], at_x[x][i])).real for x in xs)
             for i in range(n)
         ]
         achieved = 0.0
         for j in range(n):
             for x in xs:
-                achieved += enc.probs[x] * hs_inner(enc.states[x], ops_x[x][j]).real
+                achieved += enc.probs[x] * complex(np.vdot(enc.states[x], ops_x[x][j])).real
         achieved /= n
 
         average = sum(individual) / n
@@ -563,9 +583,165 @@ def _learn_reports(encs: Sequence, elements: Sequence, roots: Sequence) -> list:
 # ---------------------------------------------------------------------------
 
 
+_HASH_A = (0x43B0D7E5, 0x931E8875)  # start and multiplier of the entropy hash
+_HASH_B = (0x8B51F9DD, 0x58F38DED)  # the same for the output words
+_MIX = (0xCA01F9DD, 0x4973F715)
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+
+
+def _entropy_words(seed) -> list:
+    """The uint32 words numpy's ``SeedSequence`` reads from one seed entry:
+    an int little-endian (0 as one word 0), a sequence entry by entry.  A
+    float or a str raises TypeError; numpy would parse a str inside a
+    sequence, which no seed here holds."""
+    if isinstance(seed, (int, np.integer)):
+        n = int(seed)
+        if n < 0:
+            raise ValueError("expected non-negative integer")
+        words = [n & 0xFFFFFFFF]
+        while n := n >> 32:
+            words.append(n & 0xFFFFFFFF)
+        return words
+    if isinstance(seed, (float, np.inexact, str)):
+        raise TypeError(f"seed must be integer, not {seed!r}")
+    words = []
+    for entry in seed:
+        if type(entry) is int and 0 <= entry <= 0xFFFFFFFF:
+            words.append(entry)  # one word, without the call
+        else:
+            words += _entropy_words(entry)
+    return words
+
+
+@functools.cache
+def _hash_consts(start: int, mult: int, count: int) -> np.ndarray:
+    """start * mult**j mod 2**32 for j < count: the j-th call of a hash uses
+    entries j and j + 1."""
+    consts = [start]
+    for _ in range(count - 1):
+        consts.append(consts[-1] * mult & 0xFFFFFFFF)
+    consts = np.array(consts, dtype=np.uint32)
+    consts.flags.writeable = False  # cached, so shared by every caller
+    return consts
+
+
+def _hashed(values: np.ndarray, consts: np.ndarray) -> np.ndarray:
+    """One hash call per entry of the last axis, call k with ``consts[k]``
+    and ``consts[k + 1]``; ``values`` broadcasts against ``consts[1:]``."""
+    v = (values ^ consts[:-1]) * consts[1:]
+    return v ^ (v >> np.uint32(16))
+
+
+def _mixed(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    r = np.uint32(_MIX[0]) * x - np.uint32(_MIX[1]) * y
+    return r ^ (r >> np.uint32(16))
+
+
+def _pcg64_states(seeds: Sequence) -> list:
+    """``(state, inc)`` of ``np.random.PCG64(seed)`` for each seed.
+
+    numpy hashes a seed with ``SeedSequence`` (O'Neill's ``seed_seq_fe``,
+    NEP 19), one seed at a time.  Here seeds with the same number of
+    entropy words hash together, in uint32 arithmetic over the group: the
+    hash constants depend on the call count alone, so every seed of a group
+    takes the same ones.  The pool of 4 words takes the first 4 (zeros past
+    the end), then mixes each word into the other three, then each further
+    word into all four; 8 output words give PCG64's initial state and
+    increment, which are seeded in Python ints.
+    """
+    for seed in seeds:
+        # SeedSequence takes no other type at the top
+        if not isinstance(seed, (int, np.integer, list, tuple, range, np.ndarray)):
+            raise TypeError(f"seed must be an int or a sequence of ints, not {seed!r}")
+    words = [_entropy_words(seed) for seed in seeds]
+    groups = {}
+    for i, w in enumerate(words):
+        groups.setdefault(len(w), []).append(i)
+    out = [None] * len(seeds)
+    for count, rows in groups.items():
+        entropy = np.array([words[i] for i in rows], dtype=np.uint32)
+        consts = _hash_consts(*_HASH_A, 17 + 4 * max(count - 4, 0))
+        first = np.zeros((len(rows), 4), dtype=np.uint32)
+        first[:, : min(count, 4)] = entropy[:, :4]
+        pool = _hashed(first, consts[:5])
+        for src in range(4):
+            dst = [d for d in range(4) if d != src]
+            hashed = _hashed(pool[:, src : src + 1], consts[4 + 3 * src : 8 + 3 * src])
+            pool[:, dst] = _mixed(pool[:, dst], hashed)
+        for w in range(4, count):
+            j = 16 + 4 * (w - 4)
+            pool = _mixed(pool, _hashed(entropy[:, w : w + 1], consts[j : j + 5]))
+        state = _hashed(np.tile(pool, 2), _hash_consts(*_HASH_B, 9))
+        for i, (u0, u1, u2, u3) in zip(rows, state.view(np.uint64).tolist()):
+            inc = ((u2 << 64 | u3) << 1 | 1) & _MASK128
+            out[i] = ((inc + (u0 << 64 | u1)) * _PCG_MULT + inc) & _MASK128, inc
+    return out
+
+
+class _Streams(threading.local):
+    """One thread's generator and the PCG64 states of the chunk that
+    ``_records`` is drawing there."""
+
+    def __init__(self):
+        self.chunk = []  # the chunk's instance seeds, as tuples of ints
+        self.states = {}  # tuple(seed) -> (state, inc), for seeds instance + tail
+
+    @functools.cached_property
+    def generator(self) -> np.random.Generator:
+        # built on first use, so that importing the module leaves numpy.random alone
+        return np.random.Generator(np.random.PCG64(0))
+
+
+_streams = _Streams()
+
+
+@contextlib.contextmanager
+def _chunk_streams(chunk: Sequence):
+    """Let ``_rng`` compute the states of the instance seeds in ``chunk`` a
+    seed tail at a time while the block runs."""
+    _streams.chunk = [
+        tuple(seed)
+        for seed in chunk
+        if isinstance(seed, (list, tuple)) and all(type(v) is int for v in seed)
+    ]
+    try:
+        yield
+    finally:
+        _streams.chunk, _streams.states = [], {}
+
+
+def _state(seed: Seed) -> tuple:
+    """The PCG64 state of ``seed``: from the chunk's table, filled on a miss
+    for every chunk instance from the one ``seed`` extends on."""
+    if _streams.chunk and type(seed) is list and all(type(v) is int for v in seed):
+        key = tuple(seed)
+        if key in _streams.states:
+            return _streams.states.pop(key)
+        for i, instance in enumerate(_streams.chunk):
+            if key[: len(instance)] == instance:
+                tail = key[len(instance) :]
+                keys = [c + tail for c in _streams.chunk[i:]]
+                _streams.states.update(zip(keys, _pcg64_states(keys)))
+                return _streams.states.pop(key)
+    return _pcg64_states([seed])[0]
+
+
 def _rng(seed: Seed) -> np.random.Generator:
-    # the stream of np.random.default_rng(seed), without its dispatch on the seed's type
-    return np.random.Generator(np.random.PCG64(seed))
+    """The stream of ``np.random.default_rng(seed)``.
+
+    The generator is this thread's one ``Generator``, set to the seed's
+    PCG64 state, so it is valid until the next call: a draw takes all it
+    needs from one generator before it asks for the next.
+    """
+    state, inc = _state(seed)
+    _streams.generator.bit_generator.state = {
+        "bit_generator": "PCG64",
+        "state": {"state": state, "inc": inc},
+        "has_uint32": 0,
+        "uinteger": 0,
+    }
+    return _streams.generator
 
 
 def _complex_gaussians(rng: np.random.Generator, shape: tuple) -> np.ndarray:
@@ -702,7 +878,9 @@ def _records(campaign: tuple, seeds: Iterable, **kwargs) -> list[dict]:
     records = []
     while chunk := list(itertools.islice(seeds, _CHUNK)):
         try:
-            records += kernel([draw(seed, **kwargs) for seed in chunk])
+            with _chunk_streams(chunk):
+                drawn = [draw(seed, **kwargs) for seed in chunk]
+            records += kernel(drawn)
         except ValueError:
             for seed in chunk:
                 kernel([draw(seed, **kwargs)])
@@ -869,4 +1047,6 @@ def run_campaign(
     """Run ``instances`` independent instances of a campaign of this module,
     seeded from (seed, index): the records that calling ``instance_fn`` once
     per instance gives, computed many instances per kernel call."""
+    if instances < 0:
+        raise ValueError(f"instances must be at least 0, got {instances}")
     return _records(instance_fn.campaign, ([seed, idx] for idx in range(instances)), **kwargs)

@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -285,6 +286,8 @@ class TestNorms:
             hs_inner(np.eye(2), np.eye(3))
         with pytest.raises(ValueError):
             check_gentle(np.eye(2) / 2, np.eye(3))
+        with pytest.raises(ValueError, match=r"dimension mismatch: \(3, 3\) vs \(2, 2\)"):
+            check_sequential(np.eye(2) / 2, [np.eye(2), np.eye(3)])
 
 
 class TestGentle:
@@ -453,6 +456,12 @@ class TestLearnStrategy:
         mixed = Povm(elements=(np.eye(3) / 2, np.eye(2) / 2))
         with pytest.raises(ValueError, match="POVM 0 elements have mixed dimensions"):
             averaged_strategy_success(enc, [mixed])
+        # the kernel's bare inner products leave the states to this check
+        odd = QuantumEncoding(
+            probs=np.array([0.5, 0.5]), states=(np.eye(2) / 2, np.eye(3) / 3), functions=((0, 1),)
+        )
+        with pytest.raises(ValueError, match=r"dimension mismatch: \(3, 3\) vs \(2, 2\)"):
+            averaged_strategy_success(odd, [random_povm(2, 2, seed=0)])
 
 
 class TestGenerators:
@@ -647,6 +656,22 @@ class TestCampaignKernels:
     def test_zero_instances(self, instance):
         assert m.run_campaign(instance, 0, seed=1) == []
 
+    @pytest.mark.parametrize("instance", CAMPAIGNS, ids=lambda fn: fn.__name__)
+    def test_negative_count_refused(self, instance):
+        message = error_message(m.run_campaign, instance, -3, 0)
+        assert message == "instances must be at least 0, got -3"
+
+    # the draws share one generator, reset by each _rng call: a draw that
+    # held two generators at once would read the wrong stream here
+    @pytest.mark.parametrize("chunk", [1, 7, 64])
+    @pytest.mark.parametrize("instance", CAMPAIGNS, ids=lambda fn: fn.__name__)
+    def test_one_generator_at_a_time(self, monkeypatch, instance, chunk):
+        monkeypatch.setattr(m, "_CHUNK", chunk)
+        got = m.run_campaign(instance, 70, 6, min_dim=1)
+        monkeypatch.setattr(m, "_rng", np.random.default_rng)
+        want = m.run_campaign(instance, 70, 6, min_dim=1)
+        assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
+
     def test_lowest_failing_instance_raises_across_shape_groups(self):
         draw, kernel = m.gentle_instance.campaign
 
@@ -724,6 +749,95 @@ class TestCampaignParameters:
         assert np.array_equal(
             m._rng(seed).standard_normal(16), np.random.default_rng(seed).standard_normal(16)
         )
+
+
+def campaign_draws(rng):
+    return [
+        rng.standard_normal(5),
+        rng.integers(0, 9, size=5),
+        rng.uniform(size=3),
+        rng.dirichlet(np.ones(3)),
+    ]
+
+
+def raised(fn, seed):
+    try:
+        fn(seed)
+    except Exception as error:  # noqa: BLE001 - the type is the result
+        return type(error)
+    return None
+
+
+# entries at the word edges; 2**64 and above take three words or more
+ENTRIES = st.sampled_from([0, 1, 2**32 - 1, 2**32]) | st.integers(2**64, 2**200)
+SEED_VALUES = st.one_of(
+    st.integers(0, 2**130),
+    st.lists(ENTRIES, max_size=7),
+    st.integers(0, 2**63 - 1).map(np.int64),
+    st.integers(0, 2**64 - 1).map(np.uint64),
+    st.booleans(),
+    st.just([[7, 2**32], [], 0, [[5]]]),
+)
+BAD_ENTRIES = st.one_of(
+    st.integers(max_value=-1),
+    st.integers(-128, -1).map(np.int8),
+    st.floats(),
+    st.floats().map(np.float64),
+)
+
+
+class TestSeedStates:
+    """``_pcg64_states`` and ``_rng`` reach the PCG64 state that
+    ``np.random.default_rng`` reaches, or raise the same type of error."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(st.lists(SEED_VALUES, min_size=1, max_size=8))
+    def test_states_and_streams_are_numpys(self, seeds):
+        states = m._pcg64_states(seeds)
+        for seed, (state, inc) in zip(seeds, states):
+            want = np.random.default_rng(seed)
+            assert want.bit_generator.state["state"] == {"state": state, "inc": inc}
+            for got, drawn in zip(campaign_draws(m._rng(seed)), campaign_draws(want)):
+                assert np.array_equal(got, drawn)
+
+    def test_each_thread_draws_its_own_streams(self):
+        seeds = list(range(4))
+        want = [m.run_campaign(m.gentle_instance, 70, seed) for seed in seeds]
+        got = [None] * len(seeds)
+
+        def work(i):
+            got[i] = m.run_campaign(m.gentle_instance, 70, seeds[i])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(i,)) for i in range(len(seeds))]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
+
+    # numpy refuses a str seed, and any type but int, list, tuple, range or
+    # array, but parses a str inside a sequence as an int
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        st.lists(ENTRIES, max_size=5),
+        BAD_ENTRIES | st.text(max_size=3) | st.sampled_from([b"7", {3: 4}, {5}]),
+        st.integers(0, 5),
+    )
+    def test_bad_seeds_raise_numpys_error_type(self, entries, bad, at):
+        seeds = [bad]
+        if not isinstance(bad, (str, bytes, dict, set)):
+            seeds.append(entries[:at] + [bad] + entries[at:])
+        for seed in seeds:
+            want = raised(np.random.default_rng, seed)
+            assert want in (TypeError, ValueError)
+            assert raised(m._rng, seed) is want
+            assert raised(m._pcg64_states, [0, seed]) is want
 
 
 SRC = Path(m.__file__).resolve().parents[1]
