@@ -12,9 +12,11 @@ the classical cheating identities, not any particular protocol: a blind
 guesser forces a fixed outcome at rate 1/|Y|, and a receiver who can
 produce the answers for a declared set S of inputs forces it at |S|/|Y|.
 
-Per-trial randomness comes from a counter-based Philox stream keyed by the
-master seed, with each trial's draws at a fixed position, so results are
-reproducible and independent of how trials are scheduled.
+The trials' inputs and shifts come from one counter-based Philox stream
+keyed by the master seed: all xs, then all ys, then all shifts b.  Results
+are reproducible for a given seed and trial count.  A longer run does not
+extend a shorter one: its ys and bs start where its xs end, so only the
+first xs are shared.
 """
 
 from __future__ import annotations
@@ -70,8 +72,11 @@ def _trial_rng(seed: int, *stream: int) -> np.random.Generator:
 
 
 def _draw_trials(task: SfeTask, trials: int, seed: int):
-    """Each trial's x, y and shift b.  No table is read: the histogram has
-    y_size bins and the inputs are drawn as int64, which bounds the sizes."""
+    """Each trial's x, y and shift b, for at least one trial.  No table is
+    read: the histogram has y_size bins and the inputs are drawn as int64,
+    which bounds the sizes."""
+    if trials < 1:
+        raise ValueError("trials must be positive")
     if task.y_size > MATERIALIZE_CAP or task.x_size >= 2**63:
         raise TaskError(f"die-rolling needs y_size <= {MATERIALIZE_CAP} and x_size < 2**63")
     rng = _trial_rng(seed, 0)
@@ -103,8 +108,6 @@ def _stats(outcomes: np.ndarray, y_size: int, seed: int) -> DrStats:
 
 def run_honest(task: SfeTask, trials: int, seed: int = 0) -> DrStats:
     """Both parties honest: never aborts, outcomes exactly (b + y) mod |Y|."""
-    if trials < 1:
-        raise ValueError("trials must be positive")
     _, ys, bs = _draw_trials(task, trials, seed)
     outcomes = (bs + ys) % task.y_size
     return _stats(outcomes, task.y_size, seed)
@@ -130,8 +133,6 @@ def run_cheating_alice(
     honest, so nothing triggers an abort.  ``guesser`` maps an AliceView
     to one guess per trial (vectorized).
     """
-    if trials < 1:
-        raise ValueError("trials must be positive")
     xs, ys, _ = _draw_trials(task, trials, seed)
     view = AliceView(task=task, xs=xs, leaked_ys=ys, rng=_trial_rng(seed, 1))
     guesses = np.asarray(guesser(view), dtype=np.int64)
@@ -186,8 +187,6 @@ def run_cheating_bob(
     from aborting but forfeits the forcing attempt, so the forcing rate
     converges to |S|/|Y|.
     """
-    if trials < 1:
-        raise ValueError("trials must be positive")
     xs, ys, bs = _draw_trials(task, trials, seed)
     required = (-bs) % task.y_size
     known, fallback = _known_mask_and_fallback(task, learner, required, xs, ys)

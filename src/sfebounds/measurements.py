@@ -7,11 +7,11 @@ inequalities, the combined outcome-tuple POVM built by sandwiching one
 measurement inside the square roots of the others, and seeded generators
 for randomized verification campaigns.
 
-Stacked kernel: square roots, measurement-operator checks and the sandwich
-``op = r @ op @ r`` take stacks of shape (..., d, d) and broadcast over the
-leading axes, so one numpy call covers every element of every POVM of an
-instance, and in a campaign of every instance of one shape; ``matrix_sqrt``
-is the 2-D case.  Sandwiches have two layouts only: ``_sandwich``
+Stacked kernel: square roots, measurement-operator checks, the sandwich
+``op = r @ op @ r`` and the gentle and sequential checks take stacks of
+shape (..., d, d) and broadcast over the leading axes, so one numpy call
+covers every element of every POVM of an instance, and in a campaign of
+every instance of one shape.  There are two sandwich layouts: ``_sandwich``
 conjugates a stack by a sequence of roots (the gentle and sequential
 checks), and ``_combined_stack`` lays each POVM's outcomes on an axis of
 its own (the combined POVM, its audit, and the learn-everything strategy,
@@ -29,8 +29,9 @@ which add the same entries in the same order for a stack as for one matrix.
 
 Campaigns: a campaign is a pair ``(draw, kernel)``: ``draw`` takes one
 instance's random numbers from its own seeded generators, and ``kernel``
-turns a list of draws into records, running each linear-algebra step once
-per shape group.  One runner, ``_records``, passes ``_CHUNK`` draws per
+turns a list of draws into records.  It groups its chunk by shape once,
+and every step below it takes stacks; only densities, whose rank varies,
+are grouped again.  One runner, ``_records``, passes ``_CHUNK`` draws per
 kernel call, which bounds the stacks and the memory.  An instance function
 is the kernel on one draw, so a replay runs the code the campaign ran.  A
 chunk that fails, in a draw or in the kernel, reruns one instance at a
@@ -100,22 +101,22 @@ def _first(mask: np.ndarray) -> tuple:
     return np.unravel_index(np.argmax(mask), mask.shape)
 
 
-def _stacks(*columns: Sequence) -> Iterable:
-    """Rows of equal-length ``columns`` grouped by the shapes of their items:
-    for each group, its row indices and one stack per column."""
+def _stacks(items: Sequence) -> Iterable:
+    """``items`` grouped by shape, in order of first appearance: for each
+    group, its indices and the stack of its items."""
     groups = {}
-    for i, row in enumerate(zip(*columns)):
-        groups.setdefault(tuple(np.shape(a) for a in row), []).append(i)
+    for i, a in enumerate(items):
+        groups.setdefault(np.shape(a), []).append(i)
     for rows in groups.values():
-        yield rows, [np.array([column[i] for i in rows]) for column in columns]
+        yield rows, np.array([items[i] for i in rows])
 
 
-def _stacked(fn: Callable[..., np.ndarray], *columns: Sequence) -> list:
-    """``[fn(*row) for row in zip(*columns)]`` with one call per group of
-    ``_stacks``; ``fn`` maps stacks to a stack with one result per row."""
-    out = [None] * len(columns[0])
-    for rows, stacks in _stacks(*columns):
-        for i, value in zip(rows, fn(*stacks)):
+def _stacked(fn: Callable[[np.ndarray], np.ndarray], items: Sequence) -> list:
+    """``[fn(a) for a in items]`` with one call per group of ``_stacks``;
+    ``fn`` maps a stack to one result per item.  Used for densities only."""
+    out = [None] * len(items)
+    for rows, stack in _stacks(items):
+        for i, value in zip(rows, fn(stack)):
             out[i] = value
     return out
 
@@ -339,21 +340,18 @@ def _sandwich(op: np.ndarray, roots) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def _gentle_reports(rhos: Sequence, lams: Sequence) -> list:
-    """``check_gentle`` on each (rho, lam) pair of square complex matrices of
-    equal shape: every range check, then the roots and the trace norms
-    stacked per shape.  The kernels take inner products with bare
-    ``np.vdot``, the same bits as ``hs_inner`` on matrices they checked."""
+def _gentle_reports(rhos: np.ndarray, lams: np.ndarray) -> list:
+    """``check_gentle`` on each (rho, lam) pair of the (k, d, d) complex
+    stacks ``rhos`` and ``lams``: every range check, then the roots and the
+    trace norms of the whole stack.  Inner products are bare ``np.vdot``
+    calls, the same bits as ``hs_inner`` on matrices of one shape."""
     epsilons = []
     for rho, lam in zip(rhos, lams):
         p = complex(np.vdot(lam, rho)).real
         if not -PSD_CLAMP_TOL <= p <= 1.0 + PSD_CLAMP_TOL:
             raise ValueError(f"<lam, rho> = {p} outside [0, 1]")
         epsilons.append(min(max(1.0 - p, 0.0), 1.0))
-    roots = _stacked(_psd_roots, lams)
-    disturbances = _stacked(
-        lambda rho, root: _trace_norms(rho - _sandwich(rho, [root])), rhos, roots
-    )
+    disturbances = _trace_norms(rhos - _sandwich(rhos, [_psd_roots(lams)]))
     reports = []
     for epsilon, disturbance in zip(epsilons, disturbances):
         disturbance = float(disturbance)
@@ -376,7 +374,7 @@ def check_gentle(rho: np.ndarray, lam: np.ndarray) -> GentleReport:
     rho to sqrt(lam) rho sqrt(lam); the bound is 2*sqrt(epsilon).
     """
     rho, lam = _same_shape(rho, lam)
-    return _gentle_reports([rho], [lam])[0]
+    return _gentle_reports(np.array([rho]), np.array([lam]))[0]
 
 
 def _sequential_operators(first: np.ndarray, rest: np.ndarray) -> np.ndarray:
@@ -398,17 +396,15 @@ def sequential_operator(lams: Sequence[np.ndarray]) -> np.ndarray:
     return _sequential_operators(mats[0], np.array(mats[1:]).reshape(-1, dim, dim))
 
 
-def _sequential_reports(rhos: Sequence, lam_lists: Sequence) -> list:
-    """``check_sequential`` on each (rho, lams) pair, rho a square complex
-    matrix: every epsilon, then the sandwiched operators stacked per shape."""
+def _sequential_reports(rhos: np.ndarray, lams: np.ndarray) -> list:
+    """``check_sequential`` on each state of the (k, d, d) complex stack
+    ``rhos`` with its n operators in the (k, n, d, d) stack ``lams``: every
+    epsilon, then the sandwiched operators of the whole stack."""
     epsilons = [
-        [min(max(1.0 - complex(np.vdot(lam, rho)).real, 0.0), 1.0) for lam in lams]
-        for rho, lams in zip(rhos, lam_lists)
+        [min(max(1.0 - complex(np.vdot(lam, rho)).real, 0.0), 1.0) for lam in row]
+        for rho, row in zip(rhos, lams)
     ]
-    ops = _stacked(
-        lambda lams: _sequential_operators(lams[:, 0], lams[:, 1:]),
-        [np.asarray(lams, dtype=complex) for lams in lam_lists],
-    )
+    ops = _sequential_operators(lams[:, 0], lams[:, 1:])
     reports = []
     for rho, op, eps in zip(rhos, ops, epsilons):
         expectation = complex(np.vdot(rho, op)).real
@@ -433,7 +429,8 @@ def check_sequential(rho: np.ndarray, lams: Sequence[np.ndarray]) -> SequentialR
     if len(lams) < 2:
         raise ValueError("sequential check needs at least two operators")
     rho = _as_matrix(rho)
-    return _sequential_reports([rho], [[_same_shape(lam, rho)[0] for lam in lams]])[0]
+    lams = np.array([_same_shape(lam, rho)[0] for lam in lams])
+    return _sequential_reports(np.array([rho]), lams[None])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -906,18 +903,19 @@ def _instance(kernel: Callable[[list], list]):
 
 def _operator_kernel(reports: Callable, fields: Callable) -> Callable[[list], list]:
     """The kernel of a campaign whose draws are a state and its measurement
-    operators.  It builds the densities and the operators stacked by shape,
-    checks them with ``reports``, and takes the record fields n, epsilons,
-    bound and achieved from each report with ``fields``."""
+    operators: per shape of the operators' Gaussians, it builds the densities
+    and the operators and checks their stacks with ``reports``; ``fields``
+    takes the record fields n, epsilons, bound and achieved from a report."""
 
     def kernel(drawn: list) -> list[dict]:
         seeds, rho_gaussians, ts, gs = zip(*drawn)
-        rhos = _stacked(_densities, rho_gaussians)
-        checked = reports(rhos, _stacked(_measurement_operators, ts, gs))
-        return [
-            {"seed": seed, "dims": rho.shape[-1], **fields(report), "holds": report.holds}
-            for seed, rho, report in zip(seeds, rhos, checked)
-        ]
+        records = [None] * len(drawn)
+        for rows, g in _stacks(gs):
+            rhos = np.array(_stacked(_densities, [rho_gaussians[i] for i in rows]))
+            lams = _measurement_operators(np.array([ts[i] for i in rows]), g)
+            for i, r in zip(rows, reports(rhos, lams)):
+                records[i] = {"seed": seeds[i], "dims": g.shape[-1], **fields(r), "holds": r.holds}
+        return records
 
     return kernel
 
@@ -986,7 +984,7 @@ def _audit(elements: Sequence, roots: Sequence) -> np.ndarray:
 def _learning_kernel(drawn: list) -> list[dict]:
     # one pipeline per shape (n, b, d), so that only one group's stacks are held
     records = [None] * len(drawn)
-    for rows, (gaussians,) in _stacks([povms for _, _, povms in drawn]):
+    for rows, gaussians in _stacks([povms for _, _, povms in drawn]):
         encs = _encodings([drawn[k][1] for k in rows])
         elements = _povm_elements(gaussians)  # (k, n, b, d, d)
         roots = _psd_roots(elements)

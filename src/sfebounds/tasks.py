@@ -249,18 +249,26 @@ def _cell_violations(raw, x_size: int, y_size: int, b_size: int) -> list[str]:
     is not a sequence or not y_size long, and each cell that is missing or
     not an integer in [0, b_size), in row-major order.
 
-    The one reporter for tables numpy cannot take as 2-D integers and for
-    int64 tables validate_task refuses; it runs only on the error path.
+    The reporter for tables numpy cannot take as 2-D integers; its per-row
+    part, ``_row_violations``, words every message, also for the int64
+    tables validate_task refuses.  Both run only on the error path.
     Integral covers numpy's integer scalars, which numpy registers with it.
     """
     try:
         rows = list(raw)
     except TypeError:
         return ["table must be a sequence of rows"]
+    return _row_violations(len(rows), enumerate(rows), x_size, y_size, b_size)
+
+
+def _row_violations(count: int, numbered, x_size: int, y_size: int, b_size: int) -> list[str]:
+    """``_cell_violations`` of a table of ``count`` rows, from the pairs
+    (x, row) of ``numbered`` in ascending x; a row left out must have
+    nothing to report."""
     violations = []
-    if len(rows) != x_size:
-        violations.append(f"table has {len(rows)} rows, expected x_size={x_size}")
-    for x, row in enumerate(rows):
+    if count != x_size:
+        violations.append(f"table has {count} rows, expected x_size={x_size}")
+    for x, row in numbered:
         try:
             row = list(row)
         except TypeError:
@@ -414,9 +422,9 @@ def validate_task(task: SfeTask) -> list[str]:
     that exists passes.  A family table is never read here: family_table
     builds it from the sizes the family implies, with every cell in
     [0, b_size), so checking the sizes covers it.  An explicit table is
-    accepted by its shape and its minimum and maximum alone;
-    ``_cell_violations`` is the one reporter of what is wrong with one that
-    is not, as it is for tables numpy cannot take as 2-D integers.
+    accepted by its shape and its minimum and maximum alone; for one that
+    is not, numpy finds the rows to report, and ``_row_violations`` walks
+    only those, in the order and words of ``_cell_violations``.
     """
     if task.x_size < 1 or task.y_size < 1 or task.b_size < 1:
         return ["sizes must all be positive"]
@@ -435,8 +443,14 @@ def validate_task(task: SfeTask) -> list[str]:
     shape_ok = table.shape == (task.x_size, task.y_size)
     if shape_ok and int(table.min()) >= 0 and int(table.max()) < task.b_size:
         return []
+    if table.shape[1] != task.y_size:
+        rows = range(len(table))  # each row has the wrong length
+    else:  # only a row with a cell out of range has something to report
+        high = min(task.b_size - 1, 2**63 - 1)  # no int64 cell is above 2**63 - 1
+        rows = ((table < 0) | (table > high)).any(axis=1).nonzero()[0].tolist()
     # Python ints, which print as 5 where numpy's print as np.int64(5)
-    return _cell_violations(table.tolist(), task.x_size, task.y_size, task.b_size)
+    numbered = ((x, table[x].tolist()) for x in rows)
+    return _row_violations(len(table), numbered, task.x_size, task.y_size, task.b_size)
 
 
 # ---------------------------------------------------------------------------

@@ -389,6 +389,27 @@ class TestCurves:
         with pytest.raises(OverflowError, match="1/b_rand is beyond the float range"):
             emit_curve(Fraction(1, 2**1099), 1100)  # ot 2,1100
 
+    @pytest.mark.parametrize(
+        "fn,b_rand_value,y_size,message",
+        [
+            (cb_from_ca, Fraction(1, 2), 0, "y_size must be positive"),
+            (cb_from_ca, Fraction(0), 2, "b_rand must be positive"),
+            (cb_from_ca, Fraction(-1, 2), 2, "b_rand must be positive"),
+            (ca_crossing, Fraction(1, 2), 0, "y_size must be positive"),
+            (ca_crossing, Fraction(0), 2, "b_rand must lie in (0, 1)"),
+            (ca_crossing, Fraction(-1, 2), 2, "b_rand must lie in (0, 1)"),
+            (emit_curve, Fraction(1, 2), 0, "y_size must be positive"),
+            (emit_curve, Fraction(0), 2, "b_rand must be positive"),
+            (emit_curve, Fraction(-1, 2), 2, "b_rand must be positive"),
+        ],
+        ids=lambda v: getattr(v, "__name__", str(v)),
+    )
+    def test_sizes_and_baselines_refused(self, fn, b_rand_value, y_size, message):
+        args = (1.5,) if fn is cb_from_ca else ()  # its c_a comes first
+        with pytest.raises(ValueError) as refused:
+            fn(*args, b_rand_value, y_size)
+        assert str(refused.value) == message
+
     @pytest.mark.parametrize("y_size", [0, -3])
     def test_nonpositive_y_size_refused_with_explicit_ca_max(self, y_size):
         # an explicit ca_max skips ca_crossing, which also refuses it

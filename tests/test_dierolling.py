@@ -60,22 +60,34 @@ class TestHonestRuns:
 
 
 RUNNERS = {
-    "honest": lambda task: dr.run_honest(task, 10, seed=0),
-    "cheating_alice": lambda task: dr.run_cheating_alice(task, dr.blind_alice, 10, seed=0),
-    "cheating_bob": lambda task: dr.run_cheating_bob(task, "full", 10, seed=0),
+    "honest": lambda task, trials: dr.run_honest(task, trials, seed=0),
+    "cheating_alice": lambda task, trials: dr.run_cheating_alice(
+        task, dr.blind_alice, trials, seed=0
+    ),
+    "cheating_bob": lambda task, trials: dr.run_cheating_bob(task, "full", trials, seed=0),
 }
+
+SIZES_REFUSED = TaskError, r"^die-rolling needs y_size <= 1000000 and x_size < 2\*\*63$"
+TRIALS_REFUSED = ValueError, "^trials must be positive$"
 
 
 @pytest.mark.parametrize("runner", sorted(RUNNERS))
 @pytest.mark.parametrize(
-    "family,params", [("ot", dict(alphabet=2, n=70)), ("knot", dict(alphabet=2, n=40, k=20))]
+    "family,params,trials,refusal",
+    [
+        # ot 2,70 has x_size 2**70, beyond int64; knot 2,40,20 has y_size
+        # comb(40, 20), about 1.4e11 histogram bins
+        pytest.param("ot", dict(alphabet=2, n=70), 10, SIZES_REFUSED, id="ot-params0"),
+        pytest.param("knot", dict(alphabet=2, n=40, k=20), 10, SIZES_REFUSED, id="knot-params1"),
+        pytest.param("eq", dict(n=3), 0, TRIALS_REFUSED, id="eq-no-trials"),
+        # the trial count is checked before the sizes
+        pytest.param("ot", dict(alphabet=2, n=70), 0, TRIALS_REFUSED, id="ot-no-trials"),
+    ],
 )
-def test_every_runner_refuses_sizes_it_cannot_draw(runner, family, params):
-    # ot 2,70 has x_size 2**70, beyond int64; knot 2,40,20 has y_size
-    # comb(40, 20), about 1.4e11 histogram bins
-    refusal = r"^die-rolling needs y_size <= 1000000 and x_size < 2\*\*63$"
-    with pytest.raises(TaskError, match=refusal):
-        RUNNERS[runner](make_family(family, **params))
+def test_every_runner_refuses_sizes_it_cannot_draw(runner, family, params, trials, refusal):
+    error, message = refusal
+    with pytest.raises(error, match=message):
+        RUNNERS[runner](make_family(family, **params), trials)
 
 
 class TestCheatingAlice:

@@ -524,6 +524,71 @@ class TestPovmType:
             Povm(elements=())
 
 
+HALF = np.eye(2) / 2
+
+# each public refusal, called with the least input that reaches it
+REFUSALS = {
+    "gentle-above-one": (
+        lambda: check_gentle(HALF, 2 * np.eye(2)),
+        "<lam, rho> = 2.0 outside [0, 1]",
+    ),
+    # -I has no root either: the range check runs before any root is taken
+    "gentle-below-zero": (
+        lambda: check_gentle(HALF, -np.eye(2)),
+        "<lam, rho> = -1.0 outside [0, 1]",
+    ),
+    "sequential-operator-empty": (
+        lambda: sequential_operator([]),
+        "need at least one measurement operator",
+    ),
+    "sequential-operator-mixed": (
+        lambda: sequential_operator([np.eye(2), np.eye(3)]),
+        "measurement operators have mixed dimensions",
+    ),
+    "combined-empty": (lambda: combined_povm([]), "need at least one POVM"),
+    "combined-mixed": (
+        lambda: combined_povm([random_povm(2, 2, seed=0), random_povm(3, 2, seed=1)]),
+        "POVMs have mixed dimensions",
+    ),
+    "learning-empty": (
+        lambda: averaged_strategy_success(random_encoding(2, 2, 1, 2, seed=1), []),
+        "need at least one POVM",
+    ),
+    "learning-function-count": (
+        lambda: averaged_strategy_success(
+            random_encoding(2, 2, 1, 2, seed=1), [random_povm(2, 2, seed=0)] * 2
+        ),
+        "encoding provides 1 functions for 2 POVMs",
+    ),
+    "encoding-lengths": (
+        lambda: QuantumEncoding(probs=[0.5, 0.5], states=(HALF,), functions=()),
+        "probs and states must have matching length",
+    ),
+    "encoding-negative-probs": (
+        lambda: QuantumEncoding(probs=[1.5, -0.5], states=(HALF, HALF), functions=()),
+        "probs must be nonnegative and sum to 1",
+    ),
+    "encoding-probs-sum": (
+        lambda: QuantumEncoding(probs=[0.5, 0.4], states=(HALF, HALF), functions=()),
+        "probs must be nonnegative and sum to 1",
+    ),
+    "encoding-partial-function": (
+        lambda: QuantumEncoding(probs=[0.5, 0.5], states=(HALF, HALF), functions=((0,),)),
+        "every function must be total over the inputs",
+    ),
+    "povm-labels": (
+        lambda: Povm(elements=(np.eye(2),), labels=("a", "b")),
+        "labels and elements differ in length",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", REFUSALS)
+def test_public_refusals(name):
+    call, message = REFUSALS[name]
+    assert error_message(call) == message
+
+
 DIMS = st.integers(1, 6)
 OUTCOMES = st.lists(st.integers(1, 3), min_size=1, max_size=4)
 SEEDS = st.integers(0, 2**32 - 1)

@@ -387,6 +387,25 @@ class TestValidation:
         else:
             assert expected == []
 
+    def test_a_large_table_is_reported_from_its_bad_rows_alone(self, monkeypatch):
+        table = np.zeros((1000, 1000), dtype=np.int64)
+        table[700, 3], table[900, 999] = 5, -1
+        walked = []
+        row_violations = tasks._row_violations
+
+        def spy(count, numbered, *sizes):
+            numbered = list(numbered)
+            walked.extend(x for x, _ in numbered)
+            return row_violations(count, numbered, *sizes)
+
+        monkeypatch.setattr(tasks, "_row_violations", spy)
+        with pytest.raises(TaskError) as refused:
+            SfeTask("t", 1000, 1000, 2, table=table)
+        assert str(refused.value) == (
+            "entry 5 at (700, 3) outside [0, 2); entry -1 at (900, 999) outside [0, 2)"
+        )
+        assert walked == [700, 900]
+
     def test_family_size_mismatch_reported(self):
         good = make_family("eq", n=3)
         sizes = r"^family implies sizes \(3, 3, 2\), task declares \(4, 3, 2\)$"
