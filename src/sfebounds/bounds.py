@@ -41,13 +41,23 @@ one kernel, _rounded_ratio, rounds correctly.  Each pass takes one
 k = isqrt(R*4^t).  If k*k == R*4^t, R is a perfect square, sqrt(R) = k/2^t,
 and the quotient is exactly (a*2^t + b*k)/(c*2^t + d*k), one int true
 division, which Python rounds correctly.  Otherwise k < 2^t*sqrt(R) < k + 1;
-once the denominator is positive at both ends, the quotient is monotone
-between them, and if both ends round to the same float, so does the value.
-Each pass adds 64 to t.
+the ends are (a*2^t + b*k)/(c*2^t + d*k) and the same with b and d added to
+numerator and denominator.  Once the denominator is positive at both ends,
+the quotient is monotone between them, and if both ends round to the same
+float, so does the value.  Each pass adds 64 to t.
 The loop ends: if b*c == a*d the quotient is a constant rational; otherwise
 it is irrational (a rational q would give (b - q*d)*sqrt(R) = q*c - a with
 b != q*d), so it is neither a float nor a halfway point, lies inside its
 rounding interval, and both ends converge into that interval.
+
+A curve row at c_A = p/q with b_rand = N/D is the kernel's quotient with
+a = D*q, b = -2m*D, c = N*p, d = 0 and R = (p - q)*p.  _c_b_rows holds b
+for the whole curve and runs the first pass (t = 64) of each row inline:
+the ends are num/den and (num + b)/den with num = D*q*2^64 + b*k and
+den = N*p*2^64.  With d = 0 both ends share den, which is positive because
+N and p are, so the pass needs no sign check and gives the float the
+kernel's first pass gives.  Only a row that this pass leaves open, whose
+ends round to different floats, goes to the kernel.
 
 Each curve row prints the correctly rounded c_B at its printed c_A.  The
 default last row is the crossing: c_A rounded to a float and c_B = 1.0, the
@@ -58,7 +68,6 @@ little: near c_A = 1 the curve falls by about K*(1 + 2m^2) per unit of c_A,
 
 from __future__ import annotations
 
-import itertools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -119,22 +128,45 @@ class CurvePoint:
 def _rounded_ratio(a: int, b: int, c: int, d: int, radicand: int) -> float:
     """The float nearest (a + b*sqrt(R))/(c + d*sqrt(R)), for ints, R >= 0 and
     a positive denominator; the module docstring proves rounding and termination."""
-    for t in itertools.count(64, 64):
+    t = 64
+    while True:
         scaled = radicand << 2 * t
         k = math.isqrt(scaled)
-        (n0, d0), (n1, d1) = [((a << t) + b * y, (c << t) + d * y) for y in (k, k + 1)]
-        if k * k == scaled or d0 > 0 and d1 > 0 and n0 / d0 == n1 / d1:
+        n0, d0 = (a << t) + b * k, (c << t) + d * k
+        if k * k == scaled or d0 > 0 and d0 + d > 0 and n0 / d0 == (n0 + b) / (d0 + d):
             return n0 / d0
+        t += 64
 
 
-def _c_b(c_a: float, n: int, d: int, m: int) -> float:
-    """c_B at c_A = p/q for b_rand = n/d: d*(q - 2m*sqrt((p - q)*p))/(n*p)."""
-    p, q = c_a.as_integer_ratio()
-    return _rounded_ratio(d * q, -2 * m * d, n * p, 0, (p - q) * p)
+def _c_b_rows(c_as: Iterable[float], n: int, d: int, m: int) -> list[float]:
+    """c_B at each c_A = p/q for b_rand = n/d: d*(q - 2m*sqrt((p - q)*p))/(n*p),
+    correctly rounded; the module docstring gives the first pass inline.
+    OverflowError naming the row when c_B is beyond the float range."""
+    b = -2 * m * d
+    values = []
+    try:
+        for c_a in c_as:
+            p, q = c_a.as_integer_ratio()
+            radicand = (p - q) * p
+            scaled = radicand << 128
+            k = math.isqrt(scaled)
+            num, den = (d * q << 64) + b * k, n * p << 64
+            value = num / den
+            if k * k != scaled and value != (num + b) / den:
+                value = _rounded_ratio(d * q, b, n * p, 0, radicand)
+            values.append(value)
+    except OverflowError:
+        raise OverflowError(
+            f"c_B at c_A = {c_a!r} is beyond the float range "
+            f"(magnitude above {sys.float_info.max!r})"
+        ) from None
+    return values
 
 
 def cb_from_ca(c_a: float, b_rand_value: Rational, y_size: int) -> float:
     """Lower bound on the receiver's gap factor c_B at sender gap c_A, correctly rounded."""
+    if isinstance(c_a, float) and not math.isfinite(c_a):
+        raise ValueError(f"c_a must be finite, got {c_a!r}")
     if c_a < 1:
         raise ValueError("c_a must be at least 1")
     if y_size < 1:
@@ -142,7 +174,7 @@ def cb_from_ca(c_a: float, b_rand_value: Rational, y_size: int) -> float:
     n, d = Fraction(b_rand_value).as_integer_ratio()
     if n <= 0:
         raise ValueError("b_rand must be positive")
-    return _c_b(c_a, n, d, y_size - 1)
+    return _c_b_rows([c_a], n, d, y_size - 1)[0]
 
 
 def solve_fixed_point(b_rand_value: Rational, y_size: int) -> FixedPointResult:
@@ -288,8 +320,9 @@ def emit_curve(
 
     ``ca_max`` defaults to the c_B = 1 crossing, matching how the curves are
     plotted.  With ``clip_below_one`` samples whose c_B is below 1 are dropped
-    (the plots show only c_B >= 1).  OverflowError when 1/b_rand is beyond a
-    float, ValueError when the float c_A grid does not strictly increase.
+    (the plots show only c_B >= 1).  OverflowError when 1/b_rand or a row's
+    c_B is beyond a float, ValueError when the float c_A grid does not
+    strictly increase.
     """
     br = Fraction(b_rand_value)
     if br >= 1:
@@ -320,7 +353,7 @@ def emit_curve(
         )
     n, d = br.as_integer_ratio()
     rows = grid[:-1] if at_crossing else grid
-    points = [CurvePoint(c_a, _c_b(c_a, n, d, y_size - 1)) for c_a in rows]
+    points = list(map(CurvePoint, rows, _c_b_rows(rows, n, d, y_size - 1)))
     if at_crossing:
         points.append(CurvePoint(ca_max, 1.0))
     if clip_below_one:

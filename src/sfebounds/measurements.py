@@ -44,8 +44,10 @@ one reused generator per thread.  While ``_records`` draws a chunk, the
 first request for a seed ``instance + tail`` hashes that tail for the
 chunk's instances in one pass, and the others find their state in a table
 that is emptied when the draws end.  The table is only a cache: a seed it
-lacks is hashed alone, so no stream depends on chunking or reruns.  As the
-generator is reused, a draw finishes with one before it asks for the next.
+lacks takes the state of ``np.random.PCG64(seed)``, which hashes one seed
+faster than a pass over a group of one, so no stream depends on chunking or
+reruns.  As the generator is reused, a draw finishes with one before it
+asks for the next.
 
 Tolerance scheme: linear-algebra identities are trusted to 1e-9/1e-10,
 verification inequalities get a decade of extra headroom (1e-8) so stacked
@@ -635,6 +637,13 @@ def _mixed(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return r ^ (r >> np.uint32(16))
 
 
+def _check_seed_type(seed) -> None:
+    # SeedSequence takes no other type at the top; None, which would draw
+    # fresh entropy, is refused as well
+    if not isinstance(seed, (int, np.integer, list, tuple, range, np.ndarray)):
+        raise TypeError(f"seed must be an int or a sequence of ints, not {seed!r}")
+
+
 def _pcg64_states(seeds: Sequence) -> list:
     """``(state, inc)`` of ``np.random.PCG64(seed)`` for each seed.
 
@@ -648,9 +657,7 @@ def _pcg64_states(seeds: Sequence) -> list:
     increment, which are seeded in Python ints.
     """
     for seed in seeds:
-        # SeedSequence takes no other type at the top
-        if not isinstance(seed, (int, np.integer, list, tuple, range, np.ndarray)):
-            raise TypeError(f"seed must be an int or a sequence of ints, not {seed!r}")
+        _check_seed_type(seed)
     words = [_entropy_words(seed) for seed in seeds]
     groups = {}
     for i, w in enumerate(words):
@@ -710,7 +717,8 @@ def _chunk_streams(chunk: Sequence):
 
 def _state(seed: Seed) -> tuple:
     """The PCG64 state of ``seed``: from the chunk's table, filled on a miss
-    for every chunk instance from the one ``seed`` extends on."""
+    for every chunk instance from the one ``seed`` extends on; numpy's own
+    for a seed outside the chunk."""
     if _streams.chunk and type(seed) is list and all(type(v) is int for v in seed):
         key = tuple(seed)
         if key in _streams.states:
@@ -721,7 +729,10 @@ def _state(seed: Seed) -> tuple:
                 keys = [c + tail for c in _streams.chunk[i:]]
                 _streams.states.update(zip(keys, _pcg64_states(keys)))
                 return _streams.states.pop(key)
-    return _pcg64_states([seed])[0]
+    _check_seed_type(seed)
+    _entropy_words(seed)  # refuses what a chunk refuses, with its messages
+    state = np.random.PCG64(seed).state["state"]
+    return state["state"], state["inc"]
 
 
 def _rng(seed: Seed) -> np.random.Generator:

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import math
 import sys
@@ -85,6 +86,15 @@ class TestCbFromCa:
     def test_rejects_ca_below_one(self):
         with pytest.raises(ValueError):
             cb_from_ca(0.99, Fraction(1, 2), 2)
+
+    @pytest.mark.parametrize("c_a", [math.inf, -math.inf, math.nan])
+    def test_rejects_non_finite_ca(self, c_a):
+        with pytest.raises(ValueError, match=f"^c_a must be finite, got {c_a!r}$"):
+            cb_from_ca(c_a, Fraction(1, 2), 2)
+
+    def test_cb_beyond_a_float_names_the_row(self):
+        with pytest.raises(OverflowError, match=r"^c_B at c_A = 1\.5 is beyond the float range"):
+            cb_from_ca(1.5, Fraction(1, 2**1100), 2)
 
 
 class TestSolveFixedPoint:
@@ -525,6 +535,99 @@ class TestCurveIsExact:
         root = math.isqrt(radicand)
         if root * root == radicand:  # a rational: ties go to even, as in int / int
             assert value == (a + b * root) / (c + d * root)
+
+
+# c_A = 1.01 with m = 1 and b_rand chosen so that c_B lies about 2^-400 from
+# the halfway point above 1.5: the first pass cannot decide the row
+FALLBACK_CA, FALLBACK_M = 1.01, 1
+
+
+def fallback_b_rand():
+    p, q = FALLBACK_CA.as_integer_ratio()
+    halfway = (Fraction(1.5) + Fraction(math.nextafter(1.5, 2))) / 2
+    f = Fraction(q, p) - 2 * FALLBACK_M * Fraction(math.isqrt((p - q) * p << 800), p << 400)
+    return Fraction(f / halfway).limit_denominator(2**300)
+
+
+def kernel_rows(c_as, n, d, m):
+    """Each row through _rounded_ratio alone, or OverflowError if one overflows."""
+    values = []
+    for c_a in c_as:
+        p, q = c_a.as_integer_ratio()
+        try:
+            values.append(bounds._rounded_ratio(d * q, -2 * m * d, n * p, 0, (p - q) * p))
+        except OverflowError:
+            return OverflowError
+    return values
+
+
+class TestCurveRows:
+    """_c_b_rows, whose first pass is inline, gives the kernel's floats."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(
+        CURVE_PAIRS | ARBITRARY_PAIRS.filter(lambda p: 1 / p[0] <= sys.float_info.max),
+        st.lists(st.floats(0, 1), min_size=1, max_size=5),
+    )
+    @example((Fraction(1, 2), 2), [0.0])  # c_A = 1.0: radicand 0
+    @example((Fraction(1, 2), 2), [0.125])  # c_A = 1.125: radicand 9, a perfect square
+    def test_rows_equal_the_kernel(self, pair, fractions):
+        b_rand_value, y_size = pair
+        top = float(1 / b_rand_value)
+        c_as = [min(1.0 + u * (top - 1.0), top) for u in fractions]
+        n, d = b_rand_value.as_integer_ratio()
+        want = kernel_rows(c_as, n, d, y_size - 1)
+        try:
+            got = bounds._c_b_rows(c_as, n, d, y_size - 1)
+        except OverflowError as exc:
+            assert want is OverflowError and "is beyond the float range" in str(exc)
+            return
+        assert got == want
+
+    def test_row_left_open_goes_to_the_kernel(self, monkeypatch):
+        br = fallback_b_rand()
+        n, d = br.as_integer_ratio()
+        calls = []
+        kernel = bounds._rounded_ratio
+        monkeypatch.setattr(bounds, "_rounded_ratio", lambda *args: calls.append(args) or kernel(*args))
+        (value,) = bounds._c_b_rows([FALLBACK_CA], n, d, FALLBACK_M)
+        assert len(calls) == 1
+        assert value == kernel(*calls[0])
+        assert ref.within_half_ulp(value, lambda h: ref.curve_sign(FALLBACK_CA, br, FALLBACK_M, h))
+
+
+# Default and varied curves of family tasks, written as CSV; the digest pins
+# every byte, refusals included
+CURVE_PIN_TASKS = (
+    *(("ot", {"alphabet": w, "n": n}) for w, n in (
+        (2, 2), (2, 3), (2, 5), (2, 17), (2, 40), (2, 200), (2, 1000), (3, 3), (4, 4), (7, 3))),
+    *(("knot", {"alphabet": w, "n": n, "k": k}) for w, n, k in (
+        (3, 5, 2), (2, 6, 1), (4, 4, 2), (2, 30, 5), (2, 12, 3), (5, 6, 4))),
+    *(("xot", {"n": n}) for n in (1, 2, 3, 5, 12, 20, 300)),
+    *(("eq", {"n": n}) for n in (3, 5, 12, 60, 2000, 10**6, 10**30)),
+    *(("ip", {"n": n}) for n in (2, 3, 4, 6, 12, 100)),
+    *(("mp", {"n": n}) for n in (3, 10, 100, 10**4, 10**6)),
+)
+CURVE_PIN_VARIANTS = (
+    {},
+    {"samples": 7},
+    {"samples": 50, "ca_max": 1.04, "clip_below_one": True},
+    {"samples": 3, "ca_min": 1.01, "ca_max": 1.3},
+)
+CURVE_PIN_DIGEST = "ac83d31a76b614069515a2ca6f962710ee9bd4fc142da47d2422d3a934356a54"
+
+
+def test_family_curves_print_the_recorded_bytes():
+    out = io.StringIO()
+    for family, params in CURVE_PIN_TASKS:
+        task = make_family(family, **params)
+        for variant in CURVE_PIN_VARIANTS:
+            out.write(f"{family} {params} {variant}\n")
+            try:
+                write_curve_csv(emit_curve(tasks.b_rand(task), task.y_size, **variant), out)
+            except ValueError as exc:
+                out.write(f"ValueError: {exc}\n")
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == CURVE_PIN_DIGEST
 
 
 class TestPresentation:

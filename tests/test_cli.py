@@ -201,6 +201,14 @@ class TestCurveCommand:
         assert code == 2 and out == ""
         assert err.startswith("error: 1/b_rand is beyond the float range")
 
+    def test_row_beyond_float_range_exits_2(self, capsys):
+        code, out, err = run(
+            capsys, "curve", "--family", "ot", "--alphabet", "2", "--n", "1020",
+            "--ca-max", "1e300", "--samples", "3",
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: c_B at c_A = 5e+299 is beyond the float range")
+
 
 class TestVerifyCommand:
     def test_small_campaigns_pass(self, capsys):
