@@ -73,7 +73,7 @@ import sys
 from dataclasses import dataclass, field
 from decimal import ROUND_HALF_UP, Decimal
 from fractions import Fraction
-from typing import Iterable, Optional, TextIO, Union
+from typing import Iterable, NamedTuple, Optional, TextIO, Union
 
 from .tasks import SfeTask, a_rand, b_rand
 
@@ -119,8 +119,7 @@ class BoundReport:
     fixed_point: FixedPointResult = field(repr=False)
 
 
-@dataclass(frozen=True)
-class CurvePoint:
+class CurvePoint(NamedTuple):
     c_a: float
     c_b: float
 

@@ -144,33 +144,34 @@ def run_cheating_alice(
     return _stats(outcomes, task.y_size, seed)
 
 
-def _known_mask_and_fallback(
+def _revealed(
     task: SfeTask, learner: BobKnowledge, required: np.ndarray, xs: np.ndarray, ys: np.ndarray
-):
-    trials = len(required)
+) -> np.ndarray:
+    """The input the receiver reveals in each trial: the required one when
+    its answer is known, else the least known input, or the honest input
+    when none is known."""
     if learner == "full":
-        return np.ones(trials, dtype=bool), ys
+        return required
     if learner == "honest":
-        return required == ys, ys
+        return ys
     if callable(learner):
         # knowledge is fixed before the shift arrives, so the callable sees
         # only the trial's inputs, never the required reveal
-        known = np.zeros(trials, dtype=bool)
-        fallback = ys.copy()
-        for t in range(trials):
+        revealed = ys.copy()
+        for t in range(len(required)):
             s = set(learner(task, int(xs[t]), int(ys[t])) or ())
-            known[t] = int(required[t]) in s
-            if not known[t] and s:
-                fallback[t] = min(s)
-        return known, fallback
+            if int(required[t]) in s:
+                revealed[t] = required[t]
+            elif s:
+                revealed[t] = min(s)
+        return revealed
     s = sorted(set(int(y) for y in learner))
     if not s:
         raise ValueError("knowledge set must not be empty")
     if s[0] < 0 or s[-1] >= task.y_size:
         raise ValueError("knowledge set outside the input range")
-    known = np.isin(required, np.asarray(s, dtype=np.int64))
-    fallback = np.full(trials, s[0], dtype=np.int64)
-    return known, fallback
+    s = np.asarray(s, dtype=np.int64)
+    return np.where(np.isin(required, s), required, s[0])
 
 
 def run_cheating_bob(
@@ -189,9 +190,7 @@ def run_cheating_bob(
     """
     xs, ys, bs = _draw_trials(task, trials, seed)
     required = (-bs) % task.y_size
-    known, fallback = _known_mask_and_fallback(task, learner, required, xs, ys)
-    revealed = np.where(known, required, fallback)
-    outcomes = (bs + revealed) % task.y_size
+    outcomes = (bs + _revealed(task, learner, required, xs, ys)) % task.y_size
     return _stats(outcomes, task.y_size, seed)
 
 

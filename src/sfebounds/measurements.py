@@ -39,15 +39,15 @@ time, so a campaign raises what its lowest-index failing instance raises.
 
 Generators: every stream is the one ``np.random.default_rng(seed)`` gives,
 but numpy hashes one seed at a time, which costs more than most draws.
-``_rng`` computes the same PCG64 state (``_pcg64_states``) and sets it on
-one reused generator per thread.  While ``_records`` draws a chunk, the
-first request for a seed ``instance + tail`` hashes that tail for the
-chunk's instances in one pass, and the others find their state in a table
-that is emptied when the draws end.  The table is only a cache: a seed it
-lacks takes the state of ``np.random.PCG64(seed)``, which hashes one seed
-faster than a pass over a group of one, so no stream depends on chunking or
-reruns.  As the generator is reused, a draw finishes with one before it
-asks for the next.
+``_rng`` sets the seed's PCG64 state on one reused generator per thread.
+While ``_records`` draws a chunk, the first request for a seed ``instance +
+tail``, a list of Python ints, hashes that tail for the chunk's instances
+in one pass (``_pcg64_states``, which takes only such lists), and the others
+find their state in a table that is emptied when the draws end.  The table
+is only a cache: any other seed takes the state of ``np.random.PCG64(seed)``,
+which checks the seed and hashes one faster than a pass over a group of one,
+so no stream depends on chunking or reruns; None is refused.  As the
+generator is reused, a draw finishes with one before it asks for the next.
 
 Tolerance scheme: linear-algebra identities are trusted to 1e-9/1e-10,
 verification inequalities get a decade of extra headroom (1e-8) so stacked
@@ -62,6 +62,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import itertools
+import operator
 import threading
 from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence, Union
@@ -589,27 +590,17 @@ _PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
 _MASK128 = (1 << 128) - 1
 
 
-def _entropy_words(seed) -> list:
-    """The uint32 words numpy's ``SeedSequence`` reads from one seed entry:
-    an int little-endian (0 as one word 0), a sequence entry by entry.  A
-    float or a str raises TypeError; numpy would parse a str inside a
-    sequence, which no seed here holds."""
-    if isinstance(seed, (int, np.integer)):
-        n = int(seed)
+def _entropy_words(seed: Sequence[int]) -> list:
+    """The uint32 words numpy's ``SeedSequence`` reads from a sequence of
+    Python ints: each entry little-endian, 0 as one word 0.  A negative
+    entry raises numpy's ValueError."""
+    words = []
+    for n in seed:
         if n < 0:
             raise ValueError("expected non-negative integer")
-        words = [n & 0xFFFFFFFF]
+        words.append(n & 0xFFFFFFFF)
         while n := n >> 32:
             words.append(n & 0xFFFFFFFF)
-        return words
-    if isinstance(seed, (float, np.inexact, str)):
-        raise TypeError(f"seed must be integer, not {seed!r}")
-    words = []
-    for entry in seed:
-        if type(entry) is int and 0 <= entry <= 0xFFFFFFFF:
-            words.append(entry)  # one word, without the call
-        else:
-            words += _entropy_words(entry)
     return words
 
 
@@ -637,15 +628,8 @@ def _mixed(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return r ^ (r >> np.uint32(16))
 
 
-def _check_seed_type(seed) -> None:
-    # SeedSequence takes no other type at the top; None, which would draw
-    # fresh entropy, is refused as well
-    if not isinstance(seed, (int, np.integer, list, tuple, range, np.ndarray)):
-        raise TypeError(f"seed must be an int or a sequence of ints, not {seed!r}")
-
-
 def _pcg64_states(seeds: Sequence) -> list:
-    """``(state, inc)`` of ``np.random.PCG64(seed)`` for each seed.
+    """``(state, inc)`` of ``np.random.PCG64(seed)`` for each seed, a list of Python ints.
 
     numpy hashes a seed with ``SeedSequence`` (O'Neill's ``seed_seq_fe``,
     NEP 19), one seed at a time.  Here seeds with the same number of
@@ -656,8 +640,6 @@ def _pcg64_states(seeds: Sequence) -> list:
     word into all four; 8 output words give PCG64's initial state and
     increment, which are seeded in Python ints.
     """
-    for seed in seeds:
-        _check_seed_type(seed)
     words = [_entropy_words(seed) for seed in seeds]
     groups = {}
     for i, w in enumerate(words):
@@ -716,9 +698,9 @@ def _chunk_streams(chunk: Sequence):
 
 
 def _state(seed: Seed) -> tuple:
-    """The PCG64 state of ``seed``: from the chunk's table, filled on a miss
-    for every chunk instance from the one ``seed`` extends on; numpy's own
-    for a seed outside the chunk."""
+    """The PCG64 state of ``seed``: for a list of Python ints that extends a
+    chunk instance, from the chunk's table, filled on a miss from that instance
+    on; else numpy's, which checks the seed.  None (fresh entropy) is refused."""
     if _streams.chunk and type(seed) is list and all(type(v) is int for v in seed):
         key = tuple(seed)
         if key in _streams.states:
@@ -729,8 +711,8 @@ def _state(seed: Seed) -> tuple:
                 keys = [c + tail for c in _streams.chunk[i:]]
                 _streams.states.update(zip(keys, _pcg64_states(keys)))
                 return _streams.states.pop(key)
-    _check_seed_type(seed)
-    _entropy_words(seed)  # refuses what a chunk refuses, with its messages
+    if seed is None:
+        raise TypeError("seed must be an int or a sequence of ints, not None")
     state = np.random.PCG64(seed).state["state"]
     return state["state"], state["inc"]
 
@@ -1055,7 +1037,9 @@ def run_campaign(
 ) -> list[dict]:
     """Run ``instances`` independent instances of a campaign of this module,
     seeded from (seed, index): the records that calling ``instance_fn`` once
-    per instance gives, computed many instances per kernel call."""
+    per instance gives, computed many instances per kernel call.  ``seed``
+    becomes a Python int, which the seed hash takes and a record holds."""
     if instances < 0:
         raise ValueError(f"instances must be at least 0, got {instances}")
+    seed = operator.index(seed)
     return _records(instance_fn.campaign, ([seed, idx] for idx in range(instances)), **kwargs)

@@ -365,6 +365,15 @@ class TestCurves:
         assert points[-1] == CurvePoint(ca_crossing(Fraction(1, 2), 2), 1.0)
         assert all(a.c_b > b.c_b for a, b in zip(points, points[1:]))
 
+    def test_points_are_immutable_values(self):
+        point = CurvePoint(1.0, 2.0)
+        assert (point.c_a, point.c_b) == (1.0, 2.0)
+        assert repr(point) == "CurvePoint(c_a=1.0, c_b=2.0)"
+        assert point == CurvePoint(c_a=1.0, c_b=2.0) != CurvePoint(1.0, 3.0)
+        assert hash(point) == hash(CurvePoint(1.0, 2.0))
+        with pytest.raises(AttributeError):
+            point.c_b = 3.0
+
     def test_crossing_matches_frozen_value(self):
         assert ca_crossing(Fraction(1, 2), 2) == 1.0531972647421808
         assert ca_crossing(Fraction(1, 2**199), 200) == 1.0000063129320416  # ot 2,200

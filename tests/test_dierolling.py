@@ -163,6 +163,22 @@ class TestCheatingBob:
         builtin = dr.run_cheating_bob(task, "honest", 5_000, seed=4)
         assert via_callable == builtin
 
+    # a callable that knows nothing reveals the honest input; one whose set
+    # misses the required entry reveals the least entry it knows
+    @pytest.mark.parametrize(
+        "learner, histogram, forcing_rate",
+        [
+            (lambda t, x, y: set(), (92, 107, 101), 0.30666666666666664),
+            (lambda t, x, y: None, (92, 107, 101), 0.30666666666666664),
+            (lambda t, x, y: {(y + 1) % 3, 2}, (160, 61, 79), 0.5333333333333333),
+        ],
+    )
+    def test_callable_fallbacks_are_pinned(self, learner, histogram, forcing_rate):
+        stats = dr.run_cheating_bob(make_family("eq", n=3), learner, 300, seed=4)
+        assert stats.outcome_histogram == histogram
+        assert stats.forcing_rate == forcing_rate
+        assert stats.abort_count == 0
+
     def test_empty_set_rejected(self):
         with pytest.raises(ValueError):
             dr.run_cheating_bob(make_family("eq", n=3), set(), 10, seed=0)

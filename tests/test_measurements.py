@@ -265,6 +265,10 @@ class TestNorms:
     def test_trace_norm_diagonal(self):
         assert trace_norm(np.diag([1.0, -2.0])) == pytest.approx(3.0, abs=1e-12)
 
+    def test_non_square_matrix_refused(self):
+        message = error_message(trace_norm, np.ones((2, 3)))
+        assert message == "expected a square matrix, got shape (2, 3)"
+
     def test_operator_norm_identity(self):
         for dim in (2, 5, 9):
             assert operator_norm(np.eye(dim)) == pytest.approx(1.0, abs=1e-12)
@@ -825,6 +829,10 @@ def campaign_draws(rng):
     ]
 
 
+def is_int_list(seed) -> bool:
+    return isinstance(seed, list) and all(type(v) is int for v in seed)
+
+
 def raised(fn, seed):
     try:
         fn(seed)
@@ -858,10 +866,13 @@ class TestSeedStates:
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(st.lists(SEED_VALUES, min_size=1, max_size=8))
     def test_states_and_streams_are_numpys(self, seeds):
-        states = m._pcg64_states(seeds)
-        for seed, (state, inc) in zip(seeds, states):
+        # the batch hash takes only the lists of Python ints a chunk holds
+        int_lists = [s for s in seeds if is_int_list(s)]
+        for seed, (state, inc) in zip(int_lists, m._pcg64_states(int_lists)):
+            want = np.random.default_rng(seed).bit_generator.state["state"]
+            assert want == {"state": state, "inc": inc}
+        for seed in seeds:
             want = np.random.default_rng(seed)
-            assert want.bit_generator.state["state"] == {"state": state, "inc": inc}
             for got, drawn in zip(campaign_draws(m._rng(seed)), campaign_draws(want)):
                 assert np.array_equal(got, drawn)
 
@@ -902,7 +913,21 @@ class TestSeedStates:
             want = raised(np.random.default_rng, seed)
             assert want in (TypeError, ValueError)
             assert raised(m._rng, seed) is want
-            assert raised(m._pcg64_states, [0, seed]) is want
+            if is_int_list(seed):  # a negative entry
+                assert raised(m._pcg64_states, [[0], seed]) is want
+
+    def test_none_is_refused(self):
+        # numpy would draw fresh entropy, so no record could be replayed
+        with pytest.raises(TypeError, match="not None$"):
+            m.random_density(2, 1, None)
+
+    @pytest.mark.parametrize("seed", [np.int64(5), np.uint64(5), 2**70])
+    def test_campaign_seeds_are_numpys_and_json_ready(self, seed, monkeypatch):
+        instances = {m.gentle_instance: 70, m.sequential_instance: 10, m.learning_instance: 5}
+        got = [m.run_campaign(fn, count, seed) for fn, count in instances.items()]
+        monkeypatch.setattr(m, "_rng", np.random.default_rng)
+        want = [m.run_campaign(fn, count, seed) for fn, count in instances.items()]
+        assert json.dumps(got) == json.dumps(want)
 
 
 SRC = Path(m.__file__).resolve().parents[1]

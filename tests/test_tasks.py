@@ -270,10 +270,22 @@ class TestConstructors:
         with pytest.raises(TaskError, match=r"^x_size=.* must be an integer$"):
             SfeTask("t", size, 2, 2, table=[[0, 1], [1, 0]])
 
+    def test_tasks_are_immutable(self):
+        task = make_family("eq", n=3)
+        with pytest.raises(AttributeError, match=r"^SfeTask is immutable: cannot set 'name'$"):
+            setattr(task, "name", "x")
+        assert task.name != "x"
+
+    def test_input_pair_out_of_range_refused(self):
+        with pytest.raises(TaskError, match=r"^input pair \(3, 0\) out of range$"):
+            make_family("eq", n=3).f(3, 0)
+
     def test_equality_compares_table_contents(self):
         first = SfeTask("t", 2, 2, 2, table=((0, 1), (1, 0)))
         assert first == SfeTask("t", 2, 2, 2, table=[[0, 1], [1, 0]])
         assert first != SfeTask("t", 2, 2, 2, table=((0, 1), (1, 1)))
+        assert first != SfeTask("u", 2, 2, 2, table=((0, 1), (1, 0)))  # the name alone
+        assert (first == 5) is False
         with pytest.raises(TaskError, match="^task has neither a table nor family parameters$"):
             SfeTask("t", 2, 2, 2)
         assert make_family("eq", n=4) == make_family("eq", n=4)
@@ -332,6 +344,15 @@ class TestValidation:
     def test_none_entry_reported(self):
         with pytest.raises(TaskError, match=r"not total at \(1, 1\)"):
             SfeTask("broken", 2, 2, 2, table=((0, 1), (0, None)))
+
+    @pytest.mark.parametrize(
+        "table, message",
+        [(5, "table must be a sequence of rows"), ([[0, 1], 5], "table row 1 is not a sequence")],
+    )
+    def test_non_sequence_table_reported(self, table, message):
+        with pytest.raises(TaskError) as refused:
+            SfeTask("t", 2, 2, 2, table=table)
+        assert str(refused.value) == message
 
     def test_family_table_mismatch_reported(self):
         # a table and a family together could disagree, so they are refused,
@@ -557,6 +578,10 @@ class TestAnswerVector:
     def test_requires_table(self):
         with pytest.raises(TaskError):
             answer_vector(make_family("mp", n=10**9), 0)
+
+    def test_x_out_of_range_refused(self):
+        with pytest.raises(TaskError, match=r"^x index 3 out of range$"):
+            answer_vector(make_family("eq", n=3), 3)
 
 
 class TestSerialization:
