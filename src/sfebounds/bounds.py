@@ -70,7 +70,6 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
 from decimal import ROUND_HALF_UP, Decimal
 from fractions import Fraction
 from typing import Iterable, NamedTuple, Optional, TextIO, Union
@@ -86,8 +85,7 @@ class InsecureTaskError(ValueError):
     """The single-query baseline is already 1: nothing left to bound."""
 
 
-@dataclass(frozen=True)
-class FixedPointResult:
+class FixedPointResult(NamedTuple):
     """Root of the security-constant equation.
 
     ``s`` is the transformed root sqrt(1 - 1/c), correctly rounded;
@@ -104,8 +102,7 @@ class FixedPointResult:
     iterations: int
 
 
-@dataclass(frozen=True)
-class BoundReport:
+class BoundReport(NamedTuple):
     """Evaluated trade-off for one task: baselines, constant, and bounds."""
 
     name: str
@@ -116,7 +113,11 @@ class BoundReport:
     epsilon: float
     alice_bound: float  # c / |Y|
     bob_bound: float  # c * b_rand
-    fixed_point: FixedPointResult = field(repr=False)
+    fixed_point: FixedPointResult  # left out of the repr
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{key}={value!r}" for key, value in zip(self._fields[:-1], self))
+        return f"{type(self).__name__}({shown})"
 
 
 class CurvePoint(NamedTuple):

@@ -22,16 +22,14 @@ first xs are shared.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Collection, Union
+from typing import Callable, Collection, NamedTuple, Union
 
 import numpy as np
 
 from .tasks import MATERIALIZE_CAP, SfeTask, TaskError
 
 
-@dataclass(frozen=True)
-class DrStats:
+class DrStats(NamedTuple):
     trials: int
     outcome_histogram: tuple
     abort_count: int
@@ -40,16 +38,14 @@ class DrStats:
     seed: int
 
 
-@dataclass(frozen=True)
-class KitaevBound:
+class KitaevBound(NamedTuple):
     """Stated limits for any quantum die-rolling protocol with N outcomes."""
 
     product: float  # A * B >= 1/N
     max_single: float  # max(A, B) >= 1/sqrt(N)
 
 
-@dataclass(frozen=True)
-class AliceView:
+class AliceView(NamedTuple):
     """What a cheating sender sees: her input, plus a strategy RNG.
 
     ``leaked_ys`` is the honest receiver's inputs and exists only to
@@ -160,6 +156,8 @@ def _revealed(
         revealed = ys.copy()
         for t in range(len(required)):
             s = set(learner(task, int(xs[t]), int(ys[t])) or ())
+            if s and (min(s) < 0 or max(s) >= task.y_size):
+                raise ValueError("knowledge set outside the input range")
             if int(required[t]) in s:
                 revealed[t] = required[t]
             elif s:
@@ -186,7 +184,8 @@ def run_cheating_bob(
     callable (task, x, honest_y) -> collection.  When the required entry
     is unknown he reveals a known one instead, which keeps the sender
     from aborting but forfeits the forcing attempt, so the forcing rate
-    converges to |S|/|Y|.
+    converges to |S|/|Y|.  ValueError on a known input outside range(|Y|),
+    from a collection or a callable alike, and on an empty collection.
     """
     xs, ys, bs = _draw_trials(task, trials, seed)
     required = (-bs) % task.y_size

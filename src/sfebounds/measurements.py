@@ -64,8 +64,7 @@ import functools
 import itertools
 import operator
 import threading
-from dataclasses import dataclass
-from typing import Callable, Iterable, Sequence, Union
+from typing import Callable, Iterable, NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -132,22 +131,30 @@ def _measurement_ok(stack: np.ndarray) -> np.ndarray:
     return hermitian & (low >= -PSD_CLAMP_TOL) & (high <= 1.0 + PSD_CLAMP_TOL)
 
 
-@dataclass(frozen=True)
-class Povm:
-    """Finite outcome-indexed measurement: PSD elements summing to identity."""
-
+class _PovmFields(NamedTuple):
     elements: tuple
     labels: tuple = ()
 
-    def __post_init__(self):
-        elements = tuple(_as_matrix(e) for e in self.elements)
-        object.__setattr__(self, "elements", elements)
+
+class Povm(_PovmFields):
+    """Finite outcome-indexed measurement: PSD elements summing to identity.
+
+    ``__new__``, which ``_replace`` goes through too, refuses no elements or
+    a label count that differs; ``validate`` checks the elements themselves.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, elements: tuple, labels: tuple = ()):
+        elements = tuple(_as_matrix(e) for e in elements)
         if not elements:
             raise ValueError("a POVM needs at least one element")
-        labels = self.labels or tuple(range(len(elements)))
+        labels = labels or tuple(range(len(elements)))
         if len(labels) != len(elements):
             raise ValueError("labels and elements differ in length")
-        object.__setattr__(self, "labels", tuple(labels))
+        return super().__new__(cls, elements, tuple(labels))
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
     @property
     def dim(self) -> int:
@@ -167,31 +174,38 @@ class Povm:
         return operator_norm(sum(self.elements) - np.eye(self.dim))
 
 
-@dataclass(frozen=True)
-class QuantumEncoding:
-    """Distribution over classical inputs with one quantum state per input.
-
-    ``functions[i][x]`` is the outcome index the i-th target function
-    assigns to input x.  The classical register is never materialized:
-    all expectations are taken blockwise over x.
-    """
-
+class _EncodingFields(NamedTuple):
     probs: np.ndarray
     states: tuple
     functions: tuple
 
-    def __post_init__(self):
-        probs = np.asarray(self.probs, dtype=float)
-        object.__setattr__(self, "probs", probs)
-        object.__setattr__(self, "states", tuple(np.asarray(s, dtype=complex) for s in self.states))
-        object.__setattr__(self, "functions", tuple(tuple(f) for f in self.functions))
-        if probs.ndim != 1 or len(probs) != len(self.states):
+
+class QuantumEncoding(_EncodingFields):
+    """Distribution over classical inputs with one quantum state per input.
+
+    ``functions[i][x]`` is the outcome index the i-th target function
+    assigns to input x.  The classical register is never materialized:
+    all expectations are taken blockwise over x.  ``__new__``, which
+    ``_replace`` goes through too, checks that probs is a distribution over
+    the states and that every function is total.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, probs: np.ndarray, states: tuple, functions: tuple):
+        probs = np.asarray(probs, dtype=float)
+        states = tuple(np.asarray(s, dtype=complex) for s in states)
+        functions = tuple(tuple(f) for f in functions)
+        if probs.ndim != 1 or len(probs) != len(states):
             raise ValueError("probs and states must have matching length")
         if probs.min() < 0 or abs(probs.sum() - 1.0) > 1e-12:
             raise ValueError("probs must be nonnegative and sum to 1")
-        for f in self.functions:
-            if len(f) != len(self.states):
+        for f in functions:
+            if len(f) != len(states):
                 raise ValueError("every function must be total over the inputs")
+        return super().__new__(cls, probs, states, functions)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
     @property
     def dim(self) -> int:
@@ -202,24 +216,21 @@ class QuantumEncoding:
         return len(self.states)
 
 
-@dataclass(frozen=True)
-class GentleReport:
+class GentleReport(NamedTuple):
     epsilon: float
     disturbance: float
     bound: float  # 2 * sqrt(epsilon)
     holds: bool
 
 
-@dataclass(frozen=True)
-class SequentialReport:
+class SequentialReport(NamedTuple):
     epsilons: tuple
     expectation: float
     lower_bound: float  # 1 - eps_1 - 2 * sum(sqrt(eps_i), i >= 2)
     holds: bool
 
 
-@dataclass(frozen=True)
-class LearnReport:
+class LearnReport(NamedTuple):
     """Success accounting for the learn-everything strategy.
 
     ``bound`` is p - 2*(n-1)*sqrt(1-p) for the average individual success

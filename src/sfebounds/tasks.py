@@ -7,17 +7,16 @@ equality, inner product, millionaire comparison) with closed-form
 baselines.  SfeTask checks a task once, when it is built; nothing
 downstream re-checks.  Tables are read-only int64 numpy arrays; numpy is
 imported inside the functions that build or read them, so a family task
-used through its formulas never loads it.  A family task builds its table
-from the family formulas only when the table is first read, and only up
-to MATERIALIZE_CAP cells, so bounds and curves, which need only the
-closed-form baseline, never build one, and huge parametric instances stay
-usable through their formulas.
+used through its closed forms (sizes and baseline) never loads it.  A
+family task builds its table from the family formulas only when the table
+is first read, and only up to MATERIALIZE_CAP cells, so bounds and curves,
+which need only the closed-form baseline, never build one, and huge
+parametric instances stay usable through their closed forms.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -108,38 +107,44 @@ FAMILY_TAGS = tuple(_FAMILIES)
 FAMILY_PARAMS = {tag: family.keys for tag, family in _FAMILIES.items()}
 
 
-@dataclass(frozen=True)
-class FamilySpec:
-    """Parametric family descriptor: a tag from FAMILY_TAGS plus int params.
-
-    The constructor is the one place family parameters are checked: it keeps
-    its own copy of ``params`` and raises TaskError on any the family refuses.
-    """
-
+class _FamilyFields(NamedTuple):
     family: str
     params: dict
 
-    def __post_init__(self):
-        if self.family not in FAMILY_TAGS:
-            raise TaskError(f"unknown family tag {self.family!r}")
-        params = dict(self.params)
-        object.__setattr__(self, "params", params)
-        family = _FAMILIES[self.family]
-        if set(params) != set(family.keys):
+
+class FamilySpec(_FamilyFields):
+    """Parametric family descriptor: a tag from FAMILY_TAGS plus int params.
+
+    ``__new__`` is the one place family parameters are checked, for
+    ``_replace`` too: it keeps its own copy of ``params`` and raises
+    TaskError on any the family refuses.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, family: str, params: dict):
+        if family not in FAMILY_TAGS:
+            raise TaskError(f"unknown family tag {family!r}")
+        params = dict(params)
+        kind = _FAMILIES[family]
+        if set(params) != set(kind.keys):
             raise TaskError(
-                f"family {self.family!r} takes parameters {family.keys}, got {tuple(params)}"
+                f"family {family!r} takes parameters {kind.keys}, got {tuple(params)}"
             )
         for key, value in params.items():
             if not isinstance(value, int) or isinstance(value, bool) or value < 1:
                 raise TaskError(f"parameter {key}={value!r} must be a positive integer")
-        if family.rule is not None and not family.rule[0](**params):
-            raise TaskError(family.rule[1])
-        if family.bits is not None and family.bits(**params) > MAX_SIZE_BITS:
-            named = ", ".join(f"{key}={params[key]}" for key in family.keys)
+        if kind.rule is not None and not kind.rule[0](**params):
+            raise TaskError(kind.rule[1])
+        if kind.bits is not None and kind.bits(**params) > MAX_SIZE_BITS:
+            named = ", ".join(f"{key}={params[key]}" for key in kind.keys)
             raise TaskError(
-                f"family {self.family!r} with {named} is too large: "
+                f"family {family!r} with {named} is too large: "
                 f"its sizes are capped at 2**{MAX_SIZE_BITS}"
             )
+        return super().__new__(cls, family, params)
+
+    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
     @property
     def name(self) -> str:
@@ -159,7 +164,7 @@ class SfeTask:
     from any nested sequence of integers.  A family task within
     MATERIALIZE_CAP builds its table from the family formulas on the first
     read of ``table`` and keeps it; above the cap ``table`` is None and the
-    task answers pointwise and closed-form queries.
+    task answers closed-form queries only, its sizes and baseline.
 
     The constructor is the one place a task is checked: non-integer sizes,
     ragged rows, missing or non-integer cells, values outside int64, tables
@@ -209,12 +214,12 @@ class SfeTask:
         return self._table
 
     def f(self, x: int, y: int) -> int:
-        """Output index f(x, y), from the family formula or the table."""
+        """Output index f(x, y), read from the table."""
         if not (0 <= x < self.x_size and 0 <= y < self.y_size):
             raise TaskError(f"input pair ({x}, {y}) out of range")
-        if self.family is not None:
-            return family_value(self.family, x, y)
-        return int(self._table[x, y])
+        if self.table is None:
+            raise TaskError("f(x, y) requires a materialized table")
+        return int(self.table[x, y])
 
 
 def _check_cap(cells: int) -> None:
@@ -251,14 +256,31 @@ def _cell_violations(raw, x_size: int, y_size: int, b_size: int) -> list[str]:
 
     The reporter for tables numpy cannot take as 2-D integers; its per-row
     part, ``_row_violations``, words every message, also for the int64
-    tables validate_task refuses.  Both run only on the error path.
-    Integral covers numpy's integer scalars, which numpy registers with it.
+    tables validate_task refuses, and walks only the rows ``_clean_row``
+    does not pass.  Both run only on the error path.  Integral covers
+    numpy's integer scalars, which numpy registers with it.
     """
     try:
         rows = list(raw)
     except TypeError:
         return ["table must be a sequence of rows"]
-    return _row_violations(len(rows), enumerate(rows), x_size, y_size, b_size)
+    numbered = ((x, row) for x, row in enumerate(rows) if not _clean_row(row, y_size, b_size))
+    return _row_violations(len(rows), numbered, x_size, y_size, b_size)
+
+
+def _clean_row(row, y_size: int, b_size: int) -> bool:
+    """Whether ``row`` is a sequence of y_size Python ints in [0, b_size),
+    which ``_row_violations`` has nothing to report on; checked in C loops."""
+    try:
+        cells = list(row)
+    except TypeError:
+        return False
+    return (
+        len(cells) == y_size
+        and set(map(type, cells)) == {int}
+        and min(cells) >= 0
+        and max(cells) < b_size
+    )
 
 
 def _row_violations(count: int, numbered, x_size: int, y_size: int, b_size: int) -> list[str]:
@@ -313,49 +335,8 @@ def answer_vector(task: SfeTask, x: int) -> tuple[int, ...]:
 # ---------------------------------------------------------------------------
 
 
-def _subset_by_rank(rank: int, n: int, k: int) -> tuple[int, ...]:
-    """Lexicographic unranking of k-subsets of range(n)."""
-    out = []
-    c = 0
-    while k > 0:
-        block = comb(n - 1 - c, k - 1)
-        if rank < block:
-            out.append(c)
-            k -= 1
-        else:
-            rank -= block
-        c += 1
-    return tuple(out)
-
-
-def family_value(spec: FamilySpec, x: int, y: int) -> int:
-    """Closed-form f(x, y) for a parametric family, no table needed."""
-    p = spec.params
-    tag = spec.family
-    if tag == "ot":
-        w, n = p["alphabet"], p["n"]
-        return (x // w ** (n - 1 - y)) % w
-    if tag == "knot":
-        w, n, k = p["alphabet"], p["n"], p["k"]
-        subset = _subset_by_rank(y, n, k)
-        b = 0
-        for i in subset:
-            b = b * w + (x // w ** (n - 1 - i)) % w
-        return b
-    if tag == "xot":
-        n = p["n"]
-        mask = (1 << n) - 1
-        x1, x2 = x >> n, x & mask
-        return (x1, x2, x1 ^ x2)[y]
-    if tag == "eq":
-        return int(x == y)
-    if tag == "ip":
-        return ((x & (y + 1)).bit_count()) % 2
-    return int(y >= x)  # "mp"
-
-
 def family_table(spec: FamilySpec) -> np.ndarray:
-    """The whole table of a family task, ``family_value`` at every cell.
+    """The whole table of a family task, f(x, y) at every cell.
 
     Built with array formulas in the index conventions above and returned
     read-only.  The caller keeps x_size * y_size within MATERIALIZE_CAP.

@@ -341,6 +341,18 @@ class TestBoundReport:
             assert report.bob_bound >= float(report.b_rand)
             assert report.bob_bound <= 1
 
+    def test_repr_leaves_out_the_fixed_point(self):
+        report = bound_report(make_family("ot", alphabet=2, n=2))
+        assert repr(report) == (
+            "BoundReport(name='1-of-2 OT (alphabet 2)', y_size=2, b_rand=Fraction(1, 2), "
+            "a_rand=Fraction(1, 2), c=1.048384205847353, epsilon=0.048384205847352986, "
+            "alice_bound=0.5241921029236765, bob_bound=0.5241921029236765)"
+        )
+        assert report.fixed_point == solve_fixed_point(Fraction(1, 2), 2)
+        assert report._asdict()["fixed_point"] is report.fixed_point
+        with pytest.raises(AttributeError):
+            report.c = 2.0
+
     def test_insecure_task_flagged_without_solving(self):
         with pytest.raises(InsecureTaskError):
             bound_report(make_family("eq", n=2))

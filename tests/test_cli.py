@@ -498,7 +498,9 @@ def run_python(tmp_path, code, *argv):
 
 class TestImportsPerCommand:
     """bound and curve on a family need neither tables nor matrices, so a
-    fresh process running them never imports numpy."""
+    fresh process running them never imports numpy.  The record types are
+    named tuples, so no command imports dataclasses, and bound and curve
+    also leave inspect, which numpy imports, unloaded."""
 
     @pytest.mark.parametrize(
         "argv",
@@ -515,6 +517,7 @@ class TestImportsPerCommand:
         code, out, err, imported = run_python(tmp_path, RUN_MAIN, *argv)
         assert (code, out, err) == run(capsys, *argv)
         assert "sfebounds.bounds" in imported and not imported & NUMPY_MODULES
+        assert not imported & {"dataclasses", "inspect"}
 
     def test_family_task_file_leaves_numpy_unloaded(self, capsys, tmp_path):
         path = tmp_path / "task.json"
@@ -537,7 +540,7 @@ class TestImportsPerCommand:
         code, out, err, imported = run_python(tmp_path, RUN_MAIN, *command.split())
         assert (code, err) == (0, "")
         assert hashlib.sha256(out.encode()).hexdigest() == digest
-        assert "numpy" in imported
+        assert "numpy" in imported and "dataclasses" not in imported
 
     def test_explicit_task_file_prints_the_recorded_bytes(self, tmp_path):
         path = tmp_path / "task.json"

@@ -187,6 +187,13 @@ class TestCheatingBob:
         with pytest.raises(ValueError):
             dr.run_cheating_bob(make_family("eq", n=3), {5}, 10, seed=0)
 
+    # a callable's sets meet the check a declared collection does
+    @pytest.mark.parametrize("known", [{7}, {0, -1}, [2, 3]])
+    def test_callable_set_outside_range_rejected(self, known):
+        task = make_family("eq", n=3)
+        with pytest.raises(ValueError, match="^knowledge set outside the input range$"):
+            dr.run_cheating_bob(task, lambda t, x, y: known, 300, seed=4)
+
 
 class TestKitaevBound:
     def test_coin_case(self):

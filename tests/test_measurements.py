@@ -1,4 +1,3 @@
-import dataclasses
 import itertools
 import json
 import os
@@ -527,6 +526,20 @@ class TestPovmType:
         with pytest.raises(ValueError):
             Povm(elements=())
 
+    def test_povm_and_encoding_are_built_through_their_checks(self):
+        pov = Povm(elements=(np.eye(2) / 2, np.eye(2) / 2), labels=("yes", "no"))
+        assert pov._replace(labels=["a", "b"]).labels == ("a", "b")
+        with pytest.raises(ValueError, match="^labels and elements differ in length$"):
+            pov._replace(labels=("yes",))
+        with pytest.raises(ValueError, match=r"^expected a square matrix, got shape \(2,\)$"):
+            Povm._make(([[1, 0]],))
+        enc = QuantumEncoding(probs=[1.0], states=(np.eye(1),), functions=((0,),))
+        assert enc._replace(functions=[[0]]).functions == ((0,),)
+        with pytest.raises(ValueError, match="^probs must be nonnegative and sum to 1$"):
+            enc._replace(probs=[0.5])
+        with pytest.raises(AttributeError):
+            pov.labels = ()
+
 
 HALF = np.eye(2) / 2
 
@@ -649,7 +662,7 @@ class TestStackedKernelMatchesLoops:
         povms = povm_family(dim, outcomes, seed)
         got = averaged_strategy_success(enc, povms)
         want = loop_averaged_strategy_success(enc, povms)
-        assert dataclasses.asdict(got) == dataclasses.asdict(want)
+        assert got._asdict() == want._asdict()
 
     @pytest.mark.parametrize(
         "instance,reference",

@@ -123,3 +123,20 @@ def test_every_private_module_level_name_is_referenced_in_the_package():
         if name not in used
     ]
     assert orphans == []
+
+
+def test_no_module_imports_dataclasses():
+    """Record types are named tuples: importing dataclasses would cost every
+    command its import, with inspect, dis, ast and tokenize under it, and
+    each record class a generated body."""
+    imports = []
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            imports += [f"{path.name}: {name}" for name in names if name.split(".")[0] == "dataclasses"]
+    assert imports == []

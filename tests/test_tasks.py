@@ -1,5 +1,6 @@
 import itertools
 import json
+import pickle
 import tracemalloc
 from collections import defaultdict
 from fractions import Fraction
@@ -10,6 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from family_reference import family_value
 from sfebounds import tasks
 from sfebounds.tasks import (
     MATERIALIZE_CAP,
@@ -21,7 +23,6 @@ from sfebounds.tasks import (
     answer_vector,
     b_rand_bruteforce,
     b_rand_closed_form,
-    family_value,
     make_family,
     validate_task,
 )
@@ -115,8 +116,11 @@ class TestConstructors:
         task = make_family("mp", n=10**9)
         assert not task.materialized
         assert task.y_size == 10**9 - 1
-        assert task.f(0, 0) == 1  # poorest sender: any receiver is at least as rich
-        assert task.f(10**9 - 1, 10**9 - 2) == 0
+        # poorest sender: any receiver is at least as rich
+        assert family_value(task.family, 0, 0) == 1
+        assert family_value(task.family, 10**9 - 1, 10**9 - 2) == 0
+        with pytest.raises(TaskError, match=r"^f\(x, y\) requires a materialized table$"):
+            task.f(0, 0)
 
     def test_equality_n2_full_learning(self):
         task = make_family("eq", n=2)
@@ -208,6 +212,20 @@ class TestConstructors:
         params["n"] = 1
         assert spec.params == {"n": 5}
         assert make_family("eq", n=5).family == spec
+
+    def test_spec_is_a_named_tuple_built_through_its_checks(self):
+        spec = FamilySpec("eq", {"n": 5})
+        assert repr(spec) == "FamilySpec(family='eq', params={'n': 5})"
+        assert spec == ("eq", {"n": 5})
+        assert spec._asdict() == {"family": "eq", "params": {"n": 5}}
+        assert spec._replace(params={"n": 6}) == FamilySpec("eq", {"n": 6})
+        assert pickle.loads(pickle.dumps(spec)) == spec
+        with pytest.raises(TaskError, match="^family 'eq' requires n >= 2$"):
+            spec._replace(params={"n": 1})
+        with pytest.raises(TaskError, match="^unknown family tag 'nope'$"):
+            FamilySpec._make(("nope", {}))
+        with pytest.raises(AttributeError):
+            spec.family = "mp"
 
     @pytest.mark.parametrize(
         "family,params,name,sizes",
@@ -331,6 +349,44 @@ class TestFamilyTables:
         assert b_rand_bruteforce(task) == b_rand_closed_form(task)
 
 
+@st.composite
+def list_tables(draw):
+    """Small list tables: mostly rows of y_size cells in range, with ragged
+    and non-sequence rows and None, float, str, bool, numpy and
+    out-of-range cells among them."""
+    y_size = draw(st.integers(1, 4))
+    b_size = draw(st.integers(1, 3))
+    cell = st.one_of(
+        st.integers(0, b_size - 1),
+        st.integers(-2, b_size + 1),
+        st.sampled_from([None, 1.0, 1.5, "1", True, np.int64(1), 2**64, [0]]),
+    )
+    row = st.one_of(
+        st.lists(st.integers(0, b_size - 1), min_size=y_size, max_size=y_size),
+        st.lists(cell, min_size=y_size, max_size=y_size),
+        st.lists(cell, max_size=y_size + 1).map(tuple),
+        st.sampled_from([5, None, "ab"]),
+    )
+    rows = draw(st.lists(row, max_size=5))
+    x_size = draw(st.sampled_from([max(len(rows), 1), len(rows) + 1]))
+    return rows, x_size, y_size, b_size
+
+
+@pytest.fixture
+def walked(monkeypatch):
+    """The rows that ``_row_violations`` is handed, in order."""
+    rows = []
+    row_violations = tasks._row_violations
+
+    def spy(count, numbered, *sizes):
+        numbered = list(numbered)
+        rows.extend(x for x, _ in numbered)
+        return row_violations(count, numbered, *sizes)
+
+    monkeypatch.setattr(tasks, "_row_violations", spy)
+    return rows
+
+
 class TestValidation:
     def test_constructor_output_valid(self):
         task = make_family("eq", n=3)
@@ -408,24 +464,40 @@ class TestValidation:
         else:
             assert expected == []
 
-    def test_a_large_table_is_reported_from_its_bad_rows_alone(self, monkeypatch):
+    def test_a_large_table_is_reported_from_its_bad_rows_alone(self, walked):
         table = np.zeros((1000, 1000), dtype=np.int64)
         table[700, 3], table[900, 999] = 5, -1
-        walked = []
-        row_violations = tasks._row_violations
-
-        def spy(count, numbered, *sizes):
-            numbered = list(numbered)
-            walked.extend(x for x, _ in numbered)
-            return row_violations(count, numbered, *sizes)
-
-        monkeypatch.setattr(tasks, "_row_violations", spy)
         with pytest.raises(TaskError) as refused:
             SfeTask("t", 1000, 1000, 2, table=table)
         assert str(refused.value) == (
             "entry 5 at (700, 3) outside [0, 2); entry -1 at (900, 999) outside [0, 2)"
         )
         assert walked == [700, 900]
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(list_tables())
+    def test_list_table_report_equals_a_full_walk(self, drawn):
+        rows, x_size, y_size, b_size = drawn
+        walk = tasks._row_violations(len(rows), enumerate(rows), x_size, y_size, b_size)
+        assert tasks._cell_violations(rows, x_size, y_size, b_size) == walk
+        try:
+            SfeTask("t", x_size, y_size, b_size, table=rows)
+        except TaskError as refused:
+            assert str(refused) == "; ".join(walk)
+        else:
+            assert walk == []
+
+    def test_a_large_list_table_is_reported_from_its_bad_rows_alone(self, walked):
+        table = [[(x + y) % 2 for y in range(1000)] for x in range(1000)]
+        table[300].pop()
+        table[500][7], table[900][999] = None, 1.5
+        with pytest.raises(TaskError) as refused:
+            SfeTask("t", 1000, 1000, 2, table=table)
+        assert str(refused.value) == (
+            "table not total at x=300: row length 999; table not total at (500, 7); "
+            "entry 1.5 at (900, 999) outside [0, 2)"
+        )
+        assert walked == [300, 500, 900]
 
     def test_family_size_mismatch_reported(self):
         good = make_family("eq", n=3)
