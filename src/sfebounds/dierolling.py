@@ -94,7 +94,7 @@ def _stats(outcomes: np.ndarray, y_size: int, seed: int) -> DrStats:
     forcing = float(np.count_nonzero(outcomes == 0)) / trials
     return DrStats(
         trials=trials,
-        outcome_histogram=tuple(int(c) for c in hist),
+        outcome_histogram=tuple(hist.tolist()),
         abort_count=0,
         tv_distance_from_uniform=tv,
         forcing_rate=forcing,

@@ -35,8 +35,9 @@ MATERIALIZE_CAP = 10**6  # tables are built only when x_size * y_size fits
 # default limit of 4300 digits for converting an int to a string.
 MAX_SIZE_BITS = 14000
 
-# cells of the unique-row table sorted at once by b_rand_bruteforce; bounds
-# its temporaries whatever the table's shape
+# cells of the distinct-row table that b_rand_bruteforce scatters or sorts
+# at once, one query's column at least; bounds its temporaries, the
+# scatter's slots included, whatever the table's shape
 BRUTE_FORCE_BLOCK = 1 << 16
 
 
@@ -192,16 +193,17 @@ class SfeTask:
         raise AttributeError(f"SfeTask is immutable: cannot set {key!r}")
 
     def __eq__(self, other):
-        import numpy as np
-
         if not isinstance(other, SfeTask):
             return NotImplemented
         if (self.name, self.x_size, self.y_size, self.b_size, self.family) != (
             other.name, other.x_size, other.y_size, other.b_size, other.family
         ):
             return False
-        # one family spec derives one table; otherwise both tables are explicit
-        return self.family is not None or np.array_equal(self._table, other._table)
+        if self.family is not None:  # one family spec derives one table
+            return True
+        import numpy as np  # both tables are explicit
+
+        return np.array_equal(self._table, other._table)
 
     @property
     def materialized(self) -> bool:
@@ -451,18 +453,38 @@ def b_rand_bruteforce(task: SfeTask) -> Fraction:
     outputs the most frequent answer tuple among inputs consistent with
     the observation.  Exhaustive over y*, exact over the uniform prior.
 
-    The rows are deduplicated and each query's outputs sorted on a private
-    copy of the table in the narrowest unsigned type that holds its largest
-    cell, uint8 when every output is below 256.  The cast is exact: the
-    constructor keeps every cell in [0, b_size) and in int64, so no cell is
-    negative and the largest fits the type chosen for it.  On 8- and 16-bit
-    cells numpy's stable sort is a radix sort, and the dedup compares one
-    or two bytes per cell where int64 takes eight.
+    Identical inputs share every answer, so at a query the modal count of
+    an output is the largest multiplicity among the distinct rows showing
+    it, and the query's success is the sum of these over its outputs.  The
+    rows are deduplicated on a private copy of the table in the narrowest
+    unsigned type that holds its largest cell, uint8 when every output is
+    below 256.  The cast is exact: the constructor keeps every cell in
+    [0, b_size) and in int64, so no cell is negative and the largest fits
+    the type chosen for it.  The dedup compares one or two bytes per cell
+    where int64 takes eight.
 
-    The result does not depend on how distinct rows of equal multiplicity
-    are ordered: an output's modal weight is the largest multiplicity among
-    the rows showing it, and every row tied at that maximum gives the same
-    weight.
+    The modal counts are then found one of two ways, chosen once per table
+    from its output range (largest cell + 1):
+
+    - no larger than its count of distinct rows: a block of queries gets
+      one int64 slot per (output, query) pair, and one ``np.maximum.at``
+      writes each distinct row's multiplicity into the slot of each of its
+      (output, query) cells.  A slot then holds the largest multiplicity
+      among the rows showing its output at its query, whatever order the
+      maximum visits them in, so each query's slots sum to its modal sum
+      exactly.  The slots number the output range times the block's
+      queries, no more than the block's cells.
+    - larger: the slots would grow with the output range, up to 2**63
+      outputs, so each query's outputs are sorted instead.  With distinct
+      rows in order of falling multiplicity, a stable sort puts the row of
+      largest multiplicity first in each run of equal outputs; on 8- and
+      16-bit cells numpy's stable sort is a radix sort.  Distinct rows of
+      equal multiplicity may come in any order: every row tied at the
+      maximum gives the same weight.
+
+    The scatter's speed rests on numpy's indexed loop for ``ufunc.at``.  It
+    has been timed on numpy 2.4 only; on older releases down to the
+    declared floor, numpy 1.24, it is unmeasured.
     """
     import numpy as np
 
@@ -470,19 +492,27 @@ def b_rand_bruteforce(task: SfeTask) -> Fraction:
     if table is None:
         raise TaskError("brute-force baseline requires a materialized table")
     x_count, y_count = table.shape
+    top = int(table.max())
     # C order for the row view below: family_table builds knot tables in Fortran order
-    cells = table.astype(np.min_scalar_type(int(table.max())), order="C")
+    cells = table.astype(np.min_scalar_type(top), order="C")
     # one opaque item per row, so that np.unique finds the distinct rows
     row_items = cells.view(np.dtype((np.void, cells.itemsize * y_count)))
     _, first, counts = np.unique(row_items.ravel(), return_index=True, return_counts=True)
-    # Identical inputs share every answer, so at a query the modal count of
-    # an output is the largest multiplicity among distinct rows showing it.
-    # With distinct rows in order of falling multiplicity, a stable sort of
-    # each query's outputs puts that row first in its run of equal outputs.
+    cols_per_block = max(1, BRUTE_FORCE_BLOCK // len(first))
+    best = 0
+    if top < len(first):  # output range within the distinct rows: scatter
+        levels = top + 1
+        for lo in range(0, y_count, cols_per_block):
+            block = cells[first, lo : lo + cols_per_block]  # one line per distinct row
+            width = block.shape[1]
+            keys = np.multiply(block, width, dtype=np.intp)  # slot output * width + query
+            keys += np.arange(width)
+            slots = np.zeros(levels * width, dtype=np.int64)
+            np.maximum.at(slots, keys.ravel(), np.repeat(counts, width))
+            best = max(best, int(slots.reshape(levels, width).sum(axis=0).max()))
+        return Fraction(best, x_count)
     by_count = np.argsort(-counts, kind="stable")
     rows, weights = first[by_count], counts[by_count]
-    cols_per_block = max(1, BRUTE_FORCE_BLOCK // len(rows))
-    best = 0
     for lo in range(0, y_count, cols_per_block):
         block = cells[rows, lo : lo + cols_per_block].T  # one line per query
         order = np.argsort(block, axis=1, kind="stable")

@@ -527,6 +527,16 @@ class TestImportsPerCommand:
         assert (code, err) == (0, "") and out == run(capsys, *argv)[1]
         assert not imported & NUMPY_MODULES
 
+    def test_comparing_family_tasks_leaves_numpy_unloaded(self, tmp_path):
+        code, _, err, imported = run_python(
+            tmp_path,
+            "from sfebounds.tasks import make_family\n"
+            "assert make_family('ot', alphabet=2, n=3) == make_family('ot', alphabet=2, n=3)\n"
+            "assert make_family('ot', alphabet=2, n=3) != make_family('ot', alphabet=2, n=4)",
+        )
+        assert (code, err) == (0, "")
+        assert "sfebounds.tasks" in imported and not imported & NUMPY_MODULES
+
     def test_package_import_leaves_numpy_unloaded(self, tmp_path):
         code, _, err, imported = run_python(tmp_path, "import sfebounds")
         assert (code, err) == (0, "")

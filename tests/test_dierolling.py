@@ -29,6 +29,7 @@ class TestHonestRuns:
         stats = dr.run_honest(task, 100_000, seed=0)
         assert stats.abort_count == 0
         assert sum(stats.outcome_histogram) == stats.trials
+        assert {type(c) for c in stats.outcome_histogram} == {int}  # Python ints, not numpy's
         assert stats.tv_distance_from_uniform < 4 / math.sqrt(stats.trials)
 
     def test_transcript_arithmetic(self):

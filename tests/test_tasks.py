@@ -538,18 +538,32 @@ class TestBaselines:
     @example(SfeTask("one row", 1, 9, 3, table=[[0, 1, 2, 0, 1, 2, 2, 2, 0]]), 4)
     @example(SfeTask("one column", 9, 1, 3, table=[[0], [1], [1], [2], [2], [2], [0], [1], [2]]), 1)
     @example(SfeTask("one output", 4, 3, 1, table=[[0, 0, 0]] * 4), 2)
+    # as many outputs as distinct rows, which takes the scatter, and one more, the sort
+    @example(SfeTask("scatter edge", 5, 3, 3, table=[[0, 1, 2], [2, 1, 0], [0, 1, 2], [1, 1, 1], [2, 1, 0]]), 2)
+    @example(SfeTask("sort edge", 5, 3, 4, table=[[0, 1, 3], [3, 2, 0], [0, 1, 3], [1, 1, 1], [3, 2, 0]]), 2)
     def test_bruteforce_equals_dict_loop_reference(self, task, block):
         # small blocks send every table through the multi-block path too
         with mock.patch.object(tasks, "BRUTE_FORCE_BLOCK", block):
             assert b_rand_bruteforce(task) == dict_loop_b_rand(task)
 
     @pytest.mark.parametrize(
-        "shape,b_size", [((1, 5000), 3), ((5000, 1), 3), ((300, 200), 1), ((2000, 40), 2)]
+        "shape,b_size,pool_size",
+        [
+            ((1, 5000), 3, None),
+            ((5000, 1), 3, None),
+            ((300, 200), 1, None),
+            ((2000, 40), 2, None),
+            ((60, 2000), 60000, None),  # more outputs than distinct rows: the sort
+            ((3000, 50), 40, 40),  # as many outputs as distinct rows: the scatter
+            ((3000, 50), 41, 40),  # one output more: the sort
+        ],
     )
-    def test_bruteforce_equals_dict_loop_reference_at_size(self, shape, b_size):
+    def test_bruteforce_equals_dict_loop_reference_at_size(self, shape, b_size, pool_size):
         rng = np.random.default_rng(sum(shape) + b_size)
-        pool = rng.integers(0, b_size, size=(max(1, shape[0] // 3), shape[1]))
+        pool = rng.integers(0, b_size, size=(pool_size or max(1, shape[0] // 3), shape[1]))
         table = pool[rng.integers(0, len(pool), size=shape[0])]
+        if pool_size is not None:  # every pool row is drawn and distinct, and the top output shows
+            assert len(np.unique(table, axis=0)) == pool_size and table.max() == b_size - 1
         task = SfeTask("sized", *shape, b_size, table=table)
         assert b_rand_bruteforce(task) == dict_loop_b_rand(task)
 
@@ -567,8 +581,22 @@ class TestBaselines:
         assert b_rand_bruteforce(task) == dict_loop_b_rand(task)
         assert task.table.dtype == np.int64 and not task.table.flags.writeable
 
-    def test_bruteforce_peak_memory_is_below_the_table(self):
-        task = make_family("mp", n=1000)
+    @pytest.mark.parametrize(
+        "top,pool_size",
+        [
+            (None, None),  # mp 1000: two outputs, the scatter
+            (255, 1000),  # 256 outputs, the widest uint8 slot block: the scatter
+            (65535, 500),  # more outputs than distinct rows: the sort
+        ],
+    )
+    def test_bruteforce_peak_memory_is_below_the_table(self, top, pool_size):
+        if top is None:
+            task = make_family("mp", n=1000)
+        else:
+            rng = np.random.default_rng(top)
+            pool = rng.integers(0, top + 1, size=(pool_size, 1000))
+            pool[0, 0] = top
+            task = SfeTask("wide", 1000, 1000, top + 1, table=pool[rng.permutation(1000) % pool_size])
         table = task.table  # built before tracing, so only the brute force counts
         tracemalloc.start()
         try:
