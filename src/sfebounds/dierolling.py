@@ -68,18 +68,20 @@ def _trial_rng(seed: int, *stream: int) -> np.random.Generator:
 
 
 def _draw_trials(task: SfeTask, trials: int, seed: int):
-    """Each trial's x, y and shift b, for at least one trial.  No table is
-    read: the histogram has y_size bins and the inputs are drawn as int64,
-    which bounds the sizes."""
+    """Yield each trial's x, then its y, then its shift b, as one array
+    each, for at least one trial.  An array is drawn only when asked for,
+    and the generator keeps none of them: a caller holds just the arrays
+    it binds, and the stream stops before those it never asks for.  No
+    table is read: the histogram has y_size bins and the inputs are drawn
+    as int64, which bounds the sizes."""
     if trials < 1:
         raise ValueError("trials must be positive")
     if task.y_size > MATERIALIZE_CAP or task.x_size >= 2**63:
         raise TaskError(f"die-rolling needs y_size <= {MATERIALIZE_CAP} and x_size < 2**63")
     rng = _trial_rng(seed, 0)
-    xs = rng.integers(0, task.x_size, size=trials)
-    ys = rng.integers(0, task.y_size, size=trials)
-    bs = rng.integers(0, task.y_size, size=trials)
-    return xs, ys, bs
+    yield rng.integers(0, task.x_size, size=trials)
+    yield rng.integers(0, task.y_size, size=trials)
+    yield rng.integers(0, task.y_size, size=trials)
 
 
 def _stats(outcomes: np.ndarray, y_size: int, seed: int) -> DrStats:
@@ -103,10 +105,18 @@ def _stats(outcomes: np.ndarray, y_size: int, seed: int) -> DrStats:
 
 
 def run_honest(task: SfeTask, trials: int, seed: int = 0) -> DrStats:
-    """Both parties honest: never aborts, outcomes exactly (b + y) mod |Y|."""
-    _, ys, bs = _draw_trials(task, trials, seed)
-    outcomes = (bs + ys) % task.y_size
-    return _stats(outcomes, task.y_size, seed)
+    """Both parties honest: never aborts, outcomes exactly (b + y) mod |Y|.
+
+    Holds two trial arrays, ys and bs: the xs are drawn, since they fix
+    where ys and bs start in the stream, but let go unread, and the
+    outcomes are formed in place in bs.
+    """
+    draws = _draw_trials(task, trials, seed)
+    next(draws)  # the xs
+    ys, bs = draws
+    bs += ys
+    bs %= task.y_size
+    return _stats(bs, task.y_size, seed)
 
 
 def blind_alice(view: AliceView) -> np.ndarray:
@@ -129,7 +139,8 @@ def run_cheating_alice(
     honest, so nothing triggers an abort.  ``guesser`` maps an AliceView
     to one guess per trial (vectorized).
     """
-    xs, ys, _ = _draw_trials(task, trials, seed)
+    draws = _draw_trials(task, trials, seed)
+    xs, ys = next(draws), next(draws)  # the shifts come last and are never drawn
     view = AliceView(task=task, xs=xs, leaked_ys=ys, rng=_trial_rng(seed, 1))
     guesses = np.asarray(guesser(view), dtype=np.int64)
     if guesses.shape != (trials,):

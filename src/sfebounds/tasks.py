@@ -5,8 +5,10 @@ both inputs uniform and independent.  Tasks are either explicit tables or
 members of one of six parametric families (oblivious-transfer variants,
 equality, inner product, millionaire comparison) with closed-form
 baselines.  SfeTask checks a task once, when it is built; nothing
-downstream re-checks.  Tables are read-only int64 numpy arrays; numpy is
-imported inside the functions that build or read them, so a family task
+downstream re-checks.  A table is a read-only, C-contiguous numpy array in
+the narrowest unsigned type that holds its largest cell, uint8 for outputs
+below 256, and the brute-force baseline reads it as it is.  numpy is
+imported inside the functions that build or read tables, so a family task
 used through its closed forms (sizes and baseline) never loads it.  A
 family task builds its table from the family formulas only when the table
 is first read, and only up to MATERIALIZE_CAP cells, so bounds and curves,
@@ -161,8 +163,10 @@ class SfeTask:
 
     A task has one source of cells: an explicit ``table`` or a ``family``
     descriptor, never both.  ``table[x, y]`` holds the output index f(x, y)
-    as a read-only 2-D int64 array.  An explicit table is converted here
-    from any nested sequence of integers.  A family task within
+    in a read-only, C-contiguous 2-D array of the narrowest unsigned type
+    that holds its largest cell (``_unsigned``).  An explicit table is
+    converted here from any nested sequence of integers, checked in int64,
+    and only then narrowed, so the cast is exact.  A family task within
     MATERIALIZE_CAP builds its table from the family formulas on the first
     read of ``table`` and keeps it; above the cap ``table`` is None and the
     task answers closed-form queries only, its sizes and baseline.
@@ -188,6 +192,10 @@ class SfeTask:
         violations = validate_task(self)
         if violations:
             raise TaskError("; ".join(violations))
+        if table is not None:  # checked in int64, so the narrowing cast is exact
+            table = table.astype(_unsigned(int(table.max())), order="C")
+            table.flags.writeable = False
+            self.__dict__["_table"] = table
 
     def __setattr__(self, key, value):
         raise AttributeError(f"SfeTask is immutable: cannot set {key!r}")
@@ -231,8 +239,19 @@ def _check_cap(cells: int) -> None:
         )
 
 
+def _unsigned(top: int) -> np.dtype:
+    """The narrowest unsigned type that holds every integer in [0, top]:
+    that of a table whose largest cell is ``top``, and of the index arrays
+    family_table builds one from."""
+    import numpy as np
+
+    return np.min_scalar_type(top)
+
+
 def _as_table(raw, x_size: int, y_size: int, b_size: int) -> np.ndarray:
-    """``raw`` as a read-only 2-D int64 array, or TaskError naming bad cells."""
+    """``raw`` as a 2-D int64 array for validate_task, or TaskError naming
+    bad cells.  A uint64 array whose cells fit int64, such as the table of
+    a task with a cell of 2**32 or more, converts as well."""
     import numpy as np
 
     _check_cap(int(x_size) * int(y_size))
@@ -240,15 +259,14 @@ def _as_table(raw, x_size: int, y_size: int, b_size: int) -> np.ndarray:
         table = np.array(raw)  # a private copy the caller cannot write to
     except (ValueError, TypeError, OverflowError):  # e.g. ragged rows
         table = None
+    if table is not None and table.dtype == np.uint64 and table.size and int(table.max()) < 2**63:
+        table = table.astype(np.int64)
     integer = table is not None and (np.can_cast(table.dtype, np.int64) or table.size == 0)
     if not integer or table.ndim != 2:
         violations = _cell_violations(raw, x_size, y_size, b_size)
         raise TaskError("; ".join(violations) or "table must be a 2-D array of integers")
     _check_cap(table.size)
-    if table.dtype != np.int64:
-        table = table.astype(np.int64)
-    table.flags.writeable = False
-    return table
+    return table.astype(np.int64, copy=False)
 
 
 def _cell_violations(raw, x_size: int, y_size: int, b_size: int) -> list[str]:
@@ -340,44 +358,55 @@ def answer_vector(task: SfeTask, x: int) -> tuple[int, ...]:
 def family_table(spec: FamilySpec) -> np.ndarray:
     """The whole table of a family task, f(x, y) at every cell.
 
-    Built with array formulas in the index conventions above and returned
-    read-only.  The caller keeps x_size * y_size within MATERIALIZE_CAP.
+    Built with array formulas in the index conventions above, in narrow
+    types from the start: the inputs in ``_unsigned(x_size - 1)``, which
+    also holds every y that eq and mp compare with them and every y + 1 of
+    ip, and the cells in ``_unsigned(b_size - 1)``, the type of the
+    family's largest output.
+    Arrays meet only numpy scalars or arrays of their own type, never a
+    Python int, so numpy's promotion rules, old or new, widen none of
+    them.  Returned read-only and C-contiguous.  The caller keeps
+    x_size * y_size within MATERIALIZE_CAP.
     """
     import numpy as np
 
     p = spec.params
     tag = spec.family
-    x_size, y_size, _ = spec.sizes
-    x = np.arange(x_size, dtype=np.int64)[:, None]
-    y = np.arange(y_size, dtype=np.int64)
-    if tag == "ot":
+    x_size, y_size, b_size = spec.sizes
+    index = _unsigned(x_size - 1)
+    cell = _unsigned(b_size - 1)
+    x = np.arange(x_size, dtype=index)
+    if tag in ("ot", "knot"):
         w, n = p["alphabet"], p["n"]
-        table = x // w ** (n - 1 - y)
-        table %= w
-    elif tag == "knot":
-        w, n = p["alphabet"], p["n"]
-        digits = x // w ** np.arange(n - 1, -1, -1, dtype=np.int64) % w
-        # combinations() yields k-subsets in lexicographic order, the rank order
-        subsets = np.array(list(combinations(range(n), p["k"])), dtype=np.intp)
-        table = digits[:, subsets[:, 0]]
-        for j in range(1, p["k"]):
-            table *= w
-            table += digits[:, subsets[:, j]]
+        digits = np.empty((x_size, n), dtype=cell)  # digits[x, j]: component j of x
+        for j in range(n - 1, 0, -1):  # least significant first; w fits the index type when n > 1
+            digits[:, j] = x % index.type(w)
+            x //= index.type(w)
+        digits[:, 0] = x
+        table = digits
+        if tag == "knot":
+            # combinations() yields k-subsets in lexicographic order, the rank order
+            subsets = np.array(list(combinations(range(n), p["k"])), dtype=np.intp)
+            table = digits.take(subsets[:, 0], axis=1)
+            for j in range(1, p["k"]):
+                table *= cell.type(w)  # fits: w <= w**k - 1 when k > 1, unless w = 1
+                table += digits.take(subsets[:, j], axis=1)
     elif tag == "xot":
         n = p["n"]
-        x1, x2 = x >> n, x & ((1 << n) - 1)
-        table = np.hstack([x1, x2, x1 ^ x2])
+        x1 = (x >> index.type(n)).astype(cell)
+        x2 = (x & index.type((1 << n) - 1)).astype(cell)
+        table = np.stack([x1, x2, x1 ^ x2], axis=1)
     elif tag == "eq":
-        table = (x == y).astype(np.int64)
+        table = (x[:, None] == np.arange(y_size, dtype=index)).view(np.uint8)
     elif tag == "ip":
-        table = x & (y + 1)
-        shift = 1
-        while shift < p["n"]:  # xor-fold every bit onto bit 0: the parity
-            table ^= table >> shift
-            shift *= 2
-        table &= 1
+        y = np.arange(1, y_size + 1, dtype=index)  # the nonzero string y + 1 of each y
+        odd = np.zeros((x_size, y_size), dtype=bool)
+        for bit in range(p["n"]):  # the parity of x & (y + 1), one shared bit at a time
+            mask = index.type(1 << bit)
+            odd ^= (x & mask).astype(bool)[:, None] & (y & mask).astype(bool)
+        table = odd.view(np.uint8)
     else:  # "mp"
-        table = (y >= x).astype(np.int64)
+        table = (np.arange(y_size, dtype=index) >= x[:, None]).view(np.uint8)
     table.flags.writeable = False
     return table
 
@@ -456,12 +485,10 @@ def b_rand_bruteforce(task: SfeTask) -> Fraction:
     Identical inputs share every answer, so at a query the modal count of
     an output is the largest multiplicity among the distinct rows showing
     it, and the query's success is the sum of these over its outputs.  The
-    rows are deduplicated on a private copy of the table in the narrowest
-    unsigned type that holds its largest cell, uint8 when every output is
-    below 256.  The cast is exact: the constructor keeps every cell in
-    [0, b_size) and in int64, so no cell is negative and the largest fits
-    the type chosen for it.  The dedup compares one or two bytes per cell
-    where int64 takes eight.
+    rows are deduplicated on the task's own table, read as it is: it is
+    C-contiguous, so each row is one opaque item, and in the narrowest
+    unsigned type that holds its largest cell, so the dedup compares one
+    byte per cell when every output is below 256.
 
     The modal counts are then found one of two ways, chosen once per table
     from its output range (largest cell + 1):
@@ -493,17 +520,15 @@ def b_rand_bruteforce(task: SfeTask) -> Fraction:
         raise TaskError("brute-force baseline requires a materialized table")
     x_count, y_count = table.shape
     top = int(table.max())
-    # C order for the row view below: family_table builds knot tables in Fortran order
-    cells = table.astype(np.min_scalar_type(top), order="C")
     # one opaque item per row, so that np.unique finds the distinct rows
-    row_items = cells.view(np.dtype((np.void, cells.itemsize * y_count)))
+    row_items = table.view(np.dtype((np.void, table.itemsize * y_count)))
     _, first, counts = np.unique(row_items.ravel(), return_index=True, return_counts=True)
     cols_per_block = max(1, BRUTE_FORCE_BLOCK // len(first))
     best = 0
     if top < len(first):  # output range within the distinct rows: scatter
         levels = top + 1
         for lo in range(0, y_count, cols_per_block):
-            block = cells[first, lo : lo + cols_per_block]  # one line per distinct row
+            block = table[first, lo : lo + cols_per_block]  # one line per distinct row
             width = block.shape[1]
             keys = np.multiply(block, width, dtype=np.intp)  # slot output * width + query
             keys += np.arange(width)
@@ -514,7 +539,7 @@ def b_rand_bruteforce(task: SfeTask) -> Fraction:
     by_count = np.argsort(-counts, kind="stable")
     rows, weights = first[by_count], counts[by_count]
     for lo in range(0, y_count, cols_per_block):
-        block = cells[rows, lo : lo + cols_per_block].T  # one line per query
+        block = table[rows, lo : lo + cols_per_block].T  # one line per query
         order = np.argsort(block, axis=1, kind="stable")
         outputs = np.take_along_axis(block, order, axis=1)
         first_of_run = np.ones(outputs.shape, dtype=bool)

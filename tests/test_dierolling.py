@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from conftest import traced_peak
 from sfebounds import dierolling as dr
 from sfebounds.tasks import TaskError, make_family
 
@@ -54,6 +55,13 @@ class TestHonestRuns:
     def test_requires_materialized_table(self):
         with pytest.raises(TaskError):
             dr.run_honest(make_family("mp", n=10**9), 10, seed=0)
+
+    @pytest.mark.parametrize("family,params", [("ot", dict(alphabet=2, n=14)), ("ip", dict(n=9))])
+    def test_peak_is_two_trial_arrays(self, family, params):
+        # two int64 arrays of 10**5 trials are 1.6 MB; holding the xs, or
+        # outcomes apart from the shifts, would add a third of 0.8 MB
+        task = make_family(family, **params)
+        assert traced_peak(dr.run_honest, task, 10**5) < 2.5 * 8 * 10**5
 
     def test_rejects_nonpositive_trials(self):
         with pytest.raises(ValueError):
@@ -124,6 +132,20 @@ class TestCheatingAlice:
         stats = dr.run_cheating_alice(task, posterior_argmax, trials, seed=2)
         se = standard_error(float(exact), trials)
         assert abs(stats.forcing_rate - float(exact)) < 3 * se
+
+    @pytest.mark.parametrize("guesser", [dr.blind_alice, dr.oracle_alice])
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2**31, 2**64 + 5])
+    def test_equals_a_run_that_draws_the_shifts_too(self, guesser, seed):
+        # the shifts come last in stream 0, so leaving them undrawn moves
+        # neither the xs nor the ys
+        task = make_family("ip", n=3)
+        rng = dr._trial_rng(seed, 0)
+        xs = rng.integers(0, task.x_size, size=500)
+        ys = rng.integers(0, task.y_size, size=500)
+        rng.integers(0, task.y_size, size=500)  # the shifts
+        view = dr.AliceView(task=task, xs=xs, leaked_ys=ys, rng=dr._trial_rng(seed, 1))
+        reference = dr._stats((ys - guesser(view)) % task.y_size, task.y_size, seed)
+        assert dr.run_cheating_alice(task, guesser, 500, seed=seed) == reference
 
     def test_strategy_shape_validated(self):
         task = make_family("eq", n=3)

@@ -1,7 +1,6 @@
 import itertools
 import json
 import pickle
-import tracemalloc
 from collections import defaultdict
 from fractions import Fraction
 from unittest import mock
@@ -11,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import traced_peak
 from family_reference import family_value
 from sfebounds import tasks
 from sfebounds.tasks import (
@@ -265,9 +265,9 @@ class TestConstructors:
         with pytest.raises(TaskError, match="above the materialization cap"):
             SfeTask("big", *sizes, 2, table=np.zeros(shape, dtype=np.int64))
 
-    def test_table_is_read_only_int64(self):
+    def test_table_is_read_only_uint8(self):
         task = make_family("ot", alphabet=3, n=2)
-        assert task.table.dtype == np.int64 and task.table.shape == (9, 2)
+        assert task.table.dtype == np.uint8 and task.table.shape == (9, 2)
         assert not task.table.flags.writeable
         assert type(task.f(5, 1)) is int
         assert answer_vector(task, 5) == (1, 2)
@@ -277,6 +277,16 @@ class TestConstructors:
         task = SfeTask("copy", 2, 2, 2, table=rows)
         rows[0, 0] = 1
         assert task.f(0, 0) == 0 and not task.table.flags.writeable
+
+    @pytest.mark.parametrize("top", [2**32, 2**63 - 1])
+    def test_a_wide_table_builds_a_task_again(self, top):
+        # a table narrowed to uint64, which numpy cannot cast to int64 safely
+        task = SfeTask("wide", 2, 2, top + 1, table=[[0, top], [top, 1]])
+        assert task.table.dtype == np.uint64
+        assert SfeTask("wide", 2, 2, top + 1, table=task.table) == task
+        # a uint64 cell beyond int64 is still refused
+        with pytest.raises(TaskError, match="^table must be a 2-D array of integers$"):
+            SfeTask("wider", 1, 1, 2**70, table=np.array([[2**63]], dtype=np.uint64))
 
     @pytest.mark.parametrize("size", [np.int64(2), np.int32(2), 2])
     def test_integer_sizes_accepted(self, size):
@@ -338,7 +348,8 @@ class TestFamilyTables:
         table = task.table  # built by family_table on this first read
         # what lets validate_task skip the range checks on derived tables
         assert table.shape == (task.x_size, task.y_size)
-        assert table.dtype == np.int64 and not table.flags.writeable
+        assert table.dtype == np.uint8 == np.min_scalar_type(task.b_size - 1)
+        assert table.flags.c_contiguous and not table.flags.writeable
         assert 0 <= table.min() and table.max() < task.b_size
         expected = [
             [family_value(task.family, x, y) for y in range(task.y_size)]
@@ -347,6 +358,43 @@ class TestFamilyTables:
         assert table.tolist() == expected
         assert validate_task(task) == []
         assert b_rand_bruteforce(task) == b_rand_closed_form(task)
+
+    @pytest.mark.parametrize(
+        "family,params,dtype",
+        [
+            ("ot", dict(alphabet=256, n=1), np.uint8),  # an alphabet beyond the inputs' uint8
+            ("ot", dict(alphabet=1, n=300), np.uint8),  # queries beyond the inputs' uint8
+            ("ot", dict(alphabet=300, n=2), np.uint16),
+            ("ot", dict(alphabet=70000, n=1), np.uint32),
+            ("knot", dict(alphabet=17, n=3, k=2), np.uint16),
+            ("xot", dict(n=9), np.uint16),  # inputs in uint32
+        ],
+    )
+    def test_wide_family_tables_equal_pointwise_formula(self, family, params, dtype):
+        task = make_family(family, **params)
+        table = task.table
+        assert table.dtype == dtype and table.flags.c_contiguous
+        rng = np.random.default_rng(0)
+        drawn = rng.choice(task.x_size, size=min(task.x_size, 200), replace=False)
+        rows = sorted({0, task.x_size - 1, *drawn.tolist()})
+        expected = [[family_value(task.family, x, y) for y in range(task.y_size)] for x in rows]
+        assert table[rows].tolist() == expected
+
+    @pytest.mark.parametrize(
+        "family,params",
+        [
+            ("knot", dict(alphabet=3, n=8, k=2)),
+            ("ot", dict(alphabet=2, n=14)),
+            ("mp", dict(n=700)),
+            ("ip", dict(n=9)),
+            ("xot", dict(n=8)),
+            ("mp", dict(n=1000)),
+        ],
+    )
+    def test_family_build_peaks_below_eight_bytes_a_cell(self, family, params):
+        task = make_family(family, **params)
+        peak = traced_peak(lambda: task.table)  # the first read builds the table
+        assert peak < 8 * task.x_size * task.y_size
 
 
 @st.composite
@@ -579,7 +627,16 @@ class TestBaselines:
         table = pairs[np.random.default_rng(top % 997).permutation(picks)]  # tied multiplicities
         task = SfeTask("edges", len(table), 2, top + 1, table=table)
         assert b_rand_bruteforce(task) == dict_loop_b_rand(task)
-        assert task.table.dtype == np.int64 and not task.table.flags.writeable
+        narrowest = {
+            255: np.uint8,
+            256: np.uint16,
+            65535: np.uint16,
+            65536: np.uint32,
+            2**32 - 1: np.uint32,
+            2**32: np.uint64,
+            2**63 - 1: np.uint64,
+        }
+        assert task.table.dtype == narrowest[top] and not task.table.flags.writeable
 
     @pytest.mark.parametrize(
         "top,pool_size",
@@ -598,13 +655,8 @@ class TestBaselines:
             pool[0, 0] = top
             task = SfeTask("wide", 1000, 1000, top + 1, table=pool[rng.permutation(1000) % pool_size])
         table = task.table  # built before tracing, so only the brute force counts
-        tracemalloc.start()
-        try:
-            b_rand_bruteforce(task)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < table.nbytes
+        # eight bytes a cell, what an int64 copy of the table alone would take
+        assert traced_peak(b_rand_bruteforce, task) < 8 * table.size
 
     def test_bruteforce_requires_table(self):
         with pytest.raises(TaskError):
