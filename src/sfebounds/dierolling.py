@@ -156,7 +156,8 @@ def _revealed(
 ) -> np.ndarray:
     """The input the receiver reveals in each trial: the required one when
     its answer is known, else the least known input, or the honest input
-    when none is known."""
+    when none is known.  A declared collection forms it in ``required``,
+    which the caller does not read again."""
     if learner == "full":
         return required
     if learner == "honest":
@@ -179,8 +180,12 @@ def _revealed(
         raise ValueError("knowledge set must not be empty")
     if s[0] < 0 or s[-1] >= task.y_size:
         raise ValueError("knowledge set outside the input range")
-    s = np.asarray(s, dtype=np.int64)
-    return np.where(np.isin(required, s), required, s[0])
+    # a table of unknown inputs: one byte per input, where np.isin would
+    # take two temporary trial arrays
+    unknown = np.ones(task.y_size, dtype=bool)
+    unknown[s] = False
+    required[unknown[required]] = s[0]
+    return required
 
 
 def run_cheating_bob(
@@ -197,11 +202,21 @@ def run_cheating_bob(
     from aborting but forfeits the forcing attempt, so the forcing rate
     converges to |S|/|Y|.  ValueError on a known input outside range(|Y|),
     from a collection or a callable alike, and on an empty collection.
+
+    Holds three trial arrays, ys, bs and the required reveals, unless the
+    learner is callable: only a callable reads the xs, and it reveals into
+    a copy of the ys.  The outcomes are formed in place in bs.
     """
-    xs, ys, bs = _draw_trials(task, trials, seed)
-    required = (-bs) % task.y_size
-    outcomes = (bs + _revealed(task, learner, required, xs, ys)) % task.y_size
-    return _stats(outcomes, task.y_size, seed)
+    draws = _draw_trials(task, trials, seed)
+    xs = next(draws)
+    if not callable(learner):
+        xs = None  # let go before the ys are drawn
+    ys, bs = draws
+    required = np.negative(bs)
+    required %= task.y_size
+    bs += _revealed(task, learner, required, xs, ys)
+    bs %= task.y_size
+    return _stats(bs, task.y_size, seed)
 
 
 def kitaev_bound(n_outcomes: int) -> KitaevBound:

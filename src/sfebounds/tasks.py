@@ -165,11 +165,12 @@ class SfeTask:
     descriptor, never both.  ``table[x, y]`` holds the output index f(x, y)
     in a read-only, C-contiguous 2-D array of the narrowest unsigned type
     that holds its largest cell (``_unsigned``).  An explicit table is
-    converted here from any nested sequence of integers, checked in int64,
-    and only then narrowed, so the cast is exact.  A family task within
-    MATERIALIZE_CAP builds its table from the family formulas on the first
-    read of ``table`` and keeps it; above the cap ``table`` is None and the
-    task answers closed-form queries only, its sizes and baseline.
+    converted here from any nested sequence of integers, checked in its
+    own integer type (int64 for lists), and only then narrowed, so the
+    cast is exact.  A family task within MATERIALIZE_CAP builds its table
+    from the family formulas on the first read of ``table`` and keeps it;
+    above the cap ``table`` is None and the task answers closed-form
+    queries only, its sizes and baseline.
 
     The constructor is the one place a task is checked: non-integer sizes,
     ragged rows, missing or non-integer cells, values outside int64, tables
@@ -192,8 +193,8 @@ class SfeTask:
         violations = validate_task(self)
         if violations:
             raise TaskError("; ".join(violations))
-        if table is not None:  # checked in int64, so the narrowing cast is exact
-            table = table.astype(_unsigned(int(table.max())), order="C")
+        if table is not None:  # every cell checked in [0, b_size), so the cast is exact
+            table = table.astype(_unsigned(int(table.max())), order="C", copy=False)
             table.flags.writeable = False
             self.__dict__["_table"] = table
 
@@ -249,9 +250,11 @@ def _unsigned(top: int) -> np.dtype:
 
 
 def _as_table(raw, x_size: int, y_size: int, b_size: int) -> np.ndarray:
-    """``raw`` as a 2-D int64 array for validate_task, or TaskError naming
-    bad cells.  A uint64 array whose cells fit int64, such as the table of
-    a task with a cell of 2**32 or more, converts as well."""
+    """``raw`` as a private 2-D integer array for validate_task, or
+    TaskError naming bad cells.  An integer array keeps its type, so a
+    table of bytes is checked in bytes; booleans and an empty table become
+    int64, as a table of lists is.  A uint64 array with a cell of 2**63 or
+    more goes to ``_cell_violations``, as any table beyond int64 does."""
     import numpy as np
 
     _check_cap(int(x_size) * int(y_size))
@@ -259,14 +262,14 @@ def _as_table(raw, x_size: int, y_size: int, b_size: int) -> np.ndarray:
         table = np.array(raw)  # a private copy the caller cannot write to
     except (ValueError, TypeError, OverflowError):  # e.g. ragged rows
         table = None
-    if table is not None and table.dtype == np.uint64 and table.size and int(table.max()) < 2**63:
-        table = table.astype(np.int64)
-    integer = table is not None and (np.can_cast(table.dtype, np.int64) or table.size == 0)
+    if table is not None and table.dtype == np.uint64 and table.size and int(table.max()) >= 2**63:
+        table = None
+    integer = table is not None and (table.dtype.kind in "biu" or table.size == 0)
     if not integer or table.ndim != 2:
         violations = _cell_violations(raw, x_size, y_size, b_size)
         raise TaskError("; ".join(violations) or "table must be a 2-D array of integers")
     _check_cap(table.size)
-    return table.astype(np.int64, copy=False)
+    return table if table.dtype.kind in "iu" else table.astype(np.int64)
 
 
 def _cell_violations(raw, x_size: int, y_size: int, b_size: int) -> list[str]:
@@ -275,7 +278,7 @@ def _cell_violations(raw, x_size: int, y_size: int, b_size: int) -> list[str]:
     not an integer in [0, b_size), in row-major order.
 
     The reporter for tables numpy cannot take as 2-D integers; its per-row
-    part, ``_row_violations``, words every message, also for the int64
+    part, ``_row_violations``, words every message, also for the integer
     tables validate_task refuses, and walks only the rows ``_clean_row``
     does not pass.  Both run only on the error path.  Integral covers
     numpy's integer scalars, which numpy registers with it.
@@ -458,7 +461,7 @@ def validate_task(task: SfeTask) -> list[str]:
     if table.shape[1] != task.y_size:
         rows = range(len(table))  # each row has the wrong length
     else:  # only a row with a cell out of range has something to report
-        high = min(task.b_size - 1, 2**63 - 1)  # no int64 cell is above 2**63 - 1
+        high = min(task.b_size - 1, 2**63 - 1)  # _as_table refuses any cell above 2**63 - 1
         rows = ((table < 0) | (table > high)).any(axis=1).nonzero()[0].tolist()
     # Python ints, which print as 5 where numpy's print as np.int64(5)
     numbered = ((x, table[x].tolist()) for x in rows)

@@ -61,6 +61,7 @@ class TestHonestRuns:
         # two int64 arrays of 10**5 trials are 1.6 MB; holding the xs, or
         # outcomes apart from the shifts, would add a third of 0.8 MB
         task = make_family(family, **params)
+        dr.run_honest(task, 1)  # warm-up: the first call imports numpy.random
         assert traced_peak(dr.run_honest, task, 10**5) < 2.5 * 8 * 10**5
 
     def test_rejects_nonpositive_trials(self):
@@ -201,6 +202,37 @@ class TestCheatingBob:
         assert stats.outcome_histogram == histogram
         assert stats.forcing_rate == forcing_rate
         assert stats.abort_count == 0
+
+    @pytest.mark.parametrize(
+        "learner", ["full", "honest", {1, 4}, lambda t, x, y: {y, (x + y) % t.y_size}]
+    )
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2**31])
+    def test_equals_a_trial_by_trial_reference(self, learner, seed):
+        # xs, ys and bs from stream 0, then each trial's reveal on its own
+        task = make_family("ip", n=3)
+        rng = dr._trial_rng(seed, 0)
+        xs, ys, bs = (rng.integers(0, n, size=500) for n in (task.x_size, task.y_size, task.y_size))
+        outcomes = []
+        for x, y, b in zip(xs.tolist(), ys.tolist(), bs.tolist()):
+            if learner == "full":
+                known = range(task.y_size)
+            elif learner == "honest":
+                known = {y}
+            else:
+                known = learner(task, x, y) if callable(learner) else learner
+            required = -b % task.y_size
+            revealed = required if required in known else min(known, default=y)
+            outcomes.append((b + revealed) % task.y_size)
+        reference = dr._stats(np.array(outcomes), task.y_size, seed)
+        assert dr.run_cheating_bob(task, learner, 500, seed=seed) == reference
+
+    @pytest.mark.parametrize("learner", ["full", "honest", {0, 3, 100}])
+    def test_peak_is_three_trial_arrays(self, learner):
+        # ys, bs and the required reveals, 0.8 MB each at 10**5 trials; the
+        # xs, a revealed copy or outcomes apart from the shifts would add a fourth
+        task = make_family("ip", n=9)
+        dr.run_cheating_bob(task, learner, 1)  # warm-up: the first call imports numpy.random
+        assert traced_peak(dr.run_cheating_bob, task, learner, 10**5) < 3.5 * 8 * 10**5
 
     def test_empty_set_rejected(self):
         with pytest.raises(ValueError):

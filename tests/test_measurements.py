@@ -664,6 +664,29 @@ class TestStackedKernelMatchesLoops:
         want = loop_averaged_strategy_success(enc, povms)
         assert got._asdict() == want._asdict()
 
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(
+        st.integers(1, 81),
+        st.integers(1, 3),
+        st.lists(st.integers(1, 3), max_size=2),
+        st.sampled_from([0.0, 0.5, 0.9, 1.0]),
+        SEEDS,
+    )
+    def test_element_sum(self, count, dim, leading, zeros, seed):
+        # real and imaginary parts over six decades, a share ``zeros`` of
+        # them zeros of either sign: a sum that started from another zero,
+        # or added in another order, would show
+        rng = np.random.default_rng(seed)
+        shape = (*leading, count, dim, dim, 2)
+        parts = rng.standard_normal(shape) * 10.0 ** rng.integers(-3, 4, size=shape)
+        parts[rng.random(shape) < zeros] = 0.0
+        parts = np.where(rng.random(shape) < 0.5, -parts, parts)
+        stack = parts.view(np.complex128)[..., 0]
+        want = sum(stack[..., i, :, :] for i in range(count))
+        got = m._element_sum(stack)
+        assert got.shape == want.shape
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
     @pytest.mark.parametrize(
         "instance,reference",
         [
@@ -733,6 +756,24 @@ class TestCampaignKernels:
             patch.setattr(m, "_CHUNK", chunk)
             got = m._records(instance.campaign, [[9, idx] for idx in picks], **dims)
         assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
+
+    # numpy's scalars print as Python's in JSON, but a caller that keeps a
+    # record sees their type
+    @pytest.mark.parametrize("instance", CAMPAIGNS, ids=lambda fn: fn.__name__)
+    def test_records_hold_python_scalars(self, instance):
+        def python(value):
+            if type(value) is list:
+                return all(type(v) in (int, float, bool) for v in value)
+            return type(value) in (int, float, bool)
+
+        for record in m.run_campaign(instance, 100, seed=3, min_dim=1):
+            assert {key: type(v) for key, v in record.items() if not python(v)} == {}
+
+    def test_learn_report_holds_python_floats(self):
+        enc = random_encoding(3, 2, 2, 2, seed=4)
+        report = averaged_strategy_success(enc, [random_povm(2, 2, [4, i]) for i in range(2)])
+        assert {type(p) for p in report.individual_success} == {float}
+        assert {type(v) for v in report[1:5] + report[6:]} == {float}
 
     @pytest.mark.parametrize("instance", CAMPAIGNS, ids=lambda fn: fn.__name__)
     def test_zero_instances(self, instance):

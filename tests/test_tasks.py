@@ -288,6 +288,31 @@ class TestConstructors:
         with pytest.raises(TaskError, match="^table must be a 2-D array of integers$"):
             SfeTask("wider", 1, 1, 2**70, table=np.array([[2**63]], dtype=np.uint64))
 
+    def test_a_table_of_bytes_is_checked_in_bytes(self):
+        # widened to int64 for the checks, this 1 MB table peaked at 9 MB
+        table = np.random.default_rng(3).integers(0, 4, size=(1000, 1000), dtype=np.uint8)
+        SfeTask("bytes", 1000, 1000, 4, table)  # warm-up: numpy's first calls allocate
+        assert traced_peak(SfeTask, "bytes", 1000, 1000, 4, table) < 3 * 10**6
+        assert np.array_equal(SfeTask("bytes", 1000, 1000, 4, table).table, table)
+
+    @pytest.mark.parametrize(
+        "dtype", [bool, np.int8, np.uint8, np.int16, np.uint16, np.int32, np.uint32, np.uint64]
+    )
+    @pytest.mark.parametrize("b_size", [1, 2, 3, 300])
+    def test_a_typed_table_builds_or_is_refused_as_its_lists_are(self, dtype, b_size):
+        table = np.array([[0, 1, 2], [200, 1, 0]]).astype(dtype)
+        if dtype in (np.int8, np.int16, np.int32):
+            table[1, 2] = -1
+
+        def built(raw):
+            try:
+                task = SfeTask("typed", 2, 3, b_size, table=raw)
+            except TaskError as exc:
+                return str(exc)
+            return task.table.dtype, task.table.tolist()
+
+        assert built(table) == built(table.tolist())
+
     @pytest.mark.parametrize("size", [np.int64(2), np.int32(2), 2])
     def test_integer_sizes_accepted(self, size):
         task = SfeTask("t", size, size, size, table=[[0, 1], [1, 0]])
