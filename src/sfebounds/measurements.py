@@ -19,13 +19,14 @@ whose correct elements are one-outcome POVMs).  numpy's stacked matmul,
 eigh, eigvalsh and svd make the same BLAS/LAPACK call on each matrix as a
 2-D call does, so stacked results are bit-identical to matrix-at-a-time
 ones (the tests keep the matrix-at-a-time loops as references).  Sums over
-elements add in Python's left-to-right ``sum`` order (``_element_sum``),
-inner products stay per-matrix ``np.vdot`` calls, and an instance's scalar
-sums run per instance in its own order, for the same reason: ``einsum`` and
-axis reductions may add in another order (numpy sums a reduced axis of 1x1
-matrices pairwise, for one).  The axis reductions left are minima, maxima,
-and sums along the last axis of each matrix (traces, singular values),
-which add the same entries in the same order for a stack as for one matrix.
+elements add in Python's left-to-right ``sum`` order: ``_element_sum`` lays
+its one reduction out so that the element axis is never numpy's inner loop,
+the only axis numpy sums pairwise.  Inner products stay per-matrix
+``np.vdot`` calls, and an instance's scalar sums run per instance in its own
+order, for the same reason: ``einsum`` and other axis reductions may add in
+another order.  The axis reductions left are minima, maxima, and sums along
+the last axis of each matrix (traces, singular values), which add the same
+entries in the same order for a stack as for one matrix.
 
 Campaigns: a campaign is a pair ``(draw, kernel)``: ``draw`` takes one
 instance's random numbers from its own seeded generators, and ``kernel``
@@ -294,18 +295,21 @@ def _element_sum(stack: np.ndarray) -> np.ndarray:
     """Sum over the element axis of POVMs stacked as (..., b, d, d), bit for
     bit ``sum(povm.elements)``.
 
-    One vector add per element, left to right: the additions of Python's
-    sum, in its order, whatever the leading axes, with no reduction whose
-    order numpy chooses (``np.add.accumulate`` along the axis adds the same
-    way but runs one inner loop per (d, d) fiber, several times slower on
-    a campaign's stacks).  Python's sum starts from 0, and 0 + r_last
-    equals that sum: a leading +0.0 only turns an entry that is -0.0 in
-    every prefix into +0.0.
+    One ``np.add.reduce`` over the element axis of a C-contiguous float64
+    view (..., b, d, 2d), real and imaginary parts side by side.  numpy sums
+    pairwise only along the axis its inner loop runs on, which is the axis
+    of smallest stride; here that is the last, of 2d >= 2 entries, so the
+    element axis, of larger stride, is never the inner loop, also for 1x1
+    matrices (whose complex axes numpy would drop, leaving the element axis
+    innermost).  Each entry is then added one element at a time in index
+    order: the additions of Python's sum, in its order, whatever the
+    leading axes or the strides of ``stack``.  Python's sum starts from 0,
+    and 0 + r equals that sum whether numpy starts from 0 or from the first
+    element: a leading +0.0 only turns an entry that is -0.0 in every
+    prefix into +0.0.
     """
-    total = stack[..., 0, :, :]
-    for i in range(1, stack.shape[-3]):
-        total = total + stack[..., i, :, :]
-    return 0 + total
+    parts = np.ascontiguousarray(stack, dtype=complex).view(np.float64)
+    return 0 + np.add.reduce(parts, axis=-3).view(complex)
 
 
 def _validate_stack(stack: np.ndarray, labels: Sequence, tol: float = COMPLETENESS_TOL) -> None:
@@ -853,11 +857,12 @@ def random_encoding(
 # {seed, dims, n, epsilons, bound, achieved, holds}.
 # ---------------------------------------------------------------------------
 
-# Instances per kernel call.  A call holds its chunk's draws and densities
-# and one shape group's stacks; with 64, the peak RSS (VmHWM) of 10000
-# learning instances is about 1.2 MB above that of running them one at a
-# time: 49.0 against 47.8 MB on Python 3.11 and numpy 2.4.
-_CHUNK = 64
+# Instances per kernel call, so a campaign of 100 is one call.  A call holds
+# its chunk's draws and densities and one shape group's stacks; with 128,
+# the peak RSS (VmHWM) of 10000 learning instances is about 2.1 MB above
+# that of running them one at a time: 49.9 against 47.8 MB on Python 3.11
+# and numpy 2.4.
+_CHUNK = 128
 
 
 def _check_sizes(min_dim: int, max_dim: int, max_n: int = 1, min_n: int = 1) -> None:
@@ -921,12 +926,12 @@ def _instance(kernel: Callable[[list], list]):
     return decorate
 
 
-def _operator_kernel(reports: Callable, fields: Callable) -> Callable[[list], list]:
+def _operator_kernel(reports: Callable, record: Callable) -> Callable[[list], list]:
     """The kernel of a campaign whose draws are a state and its measurement
     operators: it builds the chunk's densities, then, per shape of the
     operators' Gaussians, the operators, and checks their stacks with
-    ``reports``; ``fields`` takes the record fields n, epsilons, bound and
-    achieved from a report."""
+    ``reports``; ``record`` turns a seed, a dimension and a report into the
+    instance's record."""
 
     def kernel(drawn: list) -> list[dict]:
         seeds, rho_gaussians, ts, gs = zip(*drawn)
@@ -936,16 +941,26 @@ def _operator_kernel(reports: Callable, fields: Callable) -> Callable[[list], li
             rhos = np.array([densities[i] for i in rows])
             lams = _measurement_operators(np.array([ts[i] for i in rows]), g)
             for i, r in zip(rows, reports(rhos, lams)):
-                records[i] = {"seed": seeds[i], "dims": g.shape[-1], **fields(r), "holds": r.holds}
+                records[i] = record(seeds[i], g.shape[-1], r)
         return records
 
     return kernel
 
 
-_gentle_kernel = _operator_kernel(
-    _gentle_reports,
-    lambda r: {"n": 1, "epsilons": [r.epsilon], "bound": r.bound, "achieved": r.disturbance},
-)
+def _gentle_record(seed: list, dim: int, report: GentleReport) -> dict:
+    """The record of one gentle instance from its report."""
+    return {
+        "seed": seed,
+        "dims": dim,
+        "n": 1,
+        "epsilons": [report.epsilon],
+        "bound": report.bound,
+        "achieved": report.disturbance,
+        "holds": report.holds,
+    }
+
+
+_gentle_kernel = _operator_kernel(_gentle_reports, _gentle_record)
 
 
 @_instance(_gentle_kernel)
@@ -960,15 +975,20 @@ def gentle_instance(seed: Sequence[int], min_dim: int = 2, max_dim: int = 8):
     return seed, _complex_gaussians(_rng(seed + [1]), (dim, rank)), t, g
 
 
-_sequential_kernel = _operator_kernel(
-    _sequential_reports,
-    lambda r: {
-        "n": len(r.epsilons),
-        "epsilons": list(r.epsilons),
-        "bound": r.lower_bound,
-        "achieved": r.expectation,
-    },
-)
+def _sequential_record(seed: list, dim: int, report: SequentialReport) -> dict:
+    """The record of one sequential instance from its report."""
+    return {
+        "seed": seed,
+        "dims": dim,
+        "n": len(report.epsilons),
+        "epsilons": list(report.epsilons),
+        "bound": report.lower_bound,
+        "achieved": report.expectation,
+        "holds": report.holds,
+    }
+
+
+_sequential_kernel = _operator_kernel(_sequential_reports, _sequential_record)
 
 
 @_instance(_sequential_kernel)

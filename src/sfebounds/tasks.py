@@ -274,8 +274,8 @@ def _as_table(raw, x_size: int, y_size: int, b_size: int) -> np.ndarray:
 
 def _cell_violations(raw, x_size: int, y_size: int, b_size: int) -> list[str]:
     """Cell-by-cell report of a bad table: its row count, then each row that
-    is not a sequence or not y_size long, and each cell that is missing or
-    not an integer in [0, b_size), in row-major order.
+    is not a sequence or not y_size long, and each cell that is missing,
+    not an integer in [0, b_size), or beyond int64, in row-major order.
 
     The reporter for tables numpy cannot take as 2-D integers; its per-row
     part, ``_row_violations``, words every message, also for the integer
@@ -292,8 +292,9 @@ def _cell_violations(raw, x_size: int, y_size: int, b_size: int) -> list[str]:
 
 
 def _clean_row(row, y_size: int, b_size: int) -> bool:
-    """Whether ``row`` is a sequence of y_size Python ints in [0, b_size),
-    which ``_row_violations`` has nothing to report on; checked in C loops."""
+    """Whether ``row`` is a sequence of y_size Python ints in [0, b_size)
+    and within int64, which ``_row_violations`` has nothing to report on;
+    checked in C loops."""
     try:
         cells = list(row)
     except TypeError:
@@ -302,7 +303,7 @@ def _clean_row(row, y_size: int, b_size: int) -> bool:
         len(cells) == y_size
         and set(map(type, cells)) == {int}
         and min(cells) >= 0
-        and max(cells) < b_size
+        and max(cells) < min(b_size, 2**63)
     )
 
 
@@ -327,6 +328,8 @@ def _row_violations(count: int, numbered, x_size: int, y_size: int, b_size: int)
                 violations.append(f"table not total at ({x}, {y})")
             elif not isinstance(b, Integral) or not 0 <= b < b_size:
                 violations.append(f"entry {b!r} at ({x}, {y}) outside [0, {b_size})")
+            elif b >= 2**63:  # in range, but no int64 holds it
+                violations.append(f"entry {b!r} at ({x}, {y}) outside int64")
     return violations
 
 

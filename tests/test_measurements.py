@@ -664,24 +664,30 @@ class TestStackedKernelMatchesLoops:
         want = loop_averaged_strategy_success(enc, povms)
         assert got._asdict() == want._asdict()
 
-    @settings(max_examples=80, deadline=None, derandomize=True)
+    @settings(max_examples=120, deadline=None, derandomize=True)
     @given(
         st.integers(1, 81),
-        st.integers(1, 3),
+        st.integers(1, 6),
         st.lists(st.integers(1, 3), max_size=2),
         st.sampled_from([0.0, 0.5, 0.9, 1.0]),
+        st.sampled_from(["contiguous", "swapped", "reversed"]),
         SEEDS,
     )
-    def test_element_sum(self, count, dim, leading, zeros, seed):
+    def test_element_sum(self, count, dim, leading, zeros, layout, seed):
         # real and imaginary parts over six decades, a share ``zeros`` of
         # them zeros of either sign: a sum that started from another zero,
-        # or added in another order, would show
+        # or added in another order, would show; the learning kernel passes
+        # swapped views, and a reversed one adds against its memory order
         rng = np.random.default_rng(seed)
         shape = (*leading, count, dim, dim, 2)
         parts = rng.standard_normal(shape) * 10.0 ** rng.integers(-3, 4, size=shape)
         parts[rng.random(shape) < zeros] = 0.0
         parts = np.where(rng.random(shape) < 0.5, -parts, parts)
         stack = parts.view(np.complex128)[..., 0]
+        if layout == "swapped":
+            stack = np.ascontiguousarray(stack.swapaxes(0, 1)).swapaxes(0, 1)
+        elif layout == "reversed":
+            stack = stack[..., ::-1, :, :]
         want = sum(stack[..., i, :, :] for i in range(count))
         got = m._element_sum(stack)
         assert got.shape == want.shape
@@ -742,6 +748,14 @@ class TestCampaignKernels:
         alone = [instance([8, idx]) for idx in range(300)]
         assert json.dumps(records, sort_keys=True) == json.dumps(alone, sort_keys=True)
 
+    # one full chunk and a chunk of one, at the module's own chunk size
+    @pytest.mark.parametrize("instance", CAMPAIGNS, ids=lambda fn: fn.__name__)
+    def test_full_chunk_plus_one_replays_alone(self, instance):
+        count = m._CHUNK + 1
+        records = m.run_campaign(instance, count, seed=12, min_dim=1)
+        alone = [instance([12, idx], min_dim=1) for idx in range(count)]
+        assert json.dumps(records) == json.dumps(alone)
+
     # 1x1 matrices (min_dim=1) included: numpy reduces their axes in another order
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(
@@ -786,7 +800,7 @@ class TestCampaignKernels:
 
     # the draws share one generator, reset by each _rng call: a draw that
     # held two generators at once would read the wrong stream here
-    @pytest.mark.parametrize("chunk", [1, 7, 64])
+    @pytest.mark.parametrize("chunk", [1, 7, 64, 128])
     @pytest.mark.parametrize("instance", CAMPAIGNS, ids=lambda fn: fn.__name__)
     def test_one_generator_at_a_time(self, monkeypatch, instance, chunk):
         monkeypatch.setattr(m, "_CHUNK", chunk)

@@ -284,9 +284,20 @@ class TestConstructors:
         task = SfeTask("wide", 2, 2, top + 1, table=[[0, top], [top, 1]])
         assert task.table.dtype == np.uint64
         assert SfeTask("wide", 2, 2, top + 1, table=task.table) == task
-        # a uint64 cell beyond int64 is still refused
-        with pytest.raises(TaskError, match="^table must be a 2-D array of integers$"):
+        # a uint64 cell beyond int64 is still refused, by name
+        with pytest.raises(TaskError) as refused:
             SfeTask("wider", 1, 1, 2**70, table=np.array([[2**63]], dtype=np.uint64))
+        assert str(refused.value) == f"entry np.uint64({2**63}) at (0, 0) outside int64"
+
+    @pytest.mark.parametrize("cell", [2**63, 2**64 - 1, 2**64])
+    @pytest.mark.parametrize("b_size", [2**64, 2**70])
+    def test_a_list_cell_beyond_int64_is_named(self, cell, b_size):
+        # numpy builds the first two as uint64, the third as objects; a cell
+        # in range is refused for int64, one out of range for the range
+        with pytest.raises(TaskError) as refused:
+            SfeTask("wider", 2, 2, b_size, table=[[0, 1], [cell, 1]])
+        limit = "int64" if cell < b_size else f"[0, {b_size})"
+        assert str(refused.value) == f"entry {cell} at (1, 0) outside {limit}"
 
     def test_a_table_of_bytes_is_checked_in_bytes(self):
         # widened to int64 for the checks, this 1 MB table peaked at 9 MB
