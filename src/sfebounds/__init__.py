@@ -36,10 +36,7 @@ _EXPORTS = {
     **dict.fromkeys(
         (
             "DrStats",
-            "KitaevBound",
             "blind_alice",
-            "kitaev_bound",
-            "oracle_alice",
             "run_cheating_alice",
             "run_cheating_bob",
             "run_honest",
@@ -57,14 +54,10 @@ _EXPORTS = {
             "check_gentle",
             "check_sequential",
             "combined_povm",
-            "hs_inner",
             "matrix_sqrt",
-            "operator_norm",
             "random_density",
             "random_encoding",
             "random_povm",
-            "sequential_operator",
-            "trace_norm",
         ),
         "measurements",
     ),
@@ -75,7 +68,6 @@ _EXPORTS = {
             "SfeTask",
             "TaskError",
             "a_rand",
-            "answer_vector",
             "b_rand",
             "b_rand_bruteforce",
             "b_rand_closed_form",

@@ -21,7 +21,6 @@ first xs are shared.
 
 from __future__ import annotations
 
-import math
 from typing import Callable, Collection, NamedTuple, Union
 
 import numpy as np
@@ -38,24 +37,14 @@ class DrStats(NamedTuple):
     seed: int
 
 
-class KitaevBound(NamedTuple):
-    """Stated limits for any quantum die-rolling protocol with N outcomes."""
-
-    product: float  # A * B >= 1/N
-    max_single: float  # max(A, B) >= 1/sqrt(N)
-
-
 class AliceView(NamedTuple):
-    """What a cheating sender sees: her input, plus a strategy RNG.
+    """What a cheating sender sees: the task, her inputs and a strategy RNG.
 
-    ``leaked_ys`` is the honest receiver's inputs and exists only to
-    exercise the perfect-knowledge endpoint; legitimate strategies use
-    ``xs`` and ``rng`` alone.
+    The receiver's inputs are not in it, so a strategy cannot read them.
     """
 
     task: SfeTask
     xs: np.ndarray
-    leaked_ys: np.ndarray
     rng: np.random.Generator
 
 
@@ -124,11 +113,6 @@ def blind_alice(view: AliceView) -> np.ndarray:
     return view.rng.integers(0, view.task.y_size, size=len(view.xs))
 
 
-def oracle_alice(view: AliceView) -> np.ndarray:
-    """Perfect-knowledge endpoint: read the receiver's input directly."""
-    return view.leaked_ys.copy()
-
-
 def run_cheating_alice(
     task: SfeTask, guesser: AliceStrategy, trials: int, seed: int = 0
 ) -> DrStats:
@@ -141,7 +125,7 @@ def run_cheating_alice(
     """
     draws = _draw_trials(task, trials, seed)
     xs, ys = next(draws), next(draws)  # the shifts come last and are never drawn
-    view = AliceView(task=task, xs=xs, leaked_ys=ys, rng=_trial_rng(seed, 1))
+    view = AliceView(task=task, xs=xs, rng=_trial_rng(seed, 1))
     guesses = np.asarray(guesser(view), dtype=np.int64)
     if guesses.shape != (trials,):
         raise ValueError(f"strategy returned shape {guesses.shape}, expected ({trials},)")
@@ -217,13 +201,6 @@ def run_cheating_bob(
     bs += _revealed(task, learner, required, xs, ys)
     bs %= task.y_size
     return _stats(bs, task.y_size, seed)
-
-
-def kitaev_bound(n_outcomes: int) -> KitaevBound:
-    """Stated product and max lower bounds, no derivation performed here."""
-    if n_outcomes < 2:
-        raise ValueError("need at least two outcomes")
-    return KitaevBound(product=1.0 / n_outcomes, max_single=1.0 / math.sqrt(n_outcomes))
 
 
 def stats_to_jsonable(stats: DrStats) -> dict:

@@ -1,11 +1,11 @@
 """Dense Hermitian linear algebra and randomized measurement-disturbance checks.
 
 Everything here operates on small (dim <= 16) complex matrices held as
-numpy arrays.  The module provides the norms and square roots the
-disturbance bounds are written in, checkers for the two gentle-measurement
-inequalities, the combined outcome-tuple POVM built by sandwiching one
-measurement inside the square roots of the others, and seeded generators
-for randomized verification campaigns.
+numpy arrays.  The module provides matrix square roots, checkers for the
+two gentle-measurement inequalities, the combined outcome-tuple POVM built
+by sandwiching one measurement inside the square roots of the others, and
+seeded generators for randomized verification campaigns.  The trace and
+operator norms the bounds are written in are private stacked kernels.
 
 Stacked kernel: square roots, measurement-operator checks, the sandwich
 ``op = r @ op @ r`` and the gentle and sequential checks take stacks of
@@ -178,9 +178,6 @@ class Povm(_PovmFields):
             raise ValueError("POVM elements have mixed dimensions")
         _validate_stack(np.array(self.elements), self.labels)
 
-    def completeness_defect(self) -> float:
-        return operator_norm(sum(self.elements) - np.eye(self.dim))
-
 
 class _EncodingFields(NamedTuple):
     probs: np.ndarray
@@ -268,27 +265,12 @@ def _same_shape(a: np.ndarray, b: np.ndarray) -> tuple:
     return a, b
 
 
-def hs_inner(a: np.ndarray, b: np.ndarray) -> complex:
-    """Trace inner product Tr(a* b)."""
-    return complex(np.vdot(*_same_shape(a, b)))
-
-
 def _trace_norms(stack: np.ndarray) -> np.ndarray:
     return np.linalg.svd(stack, compute_uv=False).sum(axis=-1)
 
 
-def trace_norm(a: np.ndarray) -> float:
-    """Sum of singular values."""
-    return float(_trace_norms(_as_matrix(a)))
-
-
 def _operator_norms(stack: np.ndarray) -> np.ndarray:
     return np.linalg.svd(stack, compute_uv=False).max(axis=-1)
-
-
-def operator_norm(a: np.ndarray) -> float:
-    """Largest singular value."""
-    return float(_operator_norms(_as_matrix(a)))
 
 
 def _element_sum(stack: np.ndarray) -> np.ndarray:
@@ -375,7 +357,7 @@ def _gentle_reports(rhos: np.ndarray, lams: np.ndarray) -> list:
     """``check_gentle`` on each (rho, lam) pair of the (k, d, d) complex
     stacks ``rhos`` and ``lams``: every range check, then the roots and the
     trace norms of the whole stack.  Inner products are bare ``np.vdot``
-    calls, the same bits as ``hs_inner`` on matrices of one shape."""
+    calls, one per pair."""
     epsilons = []
     for rho, lam in zip(rhos, lams):
         p = complex(np.vdot(lam, rho)).real
@@ -409,22 +391,10 @@ def check_gentle(rho: np.ndarray, lam: np.ndarray) -> GentleReport:
 
 
 def _sequential_operators(first: np.ndarray, rest: np.ndarray) -> np.ndarray:
-    """``sequential_operator`` of the (..., d, d) stack ``first`` followed by
-    the (..., m, d, d) stack ``rest``."""
+    """Hermitian parts of sqrt(L_m)...sqrt(L_1) L_0 sqrt(L_1)...sqrt(L_m), L_0
+    the (..., d, d) stack ``first`` and L_1..L_m the (..., m, d, d) ``rest``."""
     roots = _psd_roots(rest)
     return _hermitian_part(_sandwich(first, np.moveaxis(roots, -3, 0)))
-
-
-def sequential_operator(lams: Sequence[np.ndarray]) -> np.ndarray:
-    """Sandwiched product sqrt(L_n)...sqrt(L_2) L_1 sqrt(L_2)...sqrt(L_n),
-    with the first operator innermost."""
-    if not lams:
-        raise ValueError("need at least one measurement operator")
-    mats = [_as_matrix(lam) for lam in lams]
-    dim = mats[0].shape[0]
-    if any(m.shape[0] != dim for m in mats):
-        raise ValueError("measurement operators have mixed dimensions")
-    return _sequential_operators(mats[0], np.array(mats[1:]).reshape(-1, dim, dim))
 
 
 def _sequential_reports(rhos: np.ndarray, lams: np.ndarray) -> list:

@@ -333,16 +333,6 @@ def _row_violations(count: int, numbered, x_size: int, y_size: int, b_size: int)
     return violations
 
 
-def answer_vector(task: SfeTask, x: int) -> tuple[int, ...]:
-    """The full answer tuple (f(x, y) for every y) that a fully cheating
-    receiver must produce for input row x."""
-    if task.table is None:
-        raise TaskError("answer vectors require a materialized table")
-    if not 0 <= x < task.x_size:
-        raise TaskError(f"x index {x} out of range")
-    return tuple(task.table[x].tolist())
-
-
 # ---------------------------------------------------------------------------
 # family formulas
 #

@@ -19,14 +19,10 @@ from sfebounds.measurements import (
     check_gentle,
     check_sequential,
     combined_povm,
-    hs_inner,
     matrix_sqrt,
-    operator_norm,
     random_density,
     random_encoding,
     random_povm,
-    sequential_operator,
-    trace_norm,
 )
 
 
@@ -74,6 +70,11 @@ def loop_measurement_operator(dim, seed):
     return (1.0 - t) * np.eye(dim) + t * element
 
 
+def completeness_defect(povm):
+    """Operator-norm distance of the element sum from the identity."""
+    return float(m._operator_norms(sum(povm.elements) - np.eye(povm.dim)))
+
+
 def loop_validate(povm, tol=m.COMPLETENESS_TOL):
     for i, e in enumerate(povm.elements):
         if e.shape[0] != povm.dim:
@@ -84,9 +85,16 @@ def loop_validate(povm, tol=m.COMPLETENESS_TOL):
             and np.linalg.eigvalsh(e).max() <= 1.0 + m.PSD_CLAMP_TOL
         ):
             raise ValueError(f"element {povm.labels[i]!r} is not a measurement operator")
-    defect = operator_norm(sum(povm.elements) - np.eye(povm.dim))
+    defect = completeness_defect(povm)
     if defect > tol:
         raise ValueError(f"POVM completeness defect {defect:.3e} exceeds {tol:.0e}")
+
+
+def stacked_sequential_operator(lams):
+    """The stacked kernel on one sequence of operators, the first innermost."""
+    first = np.asarray(lams[0], dtype=complex)
+    rest = np.array(lams[1:], dtype=complex).reshape(-1, *first.shape)
+    return m._sequential_operators(first, rest)
 
 
 def loop_sequential_operator(lams):
@@ -123,7 +131,7 @@ def loop_averaged_strategy_success(enc, povms):
     individual = []
     for i in range(n):
         p_i = sum(
-            enc.probs[x] * hs_inner(enc.states[x], povms[i].elements[enc.functions[i][x]]).real
+            enc.probs[x] * np.vdot(enc.states[x], povms[i].elements[enc.functions[i][x]]).real
             for x in range(enc.x_count)
         )
         individual.append(p_i)
@@ -135,7 +143,7 @@ def loop_averaged_strategy_success(enc, povms):
             for i in outer:
                 root = roots[i][enc.functions[i][x]]
                 op = root @ op @ root
-            achieved += enc.probs[x] * hs_inner(enc.states[x], op).real
+            achieved += enc.probs[x] * np.vdot(enc.states[x], op).real
     achieved /= n
     average = sum(individual) / n
     bound = average - 2.0 * (n - 1) * float(np.sqrt(max(1.0 - average, 0.0)))
@@ -163,8 +171,8 @@ def loop_sequential_instance(seed, min_dim=2, max_dim=6, max_n=4):
     rank = int(meta.integers(1, dim + 1))
     rho = random_density(dim, rank, seed + [1])
     lams = [loop_measurement_operator(dim, seed + [2, k]) for k in range(n)]
-    epsilons = [min(max(1.0 - hs_inner(lam, rho).real, 0.0), 1.0) for lam in lams]
-    expectation = hs_inner(rho, loop_sequential_operator(lams)).real
+    epsilons = [min(max(1.0 - np.vdot(lam, rho).real, 0.0), 1.0) for lam in lams]
+    expectation = np.vdot(rho, loop_sequential_operator(lams)).real
     lower = 1.0 - epsilons[0] - 2.0 * float(sum(np.sqrt(e) for e in epsilons[1:]))
     return {
         "seed": seed,
@@ -191,7 +199,7 @@ def loop_learning_instance(seed, min_dim=2, max_dim=6, max_n=4):
     min_eig = np.inf
     for j in range(n):
         tilde = loop_combined_povm(povms, middle=j)
-        max_defect = max(max_defect, tilde.completeness_defect())
+        max_defect = max(max_defect, completeness_defect(tilde))
         for e in tilde.elements:
             min_eig = min(min_eig, float(np.linalg.eigvalsh(e).min()))
     epsilons = [1.0 - p for p in report.individual_success]
@@ -235,7 +243,7 @@ class TestMatrixSqrt:
     def test_defining_property_random(self):
         a = random_psd(5, 11)
         root = matrix_sqrt(a)
-        assert operator_norm(root @ root - a) <= 1e-9
+        assert m._operator_norms(root @ root - a) <= 1e-9
         assert np.linalg.eigvalsh(root).min() >= -1e-12
 
     def test_idempotence_chain_many_dims(self):
@@ -245,7 +253,7 @@ class TestMatrixSqrt:
             a = random_psd(dim, int(rng.integers(0, 2**31)))
             a /= np.trace(a).real  # keep norms comparable across dims
             root = matrix_sqrt(a)
-            assert operator_norm(root @ root - a) <= 1e-9
+            assert m._operator_norms(root @ root - a) <= 1e-9
 
     def test_rejects_indefinite(self):
         with pytest.raises(ValueError):
@@ -262,31 +270,30 @@ class TestMatrixSqrt:
 
 class TestNorms:
     def test_trace_norm_diagonal(self):
-        assert trace_norm(np.diag([1.0, -2.0])) == pytest.approx(3.0, abs=1e-12)
-
-    def test_non_square_matrix_refused(self):
-        message = error_message(trace_norm, np.ones((2, 3)))
-        assert message == "expected a square matrix, got shape (2, 3)"
+        assert m._trace_norms(np.diag([1.0, -2.0])) == pytest.approx(3.0, abs=1e-12)
 
     def test_operator_norm_identity(self):
         for dim in (2, 5, 9):
-            assert operator_norm(np.eye(dim)) == pytest.approx(1.0, abs=1e-12)
+            assert m._operator_norms(np.eye(dim)) == pytest.approx(1.0, abs=1e-12)
 
-    def test_hs_inner_density_with_identity(self):
-        rho = random_density(4, 2, seed=3)
-        value = hs_inner(rho, np.eye(4))
-        assert value.real == pytest.approx(1.0, abs=1e-12)
-        assert abs(value.imag) <= 1e-12
+    def test_stacked_norms_are_the_eigenvalue_forms(self):
+        # on Hermitian matrices the singular values are the absolute
+        # eigenvalues, one row of norms per matrix of the stack
+        rng = np.random.default_rng(8)
+        g = rng.normal(size=(6, 4, 4)) + 1j * rng.normal(size=(6, 4, 4))
+        stack = g + np.conj(np.swapaxes(g, -1, -2))
+        eigs = np.abs(np.linalg.eigvalsh(stack))
+        assert m._trace_norms(stack).shape == (6,)
+        assert np.allclose(m._trace_norms(stack), eigs.sum(axis=-1), rtol=0, atol=1e-12)
+        assert np.allclose(m._operator_norms(stack), eigs.max(axis=-1), rtol=0, atol=1e-12)
 
-    def test_hs_inner_hermitian_pairs_are_real(self):
-        for i in range(50):
-            a = random_psd(4, seed=200 + i)
-            b = random_povm(4, 2, seed=[300, i]).elements[0]
-            assert abs(hs_inner(a, b).imag) <= 1e-12
+
+class TestShapes:
+    def test_non_square_matrix_refused(self):
+        message = error_message(matrix_sqrt, np.ones((2, 3)))
+        assert message == "expected a square matrix, got shape (2, 3)"
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            hs_inner(np.eye(2), np.eye(3))
         with pytest.raises(ValueError):
             check_gentle(np.eye(2) / 2, np.eye(3))
         with pytest.raises(ValueError, match=r"dimension mismatch: \(3, 3\) vs \(2, 2\)"):
@@ -327,23 +334,23 @@ class TestGentle:
             lam2 = random_povm(dim, 2, rec_seed + [3]).elements[1]
             root = matrix_sqrt(lam)
             diff = rho - root @ rho @ root
-            lhs = abs(hs_inner(diff, lam2))
-            rhs = trace_norm(diff) * operator_norm(lam2)
+            lhs = abs(np.vdot(diff, lam2))
+            rhs = m._trace_norms(diff) * m._operator_norms(lam2)
             assert lhs <= rhs + 1e-9
 
 
 class TestSequential:
     def test_single_operator_returned(self):
         lam = random_povm(3, 2, seed=4).elements[0]
-        assert np.allclose(sequential_operator([lam]), lam)
+        assert np.allclose(stacked_sequential_operator([lam]), lam)
 
     def test_all_identity(self):
-        assert np.allclose(sequential_operator([np.eye(4)] * 3), np.eye(4))
+        assert np.allclose(stacked_sequential_operator([np.eye(4)] * 3), np.eye(4))
 
     def test_commuting_diagonal_closed_form(self):
         diags = [np.diag([0.9, 0.5, 0.1]), np.diag([0.8, 0.7, 0.2]), np.diag([1.0, 0.3, 0.6])]
         expected = np.diag(np.diag(diags[0]) * np.diag(diags[1]) * np.diag(diags[2]))
-        assert np.allclose(sequential_operator(diags), expected, atol=1e-12)
+        assert np.allclose(stacked_sequential_operator(diags), expected, atol=1e-12)
 
     def test_certain_outcomes_keep_expectation_high(self):
         rho = random_density(4, 2, seed=6)
@@ -391,7 +398,7 @@ class TestCombinedPovm:
     def test_random_pair_completeness(self):
         povs = [random_povm(3, 2, seed=[5, i]) for i in range(2)]
         tilde = combined_povm(povs)
-        assert tilde.completeness_defect() <= 1e-10
+        assert completeness_defect(tilde) <= 1e-10
         assert len(tilde.elements) == 4
         for element in tilde.elements:
             assert np.linalg.eigvalsh(element).min() >= -1e-10
@@ -400,7 +407,7 @@ class TestCombinedPovm:
         povs = [random_povm(2, 2, seed=[6, i]) for i in range(3)]
         for middle in range(3):
             tilde = combined_povm(povs, middle=middle)
-            assert tilde.completeness_defect() <= 1e-10
+            assert completeness_defect(tilde) <= 1e-10
             assert set(tilde.labels) == {
                 (a, b, c) for a in range(2) for b in range(2) for c in range(2)
             }
@@ -480,7 +487,7 @@ class TestGenerators:
 
     def test_random_povm_properties(self):
         pov = random_povm(3, 2, seed=0)
-        assert pov.completeness_defect() <= 1e-10
+        assert completeness_defect(pov) <= 1e-10
         pov.validate()
 
     def test_invalid_generator_parameters(self):
@@ -554,13 +561,13 @@ REFUSALS = {
         lambda: check_gentle(HALF, -np.eye(2)),
         "<lam, rho> = -1.0 outside [0, 1]",
     ),
-    "sequential-operator-empty": (
-        lambda: sequential_operator([]),
-        "need at least one measurement operator",
+    "sequential-one-operator": (
+        lambda: check_sequential(HALF, [np.eye(2)]),
+        "sequential check needs at least two operators",
     ),
-    "sequential-operator-mixed": (
-        lambda: sequential_operator([np.eye(2), np.eye(3)]),
-        "measurement operators have mixed dimensions",
+    "sequential-mixed": (
+        lambda: check_sequential(HALF, [np.eye(2), np.eye(3)]),
+        "dimension mismatch: (3, 3) vs (2, 2)",
     ),
     "combined-empty": (lambda: combined_povm([]), "need at least one POVM"),
     "combined-mixed": (
@@ -632,7 +639,7 @@ class TestStackedKernelMatchesLoops:
         lams = [m._measurement_operators(*m._operator_draw(dim, [seed, k])) for k in range(count)]
         for lam in lams:
             assert np.array_equal(matrix_sqrt(lam), loop_matrix_sqrt(lam))
-        assert np.array_equal(sequential_operator(lams), loop_sequential_operator(lams))
+        assert np.array_equal(stacked_sequential_operator(lams), loop_sequential_operator(lams))
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(DIMS, OUTCOMES, st.integers(0, 3), SEEDS)
@@ -716,7 +723,7 @@ class TestStackedKernelMatchesLoops:
         ],
     )
     def test_first_bad_root_reported(self, lams):
-        assert error_message(sequential_operator, lams) == error_message(
+        assert error_message(stacked_sequential_operator, lams) == error_message(
             loop_sequential_operator, lams
         )
 

@@ -1,10 +1,14 @@
 import ast
 import importlib
+import itertools
+import re
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
 import sfebounds
+from sfebounds.bounds import present
 
 PUBLIC_NAMES = [
     "BoundReport",
@@ -14,7 +18,6 @@ PUBLIC_NAMES = [
     "FixedPointResult",
     "GentleReport",
     "InsecureTaskError",
-    "KitaevBound",
     "LearnReport",
     "MATERIALIZE_CAP",
     "Povm",
@@ -23,7 +26,6 @@ PUBLIC_NAMES = [
     "SfeTask",
     "TaskError",
     "a_rand",
-    "answer_vector",
     "averaged_strategy_success",
     "b_rand",
     "b_rand_bruteforce",
@@ -36,22 +38,16 @@ PUBLIC_NAMES = [
     "check_sequential",
     "combined_povm",
     "emit_curve",
-    "hs_inner",
-    "kitaev_bound",
     "load_task",
     "make_family",
     "matrix_sqrt",
-    "operator_norm",
-    "oracle_alice",
     "random_density",
     "random_encoding",
     "random_povm",
     "run_cheating_alice",
     "run_cheating_bob",
     "run_honest",
-    "sequential_operator",
     "solve_fixed_point",
-    "trace_norm",
     "validate_task",
     "write_curve_csv",
 ]
@@ -86,7 +82,35 @@ def test_dir_lists_the_public_names_and_submodules_resolve():
         assert getattr(sfebounds, name) is importlib.import_module(f"sfebounds.{name}")
 
 
+# library names deleted because only unit tests reached them, each with the
+# submodule that defined it
+REMOVED_NAMES = {
+    "KitaevBound": "dierolling",
+    "kitaev_bound": "dierolling",
+    "oracle_alice": "dierolling",
+    "hs_inner": "measurements",
+    "operator_norm": "measurements",
+    "sequential_operator": "measurements",
+    "trace_norm": "measurements",
+    "answer_vector": "tasks",
+}
+
+
+@pytest.mark.parametrize("name", REMOVED_NAMES)
+def test_removed_name_cannot_be_looked_up(name):
+    assert name not in sfebounds.__all__
+    assert not hasattr(sfebounds, name)
+    assert REMOVED_NAMES[name] in SUBMODULES
+    for module in SUBMODULES:
+        assert not hasattr(importlib.import_module(f"sfebounds.{module}"), name), module
+
+
+def test_povm_has_no_completeness_defect_method():
+    assert not hasattr(sfebounds.Povm, "completeness_defect")
+
+
 PACKAGE_DIR = Path(sfebounds.__file__).parent
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _private_definitions(tree: ast.Module) -> list:
@@ -123,6 +147,65 @@ def test_every_private_module_level_name_is_referenced_in_the_package():
         if name not in used
     ]
     assert orphans == []
+
+
+def _references(tree: ast.Module, skip: str = "") -> set:
+    """Identifiers, attribute names, imported names and string constants in
+    ``tree``, leaving out the module-level definition named ``skip``."""
+    nodes = [
+        node
+        for node in tree.body
+        if not (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) and node.name == skip)
+    ]
+    names = set()
+    for node in itertools.chain.from_iterable(map(ast.walk, nodes)):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            names.add(node.value)
+    return names
+
+
+def test_every_public_name_is_reached_outside_the_tests():
+    """A public name stays only while something besides its own definition
+    and the unit tests uses it: a package module other than ``__init__``, a
+    benchmark file, the acceptance suite, or the README."""
+    modules = {
+        path.stem: ast.parse(path.read_text())
+        for path in sorted(PACKAGE_DIR.glob("*.py"))
+        if path.name != "__init__.py"
+    }
+    references = {module: _references(tree) for module, tree in modules.items()}
+    for path in [*sorted((ROOT / "bench").glob("*.py")), ROOT / "tests" / "test_acceptance.py"]:
+        references[path] = _references(ast.parse(path.read_text()))
+    readme = (ROOT / "README.md").read_text()
+    unreached = []
+    for name in sfebounds.__all__:
+        home = sfebounds._EXPORTS[name]
+        used = _references(modules[home], skip=name).union(
+            *(names for where, names in references.items() if where != home)
+        )
+        if name not in used and not re.search(rf"\b{name}\b", readme):
+            unreached.append(name)
+    assert unreached == []
+
+
+def test_readme_library_example_gives_the_values_its_comments_state():
+    readme = (ROOT / "README.md").read_text()
+    example = readme.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(example, namespace)
+    sb, task, report = namespace["sb"], namespace["task"], namespace["report"]
+    assert sb.b_rand_bruteforce(task) == Fraction(1, 4)
+    assert "# Fraction(1, 4), exact" in example
+    shown = [present(report.c), present(report.alice_bound), present(report.bob_bound)]
+    assert shown == ["1.0326", "0.3442", "0.2581"]
+    assert "# c ~ {}, alice_bound {}, bob_bound {}".format(*shown) in example
+    assert sb.check_gentle(namespace["rho"], namespace["pov"].elements[0]).holds
 
 
 def test_no_module_imports_dataclasses():

@@ -20,7 +20,6 @@ from sfebounds.tasks import (
     SfeTask,
     TaskError,
     a_rand,
-    answer_vector,
     b_rand_bruteforce,
     b_rand_closed_form,
     make_family,
@@ -58,7 +57,7 @@ def random_table_task(x_size, y_size, b_size, seed, name="random"):
 def dict_loop_b_rand(task):
     """Reference: the row-id and per-query dictionary version of
     b_rand_bruteforce, one Python step per (query, row) pair."""
-    table = [answer_vector(task, x) for x in range(task.x_size)]
+    table = [tuple(row) for row in task.table.tolist()]
     row_ids: dict[tuple[int, ...], int] = {}
     ids = [row_ids.setdefault(row, len(row_ids)) for row in table]
     best = 0
@@ -96,7 +95,7 @@ def exhaustive_single_query_value(task):
             wins = sum(
                 1
                 for x in range(task.x_size)
-                if mapping[task.f(x, ystar)] == answer_vector(task, x)
+                if mapping[task.f(x, ystar)] == tuple(task.table[x].tolist())
             )
             best = max(best, Fraction(wins, task.x_size))
     return best
@@ -270,7 +269,7 @@ class TestConstructors:
         assert task.table.dtype == np.uint8 and task.table.shape == (9, 2)
         assert not task.table.flags.writeable
         assert type(task.f(5, 1)) is int
-        assert answer_vector(task, 5) == (1, 2)
+        assert tuple(task.table[5].tolist()) == (1, 2)
 
     def test_hand_built_table_is_a_private_copy(self):
         rows = np.zeros((2, 2), dtype=np.int64)
@@ -724,7 +723,7 @@ class TestBaselines:
         eq2 = make_family("eq", n=2)
         assert b_rand_bruteforce(eq2) == 1
         determined = any(
-            len({answer_vector(eq2, x) for x in range(eq2.x_size) if eq2.f(x, y) == b}) <= 1
+            len({tuple(eq2.table[x].tolist()) for x in range(eq2.x_size) if eq2.f(x, y) == b}) <= 1
             for y in range(eq2.y_size)
             for b in range(eq2.b_size)
         )
@@ -750,26 +749,18 @@ class TestBaselines:
             for ystar in range(task.y_size):
                 classes = {}
                 for x in range(task.x_size):
-                    classes.setdefault(task.f(x, ystar), []).append(answer_vector(task, x))
+                    classes.setdefault(task.f(x, ystar), []).append(tuple(task.table[x].tolist()))
                 for vectors in classes.values():
                     assert len(set(vectors)) == len(vectors)
 
 
-class TestAnswerVector:
+class TestTableRows:
     def test_row_and_length(self):
         task = make_family("eq", n=4)
         for x in range(4):
-            vec = answer_vector(task, x)
+            vec = tuple(task.table[x].tolist())
             assert len(vec) == task.y_size
             assert vec == tuple(task.f(x, y) for y in range(task.y_size))
-
-    def test_requires_table(self):
-        with pytest.raises(TaskError):
-            answer_vector(make_family("mp", n=10**9), 0)
-
-    def test_x_out_of_range_refused(self):
-        with pytest.raises(TaskError, match=r"^x index 3 out of range$"):
-            answer_vector(make_family("eq", n=3), 3)
 
 
 class TestSerialization:
