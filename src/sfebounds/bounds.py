@@ -35,29 +35,22 @@ so each sign decision is the sign of one int, and s and the residual are
 int true divisions, which Python rounds correctly.
 
 The trade-off curve is c_B(c_A) = K*(1/c_A - 2m*sqrt(1 - 1/c_A)), K = 1/b_rand.
-At a float c_A, c_B and the c_B = 1 crossing are quotients
-(a + b*sqrt(R))/(c + d*sqrt(R)) of ints with a positive denominator, which
-one kernel, _rounded_ratio, rounds correctly.  Each pass takes one
-k = isqrt(R*4^t).  If k*k == R*4^t, R is a perfect square, sqrt(R) = k/2^t,
-and the quotient is exactly (a*2^t + b*k)/(c*2^t + d*k), one int true
-division, which Python rounds correctly.  Otherwise k < 2^t*sqrt(R) < k + 1;
-the ends are (a*2^t + b*k)/(c*2^t + d*k) and the same with b and d added to
-numerator and denominator.  Once the denominator is positive at both ends,
-the quotient is monotone between them, and if both ends round to the same
-float, so does the value.  Each pass adds 64 to t.
-The loop ends: if b*c == a*d the quotient is a constant rational; otherwise
-it is irrational (a rational q would give (b - q*d)*sqrt(R) = q*c - a with
-b != q*d), so it is neither a float nor a halfway point, lies inside its
-rounding interval, and both ends converge into that interval.
+At a float c_A, c_B and the c_B = 1 crossing are quotients (a + b*sqrt(R))/c
+of ints with c > 0, which one kernel, _rounded_ratio, rounds correctly.
+Each pass takes one k = isqrt(R*4^t).  If k*k == R*4^t, R is a perfect
+square, sqrt(R) = k/2^t, and the quotient is exactly (a*2^t + b*k)/(c*2^t),
+one int true division, which Python rounds correctly.  Otherwise
+k < 2^t*sqrt(R) < k + 1, and the quotient lies between the ends
+(a*2^t + b*k)/(c*2^t) and (a*2^t + b*k + b)/(c*2^t); if both ends round to
+the same float, so does the quotient.  Each pass adds 64 to t.
+The loop ends: if b == 0 both ends are a/c and the first pass returns it;
+otherwise sqrt(R) and so the quotient are irrational, neither a float nor
+a halfway point, so the quotient lies inside its rounding interval, and
+the ends, |b|/(c*2^t) apart, converge into that interval.
 
 A curve row at c_A = p/q with b_rand = N/D is the kernel's quotient with
-a = D*q, b = -2m*D, c = N*p, d = 0 and R = (p - q)*p.  _c_b_rows holds b
-for the whole curve and runs the first pass (t = 64) of each row inline:
-the ends are num/den and (num + b)/den with num = D*q*2^64 + b*k and
-den = N*p*2^64.  With d = 0 both ends share den, which is positive because
-N and p are, so the pass needs no sign check and gives the float the
-kernel's first pass gives.  Only a row that this pass leaves open, whose
-ends round to different floats, goes to the kernel.
+a = D*q, b = -2m*D, c = N*p and R = (p - q)*p; ca_crossing rationalizes
+the crossing into the same form.
 
 Each curve row prints the correctly rounded c_B at its printed c_A.  The
 default last row is the crossing: c_A rounded to a float and c_B = 1.0, the
@@ -68,6 +61,7 @@ little: near c_A = 1 the curve falls by about K*(1 + 2m^2) per unit of c_A,
 
 from __future__ import annotations
 
+import functools
 import math
 import sys
 from decimal import ROUND_HALF_UP, Decimal
@@ -125,36 +119,30 @@ class CurvePoint(NamedTuple):
     c_b: float
 
 
-def _rounded_ratio(a: int, b: int, c: int, d: int, radicand: int) -> float:
-    """The float nearest (a + b*sqrt(R))/(c + d*sqrt(R)), for ints, R >= 0 and
-    a positive denominator; the module docstring proves rounding and termination."""
+def _rounded_ratio(a: int, b: int, c: int, radicand: int) -> float:
+    """The float nearest (a + b*sqrt(R))/c, for ints, R >= 0 and c > 0; the
+    module docstring proves rounding and termination."""
     t = 64
     while True:
         scaled = radicand << 2 * t
         k = math.isqrt(scaled)
-        n0, d0 = (a << t) + b * k, (c << t) + d * k
-        if k * k == scaled or d0 > 0 and d0 + d > 0 and n0 / d0 == (n0 + b) / (d0 + d):
-            return n0 / d0
+        num, den = (a << t) + b * k, c << t
+        value = num / den
+        if k * k == scaled or value == (num + b) / den:
+            return value
         t += 64
 
 
 def _c_b_rows(c_as: Iterable[float], n: int, d: int, m: int) -> list[float]:
     """c_B at each c_A = p/q for b_rand = n/d: d*(q - 2m*sqrt((p - q)*p))/(n*p),
-    correctly rounded; the module docstring gives the first pass inline.
-    OverflowError naming the row when c_B is beyond the float range."""
+    correctly rounded.  OverflowError naming the row when c_B is beyond the
+    float range."""
     b = -2 * m * d
     values = []
     try:
         for c_a in c_as:
             p, q = c_a.as_integer_ratio()
-            radicand = (p - q) * p
-            scaled = radicand << 128
-            k = math.isqrt(scaled)
-            num, den = (d * q << 64) + b * k, n * p << 64
-            value = num / den
-            if k * k != scaled and value != (num + b) / den:
-                value = _rounded_ratio(d * q, b, n * p, 0, radicand)
-            values.append(value)
+            values.append(_rounded_ratio(d * q, b, n * p, (p - q) * p))
     except OverflowError:
         raise OverflowError(
             f"c_B at c_A = {c_a!r} is beyond the float range "
@@ -297,7 +285,11 @@ def ca_crossing(b_rand_value: Rational, y_size: int) -> float:
 
     With x = 1/c_A, t = sqrt(1 - x) and b_rand = N/D, the equation is
     t^2 + 2mt - (1 - b_rand) = 0, so t = sqrt(m^2 + 1 - b_rand) - m,
-    x = b_rand + 2mt and c_A = D/(N - 2m^2 D + 2m sqrt(D(D(m^2 + 1) - N))).
+    x = b_rand + 2mt and c_A = D/(N - 2m^2 D + 2m sqrt(R)), R = D(D(m^2 + 1) - N).
+    For m = 0 that is D/N.  For m >= 1 the kernel takes it rationalized,
+    D(2m^2 D - N + 2m sqrt(R))/(4m^2 D^2 - N^2), since
+    (N - 2m^2 D)^2 - 4m^2 R = N^2 - 4m^2 D^2; the denominator is positive
+    because N < D.
     """
     br, m = Fraction(b_rand_value), y_size - 1
     if not 0 < br < 1:
@@ -305,7 +297,11 @@ def ca_crossing(b_rand_value: Rational, y_size: int) -> float:
     if m < 0:
         raise ValueError("y_size must be positive")
     n, d = br.as_integer_ratio()
-    return _rounded_ratio(d, 0, n - 2 * m * m * d, 2 * m, d * (d * (m * m + 1) - n))
+    if m == 0:
+        return _rounded_ratio(d, 0, n, 0)
+    return _rounded_ratio(
+        d * (2 * m * m * d - n), 2 * m * d, 4 * m * m * d * d - n * n, d * (d * (m * m + 1) - n)
+    )
 
 
 def emit_curve(
@@ -353,7 +349,8 @@ def emit_curve(
         )
     n, d = br.as_integer_ratio()
     rows = grid[:-1] if at_crossing else grid
-    points = list(map(CurvePoint, rows, _c_b_rows(rows, n, d, y_size - 1)))
+    make_point = functools.partial(tuple.__new__, CurvePoint)
+    points = list(map(make_point, zip(rows, _c_b_rows(rows, n, d, y_size - 1))))
     if at_crossing:
         points.append(CurvePoint(ca_max, 1.0))
     if clip_below_one:

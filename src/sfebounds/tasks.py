@@ -568,18 +568,6 @@ def b_rand(task: SfeTask) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-def task_to_jsonable(task: SfeTask) -> dict:
-    if task.family is not None:
-        return {"family": task.family.family, "params": dict(task.family.params)}
-    return {
-        "name": task.name,
-        "x_size": task.x_size,
-        "y_size": task.y_size,
-        "b_size": task.b_size,
-        "table": task.table.tolist(),
-    }
-
-
 def task_from_jsonable(obj: dict) -> SfeTask:
     if not isinstance(obj, dict):
         raise TaskError("task document must be a JSON object")
@@ -607,8 +595,3 @@ def load_task(path: Union[str, Path]) -> SfeTask:
             raise TaskError(f"task document in {path} is nested too deeply") from exc
     return task_from_jsonable(obj)
 
-
-def dump_task(task: SfeTask, path: Union[str, Path]) -> None:
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(task_to_jsonable(task), handle, sort_keys=True)
-        handle.write("\n")

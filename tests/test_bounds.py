@@ -5,7 +5,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import curve_reference as ref
@@ -212,7 +212,19 @@ HALF_BELOW_ONE = rounding_interval(1.0)[0]
 
 
 class TestSolverProofs:
-    """The three proofs in the bounds docstrings, checked in exact arithmetic."""
+    """The proofs in the bounds docstrings, checked in exact arithmetic."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(
+        st.integers(2, 10**60).flatmap(lambda d: st.tuples(st.integers(1, d - 1), st.just(d))),
+        st.integers(1, 10**6) | st.integers(1, 2**1100),
+    )
+    def test_crossing_rationalization(self, fraction, m):
+        n, d = fraction
+        radicand = d * (d * (m * m + 1) - n)
+        assert (n - 2 * m * m * d) ** 2 - 4 * m * m * radicand == n * n - 4 * m * m * d * d
+        assert 4 * m * m * d * d - n * n > 0
+        assert 2 * m * m * d - n > 0
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(FAMILY_PAIRS | ARBITRARY_PAIRS)
@@ -376,6 +388,8 @@ class TestCurves:
         assert points[0].c_b == 2.0
         assert points[-1] == CurvePoint(ca_crossing(Fraction(1, 2), 2), 1.0)
         assert all(a.c_b > b.c_b for a, b in zip(points, points[1:]))
+        assert all(type(point) is CurvePoint for point in points)
+        assert [(point.c_a, point.c_b) for point in points] == [tuple(point) for point in points]
 
     def test_points_are_immutable_values(self):
         point = CurvePoint(1.0, 2.0)
@@ -496,6 +510,8 @@ class TestCurveIsExact:
     @example((Fraction(1, 2), 2))
     @example((Fraction(1, 2**199), 200))
     @example((Fraction(2, 2**1024), 2**1024 - 1))
+    @example((Fraction(1, 3), 1))  # m = 0: D/N
+    @example((Fraction(2**53 - 1, 2**53), 2))
     def test_crossing_is_correctly_rounded(self, pair):
         b_rand, y_size = pair
         crossing = ca_crossing(b_rand, y_size)
@@ -533,29 +549,29 @@ class TestCurveIsExact:
 
     @settings(max_examples=150, deadline=None, derandomize=True)
     @given(
-        st.lists(st.integers(-(2**200), 2**200), min_size=4, max_size=4),
+        st.integers(-(2**200), 2**200),
+        st.integers(-(2**200), 2**200),
+        st.integers(1, 2**200),
         st.integers(0, 2**300) | st.integers(0, 2**150).map(lambda r: r * r),
     )
-    @example([2**53 + 3, 0, 1, 0], 0)  # a halfway point, rounded to even
-    @example([2**53 + 3, -5, 1, 0], 0)  # the end at sqrt(R) + 2^-t lies below it
-    @example([-(2**60) - 5, 2, 4, 0], 1)
-    def test_kernel_is_correctly_rounded(self, ints, radicand):
-        a, b, c, d = ints
-        assume(ref.sign_plus_root(Fraction(c), Fraction(d), Fraction(radicand)) > 0)
+    @example(2**53 + 3, 0, 1, 0)  # a halfway point, rounded to even
+    @example(2**53 + 3, -5, 1, 0)  # the end at sqrt(R) + 2^-t lies below it
+    @example(-(2**60) - 5, 2, 4, 1)
+    def test_kernel_is_correctly_rounded(self, a, b, c, radicand):
         try:
-            value = bounds._rounded_ratio(a, b, c, d, radicand)
+            value = bounds._rounded_ratio(a, b, c, radicand)
         except OverflowError:  # beyond the largest float plus half an ulp
             edge = Fraction(2**1024 - 2**970)
-            assert ref.sign_plus_root(a - edge * c, b - edge * d, radicand) >= 0 or (
-                ref.sign_plus_root(a + edge * c, b + edge * d, radicand) <= 0
+            assert ref.sign_plus_root(a - edge * c, b, radicand) >= 0 or (
+                ref.sign_plus_root(a + edge * c, b, radicand) <= 0
             )
             return
         assert ref.within_half_ulp(
-            value, lambda h: ref.sign_plus_root(a - h * c, b - h * d, Fraction(radicand))
+            value, lambda h: ref.sign_plus_root(a - h * c, b, Fraction(radicand))
         )
         root = math.isqrt(radicand)
         if root * root == radicand:  # a rational: ties go to even, as in int / int
-            assert value == (a + b * root) / (c + d * root)
+            assert value == (a + b * root) / c
 
 
 # c_A = 1.01 with m = 1 and b_rand chosen so that c_B lies about 2^-400 from
@@ -570,51 +586,16 @@ def fallback_b_rand():
     return Fraction(f / halfway).limit_denominator(2**300)
 
 
-def kernel_rows(c_as, n, d, m):
-    """Each row through _rounded_ratio alone, or OverflowError if one overflows."""
-    values = []
-    for c_a in c_as:
-        p, q = c_a.as_integer_ratio()
-        try:
-            values.append(bounds._rounded_ratio(d * q, -2 * m * d, n * p, 0, (p - q) * p))
-        except OverflowError:
-            return OverflowError
-    return values
-
-
-class TestCurveRows:
-    """_c_b_rows, whose first pass is inline, gives the kernel's floats."""
-
-    @settings(max_examples=150, deadline=None, derandomize=True)
-    @given(
-        CURVE_PAIRS | ARBITRARY_PAIRS.filter(lambda p: 1 / p[0] <= sys.float_info.max),
-        st.lists(st.floats(0, 1), min_size=1, max_size=5),
-    )
-    @example((Fraction(1, 2), 2), [0.0])  # c_A = 1.0: radicand 0
-    @example((Fraction(1, 2), 2), [0.125])  # c_A = 1.125: radicand 9, a perfect square
-    def test_rows_equal_the_kernel(self, pair, fractions):
-        b_rand_value, y_size = pair
-        top = float(1 / b_rand_value)
-        c_as = [min(1.0 + u * (top - 1.0), top) for u in fractions]
-        n, d = b_rand_value.as_integer_ratio()
-        want = kernel_rows(c_as, n, d, y_size - 1)
-        try:
-            got = bounds._c_b_rows(c_as, n, d, y_size - 1)
-        except OverflowError as exc:
-            assert want is OverflowError and "is beyond the float range" in str(exc)
-            return
-        assert got == want
-
-    def test_row_left_open_goes_to_the_kernel(self, monkeypatch):
-        br = fallback_b_rand()
-        n, d = br.as_integer_ratio()
-        calls = []
-        kernel = bounds._rounded_ratio
-        monkeypatch.setattr(bounds, "_rounded_ratio", lambda *args: calls.append(args) or kernel(*args))
-        (value,) = bounds._c_b_rows([FALLBACK_CA], n, d, FALLBACK_M)
-        assert len(calls) == 1
-        assert value == kernel(*calls[0])
-        assert ref.within_half_ulp(value, lambda h: ref.curve_sign(FALLBACK_CA, br, FALLBACK_M, h))
+def test_row_left_open_by_the_first_pass_is_correctly_rounded():
+    br = fallback_b_rand()
+    n, d = br.as_integer_ratio()
+    p, q = FALLBACK_CA.as_integer_ratio()
+    b = -2 * FALLBACK_M * d
+    k = math.isqrt((p - q) * p << 128)
+    num, den = (d * q << 64) + b * k, n * p << 64
+    assert num / den != (num + b) / den  # the t = 64 ends round apart
+    value = cb_from_ca(FALLBACK_CA, br, FALLBACK_M + 1)
+    assert ref.within_half_ulp(value, lambda h: ref.curve_sign(FALLBACK_CA, br, FALLBACK_M, h))
 
 
 # Default and varied curves of family tasks, written as CSV; the digest pins
