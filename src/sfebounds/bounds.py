@@ -121,15 +121,22 @@ class CurvePoint(NamedTuple):
 
 def _rounded_ratio(a: int, b: int, c: int, radicand: int) -> float:
     """The float nearest (a + b*sqrt(R))/c, for ints, R >= 0 and c > 0; the
-    module docstring proves rounding and termination."""
+    module docstring proves rounding and termination.  An end of magnitude
+    2^1024 - 2^970 or more overflows: OverflowError once both ends lie
+    beyond that edge on one side."""
     t = 64
     while True:
         scaled = radicand << 2 * t
         k = math.isqrt(scaled)
         num, den = (a << t) + b * k, c << t
-        value = num / den
-        if k * k == scaled or value == (num + b) / den:
-            return value
+        try:
+            value = num / den
+            if k * k == scaled or value == (num + b) / den:
+                return value
+        except OverflowError:
+            edge = (2**1024 - 2**970) * den
+            if k * k == scaled or min(num, num + b) >= edge or max(num, num + b) <= -edge:
+                raise
         t += 64
 
 

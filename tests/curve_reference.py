@@ -41,11 +41,22 @@ def crossing_sign(b_rand: Fraction, m: int, h) -> int:
     return 1 if h < 1 else curve_sign(h, b_rand, m, 1)
 
 
+# the magnitude halfway between the largest float and 2^1024, where rounding overflows
+FLOAT_EDGE = 2**1024 - 2**970
+
+
+def _halfway(value: float, toward: float) -> Fraction:
+    beyond = math.nextafter(value, toward)
+    if math.isinf(beyond):
+        return Fraction(FLOAT_EDGE if toward > 0 else -FLOAT_EDGE)
+    return (Fraction(beyond) + Fraction(value)) / 2
+
+
 def within_half_ulp(value: float, sign_minus) -> bool:
     """Whether the number whose comparison with h is sign_minus(h) lies
-    between the halfway points around ``value``, ends included."""
-    below = (Fraction(math.nextafter(value, -math.inf)) + Fraction(value)) / 2
-    above = (Fraction(value) + Fraction(math.nextafter(value, math.inf))) / 2
+    between the halfway points around ``value``, ends included; past the
+    largest float the halfway point is the float range's edge."""
+    below, above = _halfway(value, -math.inf), _halfway(value, math.inf)
     return sign_minus(below) >= 0 >= sign_minus(above)
 
 

@@ -61,6 +61,11 @@ def solve_directly_in_c(b_rand, y_size):
     return 0.5 * (lo + hi)
 
 
+# the largest m with sqrt(8)*m <= 1 + 2^1024 - 2^970: c_B = 1 - sqrt(8)*m at
+# c_A = 2 and b_rand = 1/2 lies just inside the float range
+EDGE_M = math.isqrt((1 + ref.FLOAT_EDGE) ** 2 // 8)
+
+
 class TestCbFromCa:
     def test_left_endpoint_exact(self):
         assert cb_from_ca(1.0, Fraction(1, 2), 2) == 2.0
@@ -95,6 +100,21 @@ class TestCbFromCa:
     def test_cb_beyond_a_float_names_the_row(self):
         with pytest.raises(OverflowError, match=r"^c_B at c_A = 1\.5 is beyond the float range"):
             cb_from_ca(1.5, Fraction(1, 2**1100), 2)
+
+    def test_cb_next_to_the_float_range_edge_rounds_to_the_largest_float(self):
+        # at c_A = 2 and b_rand = 1/2, c_B = 1 - sqrt(8)*m lies just above
+        # -(2^1024 - 2^970), where int division starts to overflow; the
+        # first pass's far end lies beyond it, and its near end does not
+        m = EDGE_M
+        assert 0 < (1 + ref.FLOAT_EDGE) ** 2 - 8 * m * m < 16 * m
+        k = math.isqrt(2 << 128)
+        num, den = (2 << 64) - 4 * m * k, 2 << 64
+        assert num / den == -sys.float_info.max
+        with pytest.raises(OverflowError):
+            (num - 4 * m) / den
+        assert cb_from_ca(2.0, Fraction(1, 2), m + 1) == -sys.float_info.max
+        with pytest.raises(OverflowError, match=r"^c_B at c_A = 2\.0 is beyond the float range"):
+            cb_from_ca(2.0, Fraction(1, 2), m + 2)
 
 
 class TestSolveFixedPoint:
@@ -557,11 +577,13 @@ class TestCurveIsExact:
     @example(2**53 + 3, 0, 1, 0)  # a halfway point, rounded to even
     @example(2**53 + 3, -5, 1, 0)  # the end at sqrt(R) + 2^-t lies below it
     @example(-(2**60) - 5, 2, 4, 1)
+    @example(2, -4 * EDGE_M, 2, 2)  # one end of the first pass overflows
+    @example(2, -4 * EDGE_M - 4, 2, 2)  # both do
     def test_kernel_is_correctly_rounded(self, a, b, c, radicand):
         try:
             value = bounds._rounded_ratio(a, b, c, radicand)
         except OverflowError:  # beyond the largest float plus half an ulp
-            edge = Fraction(2**1024 - 2**970)
+            edge = Fraction(ref.FLOAT_EDGE)
             assert ref.sign_plus_root(a - edge * c, b, radicand) >= 0 or (
                 ref.sign_plus_root(a + edge * c, b, radicand) <= 0
             )

@@ -1012,6 +1012,7 @@ SRC = Path(m.__file__).resolve().parents[1]
 # VmHWM is this process's own peak: ru_maxrss would include the RSS of the
 # process that spawned it.
 MEMORY_CHILD = """
+import os
 import sys
 from sfebounds import measurements
 
@@ -1022,6 +1023,8 @@ def size(obj, seen):
     items = obj.values() if isinstance(obj, dict) else obj if isinstance(obj, list) else ()
     return sys.getsizeof(obj) + sum(size(item, seen) for item in items)
 
+# one CPU, so that every instance runs in this process and counts in its peak
+os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})
 records = measurements.run_campaign(
     measurements.learning_instance, int(sys.argv[1]), 0, max_dim=4
 )
