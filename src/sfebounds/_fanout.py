@@ -10,17 +10,16 @@ from their own seeded streams and its runner gives the same records however
 the indices are cut, so the records are those of one process, byte for
 byte.
 
-A child runs ``run`` on its slice, pickles its records, or the exception it
-raised, to a pipe, and leaves through ``os._exit`` whatever happens: it
-never returns into the caller's frames or flushes the stdio buffers it
-inherited.  Each slice raises for its own lowest-index failing instance,
-and the parent raises the first exception in slice order, so a campaign
-raises what its lowest-index failing instance raises.  A child that ends
-without a whole result (killed, or with an exception that does not come
-back whole), or that could not be started, has its slice run again in the
-parent.  Every child is killed and reaped before ``run_slices`` returns or
-raises; an unreaped child keeps its pid, so the kill can reach no other
-process.
+A child runs ``run`` on its slice, pickles its records to a pipe, and
+leaves through ``os._exit`` whatever happens: it never returns into the
+caller's frames or flushes the stdio buffers it inherited.  A child that
+sends no whole list of records (it raised, or was killed) or that could not
+be started has its slice run again in the parent, which reads the slices
+in index order.  The runner is deterministic, so that rerun gives the
+records the child would have sent, or raises what the slice raises, and a
+campaign raises what one process raises.  Every child is killed and
+reaped before ``run_slices`` returns or raises; an unreaped child keeps its
+pid, so the kill can reach no other process.
 
 Processes, not threads: the kernels run Python between numpy calls, and
 two threads ran at about 0.9 times serial speed.  Fork, not spawn: a
@@ -61,7 +60,7 @@ def _slices(count: int) -> list[range]:
 
 
 def _fork(run: Callable[[range], list], part: range) -> tuple[int | None, int]:
-    """Start a child that sends the outcome of ``run(part)`` down a pipe;
+    """Start a child that sends the records of ``run(part)`` down a pipe;
     return its pid, None if no child could be started, and the pipe's read
     end."""
     read, write = os.pipe()
@@ -88,21 +87,16 @@ def _fork(run: Callable[[range], list], part: range) -> tuple[int | None, int]:
         return pid, read
     try:
         os.close(read)
-        try:
-            outcome = True, run(part)
-        except Exception as exc:
-            # an exception that does not come back whole is left to the rerun
-            pickle.loads(pickle.dumps(exc))
-            outcome = False, exc
+        records = run(part)
         with open(write, "wb") as pipe:
-            pickle.dump(outcome, pipe, pickle.HIGHEST_PROTOCOL)
+            pickle.dump(records, pipe, pickle.HIGHEST_PROTOCOL)
     finally:
         os._exit(0)
 
 
-def _outcome(read: int):
-    """The child's ``(ok, records or exception)`` from its pipe, or None if
-    the pipe closed before a whole pickle came through."""
+def _outcome(read: int) -> list | None:
+    """The child's records from its pipe, or None if the pipe closed before
+    a whole pickle came through."""
     with open(read, "rb", closefd=False) as pipe:
         try:
             return pickle.load(pipe)
@@ -120,10 +114,8 @@ def run_slices(run: Callable[[range], list], count: int) -> list:
             children.append(_fork(run, part))
         records = run(first)
         for part, (_, read) in zip(rest, children):
-            ok, value = _outcome(read) or (True, run(part))
-            if not ok:
-                raise value
-            records += value
+            value = _outcome(read)
+            records += run(part) if value is None else value
         return records
     finally:
         for pid, read in children:

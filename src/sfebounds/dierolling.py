@@ -81,7 +81,13 @@ def _stats(outcomes: np.ndarray, y_size: int, seed: int) -> DrStats:
     """
     trials = len(outcomes)
     hist = np.bincount(outcomes, minlength=y_size)
-    tv = 0.5 * float(np.abs(hist / trials - 1.0 / y_size).sum())
+    # TV = Σ|Y·h − T| / (2·T·Y), rounded once by an int division.  As
+    # Σ(Y·h − T) = 0, the bins with Y·h ≥ T (h ≥ ⌈T/Y⌉) carry half the sum:
+    # if N of them hold S trials, TV = (Y·S − T·N) / (T·Y).  numpy sums
+    # only counts, which stay at most T; Python ints form the rest
+    high = hist >= -(-trials // y_size)
+    above, bins = int(hist[high].sum()), int(np.count_nonzero(high))
+    tv = (y_size * above - trials * bins) / (trials * y_size)
     forcing = float(np.count_nonzero(outcomes == 0)) / trials
     return DrStats(
         trials=trials,

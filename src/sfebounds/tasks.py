@@ -224,14 +224,6 @@ class SfeTask:
             self.__dict__["_table"] = family_table(self.family)
         return self._table
 
-    def f(self, x: int, y: int) -> int:
-        """Output index f(x, y), read from the table."""
-        if not (0 <= x < self.x_size and 0 <= y < self.y_size):
-            raise TaskError(f"input pair ({x}, {y}) out of range")
-        if self.table is None:
-            raise TaskError("f(x, y) requires a materialized table")
-        return int(self.table[x, y])
-
 
 def _check_cap(cells: int) -> None:
     if cells > MATERIALIZE_CAP:

@@ -393,7 +393,7 @@ README_COMMANDS = (
     ),
     (
         "simulate-dr --family mp --n 4 --trials 100000 --seed 0",
-        "1aca33c7266a1fbe3f582ebde084107663a55127ac15346e2ae1f1a790c41268",
+        "419ff39049b40c8c08a806eb238d401df3b2ca945439bef5ef2d89197e265e3a",
     ),
 )
 

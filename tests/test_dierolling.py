@@ -4,6 +4,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from conftest import traced_peak
 from sfebounds import dierolling as dr
@@ -276,6 +278,19 @@ class TestStatsOutput:
         assert set(obj) == {"trials", "histogram", "aborts", "tv_distance", "forcing_rate", "seed"}
         text = json.dumps(obj, sort_keys=True)
         assert json.dumps(json.loads(text), sort_keys=True) == text
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(st.lists(st.integers(0, 2000), min_size=1, max_size=40).filter(any))
+    @example([1, 2, 0])  # a bin exactly at T/Y
+    @example([5, 5, 5, 5])  # uniform: 0
+    @example([7])
+    def test_tv_distance_is_the_exact_sum_correctly_rounded(self, hist):
+        trials, y_size = sum(hist), len(hist)
+        outcomes = np.repeat(np.arange(y_size), hist)
+        exact = Fraction(sum(abs(y_size * h - trials) for h in hist), 2 * trials * y_size)
+        stats = dr._stats(outcomes, y_size, seed=0)
+        assert stats.outcome_histogram == tuple(hist)
+        assert stats.tv_distance_from_uniform == float(exact)
 
     def test_histogram_plus_aborts_accounts_for_trials(self):
         stats = dr.run_cheating_bob(make_family("eq", n=4), {1}, 2000, seed=1)

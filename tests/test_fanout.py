@@ -126,24 +126,6 @@ def test_lowest_failing_instance_raises_what_the_serial_run_raises(use_cpus, for
     assert_no_children()
 
 
-def test_killed_child_has_its_slice_rerun(use_cpus, forked, monkeypatch):
-    use_cpus(3)
-    parent = os.getpid()
-    draw, kernel = m.sequential_instance.campaign
-
-    def kernel_killed_in_child(drawn):
-        if os.getpid() != parent and any(d[0][1] == 250 for d in drawn):
-            os.kill(os.getpid(), signal.SIGKILL)
-        return kernel(drawn)
-
-    monkeypatch.setattr(m.sequential_instance, "campaign", (draw, kernel_killed_in_child))
-    records = m.run_campaign(m.sequential_instance, 300, 9)
-    assert len(forked) == 2
-    monkeypatch.setattr(m.sequential_instance, "campaign", (draw, kernel))
-    assert json.dumps(records) == json.dumps(serial(m.sequential_instance, 300, 9))
-    assert_no_children()
-
-
 class Unpicklable(ValueError):
     """Pickles, but unpickling calls __init__ with the message alone."""
 
@@ -151,29 +133,58 @@ class Unpicklable(ValueError):
         super().__init__(message)
 
 
-def test_exception_that_does_not_unpickle_is_raised_by_the_rerun(use_cpus, forked, monkeypatch):
-    use_cpus(2)
-    draw, kernel = m.gentle_instance.campaign
+def holds(drawn, idx):
+    return any(d[0][1] == idx for d in drawn)
 
-    def failing(drawn):
-        if any(d[0][1] == 150 for d in drawn):
-            raise Unpicklable("instance 150 fails", None)
-        return kernel(drawn)
 
-    monkeypatch.setattr(m.gentle_instance, "campaign", (draw, failing))
-    with pytest.raises(Unpicklable, match="^instance 150 fails$"):
-        m.run_campaign(m.gentle_instance, 200, 3)
+def kill_in_child(drawn, in_child):
+    if in_child and holds(drawn, 250):
+        os.kill(os.getpid(), signal.SIGKILL)
+
+
+def raise_unpicklable(drawn, in_child):
+    if holds(drawn, 150):
+        raise Unpicklable("instance 150 fails", None)
+
+
+def raise_in_child(drawn, in_child):
+    if in_child:
+        raise ValueError("fails in the child only")
+
+
+def no_fork():
+    raise BlockingIOError(11, "Resource temporarily unavailable")
+
+
+@pytest.mark.parametrize(
+    "cpus, instance, count, seed, fault",
+    [
+        pytest.param(3, m.sequential_instance, 300, 9, kill_in_child, id="killed"),
+        pytest.param(2, m.gentle_instance, 200, 3, raise_unpicklable, id="unpicklable"),
+        pytest.param(4, m.learning_instance, 300, 8, None, id="fork-fails"),
+        pytest.param(2, m.gentle_instance, 200, 3, raise_in_child, id="raises-in-child-only"),
+    ],
+)
+def test_slice_no_child_sends_is_rerun_in_the_parent(
+    use_cpus, forked, monkeypatch, cpus, instance, count, seed, fault
+):
+    # fault(drawn, in_child) runs before each kernel call; None: no fork starts
+    use_cpus(cpus)
+    if fault is None:
+        monkeypatch.setattr(os, "fork", no_fork)
+    else:
+        parent = os.getpid()
+        draw, kernel = instance.campaign
+
+        def faulty(drawn):
+            fault(drawn, os.getpid() != parent)
+            return kernel(drawn)
+
+        monkeypatch.setattr(instance, "campaign", (draw, faulty))
+    want = outcome(serial, instance, count, seed)
+    assert outcome(m.run_campaign, instance, count, seed) == want
+    assert len(forked) == (0 if fault is None else forks_for(count, cpus))
     assert_no_children()
-
-
-def test_slice_whose_fork_fails_runs_in_the_parent(use_cpus, monkeypatch):
-    def no_fork():
-        raise BlockingIOError(11, "Resource temporarily unavailable")
-
-    use_cpus(4)
-    monkeypatch.setattr(os, "fork", no_fork)
-    records = m.run_campaign(m.learning_instance, 300, 8)
-    assert json.dumps(records) == json.dumps(serial(m.learning_instance, 300, 8))
 
 
 def test_no_child_outlives_an_interrupt(use_cpus, forked, monkeypatch):

@@ -170,25 +170,40 @@ def _references(tree: ast.Module, skip: str = "") -> set:
     return names
 
 
+def _attribute_reads(nodes) -> set:
+    return {
+        node.attr
+        for node in itertools.chain.from_iterable(map(ast.walk, nodes))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+
+
 def test_every_public_name_is_reached_outside_the_tests():
     """A public name, exported or a module-level function or class of a
     submodule, stays only while something besides its own definition and
     the unit tests uses it: a package module other than ``__init__``, a
-    benchmark file, the acceptance suite, or the README."""
+    benchmark file, the acceptance suite, or the README.  A public method
+    or property of a public class stays only while one of those files reads
+    it as an attribute outside the class; a README word does not count, as
+    short names such as ``f`` are common words."""
     modules = {
         path.stem: ast.parse(path.read_text())
         for path in sorted(PACKAGE_DIR.glob("*.py"))
         if path.name != "__init__.py"
     }
     homes = dict(sfebounds._EXPORTS)
+    classes = []  # (module, class node)
     for module, tree in modules.items():
         for node in tree.body:
             defines = isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
             if defines and not node.name.startswith("_"):
                 homes.setdefault(node.name, module)
-    references = {module: _references(tree) for module, tree in modules.items()}
+                if isinstance(node, ast.ClassDef):
+                    classes.append((module, node))
+    trees = dict(modules)
     for path in [*sorted((ROOT / "bench").glob("*.py")), ROOT / "tests" / "test_acceptance.py"]:
-        references[path] = _references(ast.parse(path.read_text()))
+        trees[path] = ast.parse(path.read_text())
+    references = {where: _references(tree) for where, tree in trees.items()}
     readme = (ROOT / "README.md").read_text()
     unreached = []
     for name, home in homes.items():
@@ -197,6 +212,17 @@ def test_every_public_name_is_reached_outside_the_tests():
         )
         if name not in used and not re.search(rf"\b{name}\b", readme):
             unreached.append(name)
+    for module, cls in classes:
+        reads = _attribute_reads(node for node in modules[module].body if node is not cls).union(
+            *(_attribute_reads(tree.body) for where, tree in trees.items() if where != module)
+        )
+        unreached.extend(
+            f"{cls.name}.{node.name}"
+            for node in cls.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not node.name.startswith("_")
+            and node.name not in reads
+        )
     assert unreached == []
 
 
