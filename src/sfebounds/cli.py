@@ -33,6 +33,9 @@ EXIT_BAD_TASK = 2
 EXIT_INSECURE = 3
 EXIT_VIOLATION = 4
 
+# a run holds two int64 arrays of its trials, 16 bytes a trial: 1.6 GB at the cap
+MAX_TRIALS = 10**8
+
 
 def _families_taking(key: str) -> str:
     return "/".join(tag for tag, names in tasks.FAMILY_PARAMS.items() if key in names)
@@ -199,6 +202,8 @@ def cmd_simulate(args: argparse.Namespace) -> tuple[str, int]:
 
     if args.seed < 0:
         raise ValueError(f"--seed must be at least 0, got {args.seed}")
+    if args.trials > MAX_TRIALS:
+        raise ValueError(f"--trials must be at most {MAX_TRIALS}, got {args.trials}")
     task = _task_from_args(args)
     stats = dierolling.run_honest(task, args.trials, args.seed)
     if args.json:
@@ -264,7 +269,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate-dr", help="honest die-rolling runs over an SFE oracle")
     _add_task_flags(p_sim)
-    p_sim.add_argument("--trials", type=int, default=100000)
+    p_sim.add_argument(
+        "--trials",
+        type=int,
+        default=100000,
+        help=f"number of trials, at most {MAX_TRIALS}; each holds 16 bytes while it runs",
+    )
     p_sim.add_argument("--seed", type=int, default=0)
     p_sim.set_defaults(fn=cmd_simulate)
 

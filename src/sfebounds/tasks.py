@@ -478,24 +478,33 @@ def b_rand_bruteforce(task: SfeTask) -> Fraction:
     unsigned type that holds its largest cell, so the dedup compares one
     byte per cell when every output is below 256.
 
-    The modal counts are then found one of two ways, chosen once per table
-    from its output range (largest cell + 1):
+    The modal counts are then found one of three ways, chosen once per
+    table from its output range (largest cell + 1) and its count of
+    distinct rows:
 
-    - no larger than its count of distinct rows: a block of queries gets
-      one int64 slot per (output, query) pair, and one ``np.maximum.at``
-      writes each distinct row's multiplicity into the slot of each of its
-      (output, query) cells.  A slot then holds the largest multiplicity
-      among the rows showing its output at its query, whatever order the
-      maximum visits them in, so each query's slots sum to its modal sum
-      exactly.  The slots number the output range times the block's
-      queries, no more than the block's cells.
-    - larger: the slots would grow with the output range, up to 2**63
-      outputs, so each query's outputs are sorted instead.  With distinct
-      rows in order of falling multiplicity, a stable sort puts the row of
-      largest multiplicity first in each run of equal outputs; on 8- and
-      16-bit cells numpy's stable sort is a radix sort.  Distinct rows of
-      equal multiplicity may come in any order: every row tied at the
-      maximum gives the same weight.
+    - every row distinct, and the output range no larger than the rows:
+      every row has multiplicity 1, so every modal count a query shows is
+      1 and no weight is needed.  A block of queries is read in place,
+      one bool slot per (output, query) pair is set where a row shows that
+      output at that query, and a query's modal sum is its count of set
+      slots.  There is no gather of rows and no scatter of counts.
+    - some rows repeated, and the output range no larger than the
+      distinct rows: a block of queries gets one int64 slot per (output,
+      query) pair, and one ``np.maximum.at`` writes each distinct row's
+      multiplicity into the slot of each of its (output, query) cells.  A
+      slot then holds the largest multiplicity among the rows showing its
+      output at its query, whatever order the maximum visits them in, so
+      each query's slots sum to its modal sum exactly.  In both slot cases
+      the slots number the output range times the block's queries, no more
+      than the block's cells.
+    - an output range larger than the distinct rows: the slots would grow
+      with the output range, up to 2**63 outputs, so each query's outputs
+      are sorted instead.  With distinct rows in order of falling
+      multiplicity, a stable sort puts the row of largest multiplicity
+      first in each run of equal outputs; on 8- and 16-bit cells numpy's
+      stable sort is a radix sort.  Distinct rows of equal multiplicity may
+      come in any order: every row tied at the maximum gives the same
+      weight.
 
     The scatter's speed rests on numpy's indexed loop for ``ufunc.at``.  It
     has been timed on numpy 2.4 only; on older releases down to the
@@ -513,16 +522,25 @@ def b_rand_bruteforce(task: SfeTask) -> Fraction:
     _, first, counts = np.unique(row_items.ravel(), return_index=True, return_counts=True)
     cols_per_block = max(1, BRUTE_FORCE_BLOCK // len(first))
     best = 0
-    if top < len(first):  # output range within the distinct rows: scatter
+    if top < len(first):  # output range within the distinct rows: slots
         levels = top + 1
+        distinct = len(first) == x_count
+        # one line per distinct row: the table itself, read in place, when no row repeats
+        rows = slice(None) if distinct else first
         for lo in range(0, y_count, cols_per_block):
-            block = table[first, lo : lo + cols_per_block]  # one line per distinct row
+            block = table[rows, lo : lo + cols_per_block]
             width = block.shape[1]
             keys = np.multiply(block, width, dtype=np.intp)  # slot output * width + query
             keys += np.arange(width)
-            slots = np.zeros(levels * width, dtype=np.int64)
-            np.maximum.at(slots, keys.ravel(), np.repeat(counts, width))
-            best = max(best, int(slots.reshape(levels, width).sum(axis=0).max()))
+            if distinct:  # every modal count is 1: mark the slots shown
+                shown = np.zeros(levels * width, dtype=bool)
+                shown[keys.ravel()] = True
+                modal_sums = shown.reshape(levels, width).sum(axis=0)
+            else:
+                slots = np.zeros(levels * width, dtype=np.int64)
+                np.maximum.at(slots, keys.ravel(), np.repeat(counts, width))
+                modal_sums = slots.reshape(levels, width).sum(axis=0)
+            best = max(best, int(modal_sums.max()))
         return Fraction(best, x_count)
     by_count = np.argsort(-counts, kind="stable")
     rows, weights = first[by_count], counts[by_count]

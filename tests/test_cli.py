@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from sfebounds import tasks
-from sfebounds.cli import build_parser, main
+from sfebounds.cli import MAX_TRIALS, build_parser, main
 from sfebounds.tasks import FAMILY_TAGS, MATERIALIZE_CAP
 
 
@@ -307,24 +307,31 @@ class TestSimulateCommand:
         assert len(histogram) == task.y_size and sum(histogram) == 100
 
     @pytest.mark.skipif(sys.platform != "linux", reason="limits the child's address space")
-    def test_out_of_memory_exits_2_without_traceback(self):
+    @pytest.mark.parametrize(
+        "trials,refusal",
+        [
+            (MAX_TRIALS, "error: "),  # the cap's 1.6 GB of trials are more than the child may map
+            (MAX_TRIALS + 1, f"error: --trials must be at most 100000000, got {MAX_TRIALS + 1}\n"),
+        ],
+        ids=["at-the-cap", "above-the-cap"],
+    )
+    def test_out_of_memory_exits_2_without_traceback(self, trials, refusal):
+        # above the cap the refusal comes before any draw, so the limit is never reached
         import resource
 
-        limit = 2 * 1024**3
+        limit = 512 * 1024**2
 
         def limit_address_space():
             resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
-        env = dict(os.environ)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
         proc = subprocess.run(
             [sys.executable, "-m", "sfebounds", "simulate-dr", "--family", "mp", "--n", "4",
-             "--trials", "10000000000"],
-            capture_output=True, text=True, env=env, timeout=120, check=False,
+             "--trials", str(trials)],
+            capture_output=True, text=True, env=tree_env(), timeout=120, check=False,
             preexec_fn=limit_address_space,
         )
         assert (proc.returncode, proc.stdout) == (2, "")
-        assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+        assert proc.stderr.startswith(refusal) and proc.stderr.count("\n") == 1
         assert "Traceback" not in proc.stderr
 
     @pytest.mark.parametrize("seed", ["-1", "-123456789012345678901"])
@@ -465,6 +472,16 @@ class TestFamilyTableOnFirstRead:
 
 
 SRC = Path(tasks.__file__).resolve().parents[1]
+
+
+def tree_env(**extra):
+    """This process's environment with ``extra`` set and this tree's
+    sources first on PYTHONPATH, for a child that imports sfebounds."""
+    env = dict(os.environ, **extra)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
+    return env
+
+
 NUMPY_MODULES = {"numpy", "sfebounds.measurements", "sfebounds.dierolling"}
 
 
@@ -486,11 +503,10 @@ RUN_MAIN = 'import runpy; sys.argv[0] = "sfebounds"; runpy.run_module("sfebounds
 def run_python(tmp_path, code, *argv):
     """``python -c code argv`` in a fresh interpreter that imports sfebounds
     from this tree: exit code, stdout, stderr, and the modules it imported."""
-    env = dict(os.environ, MODULES_OUT=str(tmp_path / "modules.json"))
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
     proc = subprocess.run(
         [sys.executable, "-c", PROBE + code, *argv],
-        capture_output=True, text=True, env=env, timeout=120, check=False,
+        capture_output=True, text=True, env=tree_env(MODULES_OUT=str(tmp_path / "modules.json")),
+        timeout=120, check=False,
     )
     imported = set(json.loads((tmp_path / "modules.json").read_text()))
     return proc.returncode, proc.stdout, proc.stderr, imported
@@ -526,6 +542,16 @@ class TestImportsPerCommand:
         code, out, err, imported = run_python(tmp_path, RUN_MAIN, *argv)
         assert (code, err) == (0, "") and out == run(capsys, *argv)[1]
         assert not imported & NUMPY_MODULES
+
+    def test_numpy_free_check_passes(self):
+        # the stdlib-only script that CI also runs on Pythons without numpy
+        script = Path(__file__).with_name("numpy_free_check.py")
+        proc = subprocess.run(
+            [sys.executable, str(script)],
+            capture_output=True, text=True, env=tree_env(), timeout=120, check=False,
+        )
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout.startswith("ok: 12 commands, SHA-256 8cbeac4a")
 
     def test_comparing_family_tasks_leaves_numpy_unloaded(self, tmp_path):
         code, _, err, imported = run_python(
@@ -784,7 +810,8 @@ CA_FLOATS = st.floats(1, 1.1).map(repr) | st.sampled_from(["nan", "inf", "-inf",
 @st.composite
 def task_flag_sets(draw):
     """Flags of bound, brand, curve or simulate-dr on a family task whose
-    table, if built, has at most 10^4 cells.  Each optional flag is given
+    table, if built, has at most 10^4 cells.  --trials is small, or above
+    the cap and refused before any draw.  Each optional flag is given
     with probability ``odds``: 7/8 for the task flags, 1/2 for the others."""
 
     def sometimes(flag, strategy, odds=4):
@@ -805,7 +832,8 @@ def task_flag_sets(draw):
         argv += sometimes("ca-max", CA_FLOATS)
         argv += ["--clip"] if draw(st.booleans()) else []
     if command == "simulate-dr":
-        argv += sometimes("trials", st.integers(1, 10**4) | st.integers(-2, 0))
+        trials = st.integers(1, 10**4) | st.integers(-2, 0) | st.integers(MAX_TRIALS + 1, 10**30)
+        argv += sometimes("trials", trials)
         argv += sometimes("seed", st.integers(0, 2**70) | st.integers(-(2**70), -1))
     if command == "bound":
         argv += draw(st.sampled_from([[], ["--json"], ["--full-precision"]]))
@@ -827,6 +855,7 @@ class TestTaskFlagFuzz:
     @example(["curve", "--family=ot", "--alphabet=2", "--n=1500"])
     @example(["curve", "--family=eq", "--n=5", "--ca-min=nan", "--ca-max=inf"])
     @example(["simulate-dr", "--family=eq", "--n=5", "--trials=-2", "--seed=-1"])
+    @example(["simulate-dr", "--family=eq", "--n=5", f"--trials={10**30}"])
     def test_any_flag_set_exits_cleanly(self, capsys, argv):
         code, _, err = run(capsys, *argv)
         assert code in (0, 2, 3, 4)

@@ -271,6 +271,13 @@ class TestCheatingBob:
             dr.run_cheating_bob(task, lambda t, x, y: known, 300, seed=4)
 
 
+@st.composite
+def unreduced_sums(draw):
+    """|Y| in 1..50 and at least one sum b + y in [0, 2|Y|)."""
+    y_size = draw(st.integers(1, 50))
+    return y_size, draw(st.lists(st.integers(0, 2 * y_size - 1), min_size=1, max_size=60))
+
+
 class TestStatsOutput:
     def test_jsonable_keys_and_round_trip(self):
         stats = dr.run_honest(make_family("eq", n=3), 1000, seed=0)
@@ -291,6 +298,19 @@ class TestStatsOutput:
         stats = dr._stats(outcomes, y_size, seed=0)
         assert stats.outcome_histogram == tuple(hist)
         assert stats.tv_distance_from_uniform == float(exact)
+
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(unreduced_sums())
+    @example((1, [1, 1, 1]))  # every sum in the upper half
+    @example((7, [7, 8, 13, 13]))
+    @example((5, [5] * 6))  # every sum equal to |Y|: all of it folds onto bin 0
+    def test_folded_sums_give_the_stats_of_their_outcomes(self, case):
+        # the runners hand _stats each trial's b + y unreduced
+        y_size, sums = case
+        outcomes = np.array(sums) % y_size
+        stats = dr._stats(np.array(sums), y_size, seed=3)
+        assert stats == dr._stats(outcomes, y_size, seed=3)
+        assert stats.outcome_histogram == tuple(np.bincount(outcomes, minlength=y_size).tolist())
 
     def test_histogram_plus_aborts_accounts_for_trials(self):
         stats = dr.run_cheating_bob(make_family("eq", n=4), {1}, 2000, seed=1)

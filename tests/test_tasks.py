@@ -617,6 +617,13 @@ class TestBaselines:
     # as many outputs as distinct rows, which takes the scatter, and one more, the sort
     @example(SfeTask("scatter edge", 5, 3, 3, table=[[0, 1, 2], [2, 1, 0], [0, 1, 2], [1, 1, 1], [2, 1, 0]]), 2)
     @example(SfeTask("sort edge", 5, 3, 4, table=[[0, 1, 3], [3, 2, 0], [0, 1, 3], [1, 1, 1], [3, 2, 0]]), 2)
+    # distinct rows whose largest cell is x_count - 1, which takes the unweighted
+    # slots; the same with one more output, the sort; and with one row repeated, the scatter
+    @example(SfeTask("distinct edge", 4, 3, 4, table=[[0, 1, 3], [3, 2, 0], [1, 1, 1], [2, 0, 3]]), 2)
+    @example(SfeTask("distinct sort", 4, 3, 5, table=[[0, 1, 4], [3, 2, 0], [1, 1, 1], [2, 0, 3]]), 2)
+    @example(
+        SfeTask("distinct scatter", 5, 3, 4, table=[[0, 1, 3], [3, 2, 0], [1, 1, 1], [2, 0, 3], [3, 2, 0]]), 2
+    )
     def test_bruteforce_equals_dict_loop_reference(self, task, block):
         # small blocks send every table through the multi-block path too
         with mock.patch.object(tasks, "BRUTE_FORCE_BLOCK", block):
@@ -632,12 +639,17 @@ class TestBaselines:
             ((60, 2000), 60000, None),  # more outputs than distinct rows: the sort
             ((3000, 50), 40, 40),  # as many outputs as distinct rows: the scatter
             ((3000, 50), 41, 40),  # one output more: the sort
+            ((4096, 12), 2, 4096),  # every row of 12 bits once: distinct rows
         ],
     )
     def test_bruteforce_equals_dict_loop_reference_at_size(self, shape, b_size, pool_size):
         rng = np.random.default_rng(sum(shape) + b_size)
-        pool = rng.integers(0, b_size, size=(pool_size or max(1, shape[0] // 3), shape[1]))
-        table = pool[rng.integers(0, len(pool), size=shape[0])]
+        if pool_size == b_size ** shape[1]:  # every possible row, each drawn once
+            digits = np.arange(pool_size)[:, None] // b_size ** np.arange(shape[1]) % b_size
+            table = digits[rng.permutation(pool_size)]
+        else:
+            pool = rng.integers(0, b_size, size=(pool_size or max(1, shape[0] // 3), shape[1]))
+            table = pool[rng.integers(0, len(pool), size=shape[0])]
         if pool_size is not None:  # every pool row is drawn and distinct, and the top output shows
             assert len(np.unique(table, axis=0)) == pool_size and table.max() == b_size - 1
         task = SfeTask("sized", *shape, b_size, table=table)
@@ -669,8 +681,9 @@ class TestBaselines:
     @pytest.mark.parametrize(
         "top,pool_size",
         [
-            (None, None),  # mp 1000: two outputs, the scatter
-            (255, 1000),  # 256 outputs, the widest uint8 slot block: the scatter
+            (None, None),  # mp 1000: two outputs over distinct rows, the unweighted slots
+            (255, 1000),  # 256 outputs, the widest uint8 slot block, distinct rows: the unweighted slots
+            (255, 500),  # the same outputs, each row twice: the weighted scatter
             (65535, 500),  # more outputs than distinct rows: the sort
         ],
     )
