@@ -324,8 +324,8 @@ def emit_curve(
     ``ca_max`` defaults to the c_B = 1 crossing, matching how the curves are
     plotted.  With ``clip_below_one`` samples whose c_B is below 1 are dropped
     (the plots show only c_B >= 1).  OverflowError when 1/b_rand or a row's
-    c_B is beyond a float, ValueError when the float c_A grid does not
-    strictly increase.
+    c_B is beyond a float, ValueError when the c_A range is empty or the
+    float c_A grid does not strictly increase.
     """
     br = Fraction(b_rand_value)
     if br >= 1:
@@ -343,8 +343,8 @@ def emit_curve(
     at_crossing = ca_max is None
     if at_crossing:
         ca_max = ca_crossing(br, y_size)
-    if not 1.0 <= ca_min <= ca_max:
-        raise ValueError(f"bad c_a range [{ca_min}, {ca_max}]")
+    if not 1.0 <= ca_min < ca_max:
+        raise ValueError(f"the c_A range [{ca_min!r}, {ca_max!r}] is empty or starts below 1.0")
     if ca_max > float(1 / br):
         raise ValueError(f"ca_max {ca_max} beyond 1/b_rand = {float(1 / br)}")
     step = (ca_max - ca_min) / (samples - 1)

@@ -10,7 +10,11 @@ Each command returns its whole output, and ``main`` writes it once, to --out
 (relative paths resolve against $SFEBOUNDS_OUT_DIR when set) or to stdout.
 Each command accepts only the flags it reads, and refuses any other with its
 own usage: all take --out, all but curve (always CSV) take --json, and only
-bound takes --full-precision.
+bound takes --full-precision.  ``FLAG_RANGES`` is the one place that knows
+what each numeric flag beside the task's accepts: ``_check_flags`` refuses a
+value outside it, or a float flag that is nan or infinite, before the
+command does any work, and each of these flags' --help states its range from
+it.  The task flags are checked with the task, as task files are.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import math
 import os
 import sys
 from fractions import Fraction
@@ -35,6 +40,43 @@ EXIT_VIOLATION = 4
 
 # a run holds two int64 arrays of its trials, 16 bytes a trial: 1.6 GB at the cap
 MAX_TRIALS = 10**8
+# a row holds about 200 bytes until the CSV is written: 1.0 GB peak RSS at the cap
+MAX_SAMPLES = 5 * 10**6
+# records stay in memory until written, 0.7-2.4 KB an instance per campaign: 0.5 GB at the cap
+MAX_INSTANCES = 10**5
+
+# flag -> (least, most) value it accepts, None for no bound; checked in this order
+FLAG_RANGES = {
+    "--instances": (0, MAX_INSTANCES),
+    "--max-dim": (2, 16),  # the measurements layer is written for dim <= 16
+    "--seed": (0, None),
+    "--trials": (1, MAX_TRIALS),
+    "--samples": (2, MAX_SAMPLES),
+    "--ca-min": (1.0, None),
+    "--ca-max": (1.0, None),
+}
+
+
+def _check_flags(args: argparse.Namespace) -> None:
+    """Refuse, with ValueError naming the flag, the first value the command
+    was given outside its ``FLAG_RANGES`` range, or a nan or infinite float."""
+    for flag, (least, most) in FLAG_RANGES.items():
+        value = getattr(args, flag[2:].replace("-", "_"), None)
+        if value is None:
+            continue
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{flag} must be finite, got {value}")
+        if value < least:
+            raise ValueError(f"{flag} must be at least {least}, got {value}")
+        if most is not None and value > most:
+            raise ValueError(f"{flag} must be at most {most}, got {value}")
+
+
+def _ranged_flag(parser: argparse.ArgumentParser, flag: str, kind, default, text: str) -> None:
+    """Register a ``FLAG_RANGES`` flag, its help ending in its range."""
+    least, most = FLAG_RANGES[flag]
+    span = f"at least {least}" if most is None else f"{least} to {most}"
+    parser.add_argument(flag, type=kind, default=default, help=f"{text}; {span}")
 
 
 def _families_taking(key: str) -> str:
@@ -171,14 +213,6 @@ def cmd_curve(args: argparse.Namespace) -> tuple[str, int]:
 def cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
     from . import measurements
 
-    if args.instances < 0:
-        raise ValueError(f"--instances must be at least 0, got {args.instances}")
-    if args.max_dim < 2:
-        raise ValueError(f"--max-dim must be at least 2, got {args.max_dim}")
-    if args.max_dim > 16:  # the measurements layer is written for dim <= 16
-        raise ValueError(f"--max-dim must be at most 16, got {args.max_dim}")
-    if args.seed < 0:
-        raise ValueError(f"--seed must be at least 0, got {args.seed}")
     chosen = ("gentle", "sequential", "learning") if args.campaign == "all" else (args.campaign,)
     summary, violations, records_out = "", 0, []
     for name in chosen:
@@ -200,10 +234,6 @@ def cmd_verify(args: argparse.Namespace) -> tuple[str, int]:
 def cmd_simulate(args: argparse.Namespace) -> tuple[str, int]:
     from . import dierolling
 
-    if args.seed < 0:
-        raise ValueError(f"--seed must be at least 0, got {args.seed}")
-    if args.trials > MAX_TRIALS:
-        raise ValueError(f"--trials must be at most {MAX_TRIALS}, got {args.trials}")
     task = _task_from_args(args)
     stats = dierolling.run_honest(task, args.trials, args.seed)
     if args.json:
@@ -246,21 +276,22 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_curve = sub.add_parser("curve", help="emit the c_A vs c_B trade-off curve as CSV")
     _add_task_flags(p_curve)
-    p_curve.add_argument("--samples", type=int, default=200)
-    p_curve.add_argument("--ca-min", type=float, default=1.0)
-    p_curve.add_argument("--ca-max", type=float, default=None, help="defaults to the c_B = 1 crossing")
+    _ranged_flag(p_curve, "--samples", int, 200, "number of c_A samples")
+    _ranged_flag(p_curve, "--ca-min", float, 1.0, "first c_A")
+    _ranged_flag(p_curve, "--ca-max", float, None, "last c_A, defaults to the c_B = 1 crossing")
     p_curve.add_argument("--clip", action="store_true", help="drop samples with c_B < 1")
     p_curve.set_defaults(fn=cmd_curve)
 
     p_verify = sub.add_parser("verify-lemmas", help="randomized measurement-bound campaigns")
-    p_verify.add_argument("--instances", type=int, default=1000)
-    p_verify.add_argument(
+    _ranged_flag(p_verify, "--instances", int, 1000, "instances per campaign")
+    _ranged_flag(
+        p_verify,
         "--max-dim",
-        type=int,
-        default=8,
-        help="largest matrix dimension, 2 to 16; the sequential and learning campaigns cap it at 6",
+        int,
+        8,
+        "largest matrix dimension, which the sequential and learning campaigns cap at 6",
     )
-    p_verify.add_argument("--seed", type=int, default=0)
+    _ranged_flag(p_verify, "--seed", int, 0, "campaign seed")
     p_verify.add_argument(
         "--campaign", choices=("gentle", "sequential", "learning", "all"), default="all"
     )
@@ -269,13 +300,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sim = sub.add_parser("simulate-dr", help="honest die-rolling runs over an SFE oracle")
     _add_task_flags(p_sim)
-    p_sim.add_argument(
-        "--trials",
-        type=int,
-        default=100000,
-        help=f"number of trials, at most {MAX_TRIALS}; each holds 16 bytes while it runs",
-    )
-    p_sim.add_argument("--seed", type=int, default=0)
+    _ranged_flag(p_sim, "--trials", int, 100000, "number of trials, each holding 16 bytes while it runs")
+    _ranged_flag(p_sim, "--seed", int, 0, "trial seed")
     p_sim.set_defaults(fn=cmd_simulate)
 
     # each command takes exactly the output flags it reads
@@ -295,6 +321,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_flags(args)
         text, code = args.fn(args)
         if args.out:
             _write(args.out, text)

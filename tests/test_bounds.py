@@ -555,7 +555,10 @@ class TestCurveIsExact:
         try:
             points = emit_curve(b_rand, y_size, samples=samples)
         except ValueError as exc:
-            assert f"--samples {samples}" in str(exc) and f"[1.0, {crossing!r}]" in str(exc)
+            if room == 0:  # the crossing rounds to 1.0: no sample count would do
+                assert str(exc) == "the c_A range [1.0, 1.0] is empty or starts below 1.0"
+            else:
+                assert f"--samples {samples}" in str(exc) and f"[1.0, {crossing!r}]" in str(exc)
             assert room < 3 * (samples - 1)  # a step of 2 ulps or more always increases
             return
         assert room >= samples - 1
@@ -638,7 +641,7 @@ CURVE_PIN_VARIANTS = (
     {"samples": 50, "ca_max": 1.04, "clip_below_one": True},
     {"samples": 3, "ca_min": 1.01, "ca_max": 1.3},
 )
-CURVE_PIN_DIGEST = "ac83d31a76b614069515a2ca6f962710ee9bd4fc142da47d2422d3a934356a54"
+CURVE_PIN_DIGEST = "83099fc598f5cebb01b69db9027937b2e6d793e943a3582fa70fa929fbf79a50"
 
 
 def test_family_curves_print_the_recorded_bytes():

@@ -1,5 +1,7 @@
 import argparse
+import functools
 import hashlib
+import inspect
 import json
 import math
 import os
@@ -172,11 +174,26 @@ class TestCurveCommand:
         assert code == 3 and out == ""
         assert err == "completely insecure: baseline 1: no trade-off curve to emit\n"
 
-    @pytest.mark.parametrize("n", ["10000000", "1000000000"])
-    def test_grid_finer_than_floats_exits_2(self, capsys, n):
+    @pytest.mark.parametrize(
+        "n,refusal",
+        [
+            ("10000000", "error: --samples 200 is too many for the c_A range [1.0, "),
+            # the crossing rounds to 1.0, so no sample count would do
+            ("1000000000", "error: the c_A range [1.0, 1.0] is empty or starts below 1.0\n"),
+        ],
+        ids=["10000000", "1000000000"],
+    )
+    def test_grid_finer_than_floats_exits_2(self, capsys, n, refusal):
         code, out, err = run(capsys, "curve", "--family", "mp", "--n", n)
         assert code == 2 and out == ""
-        assert err.startswith("error: --samples 200 is too many for the c_A range [1.0, ")
+        assert err.startswith(refusal)
+
+    def test_empty_range_is_not_blamed_on_samples(self, capsys):
+        code, out, err = run(
+            capsys, "curve", "--family", "eq", "--n", "5", "--ca-min", "1.2", "--ca-max", "1.2"
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: the c_A range [1.2, 1.2] is empty or starts below 1.0\n"
 
     def test_fewer_samples_fit_a_narrow_range(self, capsys):
         code, out, err = run(capsys, "curve", "--family", "mp", "--n", "10000000", "--samples", "10")
@@ -317,18 +334,8 @@ class TestSimulateCommand:
     )
     def test_out_of_memory_exits_2_without_traceback(self, trials, refusal):
         # above the cap the refusal comes before any draw, so the limit is never reached
-        import resource
-
-        limit = 512 * 1024**2
-
-        def limit_address_space():
-            resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
-
-        proc = subprocess.run(
-            [sys.executable, "-m", "sfebounds", "simulate-dr", "--family", "mp", "--n", "4",
-             "--trials", str(trials)],
-            capture_output=True, text=True, env=tree_env(), timeout=120, check=False,
-            preexec_fn=limit_address_space,
+        proc = run_limited(
+            ["simulate-dr", "--family", "mp", "--n", "4", "--trials", str(trials)], timeout=120
         )
         assert (proc.returncode, proc.stdout) == (2, "")
         assert proc.stderr.startswith(refusal) and proc.stderr.count("\n") == 1
@@ -482,6 +489,23 @@ def tree_env(**extra):
     return env
 
 
+def run_limited(argv, timeout):
+    """``python -m sfebounds argv`` in a child that may map 512 MB at most
+    and is killed after ``timeout`` seconds."""
+    import resource
+
+    limit = 512 * 1024**2
+
+    def limit_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    return subprocess.run(
+        [sys.executable, "-m", "sfebounds", *argv],
+        capture_output=True, text=True, env=tree_env(), timeout=timeout, check=False,
+        preexec_fn=limit_address_space,
+    )
+
+
 NUMPY_MODULES = {"numpy", "sfebounds.measurements", "sfebounds.dierolling"}
 
 
@@ -541,6 +565,23 @@ class TestImportsPerCommand:
         argv = ["bound", "--task-file", str(path), "--json"]
         code, out, err, imported = run_python(tmp_path, RUN_MAIN, *argv)
         assert (code, err) == (0, "") and out == run(capsys, *argv)[1]
+        assert not imported & NUMPY_MODULES
+
+    @pytest.mark.parametrize(
+        "argv,refusal",
+        [
+            (["verify-lemmas", "--instances", "100001"], "--instances must be at most 100000, got 100001"),
+            (["verify-lemmas", "--max-dim", "17"], "--max-dim must be at most 16, got 17"),
+            (["verify-lemmas", "--seed", "-1"], "--seed must be at least 0, got -1"),
+            (["simulate-dr", "--trials", "0"], "--trials must be at least 1, got 0"),
+            (["simulate-dr", "--seed", "-1"], "--seed must be at least 0, got -1"),
+        ],
+    )
+    def test_refused_flag_leaves_numpy_unloaded(self, capsys, tmp_path, argv, refusal):
+        if argv[0] == "simulate-dr":
+            argv = [*argv, "--family", "eq", "--n", "5"]
+        code, out, err, imported = run_python(tmp_path, RUN_MAIN, *argv)
+        assert (code, out, err) == (2, "", f"error: {refusal}\n") == run(capsys, *argv)
         assert not imported & NUMPY_MODULES
 
     def test_numpy_free_check_passes(self):
@@ -630,6 +671,89 @@ class TestFlagsPerCommand:
         assert err.startswith(f"usage: sfe-bounds {argv[0]} [-h] ")
         assert err.endswith(f"\nsfe-bounds {argv[0]}: error: unrecognized arguments: {argv[-1]}\n")
         assert "Traceback" not in err
+
+
+class TestFlagRanges:
+    """Every numeric flag is refused outside its range, by name and with
+    exit 2, before any task is built or campaign run."""
+
+    @pytest.mark.parametrize(
+        "argv,refusal",
+        [
+            (["verify-lemmas", "--instances", "-1"], "--instances must be at least 0, got -1"),
+            (["verify-lemmas", "--instances", "100001"], "--instances must be at most 100000, got 100001"),
+            (["verify-lemmas", "--max-dim", "1"], "--max-dim must be at least 2, got 1"),
+            (["verify-lemmas", "--max-dim", "17"], "--max-dim must be at most 16, got 17"),
+            (["verify-lemmas", "--seed", "-1"], "--seed must be at least 0, got -1"),
+            (["simulate-dr", "--seed", "-1"], "--seed must be at least 0, got -1"),
+            (["simulate-dr", "--trials", "0"], "--trials must be at least 1, got 0"),
+            (["simulate-dr", "--trials", "100000001"], "--trials must be at most 100000000, got 100000001"),
+            # the flag, not the task, is refused first
+            (["simulate-dr", "--trials", "0", "--seed", "-1"], "--seed must be at least 0, got -1"),
+            (["curve", "--samples", "1"], "--samples must be at least 2, got 1"),
+            (["curve", "--samples", "5000001"], "--samples must be at most 5000000, got 5000001"),
+            (["curve", "--ca-min", "0.0"], "--ca-min must be at least 1.0, got 0.0"),
+            (["curve", "--ca-max", "0.0"], "--ca-max must be at least 1.0, got 0.0"),
+            (["curve", "--ca-min=nan"], "--ca-min must be finite, got nan"),
+            (["curve", "--ca-min=-inf"], "--ca-min must be finite, got -inf"),
+            (["curve", "--ca-max=inf"], "--ca-max must be finite, got inf"),
+            (["curve", "--ca-max=1e400"], "--ca-max must be finite, got inf"),
+            (["curve", "--ca-min=nan", "--ca-max=nan", "--samples", "0"], "--samples must be at least 2, got 0"),
+        ],
+    )
+    def test_flag_out_of_range_exits_2_before_any_work(self, capsys, monkeypatch, argv, refusal):
+        from sfebounds import measurements
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("work started before the flags were checked")
+
+        monkeypatch.setattr(measurements, "run_campaign", refuse)
+        monkeypatch.setattr(tasks, "make_family", refuse)
+        # an insecure task, refused with exit 3 if the task came first
+        task = [] if argv[0] == "verify-lemmas" else ["--family", "eq", "--n", "2"]
+        assert run(capsys, *argv, *task) == (2, "", f"error: {refusal}\n")
+
+    @pytest.mark.skipif(sys.platform != "linux", reason="limits the child's address space")
+    @pytest.mark.parametrize(
+        "argv,refusal",
+        [
+            # uncapped, these would take seconds and more memory than the child may map
+            (
+                ["curve", "--family", "ot", "--alphabet", "2", "--n", "2", "--samples", "5000001"],
+                "error: --samples must be at most 5000000, got 5000001\n",
+            ),
+            (
+                ["verify-lemmas", "--campaign", "gentle", "--max-dim", "2", "--instances", "100001"],
+                "error: --instances must be at most 100000, got 100001\n",
+            ),
+        ],
+        ids=["samples", "instances"],
+    )
+    def test_above_the_cap_exits_2_without_loading_the_machine(self, argv, refusal):
+        proc = run_limited(argv, timeout=60)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", refusal)
+
+    @pytest.mark.parametrize(
+        "command,flag,span",
+        [
+            ("curve", "--samples", "2 to 5000000"),
+            ("curve", "--ca-min", "at least 1.0"),
+            ("curve", "--ca-max", "at least 1.0"),
+            ("verify-lemmas", "--instances", "0 to 100000"),
+            ("verify-lemmas", "--max-dim", "2 to 16"),
+            ("verify-lemmas", "--seed", "at least 0"),
+            ("simulate-dr", "--trials", "1 to 100000000"),
+            ("simulate-dr", "--seed", "at least 0"),
+        ],
+    )
+    def test_help_states_the_range(self, capsys, command, flag, span):
+        with pytest.raises(SystemExit) as exit_:
+            main([command, "--help"])
+        assert exit_.value.code == 0
+        # the flag's entry in the options list, up to the next flag, unwrapped
+        text = " ".join(capsys.readouterr().out.split())
+        entry = text.split(f" {flag} {flag[2:].upper().replace('-', '_')} ", 1)[1].split(" --")[0]
+        assert entry.endswith(f"; {span}")
 
 
 def run_task_file(capsys, tmp_path, command, doc):
@@ -751,6 +875,21 @@ class TestTaskFileFuzz:
         assert "Traceback" not in err
 
 
+def at_most(run, name, limit):
+    """``run``, failing with AssertionError when its argument ``name`` is
+    above ``limit``: a fuzzer draws only counts that are small or above a
+    cap, so a missing cap fails at once instead of running the count."""
+    signature = inspect.signature(run)
+
+    @functools.wraps(run)  # the signature of a guard over a guard is still run's
+    def guarded(*args, **kwargs):
+        count = signature.bind(*args, **kwargs).arguments[name]
+        assert count <= limit, f"{run.__name__} was asked for {name}={count}"
+        return run(*args, **kwargs)
+
+    return guarded
+
+
 class TestVerifyFlagFuzz:
     @settings(
         max_examples=40,
@@ -759,13 +898,22 @@ class TestVerifyFlagFuzz:
         suppress_health_check=[HealthCheck.function_scoped_fixture],
     )
     @given(
-        st.integers(-3, 3),
+        # at most 3 instances run; above the cap the refusal comes first
+        st.integers(-3, 3) | st.integers(100001, 10**30),
         st.integers(-2, 20) | st.integers(-(2**70), 2**70),
         st.integers(-3, 3) | st.integers(-(2**70), 2**70),
         st.sampled_from(["gentle", "sequential", "learning", "all"]),
         st.booleans(),
     )
-    def test_any_flag_set_exits_cleanly(self, capsys, instances, max_dim, seed, campaign, as_json):
+    @example(100001, 8, 0, "all", False)  # only --instances is out of range
+    @example(10**30, 2, 2**70, "gentle", True)
+    def test_any_flag_set_exits_cleanly(
+        self, capsys, monkeypatch, instances, max_dim, seed, campaign, as_json
+    ):
+        from sfebounds import measurements
+
+        # without a cap, a drawn count above it would run here: fail instead
+        monkeypatch.setattr(measurements, "run_campaign", at_most(measurements.run_campaign, "instances", 3))
         argv = [
             "verify-lemmas",
             "--instances", str(instances),
@@ -776,7 +924,7 @@ class TestVerifyFlagFuzz:
         code, _, err = run(capsys, *argv, *(["--json"] if as_json else []))
         assert code in (0, 2, 3, 4)
         assert "Traceback" not in err
-        assert (code == 2) == (instances < 0 or not 2 <= max_dim <= 16 or seed < 0)
+        assert (code == 2) == (not 0 <= instances <= 100000 or not 2 <= max_dim <= 16 or seed < 0)
 
 
 def family_cells(family, alphabet, n, k):
@@ -810,9 +958,10 @@ CA_FLOATS = st.floats(1, 1.1).map(repr) | st.sampled_from(["nan", "inf", "-inf",
 @st.composite
 def task_flag_sets(draw):
     """Flags of bound, brand, curve or simulate-dr on a family task whose
-    table, if built, has at most 10^4 cells.  --trials is small, or above
-    the cap and refused before any draw.  Each optional flag is given
-    with probability ``odds``: 7/8 for the task flags, 1/2 for the others."""
+    table, if built, has at most 10^4 cells.  --trials and --samples are
+    small, or above their caps and refused before any work.  Each optional
+    flag is given with probability ``odds``: 7/8 for the task flags, 1/2
+    for the others."""
 
     def sometimes(flag, strategy, odds=4):
         return [f"--{flag}={draw(strategy)}"] if draw(st.integers(0, 7)) < odds else []
@@ -827,7 +976,8 @@ def task_flag_sets(draw):
     argv = [command, f"--family={family}", f"--alphabet={alphabet}"]
     argv += sometimes("n", st.just(n), odds=7) + sometimes("k", st.just(k), odds=7)
     if command == "curve":
-        argv += sometimes("samples", st.integers(2, 300) | st.integers(0, 1))
+        samples = st.integers(2, 300) | st.integers(0, 1) | st.integers(5 * 10**6 + 1, 10**30)
+        argv += sometimes("samples", samples)
         argv += sometimes("ca-min", CA_FLOATS)
         argv += sometimes("ca-max", CA_FLOATS)
         argv += ["--clip"] if draw(st.booleans()) else []
@@ -840,6 +990,28 @@ def task_flag_sets(draw):
     elif command != "curve":
         argv += draw(st.sampled_from([[], ["--json"]]))
     return argv
+
+
+# the ranges the CLI documents, in the order it checks them; a float flag's
+# nan and infinities lie outside its range
+DOCUMENTED_RANGES = {
+    "seed": (0, math.inf),
+    "trials": (1, 10**8),
+    "samples": (2, 5 * 10**6),
+    "ca-min": (1.0, sys.float_info.max),
+    "ca-max": (1.0, sys.float_info.max),
+}
+
+
+def first_refused_flag(argv):
+    """The first ``--flag=value`` of ``argv`` outside its documented range, or None."""
+    given = dict(arg[2:].split("=", 1) for arg in argv if arg.startswith("--") and "=" in arg)
+    for flag, (least, most) in DOCUMENTED_RANGES.items():
+        if flag in given:
+            value = float(given[flag]) if flag.startswith("ca-") else int(given[flag])
+            if not least <= value <= most:
+                return flag
+    return None
 
 
 class TestTaskFlagFuzz:
@@ -856,7 +1028,17 @@ class TestTaskFlagFuzz:
     @example(["curve", "--family=eq", "--n=5", "--ca-min=nan", "--ca-max=inf"])
     @example(["simulate-dr", "--family=eq", "--n=5", "--trials=-2", "--seed=-1"])
     @example(["simulate-dr", "--family=eq", "--n=5", f"--trials={10**30}"])
-    def test_any_flag_set_exits_cleanly(self, capsys, argv):
+    @example(["simulate-dr", "--family=eq", "--n=0", "--trials=0"])
+    @example(["curve", "--family=eq", "--n=2", f"--samples={10**30}", "--ca-min=-inf"])
+    def test_any_flag_set_exits_cleanly(self, capsys, monkeypatch, argv):
+        from sfebounds import bounds, dierolling
+
+        # the drawn counts, or the defaults of 200 samples and 10^5 trials
+        monkeypatch.setattr(bounds, "emit_curve", at_most(bounds.emit_curve, "samples", 300))
+        monkeypatch.setattr(dierolling, "run_honest", at_most(dierolling.run_honest, "trials", 10**5))
         code, _, err = run(capsys, *argv)
         assert code in (0, 2, 3, 4)
         assert "Traceback" not in err
+        refused = first_refused_flag(argv)
+        if refused is not None:
+            assert code == 2 and err.startswith(f"error: --{refused} must be ")
