@@ -22,6 +22,10 @@ Write v = u - 2*m*s; u and v are strictly decreasing on [0, 1].  While
 v > 0, u and v are both positive, so u*v falls and r rises strictly.  Once
 v <= 0, it stays so, u*v <= 0 and r >= b_rand > 0.
 
+The equation, like the curve below, depends on only two inputs, b_rand and
+|Y|.  Every entry point checks them in one place, _baseline: ValueError
+unless |Y| >= 1 and b_rand > 0, then InsecureTaskError unless b_rand < 1.
+
 Solving in s keeps the extreme regime well conditioned: excesses c - 1 down
 to ~1e-19 map to s ~ 1e-10, comfortably representable, while c itself
 rounds to 1.0.
@@ -158,18 +162,27 @@ def _c_b_rows(c_as: Iterable[float], n: int, d: int, m: int) -> list[float]:
     return values
 
 
+def _baseline(b_rand_value: Rational, y_size: int) -> tuple[int, int, int]:
+    """(N, D, m) for b_rand = N/D in lowest terms and m = |Y| - 1: the one
+    check of the two inputs every entry point below takes.  ValueError
+    unless |Y| >= 1 and b_rand > 0, then InsecureTaskError unless b_rand < 1."""
+    if y_size < 1:
+        raise ValueError("y_size must be positive")
+    br = Fraction(b_rand_value)
+    if br <= 0:
+        raise ValueError("b_rand must be positive")
+    if br >= 1:
+        raise InsecureTaskError(f"baseline {br}: nothing to bound")
+    return (*br.as_integer_ratio(), y_size - 1)
+
+
 def cb_from_ca(c_a: float, b_rand_value: Rational, y_size: int) -> float:
     """Lower bound on the receiver's gap factor c_B at sender gap c_A, correctly rounded."""
     if isinstance(c_a, float) and not math.isfinite(c_a):
         raise ValueError(f"c_a must be finite, got {c_a!r}")
     if c_a < 1:
         raise ValueError("c_a must be at least 1")
-    if y_size < 1:
-        raise ValueError("y_size must be positive")
-    n, d = Fraction(b_rand_value).as_integer_ratio()
-    if n <= 0:
-        raise ValueError("b_rand must be positive")
-    return _c_b_rows([c_a], n, d, y_size - 1)[0]
+    return _c_b_rows([c_a], *_baseline(b_rand_value, y_size))[0]
 
 
 def solve_fixed_point(b_rand_value: Rational, y_size: int) -> FixedPointResult:
@@ -214,16 +227,7 @@ def solve_fixed_point(b_rand_value: Rational, y_size: int) -> FixedPointResult:
     below about 2^-106), or epsilon is not a normal float (for instance
     inner product beyond n = 510).
     """
-    if y_size < 1:
-        raise ValueError("y_size must be positive")
-    br = Fraction(b_rand_value)
-    if br >= 1:
-        raise InsecureTaskError("baseline is 1: completely insecure, no constant to solve")
-    if br <= 0:
-        raise ValueError("b_rand must be positive")
-
-    n, d = br.as_integer_ratio()
-    m = y_size - 1
+    n, d, m = _baseline(b_rand_value, y_size)
     lo, hi = 0, 1
     for k in range(1, SOLVER_MAX_ITERATIONS + 1):
         mid = lo + hi
@@ -248,7 +252,7 @@ def solve_fixed_point(b_rand_value: Rational, y_size: int) -> FixedPointResult:
     u = 1.0 - s * s
     if u == 0.0:
         raise ValueError(
-            f"s = sqrt(1 - 1/c) rounds to 1.0 for b_rand = {float(br)!r}, |Y| = {y_size}; "
+            f"s = sqrt(1 - 1/c) rounds to 1.0 for b_rand = {n / d!r}, |Y| = {y_size}; "
             "c = 1/(1 - s^2) is beyond a float"
         )
     epsilon = s * s / u
@@ -268,11 +272,9 @@ def solve_fixed_point(b_rand_value: Rational, y_size: int) -> FixedPointResult:
 def bound_report(task: SfeTask) -> BoundReport:
     """Baselines, solved constant, and the two multiplicative bounds.
 
-    Raises InsecureTaskError when the receiver baseline is already 1.
+    Raises the solver's InsecureTaskError when the receiver baseline is already 1.
     """
     br = b_rand(task)
-    if br >= 1:
-        raise InsecureTaskError(f"{task.name}: completely insecure (baseline {br})")
     fp = solve_fixed_point(br, task.y_size)
     return BoundReport(
         name=task.name,
@@ -298,12 +300,7 @@ def ca_crossing(b_rand_value: Rational, y_size: int) -> float:
     (N - 2m^2 D)^2 - 4m^2 R = N^2 - 4m^2 D^2; the denominator is positive
     because N < D.
     """
-    br, m = Fraction(b_rand_value), y_size - 1
-    if not 0 < br < 1:
-        raise ValueError("b_rand must lie in (0, 1)")
-    if m < 0:
-        raise ValueError("y_size must be positive")
-    n, d = br.as_integer_ratio()
+    n, d, m = _baseline(b_rand_value, y_size)
     if m == 0:
         return _rounded_ratio(d, 0, n, 0)
     return _rounded_ratio(
@@ -327,37 +324,30 @@ def emit_curve(
     c_B is beyond a float, ValueError when the c_A range is empty or the
     float c_A grid does not strictly increase.
     """
-    br = Fraction(b_rand_value)
-    if br >= 1:
-        raise InsecureTaskError(f"baseline {br}: no trade-off curve to emit")
-    if br <= 0:
-        raise ValueError("b_rand must be positive")
-    if 1 / br > sys.float_info.max:
+    n, d, m = _baseline(b_rand_value, y_size)
+    if Fraction(d, n) > sys.float_info.max:  # exact: d / n raises instead of comparing
         raise OverflowError(
             "1/b_rand is beyond the float range; the trade-off curve is computed in floats"
         )
     if samples < 2:
         raise ValueError("need at least 2 samples")
-    if y_size < 1:
-        raise ValueError("y_size must be positive")
     at_crossing = ca_max is None
     if at_crossing:
-        ca_max = ca_crossing(br, y_size)
+        ca_max = ca_crossing(b_rand_value, y_size)
     if not 1.0 <= ca_min < ca_max:
         raise ValueError(f"the c_A range [{ca_min!r}, {ca_max!r}] is empty or starts below 1.0")
-    if ca_max > float(1 / br):
-        raise ValueError(f"ca_max {ca_max} beyond 1/b_rand = {float(1 / br)}")
+    if ca_max > d / n:
+        raise ValueError(f"ca_max={ca_max} is beyond 1/b_rand = {d / n}")
     step = (ca_max - ca_min) / (samples - 1)
     grid = [ca_min + i * step for i in range(samples - 1)] + [ca_max]
     if any(a >= b for a, b in zip(grid, grid[1:])):
         raise ValueError(
-            f"--samples {samples} is too many for the c_A range [{ca_min!r}, {ca_max!r}]: "
+            f"samples={samples} is too many for the c_A range [{ca_min!r}, {ca_max!r}]: "
             "the float grid does not strictly increase"
         )
-    n, d = br.as_integer_ratio()
     rows = grid[:-1] if at_crossing else grid
     make_point = functools.partial(tuple.__new__, CurvePoint)
-    points = list(map(make_point, zip(rows, _c_b_rows(rows, n, d, y_size - 1))))
+    points = list(map(make_point, zip(rows, _c_b_rows(rows, n, d, m))))
     if at_crossing:
         points.append(CurvePoint(ca_max, 1.0))
     if clip_below_one:

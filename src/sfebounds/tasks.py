@@ -4,10 +4,13 @@ A task is a total function f : X x Y -> B between finite index sets, with
 both inputs uniform and independent.  Tasks are either explicit tables or
 members of one of six parametric families (oblivious-transfer variants,
 equality, inner product, millionaire comparison) with closed-form
-baselines.  SfeTask checks a task once, when it is built; nothing
-downstream re-checks.  A table is a read-only, C-contiguous numpy array in
-the narrowest unsigned type that holds its largest cell, uint8 for outputs
-below 256, and the brute-force baseline reads it as it is.  numpy is
+baselines.  A task is checked once, when it is built, and nothing
+downstream re-checks: SfeTask checks an explicit table, and make_family
+builds a family task from its FamilySpec, the one record its name, sizes,
+baseline and table derive from.  A table is a read-only, C-contiguous
+numpy array in the narrowest unsigned type that holds its largest cell,
+uint8 for outputs below 256, and the brute-force baseline reads it as it
+is.  numpy is
 imported inside the functions that build or read tables, so a family task
 used through its closed forms (sizes and baseline) never loads it.  A
 family task builds its table from the family formulas only when the table
@@ -60,6 +63,17 @@ class _Family(NamedTuple):
     bits: Optional[Callable[..., int]] = None
 
 
+# Every family's table has distinct rows and b_size <= x_size, which
+# b_rand_bruteforce trusts instead of deduplicating the rows.  Rows x != x'
+# differ at some query, in the index conventions of family_table:
+#   ot   : at a component j where they differ, which query j reads; w <= w**n.
+#   knot : at a position j where they differ, packed by every k-subset holding j;
+#          w**k <= w**n.
+#   xot  : at query 0 (x1) or query 1 (x2); 2**n <= 4**n.
+#   eq   : at y = x, where only row x shows 1 (X = Y); 2 <= n.
+#   ip   : at y = 2**i - 1 (the string with bit i alone) for a bit i where they
+#          differ; 2 <= 2**n.
+#   mp   : at y = min(x, x') <= n - 2, where only the poorer shows 1; 2 <= n.
 _FAMILIES = {
     "ot": _Family(
         ("alphabet", "n"),
@@ -161,42 +175,42 @@ class FamilySpec(_FamilyFields):
 class SfeTask:
     """A finite SFE instance with uniform, independent inputs.
 
-    A task has one source of cells: an explicit ``table`` or a ``family``
-    descriptor, never both.  ``table[x, y]`` holds the output index f(x, y)
-    in a read-only, C-contiguous 2-D array of the narrowest unsigned type
-    that holds its largest cell (``_unsigned``).  An explicit table is
-    converted here from any nested sequence of integers, checked in its
-    own integer type (int64 for lists), and only then narrowed, so the
-    cast is exact.  A family task within MATERIALIZE_CAP builds its table
+    The constructor takes an explicit ``table``; make_family builds a
+    family task, whose ``family`` is its FamilySpec (None for an explicit
+    table) and whose name and sizes are the spec's.  ``table[x, y]`` holds
+    the output index f(x, y) in a read-only, C-contiguous 2-D array of the
+    narrowest unsigned type that holds its largest cell (``_unsigned``).
+    An explicit table is converted here from any nested sequence of
+    integers, checked in its own integer type (int64 for lists), and only
+    then narrowed, so the cast is exact.  A family task within MATERIALIZE_CAP builds its table
     from the family formulas on the first read of ``table`` and keeps it;
     above the cap ``table`` is None and the task answers closed-form
     queries only, its sizes and baseline.
 
-    The constructor is the one place a task is checked: non-integer sizes,
-    ragged rows, missing or non-integer cells, values outside int64, tables
-    above MATERIALIZE_CAP and every violation validate_task reports raise
+    The constructor is the one place an explicit task is checked:
+    non-integer sizes, a table that is not a sequence of rows, ragged rows,
+    missing or non-integer cells, values outside int64, tables above
+    MATERIALIZE_CAP and every violation validate_task reports raise
     TaskError, so a task that exists is valid.  Tasks are immutable; every
-    operation on them is pure.  Equality compares table contents.
+    operation on them is pure.  Family tasks compare equal by their specs,
+    explicit tasks by name, sizes and table contents.
     """
 
-    def __init__(self, name: str, x_size: int, y_size: int, b_size: int, table=None, family=None):
+    def __init__(self, name: str, x_size: int, y_size: int, b_size: int, table):
         for key, value in (("x_size", x_size), ("y_size", y_size), ("b_size", b_size)):
             if not isinstance(value, Integral) or isinstance(value, bool):
                 raise TaskError(f"{key}={value!r} must be an integer")
-        if table is not None and family is not None:
-            raise TaskError("a task takes a table or family parameters, not both")
-        if table is not None:
-            table = _as_table(table, x_size, y_size, b_size)
+        table = _as_table(table, x_size, y_size, b_size)
         self.__dict__.update(
-            name=name, x_size=x_size, y_size=y_size, b_size=b_size, family=family, _table=table
+            name=name, x_size=x_size, y_size=y_size, b_size=b_size, family=None, _table=table
         )
         violations = validate_task(self)
         if violations:
             raise TaskError("; ".join(violations))
-        if table is not None:  # every cell checked in [0, b_size), so the cast is exact
-            table = table.astype(_unsigned(int(table.max())), order="C", copy=False)
-            table.flags.writeable = False
-            self.__dict__["_table"] = table
+        # every cell checked in [0, b_size), so the cast is exact
+        table = table.astype(_unsigned(int(table.max())), order="C", copy=False)
+        table.flags.writeable = False
+        self.__dict__["_table"] = table
 
     def __setattr__(self, key, value):
         raise AttributeError(f"SfeTask is immutable: cannot set {key!r}")
@@ -204,13 +218,13 @@ class SfeTask:
     def __eq__(self, other):
         if not isinstance(other, SfeTask):
             return NotImplemented
-        if (self.name, self.x_size, self.y_size, self.b_size, self.family) != (
-            other.name, other.x_size, other.y_size, other.b_size, other.family
+        if self.family is not None or other.family is not None:  # a spec derives the rest
+            return self.family == other.family
+        if (self.name, self.x_size, self.y_size, self.b_size) != (
+            other.name, other.x_size, other.y_size, other.b_size
         ):
             return False
-        if self.family is not None:  # one family spec derives one table
-            return True
-        import numpy as np  # both tables are explicit
+        import numpy as np
 
         return np.array_equal(self._table, other._table)
 
@@ -402,10 +416,15 @@ def family_table(spec: FamilySpec) -> np.ndarray:
 def make_family(family: str, **params: int) -> SfeTask:
     """Construct a parametric task; its table is built on the first read.
 
-    Raises TaskError on parameters FamilySpec refuses.
+    Raises TaskError on parameters FamilySpec refuses.  The task takes its
+    name and sizes from the checked spec, without the SfeTask constructor,
+    whose checks are for explicit tables.
     """
     spec = FamilySpec(family, params)
-    return SfeTask(spec.name, *spec.sizes, family=spec)
+    task = object.__new__(SfeTask)  # the spec is checked, and derives everything else
+    sizes = zip(("x_size", "y_size", "b_size"), spec.sizes)
+    task.__dict__.update(sizes, name=spec.name, family=spec, _table=None)
+    return task
 
 
 # ---------------------------------------------------------------------------
@@ -414,32 +433,22 @@ def make_family(family: str, **params: int) -> SfeTask:
 
 
 def validate_task(task: SfeTask) -> list[str]:
-    """Check the sizes, then an explicit table's shape and range or a
-    family's sizes.
+    """Check an explicit task's sizes, then its table's shape and range.
 
     Returns a list of human-readable violations; empty means valid.  The
     SfeTask constructor raises TaskError on a non-empty list, so every task
-    that exists passes.  A family table is never read here: family_table
-    builds it from the sizes the family implies, with every cell in
-    [0, b_size), so checking the sizes covers it.  An explicit table is
+    that exists passes.  A family task has nothing to report: its sizes are
+    its FamilySpec's, and family_table builds its table to those sizes with
+    every cell in [0, b_size), so it is never read here.  An explicit table is
     accepted by its shape and its minimum and maximum alone; for one that
     is not, numpy finds the rows to report, and ``_row_violations`` walks
     only those, in the order and words of ``_cell_violations``.
     """
+    if task.family is not None:
+        return []
     if task.x_size < 1 or task.y_size < 1 or task.b_size < 1:
         return ["sizes must all be positive"]
-    if task.family is not None:
-        sizes = task.family.sizes
-        if sizes != (task.x_size, task.y_size, task.b_size):
-            return [
-                f"family implies sizes {sizes}, task declares "
-                f"({task.x_size}, {task.y_size}, {task.b_size})"
-            ]
-        return []
-
-    table = task._table  # not task.table, which would try to build a family table
-    if table is None:
-        return ["task has neither a table nor family parameters"]
+    table = task._table
     shape_ok = table.shape == (task.x_size, task.y_size)
     if shape_ok and int(table.min()) >= 0 and int(table.max()) < task.b_size:
         return []
@@ -472,22 +481,25 @@ def b_rand_bruteforce(task: SfeTask) -> Fraction:
 
     Identical inputs share every answer, so at a query the modal count of
     an output is the largest multiplicity among the distinct rows showing
-    it, and the query's success is the sum of these over its outputs.  The
-    rows are deduplicated on the task's own table, read as it is: it is
-    C-contiguous, so each row is one opaque item, and in the narrowest
-    unsigned type that holds its largest cell, so the dedup compares one
-    byte per cell when every output is below 256.
+    it, and the query's success is the sum of these over its outputs.  A
+    family table has distinct rows by construction (the proofs are at
+    _FAMILIES), so only an explicit table is deduplicated.  That runs on the
+    task's own table, read as it is: it is C-contiguous, so each row is one
+    opaque item, and in the narrowest unsigned type that holds its largest
+    cell, so the dedup compares one byte per cell when every output is
+    below 256.
 
     The modal counts are then found one of three ways, chosen once per
     table from its output range (largest cell + 1) and its count of
     distinct rows:
 
-    - every row distinct, and the output range no larger than the rows:
-      every row has multiplicity 1, so every modal count a query shows is
-      1 and no weight is needed.  A block of queries is read in place,
-      one bool slot per (output, query) pair is set where a row shows that
-      output at that query, and a query's modal sum is its count of set
-      slots.  There is no gather of rows and no scatter of counts.
+    - every row distinct, and the output range no larger than the rows, as
+      in every family table: every row has multiplicity 1, so every modal
+      count a query shows is 1 and no weight is needed.  A block of
+      queries is read in place, one bool slot per (output, query) pair is
+      set where a row shows that output at that query, and a query's modal
+      sum is its count of set slots.  There is no gather of rows and no
+      scatter of counts.
     - some rows repeated, and the output range no larger than the
       distinct rows: a block of queries gets one int64 slot per (output,
       query) pair, and one ``np.maximum.at`` writes each distinct row's
@@ -517,14 +529,18 @@ def b_rand_bruteforce(task: SfeTask) -> Fraction:
         raise TaskError("brute-force baseline requires a materialized table")
     x_count, y_count = table.shape
     top = int(table.max())
-    # one opaque item per row, so that np.unique finds the distinct rows
-    row_items = table.view(np.dtype((np.void, table.itemsize * y_count)))
-    _, first, counts = np.unique(row_items.ravel(), return_index=True, return_counts=True)
-    cols_per_block = max(1, BRUTE_FORCE_BLOCK // len(first))
+    if task.family is None:
+        # one opaque item per row, so that np.unique finds the distinct rows
+        row_items = table.view(np.dtype((np.void, table.itemsize * y_count)))
+        _, first, counts = np.unique(row_items.ravel(), return_index=True, return_counts=True)
+        row_count = len(first)
+    else:  # distinct rows, and no more outputs than rows: see _FAMILIES
+        row_count = x_count
+    cols_per_block = max(1, BRUTE_FORCE_BLOCK // row_count)
     best = 0
-    if top < len(first):  # output range within the distinct rows: slots
+    if top < row_count:  # output range within the distinct rows: slots
         levels = top + 1
-        distinct = len(first) == x_count
+        distinct = row_count == x_count
         # one line per distinct row: the table itself, read in place, when no row repeats
         rows = slice(None) if distinct else first
         for lo in range(0, y_count, cols_per_block):

@@ -24,10 +24,10 @@ def solve_fixed_point(b_rand_value: Rational, y_size: int) -> FixedPointResult:
     if y_size < 1:
         raise ValueError("y_size must be positive")
     br = Fraction(b_rand_value)
-    if br >= 1:
-        raise InsecureTaskError("baseline is 1: completely insecure, no constant to solve")
     if br <= 0:
         raise ValueError("b_rand must be positive")
+    if br >= 1:
+        raise InsecureTaskError(f"baseline {br}: nothing to bound")
 
     m = y_size - 1
     lo, hi = Fraction(0), Fraction(1)

@@ -444,10 +444,10 @@ class TestCurves:
             emit_curve(Fraction(1, 2), 2, samples=1)
         with pytest.raises(ValueError):
             emit_curve(Fraction(1, 2), 2, ca_min=1.05, ca_max=1.01)
-        with pytest.raises(ValueError):
-            emit_curve(Fraction(1, 2), 2, ca_max=2.5)  # beyond 1/b_rand
+        with pytest.raises(ValueError, match=r"^ca_max=2\.5 is beyond 1/b_rand = 2\.0$"):
+            emit_curve(Fraction(1, 2), 2, ca_max=2.5)
         assert emit_curve(Fraction(1, 2), 2, samples=2, ca_max=2.0)[-1].c_a == 2.0
-        with pytest.raises(ValueError, match=r"--samples 200 .* \[1\.0, 1\.0000000000000024\]"):
+        with pytest.raises(ValueError, match=r"^samples=200 .* \[1\.0, 1\.0000000000000024\]"):
             emit_curve(Fraction(2, 10**7), 10**7 - 1)  # mp 10^7: 12 floats above 1.0
         with pytest.raises(InsecureTaskError):
             emit_curve(Fraction(1), 2)
@@ -455,29 +455,30 @@ class TestCurves:
             emit_curve(Fraction(1, 2**1099), 1100)  # ot 2,1100
 
     @pytest.mark.parametrize(
-        "fn,b_rand_value,y_size,message",
-        [
-            (cb_from_ca, Fraction(1, 2), 0, "y_size must be positive"),
-            (cb_from_ca, Fraction(0), 2, "b_rand must be positive"),
-            (cb_from_ca, Fraction(-1, 2), 2, "b_rand must be positive"),
-            (ca_crossing, Fraction(1, 2), 0, "y_size must be positive"),
-            (ca_crossing, Fraction(0), 2, "b_rand must lie in (0, 1)"),
-            (ca_crossing, Fraction(-1, 2), 2, "b_rand must lie in (0, 1)"),
-            (emit_curve, Fraction(1, 2), 0, "y_size must be positive"),
-            (emit_curve, Fraction(0), 2, "b_rand must be positive"),
-            (emit_curve, Fraction(-1, 2), 2, "b_rand must be positive"),
-        ],
-        ids=lambda v: getattr(v, "__name__", str(v)),
+        "fn", [cb_from_ca, solve_fixed_point, ca_crossing, emit_curve], ids=lambda fn: fn.__name__
     )
-    def test_sizes_and_baselines_refused(self, fn, b_rand_value, y_size, message):
+    @pytest.mark.parametrize(
+        "b_rand_value,y_size,error,message",
+        [
+            (Fraction(1, 2), 0, ValueError, "y_size must be positive"),
+            (Fraction(0), 2, ValueError, "b_rand must be positive"),
+            (Fraction(-1, 2), 2, ValueError, "b_rand must be positive"),
+            (Fraction(1), 2, InsecureTaskError, "baseline 1: nothing to bound"),
+            (Fraction(3, 2), 2, InsecureTaskError, "baseline 3/2: nothing to bound"),
+        ],
+        ids=["y_size 0", "b_rand 0", "b_rand -1/2", "b_rand 1", "b_rand 3/2"],
+    )
+    def test_sizes_and_baselines_refused(self, fn, b_rand_value, y_size, error, message):
+        # every entry point refuses each bad input with one type and one text
         args = (1.5,) if fn is cb_from_ca else ()  # its c_a comes first
         with pytest.raises(ValueError) as refused:
             fn(*args, b_rand_value, y_size)
+        assert type(refused.value) is error
         assert str(refused.value) == message
 
     @pytest.mark.parametrize("y_size", [0, -3])
     def test_nonpositive_y_size_refused_with_explicit_ca_max(self, y_size):
-        # an explicit ca_max skips ca_crossing, which also refuses it
+        # an explicit ca_max skips ca_crossing
         with pytest.raises(ValueError, match="^y_size must be positive$"):
             emit_curve(Fraction(1, 2), y_size, samples=3, ca_max=1.5)
 
@@ -558,7 +559,8 @@ class TestCurveIsExact:
             if room == 0:  # the crossing rounds to 1.0: no sample count would do
                 assert str(exc) == "the c_A range [1.0, 1.0] is empty or starts below 1.0"
             else:
-                assert f"--samples {samples}" in str(exc) and f"[1.0, {crossing!r}]" in str(exc)
+                assert str(exc).startswith(f"samples={samples} is too many")
+                assert f"[1.0, {crossing!r}]" in str(exc)
             assert room < 3 * (samples - 1)  # a step of 2 ulps or more always increases
             return
         assert room >= samples - 1

@@ -43,7 +43,7 @@ class TestBoundCommand:
     def test_completely_insecure_exits_3(self, capsys):
         code, out, err = run(capsys, "bound", "--family", "eq", "--n", "2")
         assert code == 3
-        assert "completely insecure" in err
+        assert err == "completely insecure: baseline 1: nothing to bound\n"
         assert out == ""
 
     def test_json_round_trips(self, capsys):
@@ -172,12 +172,12 @@ class TestCurveCommand:
     def test_insecure_task_exits_3(self, capsys):
         code, out, err = run(capsys, "curve", "--family", "eq", "--n", "2")
         assert code == 3 and out == ""
-        assert err == "completely insecure: baseline 1: no trade-off curve to emit\n"
+        assert err == "completely insecure: baseline 1: nothing to bound\n"
 
     @pytest.mark.parametrize(
         "n,refusal",
         [
-            ("10000000", "error: --samples 200 is too many for the c_A range [1.0, "),
+            ("10000000", "error: samples=200 is too many for the c_A range [1.0, "),
             # the crossing rounds to 1.0, so no sample count would do
             ("1000000000", "error: the c_A range [1.0, 1.0] is empty or starts below 1.0\n"),
         ],
@@ -187,6 +187,13 @@ class TestCurveCommand:
         code, out, err = run(capsys, "curve", "--family", "mp", "--n", n)
         assert code == 2 and out == ""
         assert err.startswith(refusal)
+
+    def test_ca_max_beyond_one_over_b_rand_exits_2(self, capsys):
+        code, out, err = run(
+            capsys, "curve", "--family", "ot", "--alphabet", "2", "--n", "2", "--ca-max", "3"
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: ca_max=3.0 is beyond 1/b_rand = 2.0\n"
 
     def test_empty_range_is_not_blamed_on_samples(self, capsys):
         code, out, err = run(
@@ -788,6 +795,11 @@ class TestTaskFileInput:
         code, _, err = run_task_file(capsys, tmp_path, "brand", doc)
         assert code == 2 and "above the materialization cap" in err
         assert "Traceback" not in err
+
+    def test_null_table_exits_2(self, capsys, tmp_path):
+        doc = {"name": "t", "x_size": 2, "y_size": 2, "b_size": 2, "table": None}
+        code, out, err = run_task_file(capsys, tmp_path, "bound", doc)
+        assert (code, out, err) == (2, "", "error: table must be a sequence of rows\n")
 
     @pytest.mark.parametrize(
         "table,message",
