@@ -24,7 +24,8 @@ v <= 0, it stays so, u*v <= 0 and r >= b_rand > 0.
 
 The equation, like the curve below, depends on only two inputs, b_rand and
 |Y|.  Every entry point checks them in one place, _baseline: ValueError
-unless |Y| >= 1 and b_rand > 0, then InsecureTaskError unless b_rand < 1.
+unless |Y| is an integer >= 1 and b_rand > 0, then InsecureTaskError
+unless b_rand < 1.
 
 Solving in s keeps the extreme regime well conditioned: excesses c - 1 down
 to ~1e-19 map to s ~ 1e-10, comfortably representable, while c itself
@@ -67,9 +68,11 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 import sys
 from decimal import ROUND_HALF_UP, Decimal
 from fractions import Fraction
+from numbers import Integral
 from typing import Iterable, NamedTuple, Optional, TextIO, Union
 
 from .tasks import SfeTask, a_rand, b_rand
@@ -163,9 +166,13 @@ def _c_b_rows(c_as: Iterable[float], n: int, d: int, m: int) -> list[float]:
 
 
 def _baseline(b_rand_value: Rational, y_size: int) -> tuple[int, int, int]:
-    """(N, D, m) for b_rand = N/D in lowest terms and m = |Y| - 1: the one
-    check of the two inputs every entry point below takes.  ValueError
-    unless |Y| >= 1 and b_rand > 0, then InsecureTaskError unless b_rand < 1."""
+    """(N, D, m) for b_rand = N/D in lowest terms and m = |Y| - 1, Python
+    ints: the one check of the two inputs every entry point below takes.
+    ValueError unless |Y| is an integer (not a bool) and |Y| >= 1 and
+    b_rand > 0, then InsecureTaskError unless b_rand < 1."""
+    if not isinstance(y_size, Integral) or isinstance(y_size, bool):
+        raise ValueError(f"y_size must be an integer, got {y_size!r}")
+    y_size = operator.index(y_size)  # a numpy int becomes a Python int
     if y_size < 1:
         raise ValueError("y_size must be positive")
     br = Fraction(b_rand_value)

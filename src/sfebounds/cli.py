@@ -14,7 +14,9 @@ bound takes --full-precision.  ``FLAG_RANGES`` is the one place that knows
 what each numeric flag beside the task's accepts: ``_check_flags`` refuses a
 value outside it, or a float flag that is nan or infinite, before the
 command does any work, and each of these flags' --help states its range from
-it.  The task flags are checked with the task, as task files are.
+it.  The task flags are checked with the task, as task files are, and a
+task flag the task does not take (``--alphabet`` or ``--k`` for a family
+without that parameter, any of them with --task-file) is a TaskError.
 """
 
 from __future__ import annotations
@@ -86,7 +88,7 @@ def _families_taking(key: str) -> str:
 def _add_task_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--family", choices=tasks.FAMILY_TAGS, help="parametric family tag")
     parser.add_argument(
-        "--alphabet", type=int, default=2, help=f"alphabet size for {_families_taking('alphabet')}"
+        "--alphabet", type=int, help=f"alphabet size for {_families_taking('alphabet')}, default 2"
     )
     parser.add_argument("--n", type=int, help="family size parameter")
     parser.add_argument("--k", type=int, help=f"subset size for {_families_taking('k')}")
@@ -96,14 +98,20 @@ def _add_task_flags(parser: argparse.ArgumentParser) -> None:
 def _task_from_args(args: argparse.Namespace) -> tasks.SfeTask:
     if bool(args.family) == bool(args.task_file):
         raise tasks.TaskError("exactly one of --family and --task-file is required")
+    names = () if args.task_file else tasks.FAMILY_PARAMS[args.family]
+    flags = {"n": args.n, "alphabet": args.alphabet, "k": args.k}
+    for key, value in flags.items():
+        if value is not None and key not in names:
+            source = "--task-file" if args.task_file else f"--family {args.family}"
+            raise tasks.TaskError(f"--{key} does not apply to {source}")
     if args.task_file:
         return tasks.load_task(args.task_file)
     if args.n is None:
         raise tasks.TaskError("--n is required with --family")
-    names = tasks.FAMILY_PARAMS[args.family]
     if args.k is None and "k" in names:
         raise tasks.TaskError(f"--k is required with --family {args.family}")
-    flags = {"n": args.n, "alphabet": args.alphabet, "k": args.k}
+    if args.alphabet is None:
+        flags["alphabet"] = 2
     return tasks.make_family(args.family, **{key: flags[key] for key in flags if key in names})
 
 

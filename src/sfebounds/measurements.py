@@ -3,8 +3,8 @@
 Everything here operates on small (dim <= 16) complex matrices held as
 numpy arrays.  The module provides matrix square roots, checkers for the
 two gentle-measurement inequalities, the combined outcome-tuple POVM built
-by sandwiching one measurement inside the square roots of the others, and
-seeded generators for randomized verification campaigns.  The trace and
+by sandwiching the first measurement inside the square roots of the others,
+and seeded generators for randomized verification campaigns.  The trace and
 operator norms the bounds are written in are private stacked kernels.
 
 Stacked kernel: square roots, measurement-operator checks, the sandwich
@@ -30,7 +30,9 @@ entries in the same order for a stack as for one matrix.
 
 Campaigns: a campaign is a pair ``(draw, kernel)``: ``draw`` takes one
 instance's random numbers from its own seeded generators, and ``kernel``
-turns a list of draws into records.  Each step stacks the chunk by the
+turns a list of draws into records.  A draw takes one size, ``max_dim``:
+its dimension is drawn from 2 to ``max_dim``, and the sequential and
+learning draws take at most 4 operators.  Each step stacks the chunk by the
 shape it depends on, and every step below a kernel takes stacks.  The
 densities of the whole chunk are built first, one stack per (d, rank).
 The gentle and sequential kernels then build and check the operators per
@@ -149,8 +151,9 @@ class _PovmFields(NamedTuple):
 class Povm(_PovmFields):
     """Finite outcome-indexed measurement: PSD elements summing to identity.
 
-    ``__new__``, which ``_replace`` goes through too, refuses no elements or
-    a label count that differs; ``validate`` checks the elements themselves.
+    ``__new__``, which ``_replace`` goes through too, refuses no elements,
+    elements of mixed dimensions or a label count that differs, so every
+    element is ``dim`` x ``dim``; ``validate`` checks the elements themselves.
     """
 
     __slots__ = ()
@@ -159,6 +162,8 @@ class Povm(_PovmFields):
         elements = tuple(_as_matrix(e) for e in elements)
         if not elements:
             raise ValueError("a POVM needs at least one element")
+        if any(e.shape != elements[0].shape for e in elements):
+            raise ValueError("POVM elements have mixed dimensions")
         labels = labels or tuple(range(len(elements)))
         if len(labels) != len(elements):
             raise ValueError("labels and elements differ in length")
@@ -171,13 +176,8 @@ class Povm(_PovmFields):
         return self.elements[0].shape[0]
 
     def validate(self) -> None:
-        """Raise unless every element is a measurement operator of common
-        dimension and the elements sum to the identity within COMPLETENESS_TOL."""
-        odd = next((i for i, e in enumerate(self.elements) if e.shape[0] != self.dim), None)
-        if odd is not None:
-            # the elements before the first odd one are checked first
-            _validate_stack(np.array(self.elements[:odd]), self.labels, tol=np.inf)
-            raise ValueError("POVM elements have mixed dimensions")
+        """Raise unless every element is a measurement operator and the
+        elements sum to the identity within COMPLETENESS_TOL."""
         _validate_stack(np.array(self.elements), self.labels)
 
 
@@ -296,7 +296,7 @@ def _element_sum(stack: np.ndarray) -> np.ndarray:
     return 0 + np.add.reduce(parts, axis=-3).view(complex)
 
 
-def _validate_stack(stack: np.ndarray, labels: Sequence, tol: float = COMPLETENESS_TOL) -> None:
+def _validate_stack(stack: np.ndarray, labels: Sequence) -> None:
     """``Povm.validate`` for POVMs stacked as (..., b, d, d), all labelled
     by ``labels``.
 
@@ -305,13 +305,13 @@ def _validate_stack(stack: np.ndarray, labels: Sequence, tol: float = COMPLETENE
     """
     ok = _measurement_ok(stack)
     defect = _operator_norms(_element_sum(stack) - np.eye(stack.shape[-1]))
-    bad = ~ok.all(axis=-1) | (defect > tol)
+    bad = ~ok.all(axis=-1) | (defect > COMPLETENESS_TOL)
     if bad.any():
         i = _first(bad)
         if not ok[i].all():
             label = labels[int(np.argmin(ok[i]))]
             raise ValueError(f"element {label!r} is not a measurement operator")
-        raise ValueError(f"POVM completeness defect {defect[i]:.3e} exceeds {tol:.0e}")
+        raise ValueError(f"POVM completeness defect {defect[i]:.3e} exceeds {COMPLETENESS_TOL:.0e}")
 
 
 def _psd_roots(stack: np.ndarray) -> np.ndarray:
@@ -463,19 +463,18 @@ def _combined_stack(
     return op.reshape(op.shape[: op.ndim - 2 - n] + (-1,) + op.shape[-2:])
 
 
-def combined_povm(povms: Sequence[Povm], middle: int = 0) -> Povm:
-    """Outcome-tuple POVM with one input POVM sandwiched innermost.
+def combined_povm(povms: Sequence[Povm]) -> Povm:
+    """Outcome-tuple POVM with the first input POVM sandwiched innermost.
 
-    Element for tuple (b_1, ..., b_n) is built by conjugating the middle
-    POVM's b_middle element with the square roots of the others' elements,
-    innermost to outermost in ascending input order.  Completeness
-    telescopes regardless of the chosen middle.
+    Element for tuple (b_1, ..., b_n) is the first POVM's b_1 element
+    conjugated by the square roots of the others' elements, innermost to
+    outermost in input order; completeness telescopes.  The learning
+    campaign's strategy and audit put each POVM innermost in turn
+    (``_combined_stack``).
     """
     n = len(povms)
     if n == 0:
         raise ValueError("need at least one POVM")
-    if not 0 <= middle < n:
-        raise ValueError(f"middle index {middle} out of range for {n} POVMs")
     for p in povms:
         p.validate()
     if n == 1:
@@ -485,8 +484,8 @@ def combined_povm(povms: Sequence[Povm], middle: int = 0) -> Povm:
         raise ValueError("POVMs have mixed dimensions")
 
     stacks = [np.array(p.elements) for p in povms]
-    roots = [None if i == middle else _psd_roots(stack) for i, stack in enumerate(stacks)]
-    elements = _hermitian_part(_combined_stack(stacks, roots, middle))
+    roots = [None] + [_psd_roots(stack) for stack in stacks[1:]]
+    elements = _hermitian_part(_combined_stack(stacks, roots, 0))
     labels = tuple(itertools.product(*(p.labels for p in povms)))
     return Povm(elements=tuple(elements), labels=labels)
 
@@ -509,8 +508,6 @@ def averaged_strategy_success(enc: QuantumEncoding, povms: Sequence[Povm]) -> Le
     for i, p in enumerate(povms):
         if p.dim != dim:
             raise ValueError(f"POVM {i} dimension {p.dim} does not match states ({dim})")
-        if any(e.shape[0] != dim for e in p.elements):
-            raise ValueError(f"POVM {i} elements have mixed dimensions")
         for x in range(enc.x_count):
             if not 0 <= enc.functions[i][x] < len(p.elements):
                 raise ValueError(f"function {i} maps x={x} outside POVM {i}'s outcomes")
@@ -839,14 +836,19 @@ def random_encoding(
 _CHUNK = 128
 
 
-def _check_sizes(min_dim: int, max_dim: int, max_n: int = 1, min_n: int = 1) -> None:
-    """Refuse draw parameters that leave no dimension or operator count to draw."""
-    if min_dim < 1:
-        raise ValueError(f"min_dim must be at least 1, got {min_dim}")
-    if max_dim < min_dim:
-        raise ValueError(f"max_dim must be at least min_dim = {min_dim}, got {max_dim}")
-    if max_n < min_n:
-        raise ValueError(f"max_n must be at least {min_n}, got {max_n}")
+# Every draw takes its dimension from [_MIN_DIM, max_dim]; the sequential
+# and learning draws take at most _MAX_N operators.
+_MIN_DIM = 2
+_MAX_N = 4
+
+
+def _meta(seed: list, max_dim: int) -> tuple:
+    """An instance's meta generator and the dimension it draws first.
+    Refuses a ``max_dim`` that leaves no dimension, before any generator."""
+    if max_dim < _MIN_DIM:
+        raise ValueError(f"max_dim must be at least {_MIN_DIM}, got {max_dim}")
+    meta = _rng(seed + [0])
+    return meta, int(meta.integers(_MIN_DIM, max_dim + 1))
 
 
 def _operator_draw(dim: int, seed: list) -> tuple:
@@ -938,12 +940,10 @@ _gentle_kernel = _operator_kernel(_gentle_reports, _gentle_record)
 
 
 @_instance(_gentle_kernel)
-def gentle_instance(seed: Sequence[int], min_dim: int = 2, max_dim: int = 8):
+def gentle_instance(seed: Sequence[int], max_dim: int = 8):
     """One random state and measurement operator through ``check_gentle``."""
-    _check_sizes(min_dim, max_dim)
     seed = list(seed)
-    meta = _rng(seed + [0])
-    dim = int(meta.integers(min_dim, max_dim + 1))
+    meta, dim = _meta(seed, max_dim)
     rank = int(meta.integers(1, dim + 1))
     t, g = _operator_draw(dim, seed + [2])
     return seed, _complex_gaussians(_rng(seed + [1]), (dim, rank)), t, g
@@ -966,16 +966,12 @@ _sequential_kernel = _operator_kernel(_sequential_reports, _sequential_record)
 
 
 @_instance(_sequential_kernel)
-def sequential_instance(
-    seed: Sequence[int], min_dim: int = 2, max_dim: int = 6, max_n: int = 4
-):
-    """One random state and 2 to ``max_n`` measurement operators through
+def sequential_instance(seed: Sequence[int], max_dim: int = 6):
+    """One random state and 2 to ``_MAX_N`` measurement operators through
     ``check_sequential``."""
-    _check_sizes(min_dim, max_dim, max_n, 2)
     seed = list(seed)
-    meta = _rng(seed + [0])
-    dim = int(meta.integers(min_dim, max_dim + 1))
-    n = int(meta.integers(2, max_n + 1))
+    meta, dim = _meta(seed, max_dim)
+    n = int(meta.integers(2, _MAX_N + 1))
     rank = int(meta.integers(1, dim + 1))
     rho_gaussians = _complex_gaussians(_rng(seed + [1]), (dim, rank))
     ts, gs = zip(*(_operator_draw(dim, seed + [2, k]) for k in range(n)))
@@ -1056,15 +1052,11 @@ def _learning_record(
 
 
 @_instance(_learning_kernel)
-def learning_instance(
-    seed: Sequence[int], min_dim: int = 2, max_dim: int = 6, max_n: int = 4
-):
-    """One encoding-plus-POVMs instance with full combined-POVM audits."""
-    _check_sizes(min_dim, max_dim, max_n)
+def learning_instance(seed: Sequence[int], max_dim: int = 6):
+    """One encoding and 1 to ``_MAX_N`` POVMs with full combined-POVM audits."""
     seed = list(seed)
-    meta = _rng(seed + [0])
-    dim = int(meta.integers(min_dim, max_dim + 1))
-    n = int(meta.integers(1, max_n + 1))
+    meta, dim = _meta(seed, max_dim)
+    n = int(meta.integers(1, _MAX_N + 1))
     x_count = int(meta.integers(2, 7))
     b_size = int(meta.integers(2, 4))
     enc = _encoding_draw(x_count, dim, n, b_size, seed + [1])
@@ -1077,9 +1069,11 @@ def run_campaign(
 ) -> list[dict]:
     """Run ``instances`` independent instances of a campaign of this module,
     seeded from (seed, index): the records that calling ``instance_fn`` once
-    per instance gives, computed many instances per kernel call, in one
-    process per CPU (``_fanout``).  ``seed`` becomes a Python int, which the
-    seed hash takes and a record holds."""
+    per instance, with ``kwargs``, gives, computed many instances per kernel
+    call, in one process per CPU (``_fanout``).  The one keyword an instance
+    function takes is ``max_dim``, the largest dimension it draws (at least
+    2).  ``seed`` becomes a Python int, which the seed hash takes and a
+    record holds."""
     if instances < 0:
         raise ValueError(f"instances must be at least 0, got {instances}")
     seed = operator.index(seed)

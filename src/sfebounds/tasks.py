@@ -22,6 +22,7 @@ parametric instances stay usable through their closed forms.
 from __future__ import annotations
 
 import json
+import operator
 from fractions import Fraction
 from itertools import combinations
 from math import comb
@@ -191,19 +192,20 @@ class SfeTask:
     non-integer sizes, a table that is not a sequence of rows, ragged rows,
     missing or non-integer cells, values outside int64, tables above
     MATERIALIZE_CAP and every violation validate_task reports raise
-    TaskError, so a task that exists is valid.  Tasks are immutable; every
+    TaskError, so a task that exists is valid.  Sizes are kept as Python
+    ints, whatever integer type they came in.  Tasks are immutable; every
     operation on them is pure.  Family tasks compare equal by their specs,
     explicit tasks by name, sizes and table contents.
     """
 
     def __init__(self, name: str, x_size: int, y_size: int, b_size: int, table):
-        for key, value in (("x_size", x_size), ("y_size", y_size), ("b_size", b_size)):
+        sizes = {"x_size": x_size, "y_size": y_size, "b_size": b_size}
+        for key, value in sizes.items():
             if not isinstance(value, Integral) or isinstance(value, bool):
                 raise TaskError(f"{key}={value!r} must be an integer")
-        table = _as_table(table, x_size, y_size, b_size)
-        self.__dict__.update(
-            name=name, x_size=x_size, y_size=y_size, b_size=b_size, family=None, _table=table
-        )
+            sizes[key] = operator.index(value)  # a numpy int becomes a Python int
+        table = _as_table(table, *sizes.values())
+        self.__dict__.update(sizes, name=name, family=None, _table=table)
         violations = validate_task(self)
         if violations:
             raise TaskError("; ".join(violations))

@@ -131,9 +131,7 @@ def test_criterion_05_gentle_campaign():
 
 
 def test_criterion_06_sequential_campaign():
-    records = measurements.run_campaign(
-        measurements.sequential_instance, 500, seed=2, max_dim=6, max_n=4
-    )
+    records = measurements.run_campaign(measurements.sequential_instance, 500, seed=2, max_dim=6)
     violations = [
         r for r in records if not (r["holds"] and r["achieved"] >= r["bound"] - 1e-8)
     ]
@@ -144,9 +142,7 @@ def test_criterion_06_sequential_campaign():
 
 
 def test_criterion_07_combined_strategy_campaign():
-    records = measurements.run_campaign(
-        measurements.learning_instance, 500, seed=3, max_dim=6, max_n=4
-    )
+    records = measurements.run_campaign(measurements.learning_instance, 500, seed=3, max_dim=6)
     bad_complete = [r for r in records if r["completeness_defect"] > 1e-10]
     bad_psd = [r for r in records if r["min_eigenvalue"] < -1e-10]
     bad_bound = [r for r in records if r["achieved"] < r["bound"] - 1e-8]

@@ -4,6 +4,7 @@ import math
 import sys
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -399,6 +400,15 @@ class TestBoundReport:
         assert report.b_rand == Fraction(1, 2)
         assert report.c == pytest.approx(1.0484, abs=5e-4)
 
+    def test_numpy_int_sizes_give_the_python_int_report(self):
+        from sfebounds.tasks import SfeTask
+
+        table = ((0, 0), (0, 1), (1, 0), (1, 1))
+        want = bound_report(SfeTask("t", 4, 2, 2, table=table))
+        got = bound_report(SfeTask("t", np.int64(4), np.int64(2), np.int64(2), table=table))
+        assert got == want and want.c == 1.048384205847353
+        assert type(got.y_size) is int
+
 
 class TestCurves:
     def test_endpoints_and_shape(self):
@@ -461,12 +471,14 @@ class TestCurves:
         "b_rand_value,y_size,error,message",
         [
             (Fraction(1, 2), 0, ValueError, "y_size must be positive"),
+            (Fraction(1, 2), 2.5, ValueError, "y_size must be an integer, got 2.5"),
+            (Fraction(1, 2), True, ValueError, "y_size must be an integer, got True"),
             (Fraction(0), 2, ValueError, "b_rand must be positive"),
             (Fraction(-1, 2), 2, ValueError, "b_rand must be positive"),
             (Fraction(1), 2, InsecureTaskError, "baseline 1: nothing to bound"),
             (Fraction(3, 2), 2, InsecureTaskError, "baseline 3/2: nothing to bound"),
         ],
-        ids=["y_size 0", "b_rand 0", "b_rand -1/2", "b_rand 1", "b_rand 3/2"],
+        ids=["y_size 0", "y_size 2.5", "y_size True", "b_rand 0", "b_rand -1/2", "b_rand 1", "b_rand 3/2"],
     )
     def test_sizes_and_baselines_refused(self, fn, b_rand_value, y_size, error, message):
         # every entry point refuses each bad input with one type and one text
@@ -475,6 +487,13 @@ class TestCurves:
             fn(*args, b_rand_value, y_size)
         assert type(refused.value) is error
         assert str(refused.value) == message
+
+    @pytest.mark.parametrize(
+        "fn", [cb_from_ca, solve_fixed_point, ca_crossing, emit_curve], ids=lambda fn: fn.__name__
+    )
+    def test_numpy_int_y_size_gives_the_python_int_result(self, fn):
+        args = (1.5,) if fn is cb_from_ca else ()
+        assert fn(*args, Fraction(1, 4), np.int64(7)) == fn(*args, Fraction(1, 4), 7)
 
     @pytest.mark.parametrize("y_size", [0, -3])
     def test_nonpositive_y_size_refused_with_explicit_ca_max(self, y_size):

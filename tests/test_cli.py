@@ -390,6 +390,28 @@ class TestTaskSourceHandling:
         code, _, err = run(capsys, "bound", "--family", "knot", "--alphabet", "2", "--n", "4")
         assert code == 2 and "--k" in err
 
+    @pytest.mark.parametrize(
+        "argv,refusal",
+        [
+            (["bound", "--family", "eq", "--n", "4", "--alphabet", "7"], "--alphabet does not apply to --family eq"),
+            (["bound", "--family", "ot", "--n", "2", "--k", "5"], "--k does not apply to --family ot"),
+            (["brand", "--family", "mp", "--n", "4", "--alphabet", "2"], "--alphabet does not apply to --family mp"),
+            (["curve", "--family", "xot", "--n", "2", "--k", "1"], "--k does not apply to --family xot"),
+            (["bound", "--task-file", "FILE", "--n", "3"], "--n does not apply to --task-file"),
+            (["simulate-dr", "--task-file", "FILE", "--alphabet", "2"], "--alphabet does not apply to --task-file"),
+        ],
+    )
+    def test_a_task_flag_the_task_does_not_take_exits_2(self, capsys, tmp_path, argv, refusal):
+        path = tmp_path / "t.json"
+        path.write_text(json.dumps({"family": "eq", "params": {"n": 3}}))
+        code, out, err = run(capsys, *(str(path) if a == "FILE" else a for a in argv))
+        assert (code, out, err) == (2, "", f"error: {refusal}\n")
+
+    @pytest.mark.parametrize("family,extra", [("ot", []), ("knot", ["--k", "2"])])
+    def test_alphabet_is_2_when_absent(self, capsys, family, extra):
+        argv = ["bound", "--family", family, "--n", "4", *extra, "--json"]
+        assert run(capsys, *argv) == run(capsys, *argv, "--alphabet", "2")
+
 
 # The five README commands and the SHA-256 of their stdout, recorded before
 # family tables were built on first read.  The curve rows are correctly

@@ -75,10 +75,8 @@ def completeness_defect(povm):
     return float(m._operator_norms(sum(povm.elements) - np.eye(povm.dim)))
 
 
-def loop_validate(povm, tol=m.COMPLETENESS_TOL):
+def loop_validate(povm):
     for i, e in enumerate(povm.elements):
-        if e.shape[0] != povm.dim:
-            raise ValueError("POVM elements have mixed dimensions")
         if not (
             np.abs(e - e.conj().T).max() <= m.HERMITIAN_TOL
             and np.linalg.eigvalsh(e).min() >= -m.PSD_CLAMP_TOL
@@ -86,8 +84,8 @@ def loop_validate(povm, tol=m.COMPLETENESS_TOL):
         ):
             raise ValueError(f"element {povm.labels[i]!r} is not a measurement operator")
     defect = completeness_defect(povm)
-    if defect > tol:
-        raise ValueError(f"POVM completeness defect {defect:.3e} exceeds {tol:.0e}")
+    if defect > m.COMPLETENESS_TOL:
+        raise ValueError(f"POVM completeness defect {defect:.3e} exceeds {m.COMPLETENESS_TOL:.0e}")
 
 
 def stacked_sequential_operator(lams):
@@ -163,11 +161,11 @@ def loop_averaged_strategy_success(enc, povms):
     )
 
 
-def loop_sequential_instance(seed, min_dim=2, max_dim=6, max_n=4):
+def loop_sequential_instance(seed, max_dim=6):
     seed = list(seed)
     meta = np.random.default_rng(seed + [0])
-    dim = int(meta.integers(min_dim, max_dim + 1))
-    n = int(meta.integers(2, max_n + 1))
+    dim = int(meta.integers(2, max_dim + 1))
+    n = int(meta.integers(2, 5))
     rank = int(meta.integers(1, dim + 1))
     rho = random_density(dim, rank, seed + [1])
     lams = [loop_measurement_operator(dim, seed + [2, k]) for k in range(n)]
@@ -185,11 +183,11 @@ def loop_sequential_instance(seed, min_dim=2, max_dim=6, max_n=4):
     }
 
 
-def loop_learning_instance(seed, min_dim=2, max_dim=6, max_n=4):
+def loop_learning_instance(seed, max_dim=6):
     seed = list(seed)
     meta = np.random.default_rng(seed + [0])
-    dim = int(meta.integers(min_dim, max_dim + 1))
-    n = int(meta.integers(1, max_n + 1))
+    dim = int(meta.integers(2, max_dim + 1))
+    n = int(meta.integers(1, 5))
     x_count = int(meta.integers(2, 7))
     b_size = int(meta.integers(2, 4))
     enc = random_encoding(x_count, dim, n, b_size, seed + [1])
@@ -403,19 +401,15 @@ class TestCombinedPovm:
         for element in tilde.elements:
             assert np.linalg.eigvalsh(element).min() >= -1e-10
 
-    def test_middle_choice_relabels_not_outcomes(self):
+    def test_every_middle_choice_is_complete(self):
+        # the learning audit puts each POVM innermost in turn
         povs = [random_povm(2, 2, seed=[6, i]) for i in range(3)]
+        stacks = [np.array(p.elements) for p in povs]
+        roots = [m._psd_roots(stack) for stack in stacks]
         for middle in range(3):
-            tilde = combined_povm(povs, middle=middle)
+            tilde = Povm(m._hermitian_part(m._combined_stack(stacks, roots, middle)))
             assert completeness_defect(tilde) <= 1e-10
-            assert set(tilde.labels) == {
-                (a, b, c) for a in range(2) for b in range(2) for c in range(2)
-            }
-
-    def test_bad_middle_rejected(self):
-        povs = [random_povm(2, 2, seed=[7, i]) for i in range(2)]
-        with pytest.raises(ValueError):
-            combined_povm(povs, middle=2)
+            assert len(tilde.elements) == 8
 
     def test_invalid_input_povm_rejected(self):
         broken = Povm(elements=(np.eye(2), np.eye(2)))
@@ -461,11 +455,8 @@ class TestLearnStrategy:
 
     def test_dimension_mismatch_rejected(self):
         enc = random_encoding(2, 3, 1, 2, seed=1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^POVM 0 dimension 4 does not match states \(3\)$"):
             averaged_strategy_success(enc, [random_povm(4, 2, seed=0)])
-        mixed = Povm(elements=(np.eye(3) / 2, np.eye(2) / 2))
-        with pytest.raises(ValueError, match="POVM 0 elements have mixed dimensions"):
-            averaged_strategy_success(enc, [mixed])
         # the kernel's bare inner products leave the states to this check
         odd = QuantumEncoding(
             probs=np.array([0.5, 0.5]), states=(np.eye(2) / 2, np.eye(3) / 3), functions=((0, 1),)
@@ -540,6 +531,8 @@ class TestPovmType:
             pov._replace(labels=("yes",))
         with pytest.raises(ValueError, match=r"^expected a square matrix, got shape \(2,\)$"):
             Povm._make(([[1, 0]],))
+        with pytest.raises(ValueError, match="^POVM elements have mixed dimensions$"):
+            pov._replace(elements=(np.eye(2), np.eye(3)))
         enc = QuantumEncoding(probs=[1.0], states=(np.eye(1),), functions=((0,),))
         assert enc._replace(functions=[[0]]).functions == ((0,),)
         with pytest.raises(ValueError, match="^probs must be nonnegative and sum to 1$"):
@@ -600,6 +593,10 @@ REFUSALS = {
         lambda: QuantumEncoding(probs=[0.5, 0.5], states=(HALF, HALF), functions=((0,),)),
         "every function must be total over the inputs",
     ),
+    "povm-mixed": (
+        lambda: Povm(elements=(np.eye(3) / 2, np.eye(2) / 2)),
+        "POVM elements have mixed dimensions",
+    ),
     "povm-labels": (
         lambda: Povm(elements=(np.eye(2),), labels=("a", "b")),
         "labels and elements differ in length",
@@ -642,15 +639,22 @@ class TestStackedKernelMatchesLoops:
         assert np.array_equal(stacked_sequential_operator(lams), loop_sequential_operator(lams))
 
     @settings(max_examples=60, deadline=None, derandomize=True)
-    @given(DIMS, OUTCOMES, st.integers(0, 3), SEEDS)
-    def test_combined_povm(self, dim, outcomes, middle, seed):
+    @given(DIMS, OUTCOMES, SEEDS)
+    def test_combined_povm(self, dim, outcomes, seed):
         povms = povm_family(dim, outcomes, seed)
-        middle %= len(povms)
-        got = combined_povm(povms, middle)
-        want = loop_combined_povm(povms, middle)
+        got = combined_povm(povms)
+        want = loop_combined_povm(povms)
         assert got.labels == want.labels
         assert len(got.elements) == len(want.elements)
         assert all(np.array_equal(a, b) for a, b in zip(got.elements, want.elements))
+        # every other middle choice, as the learning audit builds it
+        stacks = [np.array(p.elements) for p in povms]
+        roots = [m._psd_roots(stack) for stack in stacks]
+        for middle in range(1, len(povms)):
+            got = m._hermitian_part(m._combined_stack(stacks, roots, middle))
+            want = loop_combined_povm(povms, middle).elements
+            assert len(got) == len(want)
+            assert all(np.array_equal(a, b) for a, b in zip(got, want))
 
     @settings(max_examples=60, deadline=None, derandomize=True)
     @given(DIMS, OUTCOMES, st.integers(1, 6), SEEDS)
@@ -707,8 +711,7 @@ class TestStackedKernelMatchesLoops:
             (m.sequential_instance, loop_sequential_instance),
         ],
     )
-    # 1x1 matrices: numpy sums a reduced axis pairwise there, Python's sum does not
-    @pytest.mark.parametrize("dims", [{}, {"min_dim": 1, "max_dim": 2}])
+    @pytest.mark.parametrize("dims", [{}, {"max_dim": 2}])
     def test_campaign_records(self, instance, reference, dims):
         got = m.run_campaign(instance, 60, seed=4, **dims)
         want = [reference([4, idx], **dims) for idx in range(60)]
@@ -732,8 +735,6 @@ class TestStackedKernelMatchesLoops:
         [
             (np.eye(2) / 2, np.eye(2) / 3),
             (np.eye(2), np.diag([0.0, 2.0]), -np.eye(2)),
-            (np.diag([1.0, -1.0]), np.eye(3)),
-            (np.eye(2) / 2, np.eye(3), np.diag([1.0, -1.0])),
             (np.eye(2) / 2, np.array([[0.5, 1.0], [0.0, 0.5]])),
         ],
     )
@@ -759,15 +760,14 @@ class TestCampaignKernels:
     @pytest.mark.parametrize("instance", CAMPAIGNS, ids=lambda fn: fn.__name__)
     def test_full_chunk_plus_one_replays_alone(self, instance):
         count = m._CHUNK + 1
-        records = m.run_campaign(instance, count, seed=12, min_dim=1)
-        alone = [instance([12, idx], min_dim=1) for idx in range(count)]
+        records = m.run_campaign(instance, count, seed=12)
+        alone = [instance([12, idx]) for idx in range(count)]
         assert json.dumps(records) == json.dumps(alone)
 
-    # 1x1 matrices (min_dim=1) included: numpy reduces their axes in another order
     @settings(max_examples=40, deadline=None, derandomize=True)
     @given(
         st.sampled_from(CAMPAIGNS),
-        st.sampled_from([{}, {"min_dim": 1, "max_dim": 2}, {"min_dim": 1, "max_dim": 4}]),
+        st.sampled_from([{}, {"max_dim": 2}, {"max_dim": 4}]),
         st.integers(1, 9),
         st.lists(st.integers(0, 39), max_size=24),
     )
@@ -787,7 +787,7 @@ class TestCampaignKernels:
                 return all(type(v) in (int, float, bool) for v in value)
             return type(value) in (int, float, bool)
 
-        for record in m.run_campaign(instance, 100, seed=3, min_dim=1):
+        for record in m.run_campaign(instance, 100, seed=3):
             assert {key: type(v) for key, v in record.items() if not python(v)} == {}
 
     def test_learn_report_holds_python_floats(self):
@@ -811,9 +811,9 @@ class TestCampaignKernels:
     @pytest.mark.parametrize("instance", CAMPAIGNS, ids=lambda fn: fn.__name__)
     def test_one_generator_at_a_time(self, monkeypatch, instance, chunk):
         monkeypatch.setattr(m, "_CHUNK", chunk)
-        got = m.run_campaign(instance, 70, 6, min_dim=1)
+        got = m.run_campaign(instance, 70, 6)
         monkeypatch.setattr(m, "_rng", np.random.default_rng)
-        want = m.run_campaign(instance, 70, 6, min_dim=1)
+        want = m.run_campaign(instance, 70, 6)
         assert json.dumps(got, sort_keys=True) == json.dumps(want, sort_keys=True)
 
     def test_lowest_failing_instance_raises_across_shape_groups(self):
@@ -823,14 +823,15 @@ class TestCampaignKernels:
             # lam = 2E - I with rho on the top eigenvector of E: <lam, rho>
             # = 2 e_max - 1 passes the range check, and the root of lam fails
             # on its eigenvalue 2 e_min - 1 < 0
-            seed, _, _, gaussians = draw(seed, min_dim=dim, max_dim=dim)
+            seed, _, _, gaussians = draw(seed, max_dim=dim)
+            assert gaussians.shape[-1] == dim
             evals, vecs = np.linalg.eigh(m._povm_elements(gaussians)[0])
             assert evals[0] < 0.45 and evals[-1] > 0.55
             return seed, vecs[:, -1:], 2.0, gaussians
 
         # instances 0 and 2 form the dimension-2 group, instance 1 the dimension-3 one
-        good = draw([5, 0], min_dim=2, max_dim=2)
-        drawn = [good, failing([5, 1], 3), failing([5, 5], 2)]
+        good = draw([5, 0], max_dim=2)
+        drawn = [good, failing([5, 2], 3), failing([5, 5], 2)]
         alone = [error_message(kernel, [one]) for one in drawn[1:]]
         assert alone[0].startswith("matrix has eigenvalue") and alone[0] != alone[1]
         assert error_message(m._records, (lambda idx: drawn[idx], kernel), range(3)) == alone[0]
@@ -856,37 +857,26 @@ class TestCampaignKernels:
 
 
 class TestCampaignParameters:
-    """Each draw refuses sizes it cannot draw from, naming the parameter,
-    before it builds a generator."""
+    """Each draw refuses a ``max_dim`` below 2, which leaves no dimension to
+    draw, before it builds a generator."""
 
     @pytest.mark.parametrize(
-        "instance,kwargs,message",
-        [
-            (m.gentle_instance, {"min_dim": 0, "max_dim": 3}, "min_dim must be at least 1, got 0"),
-            (m.gentle_instance, {"min_dim": 5, "max_dim": 3}, "max_dim must be at least min_dim = 5, got 3"),
-            (m.sequential_instance, {"min_dim": -1}, "min_dim must be at least 1, got -1"),
-            (m.sequential_instance, {"max_dim": 1}, "max_dim must be at least min_dim = 2, got 1"),
-            (m.sequential_instance, {"max_n": 1}, "max_n must be at least 2, got 1"),
-            (m.learning_instance, {"min_dim": 0, "max_dim": 0}, "min_dim must be at least 1, got 0"),
-            (m.learning_instance, {"min_dim": 4, "max_dim": 3}, "max_dim must be at least min_dim = 4, got 3"),
-            (m.learning_instance, {"max_n": 0}, "max_n must be at least 1, got 0"),
-        ],
+        "instance,max_dim",
+        [(m.gentle_instance, 1), (m.sequential_instance, 0), (m.learning_instance, -3)],
     )
-    def test_bad_sizes_raise_before_any_generator(self, monkeypatch, instance, kwargs, message):
+    def test_bad_sizes_raise_before_any_generator(self, monkeypatch, instance, max_dim):
         def no_generator(seed):
             raise AssertionError("a generator was built")
 
         monkeypatch.setattr(m, "_rng", no_generator)
-        assert error_message(lambda: m.run_campaign(instance, 5, 3, **kwargs)) == message
-        assert error_message(lambda: instance([3, 0], **kwargs)) == message
+        message = f"max_dim must be at least 2, got {max_dim}"
+        assert error_message(lambda: m.run_campaign(instance, 5, 3, max_dim=max_dim)) == message
+        assert error_message(lambda: instance([3, 0], max_dim=max_dim)) == message
 
     @pytest.mark.parametrize("instance", CAMPAIGNS, ids=lambda fn: fn.__name__)
     def test_smallest_sizes_run(self, instance):
-        records = m.run_campaign(instance, 7, 3, min_dim=1, max_dim=1)
-        assert [r["dims"] for r in records] == [1] * 7
-        floor = {m.sequential_instance: 2, m.learning_instance: 1}.get(instance)
-        if floor is not None:
-            assert {r["n"] for r in m.run_campaign(instance, 7, 3, max_n=floor)} == {floor}
+        records = m.run_campaign(instance, 7, 3, max_dim=2)
+        assert [r["dims"] for r in records] == [2] * 7
 
     @pytest.mark.parametrize("seed", [0, 7, [3, 1], [5, 17, 2, 1]])
     def test_generator_is_the_default_rng_stream(self, seed):

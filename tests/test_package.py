@@ -226,6 +226,52 @@ def test_every_public_name_is_reached_outside_the_tests():
     assert unreached == []
 
 
+def _defaulted_parameters(fn: ast.FunctionDef, skip: int) -> list:
+    """(name, position) of each parameter of ``fn`` that has a default,
+    positions counted after the first ``skip`` parameters; None for a
+    keyword-only one."""
+    args = fn.args
+    positional = args.posonlyargs + args.args
+    first = len(positional) - len(args.defaults)
+    found = [(a.arg, i - skip) for i, a in enumerate(positional) if i >= first]
+    return found + [(a.arg, None) for a, d in zip(args.kwonlyargs, args.kw_defaults) if d is not None]
+
+
+def test_every_public_parameter_is_set_outside_the_tests():
+    """A parameter with a default that only the unit tests set is a constant:
+    every defaulted parameter of a public function, or of a public class's
+    ``__init__`` or ``__new__``, is passed by its keyword name somewhere in a
+    package module, a benchmark file or the acceptance suite, or by position
+    to a call of its own function there."""
+    modules = [ast.parse(path.read_text()) for path in sorted(PACKAGE_DIR.glob("*.py"))]
+    parameters = []  # (function or class name, parameter, position)
+    for tree in modules:
+        for node in tree.body:
+            if getattr(node, "name", "_").startswith("_"):
+                continue
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                parameters += [(node.name, *p) for p in _defaulted_parameters(node, 0)]
+            elif isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and item.name in ("__init__", "__new__"):
+                        parameters += [(node.name, *p) for p in _defaulted_parameters(item, 1)]
+    paths = [*sorted((ROOT / "bench").glob("*.py")), ROOT / "tests" / "test_acceptance.py"]
+    trees = modules + [ast.parse(path.read_text()) for path in paths]
+    keywords, positions = set(), {}
+    for node in itertools.chain.from_iterable(map(ast.walk, trees)):
+        if isinstance(node, ast.Call):
+            keywords.update(k.arg for k in node.keywords if k.arg is not None)
+            callee = getattr(node.func, "id", getattr(node.func, "attr", None))
+            count = next((i for i, a in enumerate(node.args) if isinstance(a, ast.Starred)), len(node.args))
+            positions[callee] = max(positions.get(callee, 0), count)
+    unset = [
+        f"{owner}.{name}"
+        for owner, name, position in parameters
+        if name not in keywords and (position is None or positions.get(owner, 0) <= position)
+    ]
+    assert unset == []
+
+
 def test_readme_library_example_gives_the_values_its_comments_state():
     readme = (ROOT / "README.md").read_text()
     example = readme.split("```python\n", 1)[1].split("```", 1)[0]

@@ -323,7 +323,9 @@ class TestConstructors:
     @pytest.mark.parametrize("size", [np.int64(2), np.int32(2), 2])
     def test_integer_sizes_accepted(self, size):
         task = SfeTask("t", size, size, size, table=[[0, 1], [1, 0]])
-        assert (task.x_size, task.y_size, task.b_size) == (2, 2, 2) and int(task.table[1, 0]) == 1
+        sizes = (task.x_size, task.y_size, task.b_size)
+        assert sizes == (2, 2, 2) and {type(v) for v in sizes} == {int}
+        assert int(task.table[1, 0]) == 1
 
     @pytest.mark.parametrize("size", [True, 2.0, "2", np.float64(2), np.bool_(True)])
     def test_non_integer_sizes_refused(self, size):
