@@ -76,6 +76,7 @@ import itertools
 import math
 import operator
 import threading
+from numbers import Integral
 from typing import Callable, Iterable, NamedTuple, Sequence, Union
 
 import numpy as np
@@ -836,17 +837,25 @@ def random_encoding(
 _CHUNK = 128
 
 
-# Every draw takes its dimension from [_MIN_DIM, max_dim]; the sequential
-# and learning draws take at most _MAX_N operators.
+# Every draw takes its dimension from [_MIN_DIM, max_dim], with max_dim at
+# most _MAX_DIM; the sequential and learning draws take at most _MAX_N
+# operators.
 _MIN_DIM = 2
+_MAX_DIM = 16
 _MAX_N = 4
 
 
 def _meta(seed: list, max_dim: int) -> tuple:
     """An instance's meta generator and the dimension it draws first.
-    Refuses a ``max_dim`` that leaves no dimension, before any generator."""
+    Refuses a ``max_dim`` that is not an integer from ``_MIN_DIM`` to
+    ``_MAX_DIM``, before any generator."""
+    if not isinstance(max_dim, Integral) or isinstance(max_dim, bool):
+        raise ValueError(f"max_dim must be an integer, got {max_dim!r}")
+    max_dim = operator.index(max_dim)  # a numpy int becomes a Python int
     if max_dim < _MIN_DIM:
         raise ValueError(f"max_dim must be at least {_MIN_DIM}, got {max_dim}")
+    if max_dim > _MAX_DIM:
+        raise ValueError(f"max_dim must be at most {_MAX_DIM}, got {max_dim}")
     meta = _rng(seed + [0])
     return meta, int(meta.integers(_MIN_DIM, max_dim + 1))
 
@@ -1064,6 +1073,12 @@ def learning_instance(seed: Sequence[int], max_dim: int = 6):
     return seed, enc, povms
 
 
+def _slice_records(part: range, instance_fn: Callable[..., dict], seed: int, kwargs: dict) -> list[dict]:
+    """The records of instances ``part`` of a campaign: one slice of
+    ``run_campaign``, which a helper process runs from a pickled request."""
+    return _records(instance_fn.campaign, ([seed, idx] for idx in part), **kwargs)
+
+
 def run_campaign(
     instance_fn: Callable[..., dict], instances: int, seed: int, **kwargs
 ) -> list[dict]:
@@ -1071,15 +1086,22 @@ def run_campaign(
     seeded from (seed, index): the records that calling ``instance_fn`` once
     per instance, with ``kwargs``, gives, computed many instances per kernel
     call, in one process per CPU (``_fanout``).  The one keyword an instance
-    function takes is ``max_dim``, the largest dimension it draws (at least
-    2).  ``seed`` becomes a Python int, which the seed hash takes and a
-    record holds."""
+    function takes is ``max_dim``, the largest dimension it draws (2 to 16).
+    ``instances`` is an integer, not a bool; ``seed`` becomes a Python int,
+    which the seed hash takes and a record holds.
+
+    The first campaign that fans out forks one helper process per extra
+    slice, and later campaigns in the process reuse them: a helper gets the
+    instance function (by reference), ``seed``, ``kwargs`` and its slice,
+    and runs the module as it was when it was forked.  Helpers point their
+    stdio at /dev/null and are reaped when the process exits; a helper that
+    fails is reaped at once and its slice rerun here."""
+    if not isinstance(instances, Integral) or isinstance(instances, bool):
+        raise ValueError(f"instances must be an integer, got {instances!r}")
+    instances = operator.index(instances)
     if instances < 0:
         raise ValueError(f"instances must be at least 0, got {instances}")
     seed = operator.index(seed)
     from . import _fanout  # on first use: every command compiles this module
 
-    return _fanout.run_slices(
-        lambda part: _records(instance_fn.campaign, ([seed, idx] for idx in part), **kwargs),
-        instances,
-    )
+    return _fanout.run_slices(_slice_records, instances, instance_fn, seed, kwargs)

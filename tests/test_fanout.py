@@ -1,5 +1,11 @@
-"""run_campaign's fan-out: forked children give the serial records, raise
-the serial error, and leave no process behind."""
+"""run_campaign's fan-out: helper processes give the serial records, raise
+the serial error, are forked once per process, and leave no process
+behind.
+
+A helper runs the module as it was when it was forked, so a test that
+patches what a slice runs (an instance's ``campaign``) starts from new
+helpers and ends them when it is done: the ``fresh_helpers`` fixture, which
+``forked`` uses."""
 
 import json
 import os
@@ -26,8 +32,17 @@ SRC = Path(m.__file__).resolve().parents[1]
 
 
 @pytest.fixture
-def forked(monkeypatch):
-    """The pids that os.fork returns to the parent while the test runs."""
+def fresh_helpers():
+    """No helper before the test, and none forked in it left after it."""
+    _fanout._stop()
+    yield
+    _fanout._stop()
+
+
+@pytest.fixture
+def forked(monkeypatch, fresh_helpers):
+    """The pids that os.fork returns to the parent while the test runs,
+    from no helpers."""
     pids = []
     real_fork = os.fork
 
@@ -51,7 +66,25 @@ def forks_for(count, cpus):
     return max(min(cpus, count // _fanout.MIN_SLICE), 1) - 1
 
 
-def assert_no_children():
+def helper_pids():
+    return [helper.pid for helper in _fanout._helpers]
+
+
+def assert_only_helpers_left(forked):
+    """Each forked process is a live helper, or was reaped."""
+    live = helper_pids()
+    assert set(live) <= set(forked)
+    for pid in forked:
+        if pid in live:
+            assert os.waitpid(pid, os.WNOHANG) == (0, 0)
+        else:
+            with pytest.raises(ChildProcessError):
+                os.waitpid(pid, os.WNOHANG)
+
+
+def assert_no_children_after_stop():
+    _fanout._stop()
+    assert _fanout._helpers == []
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 
@@ -63,15 +96,35 @@ def serial(instance, count, seed, **kwargs):
 @pytest.mark.parametrize("count", [0, 1, 99, 100, 101, 129, 300, 1000])
 @pytest.mark.parametrize("instance", CAMPAIGNS, ids=lambda fn: fn.__name__)
 def test_records_are_the_serial_records(use_cpus, forked, instance, count):
-    # max_dim reaches the draws of every slice
-    for dims in ({}, {"max_dim": 3}):
-        want = json.dumps(serial(instance, count, 21, **dims))
-        for cpus in (1, 2, 3, 4):
-            use_cpus(cpus)
-            forked.clear()
+    # max_dim reaches the draws of every slice; each helper is forked once,
+    # by the first campaign with a slice for it
+    wants = [json.dumps(serial(instance, count, 21, **dims)) for dims in ({}, {"max_dim": 3})]
+    for cpus in (1, 2, 3, 4):
+        use_cpus(cpus)
+        for dims, want in zip(({}, {"max_dim": 3}), wants):
             assert json.dumps(m.run_campaign(instance, count, 21, **dims)) == want
-            assert len(forked) == forks_for(count, cpus)
-    assert_no_children()
+            assert len(forked) == len(_fanout._helpers) == forks_for(count, cpus)
+    assert helper_pids() == forked
+    assert_no_children_after_stop()
+
+
+def test_three_campaigns_fork_each_helper_once(use_cpus, forked):
+    use_cpus(3)
+    for instance in CAMPAIGNS:
+        records = m.run_campaign(instance, 300, 7)
+        assert json.dumps(records) == json.dumps(serial(instance, 300, 7))
+    assert len(forked) == 2
+    assert helper_pids() == forked
+    assert_only_helpers_left(forked)
+    assert_no_children_after_stop()
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="reads /proc/<pid>/fd")
+def test_helpers_stdio_is_dev_null(use_cpus, forked):
+    use_cpus(2)
+    m.run_campaign(m.gentle_instance, 100, 1)
+    (pid,) = helper_pids()
+    assert [os.readlink(f"/proc/{pid}/fd/{fd}") for fd in (0, 1, 2)] == [os.devnull] * 3
 
 
 def test_slices_are_contiguous_in_index_order(use_cpus):
@@ -122,8 +175,10 @@ def test_lowest_failing_instance_raises_what_the_serial_run_raises(use_cpus, for
     want = outcome(serial, m.learning_instance, 200, 5)
     assert want[0] is error
     assert outcome(m.run_campaign, m.learning_instance, 200, 5) == want
+    # the helper raised, or was busy when the parent raised: it is reaped
     assert len(forked) == 1
-    assert_no_children()
+    assert _fanout._helpers == []
+    assert_only_helpers_left(forked)
 
 
 class Unpicklable(ValueError):
@@ -157,18 +212,19 @@ def no_fork():
 
 
 @pytest.mark.parametrize(
-    "cpus, instance, count, seed, fault",
+    "cpus, instance, count, seed, fault, left",
     [
-        pytest.param(3, m.sequential_instance, 300, 9, kill_in_child, id="killed"),
-        pytest.param(2, m.gentle_instance, 200, 3, raise_unpicklable, id="unpicklable"),
-        pytest.param(4, m.learning_instance, 300, 8, None, id="fork-fails"),
-        pytest.param(2, m.gentle_instance, 200, 3, raise_in_child, id="raises-in-child-only"),
+        pytest.param(3, m.sequential_instance, 300, 9, kill_in_child, 1, id="killed"),
+        pytest.param(2, m.gentle_instance, 200, 3, raise_unpicklable, 0, id="unpicklable"),
+        pytest.param(4, m.learning_instance, 300, 8, None, 0, id="fork-fails"),
+        pytest.param(2, m.gentle_instance, 200, 3, raise_in_child, 0, id="raises-in-child-only"),
     ],
 )
 def test_slice_no_child_sends_is_rerun_in_the_parent(
-    use_cpus, forked, monkeypatch, cpus, instance, count, seed, fault
+    use_cpus, forked, monkeypatch, cpus, instance, count, seed, fault, left
 ):
-    # fault(drawn, in_child) runs before each kernel call; None: no fork starts
+    # fault(drawn, in_child) runs before each kernel call; None: no fork
+    # starts.  A helper that sent nothing is reaped; `left` helpers stay
     use_cpus(cpus)
     if fault is None:
         monkeypatch.setattr(os, "fork", no_fork)
@@ -184,27 +240,107 @@ def test_slice_no_child_sends_is_rerun_in_the_parent(
     want = outcome(serial, instance, count, seed)
     assert outcome(m.run_campaign, instance, count, seed) == want
     assert len(forked) == (0 if fault is None else forks_for(count, cpus))
-    assert_no_children()
+    assert len(_fanout._helpers) == left
+    assert_only_helpers_left(forked)
+    assert_no_children_after_stop()
+
+
+@pytest.mark.parametrize("during", [False, True], ids=["between-campaigns", "during-a-slice"])
+def test_killed_helper_is_replaced(use_cpus, forked, monkeypatch, during):
+    use_cpus(2)
+    want = json.dumps(serial(m.gentle_instance, 200, 3))
+    parent = os.getpid()
+    draw, kernel = m.gentle_instance.campaign
+
+    def killing(drawn):
+        # the helper waits in its slice; the parent kills it from its own
+        if os.getpid() != parent:
+            time.sleep(60)
+        elif holds(drawn, 0):
+            os.kill(helper_pids()[0], signal.SIGKILL)
+        return kernel(drawn)
+
+    if during:
+        monkeypatch.setattr(m.gentle_instance, "campaign", (draw, killing))
+    else:
+        assert json.dumps(m.run_campaign(m.gentle_instance, 200, 3)) == want
+        os.kill(forked[0], signal.SIGKILL)
+    # the parent reruns the helper's slice, then reaps and drops it
+    assert json.dumps(m.run_campaign(m.gentle_instance, 200, 3)) == want
+    assert len(forked) == 1
+    assert _fanout._helpers == []
+    assert_only_helpers_left(forked)
+    # the next campaign forks a new helper, which runs the unpatched kernel
+    monkeypatch.setattr(m.gentle_instance, "campaign", (draw, kernel))
+    assert json.dumps(m.run_campaign(m.gentle_instance, 200, 3)) == want
+    assert len(forked) == 2
+    assert helper_pids() == forked[1:]
+    assert_only_helpers_left(forked)
+    assert_no_children_after_stop()
 
 
 def test_no_child_outlives_an_interrupt(use_cpus, forked, monkeypatch):
-    # the child sleeps in its slice; the parent is interrupted in its own
-    use_cpus(2)
+    # campaign seed 99: the helper sleeps in its slice and the parent is
+    # interrupted in its own; the helper that got no slice stays
+    use_cpus(3)
     parent = os.getpid()
     draw, kernel = m.gentle_instance.campaign
 
     def interrupted(drawn):
+        if drawn[0][0][0] != 99:
+            return kernel(drawn)
         if os.getpid() != parent:
             time.sleep(60)
         raise KeyboardInterrupt
 
     monkeypatch.setattr(m.gentle_instance, "campaign", (draw, interrupted))
+    assert json.dumps(m.run_campaign(m.gentle_instance, 300, 4)) == json.dumps(serial(m.gentle_instance, 300, 4))
+    assert len(forked) == 2
+    use_cpus(2)
     start = time.monotonic()
     with pytest.raises(KeyboardInterrupt):
-        m.run_campaign(m.gentle_instance, 200, 4)
+        m.run_campaign(m.gentle_instance, 200, 99)
     assert time.monotonic() - start < 30
+    assert len(forked) == 2
+    assert helper_pids() == forked[1:]
+    assert_only_helpers_left(forked)
+    assert_no_children_after_stop()
+
+
+def test_request_that_does_not_pickle_runs_in_the_parent(use_cpus, forked):
+    class Dim(int):
+        """A max_dim of a local class, which pickle cannot send."""
+
+    use_cpus(2)
+    want = json.dumps(serial(m.gentle_instance, 200, 3, max_dim=5))
+    for max_dim in (5, Dim(5), 5):
+        assert json.dumps(m.run_campaign(m.gentle_instance, 200, 3, max_dim=max_dim)) == want
     assert len(forked) == 1
-    assert_no_children()
+    assert helper_pids() == forked
+    assert_only_helpers_left(forked)
+    assert_no_children_after_stop()
+
+
+def test_a_forked_child_leaves_the_helpers_alone(use_cpus, forked):
+    # the child forgets the helpers, so stopping them there reaches none
+    use_cpus(2)
+    want = json.dumps(serial(m.gentle_instance, 100, 2))
+    assert json.dumps(m.run_campaign(m.gentle_instance, 100, 2)) == want
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            code = 2 if _fanout._helpers else 0
+            _fanout._stop()
+        finally:
+            os._exit(code)
+    forked.remove(pid)
+    assert os.waitpid(pid, 0)[1] == 0
+    assert json.dumps(m.run_campaign(m.gentle_instance, 100, 2)) == want
+    assert len(forked) == 1
+    assert helper_pids() == forked
+    assert_only_helpers_left(forked)
+    assert_no_children_after_stop()
 
 
 def test_fork_warning_of_threaded_processes_is_ignored(use_cpus, forked, monkeypatch):
@@ -224,13 +360,39 @@ def test_fork_warning_of_threaded_processes_is_ignored(use_cpus, forked, monkeyp
     assert json.dumps(records) == json.dumps(serial(m.gentle_instance, 100, 6))
 
 
-def run_python(code, *args):
+def python_env():
     env = dict(os.environ)
     env.pop("PYTHONUNBUFFERED", None)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, (str(SRC), env.get("PYTHONPATH"))))
+    return env
+
+
+def run_python(code, *args):
     return subprocess.run(
-        [sys.executable, "-c", code, *args], capture_output=True, env=env, timeout=120, check=True
+        [sys.executable, "-c", code, *args], capture_output=True, env=python_env(), timeout=120, check=True
     ).stdout
+
+
+def test_no_process_outlives_a_command():
+    # the helpers hold no copy of the command's stdout, and are reaped
+    # before it exits: its process group is empty once it has been reaped
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "sfebounds", "verify-lemmas", "--instances", "200", "--json"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=python_env(),
+        start_new_session=True,
+    )
+    try:
+        out, err = proc.communicate(timeout=120)
+    except subprocess.TimeoutExpired:
+        os.killpg(proc.pid, signal.SIGKILL)
+        proc.communicate()
+        raise
+    assert (proc.returncode, err) == (0, b"")
+    assert len(out.splitlines()) == 600
+    with pytest.raises(ProcessLookupError):
+        os.killpg(proc.pid, 0)
 
 
 # stdout is a pipe, so Python buffers it: a child that flushed the buffer it

@@ -805,6 +805,15 @@ class TestCampaignKernels:
         message = error_message(m.run_campaign, instance, -3, 0)
         assert message == "instances must be at least 0, got -3"
 
+    @pytest.mark.parametrize("count", [True, False, 2.0, "3", None])
+    def test_non_integer_count_refused(self, count):
+        message = error_message(m.run_campaign, m.gentle_instance, count, 0)
+        assert message == f"instances must be an integer, got {count!r}"
+
+    def test_numpy_int_count_gives_the_python_int_records(self):
+        want = m.run_campaign(m.sequential_instance, 7, 2)
+        assert json.dumps(m.run_campaign(m.sequential_instance, np.int64(7), 2)) == json.dumps(want)
+
     # the draws share one generator, reset by each _rng call: a draw that
     # held two generators at once would read the wrong stream here
     @pytest.mark.parametrize("chunk", [1, 7, 64, 128])
@@ -857,21 +866,37 @@ class TestCampaignKernels:
 
 
 class TestCampaignParameters:
-    """Each draw refuses a ``max_dim`` below 2, which leaves no dimension to
-    draw, before it builds a generator."""
+    """Each draw refuses a ``max_dim`` that is not an integer from 2 to 16
+    (the module's ``dim <= 16``), before it builds a generator."""
 
     @pytest.mark.parametrize(
-        "instance,max_dim",
-        [(m.gentle_instance, 1), (m.sequential_instance, 0), (m.learning_instance, -3)],
+        "instance,max_dim,message",
+        [
+            (m.gentle_instance, 1, "max_dim must be at least 2, got 1"),
+            (m.sequential_instance, 0, "max_dim must be at least 2, got 0"),
+            (m.learning_instance, -3, "max_dim must be at least 2, got -3"),
+            (m.gentle_instance, 17, "max_dim must be at most 16, got 17"),
+            (m.sequential_instance, 10**30, f"max_dim must be at most 16, got {10**30}"),
+            (m.learning_instance, np.int64(17), "max_dim must be at most 16, got 17"),
+            (m.gentle_instance, 2.5, "max_dim must be an integer, got 2.5"),
+            (m.sequential_instance, 8.0, "max_dim must be an integer, got 8.0"),
+            (m.learning_instance, True, "max_dim must be an integer, got True"),
+            (m.gentle_instance, "8", "max_dim must be an integer, got '8'"),
+        ],
     )
-    def test_bad_sizes_raise_before_any_generator(self, monkeypatch, instance, max_dim):
+    def test_bad_sizes_raise_before_any_generator(self, monkeypatch, instance, max_dim, message):
         def no_generator(seed):
             raise AssertionError("a generator was built")
 
         monkeypatch.setattr(m, "_rng", no_generator)
-        message = f"max_dim must be at least 2, got {max_dim}"
         assert error_message(lambda: m.run_campaign(instance, 5, 3, max_dim=max_dim)) == message
         assert error_message(lambda: instance([3, 0], max_dim=max_dim)) == message
+
+    @pytest.mark.parametrize("instance", CAMPAIGNS, ids=lambda fn: fn.__name__)
+    def test_largest_and_numpy_int_sizes_run(self, instance):
+        records = m.run_campaign(instance, 7, 3, max_dim=16)
+        assert max(r["dims"] for r in records) <= 16
+        assert json.dumps(m.run_campaign(instance, 7, 3, max_dim=np.int64(16))) == json.dumps(records)
 
     @pytest.mark.parametrize("instance", CAMPAIGNS, ids=lambda fn: fn.__name__)
     def test_smallest_sizes_run(self, instance):
