@@ -35,8 +35,12 @@ raises what one process raises.  A request that does not pickle runs
 whole in this process and leaves the helpers as they are.  An ``atexit``
 hook closes, kills and reaps the helpers left, so none outlives the
 process; an unreaped helper keeps its pid, so a kill can reach no other
-process.  A process forked from this one closes its copies of the
-helpers' pipes and forgets them, as they are not its children.
+process.  While SIGCHLD is ignored (``SIG_IGN``), the kernel reaps a
+helper as soon as it exits, and its pid is free for another process:
+then every call runs in this process, and ending a helper only closes
+its pipes, on which the idle helper exits.  A process forked from this
+one closes its copies of the helpers' pipes and forgets them, as they
+are not its children.
 
 Why helpers are kept: on a 2-vCPU VM a fork cost a 100-instance campaign
 12-14 ms of its critical path, more than its second slice saved.  The
@@ -51,8 +55,10 @@ spawned child would import numpy and the package again, which takes longer
 than a 100-instance campaign.  Fork is safe only while no other Python
 thread runs, so the runner stays in-process unless it is called from the
 main thread with no other thread alive; it also stays there on one CPU
-(``taskset -c 0``), below ``2 * MIN_SLICE`` indices, and where the
-platform lacks ``os.fork`` or ``os.sched_getaffinity``.
+(``taskset -c 0``), below ``2 * MIN_SLICE`` indices, while SIGCHLD is
+ignored, and where the platform lacks ``os.fork`` or
+``os.sched_getaffinity``.  Both the thread and the SIGCHLD guard are
+checked on every call.
 """
 
 from __future__ import annotations
@@ -78,6 +84,7 @@ def _slices(count: int) -> list[range]:
         and hasattr(os, "sched_getaffinity")
         and threading.current_thread() is threading.main_thread()
         and threading.active_count() == 1
+        and signal.getsignal(signal.SIGCHLD) != signal.SIG_IGN
     ):
         workers = max(1, min(len(os.sched_getaffinity(0)), count // MIN_SLICE))
     size, extra = divmod(count, workers)
@@ -121,10 +128,15 @@ class _Helper:
         self.replies.close()
 
     def end(self) -> None:
-        """Close the pipes, then kill and reap the helper."""
+        """Close the pipes, then kill and reap the helper.  While SIGCHLD
+        is ignored, no call fans out, so the helper is idle and exits on
+        its closed request pipe; the kernel reaps it then, and its pid may
+        already be another process's, so it is neither killed nor waited
+        for."""
         self.close()
-        os.kill(self.pid, signal.SIGKILL)
-        os.waitpid(self.pid, 0)
+        if signal.getsignal(signal.SIGCHLD) != signal.SIG_IGN:
+            os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
 
 
 _helpers: list[_Helper] = []  # this process's live helpers, idle between calls

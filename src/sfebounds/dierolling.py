@@ -12,16 +12,22 @@ f(x, y), nothing else leaks), so the harness checks the wrapper logic and
 the classical cheating identities, not any particular protocol: a blind
 guesser forces a fixed outcome at rate 1/|Y|, and a receiver who can
 produce the answers for a declared set S of inputs forces it at |S|/|Y|.
+The receiver's knowledge is declared once, for every trial, and does not
+depend on the sender's input, which he never sees.
 
 The trials' inputs and shifts come from one counter-based Philox stream
 keyed by the master seed: all xs, then all ys, then all shifts b.  Results
 are reproducible for a given seed and trial count.  A longer run does not
 extend a shorter one: its ys and bs start where its xs end, so only the
-first xs are shared.
+first xs are shared.  Every runner takes ``trials`` and ``seed`` through
+one check: each is an integer, not a bool, and becomes a Python int, and
+there is at least one trial.
 """
 
 from __future__ import annotations
 
+import operator
+from numbers import Integral
 from typing import Callable, Collection, NamedTuple, Union
 
 import numpy as np
@@ -50,22 +56,32 @@ class AliceView(NamedTuple):
 
 
 AliceStrategy = Callable[[AliceView], np.ndarray]
-BobKnowledge = Union[str, Collection[int], Callable[[SfeTask, int, int], Collection[int]]]
+BobKnowledge = Union[str, Collection[int]]
 
 
 def _trial_rng(seed: int, *stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(np.random.SeedSequence([seed, *stream])))
 
 
-def _draw_trials(task: SfeTask, trials: int, seed: int):
-    """Yield each trial's x, then its y, then its shift b, as one array
-    each, for at least one trial.  An array is drawn only when asked for,
-    and the generator keeps none of them: a caller holds just the arrays
-    it binds, and the stream stops before those it never asks for.  No
-    table is read: the histogram has 2·y_size bins before its fold and the
-    inputs are drawn as int64, which bounds the sizes."""
+def _checked(trials, seed) -> tuple[int, int]:
+    """``trials`` and ``seed`` as Python ints.  ValueError naming the one
+    that is not an integer (a bool included), then on fewer than one
+    trial; numpy refuses a negative seed when the stream is keyed."""
+    for name, value in (("trials", trials), ("seed", seed)):
+        if not isinstance(value, Integral) or isinstance(value, bool):
+            raise ValueError(f"{name} must be an integer, got {value!r}")
     if trials < 1:
         raise ValueError("trials must be positive")
+    return operator.index(trials), operator.index(seed)
+
+
+def _draw_trials(task: SfeTask, trials: int, seed: int):
+    """Yield each trial's x, then its y, then its shift b, as one array
+    each, for ``_checked`` trials and seed.  An array is drawn only when
+    asked for, and the generator keeps none of them: a caller holds just
+    the arrays it binds, and the stream stops before those it never asks
+    for.  No table is read: the histogram has 2·y_size bins before its
+    fold and the inputs are drawn as int64, which bounds the sizes."""
     if task.y_size > MATERIALIZE_CAP or task.x_size >= 2**63:
         raise TaskError(f"die-rolling needs y_size <= {MATERIALIZE_CAP} and x_size < 2**63")
     rng = _trial_rng(seed, 0)
@@ -118,6 +134,7 @@ def run_honest(task: SfeTask, trials: int, seed: int = 0) -> DrStats:
     where ys and bs start in the stream, but let go unread, and the sums
     b + y, which ``_stats`` reduces, are formed in place in bs.
     """
+    trials, seed = _checked(trials, seed)
     draws = _draw_trials(task, trials, seed)
     next(draws)  # the xs
     ys, bs = draws
@@ -140,6 +157,7 @@ def run_cheating_alice(
     honest, so nothing triggers an abort.  ``guesser`` maps an AliceView
     to one guess per trial (vectorized).
     """
+    trials, seed = _checked(trials, seed)
     draws = _draw_trials(task, trials, seed)
     xs, ys = next(draws), next(draws)  # the shifts come last and are never drawn
     view = AliceView(task=task, xs=xs, rng=_trial_rng(seed, 1))
@@ -155,29 +173,16 @@ def run_cheating_alice(
 
 
 def _revealed(
-    task: SfeTask, learner: BobKnowledge, required: np.ndarray, xs: np.ndarray, ys: np.ndarray
+    task: SfeTask, learner: BobKnowledge, required: np.ndarray, ys: np.ndarray
 ) -> np.ndarray:
     """The input the receiver reveals in each trial: the required one when
-    its answer is known, else the least known input, or the honest input
-    when none is known.  A declared collection forms it in ``required``,
-    which the caller does not read again."""
+    its answer is known, else the least known input.  A declared
+    collection forms it in ``required``, which the caller does not read
+    again."""
     if learner == "full":
         return required
     if learner == "honest":
         return ys
-    if callable(learner):
-        # knowledge is fixed before the shift arrives, so the callable sees
-        # only the trial's inputs, never the required reveal
-        revealed = ys.copy()
-        for t in range(len(required)):
-            s = set(learner(task, int(xs[t]), int(ys[t])) or ())
-            if s and (min(s) < 0 or max(s) >= task.y_size):
-                raise ValueError("knowledge set outside the input range")
-            if int(required[t]) in s:
-                revealed[t] = required[t]
-            elif s:
-                revealed[t] = min(s)
-        return revealed
     s = sorted(set(int(y) for y in learner))
     if not s:
         raise ValueError("knowledge set must not be empty")
@@ -197,28 +202,28 @@ def run_cheating_bob(
     """Cheating receiver tries to force outcome 0 against an honest sender.
 
     Forcing outcome 0 requires revealing y = -b mod |Y| along with the
-    correct f(x, y).  ``learner`` declares which answer entries the
-    receiver can produce: "full" (all of them), "honest" (only the entry
-    for his honest input), an explicit collection of y indices, or a
-    callable (task, x, honest_y) -> collection.  When the required entry
-    is unknown he reveals a known one instead, which keeps the sender
-    from aborting but forfeits the forcing attempt, so the forcing rate
-    converges to |S|/|Y|.  ValueError on a known input outside range(|Y|),
-    from a collection or a callable alike, and on an empty collection.
+    correct f(x, y).  ``learner`` declares, before any trial, which answer
+    entries the receiver can produce: "full" (all of them),
+    "honest" (only the entry for his honest input), or an explicit
+    collection of y indices.  When the required entry is unknown he
+    reveals a known one instead, which keeps the sender from aborting but
+    forfeits the forcing attempt, so the forcing rate converges to
+    |S|/|Y|.  ValueError on a known input outside range(|Y|) and on an
+    empty collection; a learner that is not iterable, such as a callable,
+    raises TypeError.
 
-    Holds three trial arrays, ys, bs and the required reveals, unless the
-    learner is callable: only a callable reads the xs, and it reveals into
-    a copy of the ys.  The sums b + y, which ``_stats`` reduces, are formed
-    in place in bs.
+    Holds three trial arrays, ys, bs and the required reveals: the xs are
+    drawn, since they fix where ys and bs start in the stream, but let go
+    unread.  The sums b + y, which ``_stats`` reduces, are formed in place
+    in bs.
     """
+    trials, seed = _checked(trials, seed)
     draws = _draw_trials(task, trials, seed)
-    xs = next(draws)
-    if not callable(learner):
-        xs = None  # let go before the ys are drawn
+    next(draws)  # the xs
     ys, bs = draws
     required = np.negative(bs)
     required %= task.y_size
-    bs += _revealed(task, learner, required, xs, ys)
+    bs += _revealed(task, learner, required, ys)
     return _stats(bs, task.y_size, seed)
 
 

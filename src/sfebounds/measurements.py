@@ -243,14 +243,14 @@ class LearnReport(NamedTuple):
 
     ``bound`` is p - 2*(n-1)*sqrt(1-p) for the average individual success
     p; ``achieved`` is the measured success of the middle-averaged
-    combined strategy; ``slack`` their difference.
+    combined strategy, which ``holds`` when ``achieved - bound`` is at
+    least ``-CHECK_TOL``.
     """
 
     individual_success: tuple
     average: float
     bound: float
     achieved: float
-    slack: float
     holds: bool
     averaged_bound: float
 
@@ -560,15 +560,13 @@ def _learn_reports(encs: Sequence, elements: Sequence, roots: Sequence) -> list:
         averaged_bound = 1.0 - sum(epsilons) / n - (2.0 * (n - 1) / n) * sum(
             map(math.sqrt, epsilons)
         )
-        slack = achieved - bound
         reports.append(
             LearnReport(
                 individual_success=tuple(individual),
                 average=average,
                 bound=bound,
                 achieved=achieved,
-                slack=slack,
-                holds=bool(slack >= -CHECK_TOL),
+                holds=bool(achieved - bound >= -CHECK_TOL),
                 averaged_bound=averaged_bound,
             )
         )

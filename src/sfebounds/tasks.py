@@ -134,7 +134,8 @@ class FamilySpec(_FamilyFields):
     """Parametric family descriptor: a tag from FAMILY_TAGS plus int params.
 
     ``__new__`` is the one place family parameters are checked, for
-    ``_replace`` too: it keeps its own copy of ``params`` and raises
+    ``_replace`` too: it keeps its own copy of ``params``, with every
+    integer a Python int (a numpy integer included, a bool not), and raises
     TaskError on any the family refuses.
     """
 
@@ -150,8 +151,9 @@ class FamilySpec(_FamilyFields):
                 f"family {family!r} takes parameters {kind.keys}, got {tuple(params)}"
             )
         for key, value in params.items():
-            if not isinstance(value, int) or isinstance(value, bool) or value < 1:
+            if not isinstance(value, Integral) or isinstance(value, bool) or value < 1:
                 raise TaskError(f"parameter {key}={value!r} must be a positive integer")
+            params[key] = operator.index(value)  # a numpy int becomes a Python int
         if kind.rule is not None and not kind.rule[0](**params):
             raise TaskError(kind.rule[1])
         if kind.bits is not None and kind.bits(**params) > MAX_SIZE_BITS:

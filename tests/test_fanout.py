@@ -412,6 +412,30 @@ def test_buffered_stdout_is_written_once():
     assert run_python(BUFFERED_CHILD) == b"before\nafter 300\n"
 
 
+# a campaign forks its helper, and SIGCHLD is then ignored: the kernel
+# reaps a child that exits, so a later kill or waitpid could meet another
+# process or none.  The next campaign runs in one slice, and the idle
+# helper is left to exit when its request pipe closes
+IGNORED_SIGCHLD_CHILD = """
+import json, os, signal
+from sfebounds import _fanout, measurements
+os.sched_getaffinity = lambda pid: {0, 1}
+print(json.dumps(measurements.run_campaign(measurements.gentle_instance, 200, 3)))
+signal.signal(signal.SIGCHLD, signal.SIG_IGN)
+print(json.dumps(measurements.run_campaign(measurements.gentle_instance, 200, 3)))
+print(len(_fanout._slices(200)), len(_fanout._helpers))
+"""
+
+
+def test_ignored_sigchld_runs_in_process_and_exits_cleanly():
+    proc = subprocess.run(
+        [sys.executable, "-c", IGNORED_SIGCHLD_CHILD], capture_output=True, env=python_env(), timeout=120
+    )
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    want = json.dumps(serial(m.gentle_instance, 200, 3))
+    assert proc.stdout.decode().splitlines() == [want, want, "1 1"]
+
+
 CLI_CHILD = """
 import os, sys
 from sfebounds import cli

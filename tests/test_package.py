@@ -178,14 +178,20 @@ def _attribute_reads(nodes) -> set:
     }
 
 
+def _is_named_tuple(cls: ast.ClassDef) -> bool:
+    return any(isinstance(base, ast.Name) and base.id == "NamedTuple" for base in cls.bases)
+
+
 def test_every_public_name_is_reached_outside_the_tests():
     """A public name, exported or a module-level function or class of a
     submodule, stays only while something besides its own definition and
     the unit tests uses it: a package module other than ``__init__``, a
     benchmark file, the acceptance suite, or the README.  A public method
-    or property of a public class stays only while one of those files reads
-    it as an attribute outside the class; a README word does not count, as
-    short names such as ``f`` are common words."""
+    or property of a public class, and a field of a public named tuple,
+    its own or one it inherits from a private ``_...Fields`` base, stays
+    only while one of those files reads it as an attribute outside the
+    class and that base; a README word does not count, as short names such
+    as ``f`` are common words."""
     modules = {
         path.stem: ast.parse(path.read_text())
         for path in sorted(PACKAGE_DIR.glob("*.py"))
@@ -213,16 +219,27 @@ def test_every_public_name_is_reached_outside_the_tests():
         if name not in used and not re.search(rf"\b{name}\b", readme):
             unreached.append(name)
     for module, cls in classes:
-        reads = _attribute_reads(node for node in modules[module].body if node is not cls).union(
+        bases = {base.id for base in cls.bases if isinstance(base, ast.Name) and base.id.startswith("_")}
+        owners = [cls] + [
+            node for node in modules[module].body if isinstance(node, ast.ClassDef) and node.name in bases
+        ]
+        outside = [node for node in modules[module].body if all(node is not owner for owner in owners)]
+        reads = _attribute_reads(outside).union(
             *(_attribute_reads(tree.body) for where, tree in trees.items() if where != module)
         )
-        unreached.extend(
-            f"{cls.name}.{node.name}"
+        methods = [
+            node.name
             for node in cls.body
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-            and not node.name.startswith("_")
-            and node.name not in reads
-        )
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and not node.name.startswith("_")
+        ]
+        fields = [
+            node.target.id
+            for owner in owners
+            if _is_named_tuple(owner)
+            for node in owner.body
+            if isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name)
+        ]
+        unreached.extend(f"{cls.name}.{name}" for name in methods + fields if name not in reads)
     assert unreached == []
 
 

@@ -162,6 +162,10 @@ class TestConstructors:
             ("eq", dict(n=False)),
             ("knot", dict(alphabet=2, n=4, k=4)),
             ("ot", {"alphabet": "2", "n": 2}),
+            ("eq", dict(n=np.int64(1))),
+            ("eq", dict(n=np.int64(0))),
+            ("eq", dict(n=np.float64(3))),
+            ("eq", dict(n=np.bool_(True))),
             ("ot", dict(alphabet=2, n=MAX_SIZE_BITS + 1)),
             ("ot", dict(alphabet=3, n=MAX_SIZE_BITS // 2 + 1)),
             ("ot", dict(alphabet=2**MAX_SIZE_BITS + 1, n=1)),
@@ -209,6 +213,14 @@ class TestConstructors:
         params["n"] = 1
         assert spec.params == {"n": 5}
         assert make_family("eq", n=5).family == spec
+
+    @pytest.mark.parametrize("integer", [np.int64, np.int32, np.uint8])
+    def test_numpy_integer_params_become_python_ints(self, integer):
+        task = make_family("ot", alphabet=integer(2), n=integer(3))
+        assert task == make_family("ot", alphabet=2, n=3)
+        assert {type(v) for v in task.family.params.values()} == {int}
+        assert repr(task.family) == "FamilySpec(family='ot', params={'alphabet': 2, 'n': 3})"
+        assert (task.name, task.x_size, task.y_size, task.b_size) == ("1-of-3 OT (alphabet 2)", 8, 3, 2)
 
     def test_spec_is_a_named_tuple_built_through_its_checks(self):
         spec = FamilySpec("eq", {"n": 5})
