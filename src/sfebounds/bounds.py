@@ -68,14 +68,12 @@ from __future__ import annotations
 
 import functools
 import math
-import operator
 import sys
 from decimal import ROUND_HALF_UP, Decimal
 from fractions import Fraction
-from numbers import Integral
 from typing import Iterable, NamedTuple, Optional, TextIO, Union
 
-from .tasks import SfeTask, a_rand, b_rand
+from .tasks import COUNT_RANGES, SfeTask, _integer, a_rand, b_rand
 
 Rational = Union[Fraction, int, float]
 
@@ -168,13 +166,9 @@ def _c_b_rows(c_as: Iterable[float], n: int, d: int, m: int) -> list[float]:
 def _baseline(b_rand_value: Rational, y_size: int) -> tuple[int, int, int]:
     """(N, D, m) for b_rand = N/D in lowest terms and m = |Y| - 1, Python
     ints: the one check of the two inputs every entry point below takes.
-    ValueError unless |Y| is an integer (not a bool) and |Y| >= 1 and
-    b_rand > 0, then InsecureTaskError unless b_rand < 1."""
-    if not isinstance(y_size, Integral) or isinstance(y_size, bool):
-        raise ValueError(f"y_size must be an integer, got {y_size!r}")
-    y_size = operator.index(y_size)  # a numpy int becomes a Python int
-    if y_size < 1:
-        raise ValueError("y_size must be positive")
+    ValueError unless |Y| is an integer of at least 1 by ``tasks._integer``
+    and b_rand > 0, then InsecureTaskError unless b_rand < 1."""
+    y_size = _integer("y_size", y_size, 1)
     br = Fraction(b_rand_value)
     if br <= 0:
         raise ValueError("b_rand must be positive")
@@ -327,17 +321,18 @@ def emit_curve(
 
     ``ca_max`` defaults to the c_B = 1 crossing, matching how the curves are
     plotted.  With ``clip_below_one`` samples whose c_B is below 1 are dropped
-    (the plots show only c_B >= 1).  OverflowError when 1/b_rand or a row's
-    c_B is beyond a float, ValueError when the c_A range is empty or the
-    float c_A grid does not strictly increase.
+    (the plots show only c_B >= 1).  ``samples`` goes through
+    ``tasks._integer`` over its ``COUNT_RANGES`` range, 2 to 5*10^6, which
+    bounds the grid's memory.  OverflowError when 1/b_rand or a row's c_B
+    is beyond a float, ValueError when the c_A range is empty or the float
+    c_A grid does not strictly increase.
     """
     n, d, m = _baseline(b_rand_value, y_size)
     if Fraction(d, n) > sys.float_info.max:  # exact: d / n raises instead of comparing
         raise OverflowError(
             "1/b_rand is beyond the float range; the trade-off curve is computed in floats"
         )
-    if samples < 2:
-        raise ValueError("need at least 2 samples")
+    samples = _integer("samples", samples, *COUNT_RANGES["samples"])
     at_crossing = ca_max is None
     if at_crossing:
         ca_max = ca_crossing(b_rand_value, y_size)

@@ -11,12 +11,14 @@ Each command returns its whole output, and ``main`` writes it once, to --out
 Each command accepts only the flags it reads, and refuses any other with its
 own usage: all take --out, all but curve (always CSV) take --json, and only
 bound takes --full-precision.  ``FLAG_RANGES`` is the one place that knows
-what each numeric flag beside the task's accepts: ``_check_flags`` refuses a
-value outside it, or a float flag that is nan or infinite, before the
-command does any work, and each of these flags' --help states its range from
-it.  The task flags are checked with the task, as task files are, and a
-task flag the task does not take (``--alphabet`` or ``--k`` for a family
-without that parameter, any of them with --task-file) is a TaskError.
+what each numeric flag beside the task's accepts, and a count flag's entry is
+the library's own ``tasks.COUNT_RANGES`` entry, so the two cannot drift:
+``_check_flags`` refuses a value outside it, or a float flag that is nan or
+infinite, before the command does any work, and each of these flags' --help
+states its range from it.  The task flags are checked with the task, as task
+files are, and a task flag the task does not take (``--alphabet`` or ``--k``
+for a family without that parameter, any of them with --task-file) is a
+TaskError.
 """
 
 from __future__ import annotations
@@ -40,20 +42,14 @@ EXIT_BAD_TASK = 2
 EXIT_INSECURE = 3
 EXIT_VIOLATION = 4
 
-# a run holds two int64 arrays of its trials, 16 bytes a trial: 1.6 GB at the cap
-MAX_TRIALS = 10**8
-# a row holds about 200 bytes until the CSV is written: 1.0 GB peak RSS at the cap
-MAX_SAMPLES = 5 * 10**6
-# records stay in memory until written, 0.7-2.4 KB an instance per campaign: 0.5 GB at the cap
-MAX_INSTANCES = 10**5
-
-# flag -> (least, most) value it accepts, None for no bound; checked in this order
+# flag -> (least, most) value it accepts, None for no bound; checked in this
+# order.  A count flag's entry is the library's own, which bounds its memory.
 FLAG_RANGES = {
-    "--instances": (0, MAX_INSTANCES),
-    "--max-dim": (2, 16),  # the measurements layer is written for dim <= 16
-    "--seed": (0, None),
-    "--trials": (1, MAX_TRIALS),
-    "--samples": (2, MAX_SAMPLES),
+    "--instances": tasks.COUNT_RANGES["instances"],
+    "--max-dim": tasks.COUNT_RANGES["max_dim"],
+    "--seed": tasks.COUNT_RANGES["seed"],
+    "--trials": tasks.COUNT_RANGES["trials"],
+    "--samples": tasks.COUNT_RANGES["samples"],
     "--ca-min": (1.0, None),
     "--ca-max": (1.0, None),
 }

@@ -20,19 +20,18 @@ keyed by the master seed: all xs, then all ys, then all shifts b.  Results
 are reproducible for a given seed and trial count.  A longer run does not
 extend a shorter one: its ys and bs start where its xs end, so only the
 first xs are shared.  Every runner takes ``trials`` and ``seed`` through
-one check: each is an integer, not a bool, and becomes a Python int, and
-there is at least one trial.
+one check, the library's integer rule (``tasks._integer``) over their
+``COUNT_RANGES`` ranges: 1 to 10^8 trials, whose two int64 arrays hold
+1.6 GB at the cap, and a seed of at least 0.  Each becomes a Python int.
 """
 
 from __future__ import annotations
 
-import operator
-from numbers import Integral
 from typing import Callable, Collection, NamedTuple, Union
 
 import numpy as np
 
-from .tasks import MATERIALIZE_CAP, SfeTask, TaskError
+from .tasks import COUNT_RANGES, MATERIALIZE_CAP, SfeTask, TaskError, _integer
 
 
 class DrStats(NamedTuple):
@@ -64,15 +63,10 @@ def _trial_rng(seed: int, *stream: int) -> np.random.Generator:
 
 
 def _checked(trials, seed) -> tuple[int, int]:
-    """``trials`` and ``seed`` as Python ints.  ValueError naming the one
-    that is not an integer (a bool included), then on fewer than one
-    trial; numpy refuses a negative seed when the stream is keyed."""
-    for name, value in (("trials", trials), ("seed", seed)):
-        if not isinstance(value, Integral) or isinstance(value, bool):
-            raise ValueError(f"{name} must be an integer, got {value!r}")
-    if trials < 1:
-        raise ValueError("trials must be positive")
-    return operator.index(trials), operator.index(seed)
+    """``trials`` and ``seed`` as Python ints, or ValueError naming the first
+    that breaks ``_integer`` over its ``COUNT_RANGES`` range."""
+    named = ("trials", trials), ("seed", seed)
+    return tuple(_integer(name, value, *COUNT_RANGES[name]) for name, value in named)
 
 
 def _draw_trials(task: SfeTask, trials: int, seed: int):
@@ -172,27 +166,39 @@ def run_cheating_alice(
     return _stats(sums, task.y_size, seed)
 
 
+def _declared(task: SfeTask, learner: BobKnowledge) -> Union[str, list[int]]:
+    """``learner`` checked, with the refusals run_cheating_bob lists: "full"
+    or "honest", or its known inputs, distinct and ascending."""
+    if isinstance(learner, str):
+        if learner not in ("full", "honest"):
+            raise ValueError(
+                f'learner must be "full", "honest" or a set of inputs, got {learner!r}'
+            )
+        return learner
+    known = sorted({_integer("known input", y) for y in learner})
+    if not known:
+        raise ValueError("knowledge set must not be empty")
+    if known[0] < 0 or known[-1] >= task.y_size:
+        raise ValueError("knowledge set outside the input range")
+    return known
+
+
 def _revealed(
-    task: SfeTask, learner: BobKnowledge, required: np.ndarray, ys: np.ndarray
+    task: SfeTask, learner: Union[str, list[int]], required: np.ndarray, ys: np.ndarray
 ) -> np.ndarray:
-    """The input the receiver reveals in each trial: the required one when
-    its answer is known, else the least known input.  A declared
-    collection forms it in ``required``, which the caller does not read
-    again."""
+    """The input the receiver reveals in each trial, for a ``_declared``
+    learner: the required one when its answer is known, else the least
+    known input.  A declared collection forms it in ``required``, which
+    the caller does not read again."""
     if learner == "full":
         return required
     if learner == "honest":
         return ys
-    s = sorted(set(int(y) for y in learner))
-    if not s:
-        raise ValueError("knowledge set must not be empty")
-    if s[0] < 0 or s[-1] >= task.y_size:
-        raise ValueError("knowledge set outside the input range")
     # a table of unknown inputs: one byte per input, where np.isin would
     # take two temporary trial arrays
     unknown = np.ones(task.y_size, dtype=bool)
-    unknown[s] = False
-    required[unknown[required]] = s[0]
+    unknown[learner] = False
+    required[unknown[required]] = learner[0]
     return required
 
 
@@ -205,12 +211,15 @@ def run_cheating_bob(
     correct f(x, y).  ``learner`` declares, before any trial, which answer
     entries the receiver can produce: "full" (all of them),
     "honest" (only the entry for his honest input), or an explicit
-    collection of y indices.  When the required entry is unknown he
-    reveals a known one instead, which keeps the sender from aborting but
-    forfeits the forcing attempt, so the forcing rate converges to
-    |S|/|Y|.  ValueError on a known input outside range(|Y|) and on an
-    empty collection; a learner that is not iterable, such as a callable,
-    raises TypeError.
+    collection of y indices, such as a set or a numpy array.  When the
+    required entry is unknown he reveals a known one instead, which keeps
+    the sender from aborting but forfeits the forcing attempt, so the
+    forcing rate converges to |S|/|Y|.  ``trials`` and ``seed`` are checked
+    first, as in every runner, then ``learner``, before any trial is drawn:
+    ValueError on any other string, on a known input that is not an
+    integer by ``tasks._integer`` (a bool included), on one outside
+    range(|Y|) and on an empty collection; a learner that is not iterable,
+    such as a callable, raises TypeError.
 
     Holds three trial arrays, ys, bs and the required reveals: the xs are
     drawn, since they fix where ys and bs start in the stream, but let go
@@ -218,6 +227,7 @@ def run_cheating_bob(
     in bs.
     """
     trials, seed = _checked(trials, seed)
+    learner = _declared(task, learner)
     draws = _draw_trials(task, trials, seed)
     next(draws)  # the xs
     ys, bs = draws

@@ -74,12 +74,12 @@ import contextlib
 import functools
 import itertools
 import math
-import operator
 import threading
-from numbers import Integral
 from typing import Callable, Iterable, NamedTuple, Sequence, Union
 
 import numpy as np
+
+from .tasks import COUNT_RANGES, _integer
 
 HERMITIAN_TOL = 1e-12
 PSD_CLAMP_TOL = 1e-10
@@ -835,27 +835,17 @@ def random_encoding(
 _CHUNK = 128
 
 
-# Every draw takes its dimension from [_MIN_DIM, max_dim], with max_dim at
-# most _MAX_DIM; the sequential and learning draws take at most _MAX_N
-# operators.
-_MIN_DIM = 2
-_MAX_DIM = 16
+# the sequential and learning draws take at most _MAX_N operators
 _MAX_N = 4
 
 
 def _meta(seed: list, max_dim: int) -> tuple:
-    """An instance's meta generator and the dimension it draws first.
-    Refuses a ``max_dim`` that is not an integer from ``_MIN_DIM`` to
-    ``_MAX_DIM``, before any generator."""
-    if not isinstance(max_dim, Integral) or isinstance(max_dim, bool):
-        raise ValueError(f"max_dim must be an integer, got {max_dim!r}")
-    max_dim = operator.index(max_dim)  # a numpy int becomes a Python int
-    if max_dim < _MIN_DIM:
-        raise ValueError(f"max_dim must be at least {_MIN_DIM}, got {max_dim}")
-    if max_dim > _MAX_DIM:
-        raise ValueError(f"max_dim must be at most {_MAX_DIM}, got {max_dim}")
+    """An instance's meta generator and the dimension it draws first, from
+    2 to ``max_dim``.  Refuses a ``max_dim`` outside its ``COUNT_RANGES``
+    range, 2 to 16, before any generator."""
+    max_dim = _integer("max_dim", max_dim, *COUNT_RANGES["max_dim"])
     meta = _rng(seed + [0])
-    return meta, int(meta.integers(_MIN_DIM, max_dim + 1))
+    return meta, int(meta.integers(2, max_dim + 1))
 
 
 def _operator_draw(dim: int, seed: list) -> tuple:
@@ -1085,8 +1075,10 @@ def run_campaign(
     per instance, with ``kwargs``, gives, computed many instances per kernel
     call, in one process per CPU (``_fanout``).  The one keyword an instance
     function takes is ``max_dim``, the largest dimension it draws (2 to 16).
-    ``instances`` is an integer, not a bool; ``seed`` becomes a Python int,
-    which the seed hash takes and a record holds.
+    ``instances`` (0 to 10^5, as the records stay in memory) and ``seed``
+    (at least 0) go through ``tasks._integer`` over their ``COUNT_RANGES``
+    ranges before any work, so each is a Python int, which the seed hash
+    takes and a record holds.
 
     The first campaign that fans out forks one helper process per extra
     slice, and later campaigns in the process reuse them: a helper gets the
@@ -1094,12 +1086,8 @@ def run_campaign(
     and runs the module as it was when it was forked.  Helpers point their
     stdio at /dev/null and are reaped when the process exits; a helper that
     fails is reaped at once and its slice rerun here."""
-    if not isinstance(instances, Integral) or isinstance(instances, bool):
-        raise ValueError(f"instances must be an integer, got {instances!r}")
-    instances = operator.index(instances)
-    if instances < 0:
-        raise ValueError(f"instances must be at least 0, got {instances}")
-    seed = operator.index(seed)
+    instances = _integer("instances", instances, *COUNT_RANGES["instances"])
+    seed = _integer("seed", seed, *COUNT_RANGES["seed"])
     from . import _fanout  # on first use: every command compiles this module
 
     return _fanout.run_slices(_slice_records, instances, instance_fn, seed, kwargs)

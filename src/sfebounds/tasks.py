@@ -17,6 +17,11 @@ family task builds its table from the family formulas only when the table
 is first read, and only up to MATERIALIZE_CAP cells, so bounds and curves,
 which need only the closed-form baseline, never build one, and huge
 parametric instances stay usable through their closed forms.
+
+Every count the library takes, here and in the other modules, goes through
+one rule, ``_integer``, over one range table, ``COUNT_RANGES``, whose caps
+bound memory and whose entries the CLI's flags take as their own.  This
+module loads no numpy for them, and every command imports it.
 """
 
 from __future__ import annotations
@@ -45,6 +50,38 @@ MAX_SIZE_BITS = 14000
 # at once, one query's column at least; bounds its temporaries, the
 # scatter's slots included, whatever the table's shape
 BRUTE_FORCE_BLOCK = 1 << 16
+
+
+# library count -> (least, most) value it accepts, None for no bound.  The
+# caps bound memory: a die-rolling run holds two int64 arrays of its trials,
+# 16 bytes a trial (1.6 GB at the cap); a curve row holds about 200 bytes
+# until the CSV is written (1.0 GB peak RSS); campaign records stay in
+# memory, 0.7-2.4 KB an instance (0.5 GB).  The measurements layer is
+# written for dimensions up to 16.
+COUNT_RANGES = {
+    "instances": (0, 10**5),
+    "max_dim": (2, 16),
+    "trials": (1, 10**8),
+    "samples": (2, 5 * 10**6),
+    "seed": (0, None),
+}
+
+
+def _integer(name: str, value, least: Optional[int] = None, most: Optional[int] = None) -> int:
+    """The one integer rule of the library: ``value`` as a Python int when it
+    is an Integral (a numpy integer included) that is not a bool and lies
+    from ``least`` to ``most``, the ends that are not None; else ValueError
+    naming ``name``.  Refused, by the first rule it breaks, with ``max_dim
+    must be an integer, got 2.5``, ``... at least 2, got 1`` or ``... at
+    most 16, got 17``."""
+    if not isinstance(value, Integral) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    value = operator.index(value)
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be at least {least}, got {value}")
+    if most is not None and value > most:
+        raise ValueError(f"{name} must be at most {most}, got {value}")
+    return value
 
 
 class TaskError(ValueError):
@@ -134,9 +171,9 @@ class FamilySpec(_FamilyFields):
     """Parametric family descriptor: a tag from FAMILY_TAGS plus int params.
 
     ``__new__`` is the one place family parameters are checked, for
-    ``_replace`` too: it keeps its own copy of ``params``, with every
-    integer a Python int (a numpy integer included, a bool not), and raises
-    TaskError on any the family refuses.
+    ``_replace`` too: it keeps its own copy of ``params``, each a Python
+    int of at least 1 by ``_integer`` (a numpy integer included, a bool
+    not), and raises TaskError on any the family refuses.
     """
 
     __slots__ = ()
@@ -151,9 +188,10 @@ class FamilySpec(_FamilyFields):
                 f"family {family!r} takes parameters {kind.keys}, got {tuple(params)}"
             )
         for key, value in params.items():
-            if not isinstance(value, Integral) or isinstance(value, bool) or value < 1:
-                raise TaskError(f"parameter {key}={value!r} must be a positive integer")
-            params[key] = operator.index(value)  # a numpy int becomes a Python int
+            try:
+                params[key] = _integer(key, value, 1)
+            except ValueError:
+                raise TaskError(f"parameter {key}={value!r} must be a positive integer") from None
         if kind.rule is not None and not kind.rule[0](**params):
             raise TaskError(kind.rule[1])
         if kind.bits is not None and kind.bits(**params) > MAX_SIZE_BITS:
@@ -190,11 +228,11 @@ class SfeTask:
     above the cap ``table`` is None and the task answers closed-form
     queries only, its sizes and baseline.
 
-    The constructor is the one place an explicit task is checked:
-    non-integer sizes, a table that is not a sequence of rows, ragged rows,
-    missing or non-integer cells, values outside int64, tables above
-    MATERIALIZE_CAP and every violation validate_task reports raise
-    TaskError, so a task that exists is valid.  Sizes are kept as Python
+    The constructor is the one place an explicit task is checked: sizes
+    that are not integers by ``_integer``, a table that is not a sequence
+    of rows, ragged rows, missing or non-integer cells, values outside
+    int64, tables above MATERIALIZE_CAP and every violation validate_task
+    reports raise TaskError, so a task that exists is valid.  Sizes are kept as Python
     ints, whatever integer type they came in.  Tasks are immutable; every
     operation on them is pure.  Family tasks compare equal by their specs,
     explicit tasks by name, sizes and table contents.
@@ -203,9 +241,10 @@ class SfeTask:
     def __init__(self, name: str, x_size: int, y_size: int, b_size: int, table):
         sizes = {"x_size": x_size, "y_size": y_size, "b_size": b_size}
         for key, value in sizes.items():
-            if not isinstance(value, Integral) or isinstance(value, bool):
-                raise TaskError(f"{key}={value!r} must be an integer")
-            sizes[key] = operator.index(value)  # a numpy int becomes a Python int
+            try:
+                sizes[key] = _integer(key, value)
+            except ValueError:
+                raise TaskError(f"{key}={value!r} must be an integer") from None
         table = _as_table(table, *sizes.values())
         self.__dict__.update(sizes, name=name, family=None, _table=table)
         violations = validate_task(self)

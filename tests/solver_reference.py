@@ -22,7 +22,7 @@ from sfebounds.bounds import (
 
 def solve_fixed_point(b_rand_value: Rational, y_size: int) -> FixedPointResult:
     if y_size < 1:
-        raise ValueError("y_size must be positive")
+        raise ValueError(f"y_size must be at least 1, got {y_size}")
     br = Fraction(b_rand_value)
     if br <= 0:
         raise ValueError("b_rand must be positive")

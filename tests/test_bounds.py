@@ -470,7 +470,7 @@ class TestCurves:
     @pytest.mark.parametrize(
         "b_rand_value,y_size,error,message",
         [
-            (Fraction(1, 2), 0, ValueError, "y_size must be positive"),
+            (Fraction(1, 2), 0, ValueError, "y_size must be at least 1, got 0"),
             (Fraction(1, 2), 2.5, ValueError, "y_size must be an integer, got 2.5"),
             (Fraction(1, 2), True, ValueError, "y_size must be an integer, got True"),
             (Fraction(0), 2, ValueError, "b_rand must be positive"),
@@ -498,7 +498,7 @@ class TestCurves:
     @pytest.mark.parametrize("y_size", [0, -3])
     def test_nonpositive_y_size_refused_with_explicit_ca_max(self, y_size):
         # an explicit ca_max skips ca_crossing
-        with pytest.raises(ValueError, match="^y_size must be positive$"):
+        with pytest.raises(ValueError, match=f"^y_size must be at least 1, got {y_size}$"):
             emit_curve(Fraction(1, 2), y_size, samples=3, ca_max=1.5)
 
     def test_csv_format_and_round_trip(self):

@@ -14,8 +14,18 @@ from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from sfebounds import tasks
-from sfebounds.cli import MAX_TRIALS, build_parser, main
-from sfebounds.tasks import FAMILY_TAGS, MATERIALIZE_CAP
+from sfebounds.cli import FLAG_RANGES, _check_flags, build_parser, main
+from sfebounds.tasks import COUNT_RANGES, FAMILY_TAGS, MATERIALIZE_CAP
+
+MAX_TRIALS = COUNT_RANGES["trials"][1]
+# each count flag -> the library count whose range it takes
+LIBRARY_FLAGS = {
+    "--instances": "instances",
+    "--max-dim": "max_dim",
+    "--seed": "seed",
+    "--trials": "trials",
+    "--samples": "samples",
+}
 
 
 def run(capsys, *argv):
@@ -783,6 +793,30 @@ class TestFlagRanges:
         text = " ".join(capsys.readouterr().out.split())
         entry = text.split(f" {flag} {flag[2:].upper().replace('-', '_')} ", 1)[1].split(" --")[0]
         assert entry.endswith(f"; {span}")
+
+    @pytest.mark.parametrize("flag", sorted(LIBRARY_FLAGS))
+    def test_a_count_flag_reads_the_library_range(self, flag):
+        assert FLAG_RANGES[flag] is COUNT_RANGES[LIBRARY_FLAGS[flag]]
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(st.sampled_from(sorted(LIBRARY_FLAGS)), st.booleans(), st.integers(-3, 3))
+    def test_flag_and_library_refuse_the_same_counts(self, flag, upper, offset):
+        # the same integers around each end are taken, or refused in the same words
+        name = LIBRARY_FLAGS[flag]
+        least, most = COUNT_RANGES[name]
+        value = (most if upper and most is not None else least) + offset
+        refusals = []
+        for check in (
+            lambda: _check_flags(argparse.Namespace(**{name: value})),
+            lambda: tasks._integer(name, value, least, most),
+        ):
+            try:
+                check()
+                refusals.append(None)
+            except ValueError as exc:
+                refusals.append(str(exc))
+        cli, library = refusals
+        assert cli == (None if library is None else library.replace(name, flag, 1))
 
 
 def run_task_file(capsys, tmp_path, command, doc):

@@ -79,7 +79,7 @@ RUNNERS = {
 }
 
 SIZES_REFUSED = TaskError, r"^die-rolling needs y_size <= 1000000 and x_size < 2\*\*63$"
-TRIALS_REFUSED = ValueError, "^trials must be positive$"
+TRIALS_REFUSED = ValueError, "^trials must be at least 1, got 0$"
 
 
 @pytest.mark.parametrize("runner", sorted(RUNNERS))
@@ -120,7 +120,7 @@ def test_every_runner_takes_numpy_integers_as_python_ints(runner):
     stats = RUNNERS[runner](task, np.int64(300), np.uint32(5))
     assert stats == RUNNERS[runner](task, 300, 5)
     assert type(stats.trials) is type(stats.seed) is int
-    with pytest.raises(ValueError, match="^expected non-negative integer$"):
+    with pytest.raises(ValueError, match="^seed must be at least 0, got -1$"):
         RUNNERS[runner](task, 300, np.int64(-1))
 
 
@@ -260,6 +260,34 @@ class TestCheatingBob:
     def test_set_outside_range_rejected(self):
         with pytest.raises(ValueError):
             dr.run_cheating_bob(make_family("eq", n=3), {5}, 10, seed=0)
+
+    @pytest.mark.parametrize("known", [np.array([0, 1]), [np.int64(1), np.uint8(0)], (1, 0, 1)])
+    def test_any_collection_of_integers_is_the_declared_set(self, known):
+        task = make_family("eq", n=3)
+        want = dr.run_cheating_bob(task, {0, 1}, 1000, seed=1)
+        assert dr.run_cheating_bob(task, known, 1000, seed=1) == want
+
+    @pytest.mark.parametrize("learner", ["other", "", "Full"])
+    def test_other_strings_refused(self, learner):
+        message = f'^learner must be "full", "honest" or a set of inputs, got {re.escape(repr(learner))}$'
+        with pytest.raises(ValueError, match=message):
+            dr.run_cheating_bob(make_family("eq", n=3), learner, 10, seed=0)
+
+    @pytest.mark.parametrize("entry", [0.5, 1.9, "1", True, np.float64(1), None])
+    def test_known_input_not_an_integer_refused(self, entry):
+        # each would otherwise be taken as int(entry): {0.5} as {0}, {1.9}, ["1"] and {True} as {1}
+        message = f"^known input must be an integer, got {re.escape(repr(entry))}$"
+        with pytest.raises(ValueError, match=message):
+            dr.run_cheating_bob(make_family("eq", n=3), [2, entry], 1000, seed=1)
+
+    @pytest.mark.parametrize("learner", ["other", {0.5}, set(), {7}])
+    def test_learner_refused_before_any_trial_is_drawn(self, learner):
+        # a million trials would take 24 MB for their three arrays
+        def refused():
+            with pytest.raises(ValueError):
+                dr.run_cheating_bob(make_family("eq", n=3), learner, 10**6)
+
+        assert traced_peak(refused) < 10**5
 
     def test_callable_learner_is_not_iterable(self):
         # knowledge is declared, never computed from a trial's inputs

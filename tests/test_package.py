@@ -2,11 +2,14 @@ import ast
 import importlib
 import itertools
 import re
+import subprocess
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
+import code_lines
 import sfebounds
 from sfebounds.bounds import present
 
@@ -318,3 +321,45 @@ def test_no_module_imports_dataclasses():
                 continue
             imports += [f"{path.name}: {name}" for name in names if name.split(".")[0] == "dataclasses"]
     assert imports == []
+
+
+CODE_LINES_FIXTURE = '''"""A module docstring
+over two lines."""
+
+# a comment line
+import os
+
+
+def f(a,
+      b):
+    """A function docstring."""
+    total = a + \\
+        b
+    "a string that is no docstring"
+    return total  # a trailing comment
+
+
+class C:
+    """A class docstring."""
+
+    x = """a string
+    value"""
+'''
+
+
+def test_code_lines_counts_code_only(tmp_path):
+    """``tests/code_lines.py`` counts every line that holds code: not the
+    docstrings, the comment line or the blank lines, but both lines of a
+    continuation and of a string that is no docstring."""
+    (tmp_path / "fixture.py").write_text(CODE_LINES_FIXTURE)
+    (tmp_path / "empty.py").write_text("")
+    # import os; def f(a, / b):; total = a +; b; "a string ..."; return;
+    # class C:; x = """a string; value"""
+    assert code_lines.code_lines(CODE_LINES_FIXTURE) == 10
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "tests" / "code_lines.py"), str(tmp_path)],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert proc.stdout == "empty 0\nfixture 10\ntotal 10\n"

@@ -844,3 +844,92 @@ class TestSerialization:
             tasks.task_from_jsonable({"family": "eq", "params": "nope"})
         with pytest.raises(TaskError):
             tasks.task_from_jsonable([1, 2])
+
+
+def library_counts():
+    """pytest params (call, name, valid, least, most, texts), one for each
+    count that a library entry point takes: ``call(value)`` passes ``value``
+    as the count ``name`` and valid values for everything else, ``valid`` is
+    a value it takes, least and most are the ends of its range (None for no
+    end), and ``texts(value)`` words a task check's own TaskError, None for
+    the library's integer rule."""
+    from sfebounds import bounds
+    from sfebounds import dierolling as dr
+    from sfebounds import measurements as m
+
+    half, eq3, cases = Fraction(1, 2), make_family("eq", n=3), []
+
+    def case(name, call, valid, least=None, most=None, texts=None, label=None):
+        cases.append(pytest.param(call, name, valid, least, most, texts, id=f"{label} {name}"))
+
+    def positive(key):
+        return lambda value: f"parameter {key}={value!r} must be a positive integer"
+
+    case("n", lambda v: make_family("ot", alphabet=2, n=v), 3, 1, texts=positive("n"), label="make_family")
+    case(
+        "alphabet",
+        lambda v: FamilySpec("knot", {"alphabet": v, "n": 3, "k": 1}),
+        2,
+        1,
+        texts=positive("alphabet"),
+        label="FamilySpec",
+    )
+    for position, key in enumerate(("x_size", "y_size", "b_size")):
+        def explicit(value, position=position):
+            sizes = [2, 2, 2]
+            sizes[position] = value
+            return SfeTask("t", *sizes, [[0, 1], [1, 0]])
+
+        def texts(value, key=key):
+            return f"{key}={value!r} must be an integer"
+
+        case(key, explicit, 2, texts=texts, label="SfeTask")
+    for fn, call in {
+        "cb_from_ca": lambda v: bounds.cb_from_ca(1.5, half, v),
+        "solve_fixed_point": lambda v: bounds.solve_fixed_point(half, v),
+        "ca_crossing": lambda v: bounds.ca_crossing(half, v),
+        "emit_curve": lambda v: bounds.emit_curve(half, v),
+    }.items():
+        case("y_size", call, 2, 1, label=fn)
+    case("samples", lambda v: bounds.emit_curve(half, 2, samples=v), 5, 2, 5 * 10**6, label="emit_curve")
+    case("instances", lambda v: m.run_campaign(m.gentle_instance, v, 0), 3, 0, 10**5, label="run_campaign")
+    case("seed", lambda v: m.run_campaign(m.gentle_instance, 3, v), 3, 0, label="run_campaign")
+    for fn in (m.gentle_instance, m.sequential_instance, m.learning_instance):
+        case("max_dim", lambda v, fn=fn: fn([0, 1], max_dim=v), 4, 2, 16, label=fn.__name__)
+    for fn, run in {
+        "run_honest": lambda trials, seed: dr.run_honest(eq3, trials, seed),
+        "run_cheating_alice": lambda trials, seed: dr.run_cheating_alice(
+            eq3, dr.blind_alice, trials, seed
+        ),
+        "run_cheating_bob": lambda trials, seed: dr.run_cheating_bob(eq3, {0, 2}, trials, seed),
+    }.items():
+        case("trials", lambda v, run=run: run(v, 0), 50, 1, 10**8, label=fn)
+        case("seed", lambda v, run=run: run(50, v), 3, 0, label=fn)
+    return cases
+
+
+class TestIntegerRule:
+    """Every count a library entry point takes goes through ``tasks._integer``
+    over its ``COUNT_RANGES`` range, or a task check that words its own
+    TaskError: a bool, a float, a str, a numpy float and the value one past
+    each end are refused with a ValueError that names the count, and a
+    numpy integer is taken as the Python int.  A count past a cap is
+    refused before any work: run, it would take up to gigabytes."""
+
+    @pytest.mark.parametrize("call, name, valid, least, most, texts", library_counts())
+    def test_refused_by_name(self, call, name, valid, least, most, texts):
+        wrong_types = (True, 2.5, "3", np.float64(3))
+        refused = [(value, f"{name} must be an integer, got {value!r}") for value in wrong_types]
+        if least is not None:
+            refused.append((least - 1, f"{name} must be at least {least}, got {least - 1}"))
+        if most is not None:
+            refused.append((most + 1, f"{name} must be at most {most}, got {most + 1}"))
+        for value, text in refused:
+            with pytest.raises(ValueError) as raised:
+                call(value)
+            assert str(raised.value) == (text if texts is None else texts(value))
+            assert type(raised.value) is (ValueError if texts is None else TaskError)
+
+    @pytest.mark.parametrize("call, name, valid, least, most, texts", library_counts())
+    def test_numpy_integer_taken(self, call, name, valid, least, most, texts):
+        assert call(np.int64(valid)) == call(valid)
