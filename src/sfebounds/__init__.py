@@ -36,7 +36,6 @@ _EXPORTS = {
     **dict.fromkeys(
         (
             "DrStats",
-            "blind_alice",
             "run_cheating_alice",
             "run_cheating_bob",
             "run_honest",

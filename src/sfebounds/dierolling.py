@@ -9,17 +9,20 @@ b + y unreduced, in [0, 2|Y|), and the histogram folds them.
 
 The SFE subroutine here is an ideal classical oracle (Bob receives exactly
 f(x, y), nothing else leaks), so the harness checks the wrapper logic and
-the classical cheating identities, not any particular protocol: a blind
-guesser forces a fixed outcome at rate 1/|Y|, and a receiver who can
-produce the answers for a declared set S of inputs forces it at |S|/|Y|.
-The receiver's knowledge is declared once, for every trial, and does not
+the classical cheating identities, not any particular protocol.  The
+sender learns nothing about y, so every strategy of hers forces a fixed
+outcome at rate 1/|Y|, and she guesses blind.  A receiver who can produce
+the answers for a declared set S of inputs forces it at |S|/|Y|.  The
+receiver's knowledge is declared once, for every trial, and does not
 depend on the sender's input, which he never sees.
 
 The trials' inputs and shifts come from one counter-based Philox stream
-keyed by the master seed: all xs, then all ys, then all shifts b.  Results
-are reproducible for a given seed and trial count.  A longer run does not
-extend a shorter one: its ys and bs start where its xs end, so only the
-first xs are shared.  Every runner takes ``trials`` and ``seed`` through
+keyed by the master seed: all xs, then all ys, then all shifts b.  No
+runner reads the xs, but they are drawn, since they fix where the ys and
+bs start.  The sender's guesses come from a second stream, keyed by the
+seed and 1.  Results are reproducible for a given seed and trial count.
+A longer run does not extend a shorter one: its ys and bs start where its
+xs end.  Every runner takes ``trials`` and ``seed`` through
 one check, the library's integer rule (``tasks._integer``) over their
 ``COUNT_RANGES`` ranges: 1 to 10^8 trials, whose two int64 arrays hold
 1.6 GB at the cap, and a seed of at least 0.  Each becomes a Python int.
@@ -27,7 +30,7 @@ one check, the library's integer rule (``tasks._integer``) over their
 
 from __future__ import annotations
 
-from typing import Callable, Collection, NamedTuple, Union
+from typing import Collection, NamedTuple, Union
 
 import numpy as np
 
@@ -43,18 +46,6 @@ class DrStats(NamedTuple):
     seed: int
 
 
-class AliceView(NamedTuple):
-    """What a cheating sender sees: the task, her inputs and a strategy RNG.
-
-    The receiver's inputs are not in it, so a strategy cannot read them.
-    """
-
-    task: SfeTask
-    xs: np.ndarray
-    rng: np.random.Generator
-
-
-AliceStrategy = Callable[[AliceView], np.ndarray]
 BobKnowledge = Union[str, Collection[int]]
 
 
@@ -70,16 +61,18 @@ def _checked(trials, seed) -> tuple[int, int]:
 
 
 def _draw_trials(task: SfeTask, trials: int, seed: int):
-    """Yield each trial's x, then its y, then its shift b, as one array
-    each, for ``_checked`` trials and seed.  An array is drawn only when
-    asked for, and the generator keeps none of them: a caller holds just
-    the arrays it binds, and the stream stops before those it never asks
-    for.  No table is read: the histogram has 2·y_size bins before its
-    fold and the inputs are drawn as int64, which bounds the sizes."""
+    """Yield each trial's y, then its shift b, as one array each, for
+    ``_checked`` trials and seed.  The xs are drawn first and dropped here,
+    since they fix where ys and bs start in the stream.  An array is drawn
+    only when asked for, and the generator keeps none of them: a caller
+    holds just the arrays it binds, and the stream stops before those it
+    never asks for.  No table is read: the histogram has 2·y_size bins
+    before its fold and the inputs are drawn as int64, which bounds the
+    sizes."""
     if task.y_size > MATERIALIZE_CAP or task.x_size >= 2**63:
         raise TaskError(f"die-rolling needs y_size <= {MATERIALIZE_CAP} and x_size < 2**63")
     rng = _trial_rng(seed, 0)
-    yield rng.integers(0, task.x_size, size=trials)
+    rng.integers(0, task.x_size, size=trials)
     yield rng.integers(0, task.y_size, size=trials)
     yield rng.integers(0, task.y_size, size=trials)
 
@@ -124,46 +117,33 @@ def _stats(sums: np.ndarray, y_size: int, seed: int) -> DrStats:
 def run_honest(task: SfeTask, trials: int, seed: int = 0) -> DrStats:
     """Both parties honest: never aborts, outcomes exactly (b + y) mod |Y|.
 
-    Holds two trial arrays, ys and bs: the xs are drawn, since they fix
-    where ys and bs start in the stream, but let go unread, and the sums
-    b + y, which ``_stats`` reduces, are formed in place in bs.
+    Holds two trial arrays, ys and bs; the sums b + y, which ``_stats``
+    reduces, are formed in place in bs.
     """
     trials, seed = _checked(trials, seed)
-    draws = _draw_trials(task, trials, seed)
-    next(draws)  # the xs
-    ys, bs = draws
+    ys, bs = _draw_trials(task, trials, seed)
     bs += ys
     return _stats(bs, task.y_size, seed)
 
 
-def blind_alice(view: AliceView) -> np.ndarray:
-    """Guess the receiver's input uniformly, ignoring everything."""
-    return view.rng.integers(0, view.task.y_size, size=len(view.xs))
-
-
-def run_cheating_alice(
-    task: SfeTask, guesser: AliceStrategy, trials: int, seed: int = 0
-) -> DrStats:
+def run_cheating_alice(task: SfeTask, trials: int, seed: int = 0) -> DrStats:
     """Cheating sender tries to force outcome 0 against an honest receiver.
 
     She guesses the receiver's input y and sends the shift b = -guess mod
-    |Y|, succeeding exactly when the guess is right.  The receiver is
-    honest, so nothing triggers an abort.  ``guesser`` maps an AliceView
-    to one guess per trial (vectorized).
+    |Y|, succeeding exactly when the guess is right.  The oracle tells her
+    nothing about y, so she guesses blind: uniformly, from the stream keyed
+    by the seed and 1.  The receiver is honest, so nothing triggers an
+    abort.  Holds two trial arrays, ys and the guesses; the shifts are
+    never drawn, and the sums b + y, which ``_stats`` reduces, are formed
+    in place in ys.
     """
     trials, seed = _checked(trials, seed)
-    draws = _draw_trials(task, trials, seed)
-    xs, ys = next(draws), next(draws)  # the shifts come last and are never drawn
-    view = AliceView(task=task, xs=xs, rng=_trial_rng(seed, 1))
-    guesses = np.asarray(guesser(view), dtype=np.int64)
-    if guesses.shape != (trials,):
-        raise ValueError(f"strategy returned shape {guesses.shape}, expected ({trials},)")
-    if guesses.min() < 0 or guesses.max() >= task.y_size:
-        raise ValueError("strategy guessed outside the input range")
+    ys = next(_draw_trials(task, trials, seed))
+    guesses = _trial_rng(seed, 1).integers(0, task.y_size, size=trials)
     # b + y with b = |Y| - guess, the shift -guess mod |Y| unreduced
-    sums = ys - guesses
-    sums += task.y_size
-    return _stats(sums, task.y_size, seed)
+    ys -= guesses
+    ys += task.y_size
+    return _stats(ys, task.y_size, seed)
 
 
 def _declared(task: SfeTask, learner: BobKnowledge) -> Union[str, list[int]]:
@@ -221,16 +201,12 @@ def run_cheating_bob(
     range(|Y|) and on an empty collection; a learner that is not iterable,
     such as a callable, raises TypeError.
 
-    Holds three trial arrays, ys, bs and the required reveals: the xs are
-    drawn, since they fix where ys and bs start in the stream, but let go
-    unread.  The sums b + y, which ``_stats`` reduces, are formed in place
-    in bs.
+    Holds three trial arrays, ys, bs and the required reveals.  The sums
+    b + y, which ``_stats`` reduces, are formed in place in bs.
     """
     trials, seed = _checked(trials, seed)
     learner = _declared(task, learner)
-    draws = _draw_trials(task, trials, seed)
-    next(draws)  # the xs
-    ys, bs = draws
+    ys, bs = _draw_trials(task, trials, seed)
     required = np.negative(bs)
     required %= task.y_size
     bs += _revealed(task, learner, required, ys)

@@ -743,10 +743,19 @@ def _densities(g: np.ndarray) -> np.ndarray:
     return rho / np.trace(rho, axis1=-2, axis2=-1).real[..., None, None]
 
 
+def _dim(dim) -> int:
+    """A generator's ``dim`` by ``tasks._integer``: 1 to the ``max_dim``
+    cap of ``COUNT_RANGES``, 16."""
+    return _integer("dim", dim, 1, COUNT_RANGES["max_dim"][1])
+
+
 def random_density(dim: int, rank: int, seed: Seed) -> np.ndarray:
-    """GG*/Tr(GG*) for a dim x rank matrix of standard complex Gaussians."""
-    if dim < 1 or not 1 <= rank <= dim:
-        raise ValueError(f"need 1 <= rank <= dim, got rank={rank}, dim={dim}")
+    """GG*/Tr(GG*) for a dim x rank matrix of standard complex Gaussians.
+
+    ``dim`` (1 to 16) and ``rank`` (1 to ``dim``) go through
+    ``tasks._integer``."""
+    dim = _dim(dim)
+    rank = _integer("rank", rank, 1, dim)
     return _densities(_complex_gaussians(_rng(seed), (dim, rank)))
 
 
@@ -773,16 +782,14 @@ def random_povm(dim: int, outcomes: int, seed: Seed) -> Povm:
 
     The sum is regularized by +1e-9 I before the inverse square root; the
     tiny completeness residue that leaves is redistributed evenly across
-    the elements so the identity defect stays at roundoff level.
+    the elements so the identity defect stays at roundoff level.  ``dim``
+    (1 to 16) and ``outcomes`` (at least 1) go through ``tasks._integer``.
     """
-    if dim < 1 or outcomes < 1:
-        raise ValueError("dim and outcomes must be positive")
+    dim, outcomes = _dim(dim), _integer("outcomes", outcomes, 1)
     return Povm(elements=tuple(_povm_elements(_povm_draw(_rng(seed), dim, outcomes))))
 
 
 def _encoding_draw(x_count: int, dim: int, n_functions: int, b_size: int, seed: Seed) -> tuple:
-    if min(x_count, dim, n_functions, b_size) < 1:
-        raise ValueError("all parameters must be positive")
     rng = _rng(seed)
     probs = rng.dirichlet(np.ones(x_count))
     gaussians = []
@@ -812,7 +819,14 @@ def random_encoding(
     x_count: int, dim: int, n_functions: int, b_size: int, seed: Seed
 ) -> QuantumEncoding:
     """Dirichlet-uniform input distribution, independent random states of
-    random rank, and uniformly random total functions into range(b_size)."""
+    random rank, and uniformly random total functions into range(b_size).
+
+    ``dim`` (1 to 16) and the other counts (each at least 1) go through
+    ``tasks._integer``."""
+    x_count = _integer("x_count", x_count, 1)
+    dim = _dim(dim)
+    n_functions = _integer("n_functions", n_functions, 1)
+    b_size = _integer("b_size", b_size, 1)
     return _encodings([_encoding_draw(x_count, dim, n_functions, b_size, seed)])[0]
 
 

@@ -229,11 +229,12 @@ class SfeTask:
     queries only, its sizes and baseline.
 
     The constructor is the one place an explicit task is checked: sizes
-    that are not integers by ``_integer``, a table that is not a sequence
-    of rows, ragged rows, missing or non-integer cells, values outside
-    int64, tables above MATERIALIZE_CAP and every violation validate_task
-    reports raise TaskError, so a task that exists is valid.  Sizes are kept as Python
-    ints, whatever integer type they came in.  Tasks are immutable; every
+    that are not integers of at least 1 by ``_integer``, checked first, a
+    table that is not a sequence of rows, ragged rows, missing or
+    non-integer cells, values outside int64, tables above MATERIALIZE_CAP
+    and every violation validate_task reports raise TaskError, so a task
+    that exists is valid.  Sizes are kept as Python ints, whatever integer
+    type they came in.  Tasks are immutable; every
     operation on them is pure.  Family tasks compare equal by their specs,
     explicit tasks by name, sizes and table contents.
     """
@@ -242,9 +243,9 @@ class SfeTask:
         sizes = {"x_size": x_size, "y_size": y_size, "b_size": b_size}
         for key, value in sizes.items():
             try:
-                sizes[key] = _integer(key, value)
+                sizes[key] = _integer(key, value, 1)
             except ValueError:
-                raise TaskError(f"{key}={value!r} must be an integer") from None
+                raise TaskError(f"{key}={value!r} must be a positive integer") from None
         table = _as_table(table, *sizes.values())
         self.__dict__.update(sizes, name=name, family=None, _table=table)
         violations = validate_task(self)
@@ -476,12 +477,13 @@ def make_family(family: str, **params: int) -> SfeTask:
 
 
 def validate_task(task: SfeTask) -> list[str]:
-    """Check an explicit task's sizes, then its table's shape and range.
+    """Check an explicit task's table: its shape and range.
 
     Returns a list of human-readable violations; empty means valid.  The
     SfeTask constructor raises TaskError on a non-empty list, so every task
-    that exists passes.  A family task has nothing to report: its sizes are
-    its FamilySpec's, and family_table builds its table to those sizes with
+    that exists passes; it checks the sizes, all positive, before the
+    table.  A family task has nothing to report: its sizes are its
+    FamilySpec's, and family_table builds its table to those sizes with
     every cell in [0, b_size), so it is never read here.  An explicit table is
     accepted by its shape and its minimum and maximum alone; for one that
     is not, numpy finds the rows to report, and ``_row_violations`` walks
@@ -489,8 +491,6 @@ def validate_task(task: SfeTask) -> list[str]:
     """
     if task.family is not None:
         return []
-    if task.x_size < 1 or task.y_size < 1 or task.b_size < 1:
-        return ["sizes must all be positive"]
     table = task._table
     shape_ok = table.shape == (task.x_size, task.y_size)
     if shape_ok and int(table.min()) >= 0 and int(table.max()) < task.b_size:

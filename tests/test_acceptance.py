@@ -165,7 +165,7 @@ def test_criterion_08_protocol_completeness():
         assert stats.abort_count == 0
         worst_tv = max(worst_tv, stats.tv_distance_from_uniform)
         # both parties compute their outcome from their own view of (b, y)
-        xs, ys, bs = dierolling._draw_trials(task, trials, seed=0)
+        ys, bs = dierolling._draw_trials(task, trials, seed=0)
         alice_outcome = (bs + ys) % task.y_size
         bob_outcome = (bs + ys) % task.y_size  # honest receiver reveals y itself
         assert np.array_equal(alice_outcome, bob_outcome)
@@ -186,7 +186,7 @@ def test_criterion_09_reduction_identities():
     check("bob honest-entry", dierolling.run_cheating_bob(ot3, "honest", trials, seed=0).forcing_rate, 1 / 3)
     check("bob two-entry set", dierolling.run_cheating_bob(eq3, {0, 1}, trials, seed=1).forcing_rate, 2 / 3)
     check("bob full", dierolling.run_cheating_bob(eq3, "full", trials, seed=2).forcing_rate, 1.0)
-    check("alice blind", dierolling.run_cheating_alice(eq3, dierolling.blind_alice, trials, seed=3).forcing_rate, 1 / 3)
+    check("alice blind", dierolling.run_cheating_alice(eq3, trials, seed=3).forcing_rate, 1 / 3)
     verdict(9, not failures, f"4 rates at {trials} trials, failures: {failures or 'none'}")
 
 

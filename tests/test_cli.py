@@ -835,7 +835,15 @@ class TestTaskFileInput:
     def test_string_size_exits_2(self, capsys, tmp_path):
         doc = {"name": "t", "x_size": "2", "y_size": 2, "b_size": 2, "table": [[0, 1], [1, 0]]}
         code, _, err = run_task_file(capsys, tmp_path, "brand", doc)
-        assert code == 2 and "x_size='2' must be an integer" in err
+        assert code == 2 and "x_size='2' must be a positive integer" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("command", ["brand", "bound", "simulate-dr"])
+    @pytest.mark.parametrize("x_size", [0, -1, -(10**7)])
+    def test_size_below_one_exits_2(self, capsys, tmp_path, command, x_size):
+        doc = {"name": "t", "x_size": x_size, "y_size": -1, "b_size": 2, "table": [[0, 1]]}
+        code, _, err = run_task_file(capsys, tmp_path, command, doc)
+        assert code == 2 and f"x_size={x_size} must be a positive integer" in err
         assert "Traceback" not in err
 
     @pytest.mark.parametrize("command", ["bound", "simulate-dr"])

@@ -33,7 +33,6 @@ PUBLIC_NAMES = [
     "b_rand",
     "b_rand_bruteforce",
     "b_rand_closed_form",
-    "blind_alice",
     "bound_report",
     "ca_crossing",
     "cb_from_ca",

@@ -341,8 +341,22 @@ class TestConstructors:
 
     @pytest.mark.parametrize("size", [True, 2.0, "2", np.float64(2), np.bool_(True)])
     def test_non_integer_sizes_refused(self, size):
-        with pytest.raises(TaskError, match=r"^x_size=.* must be an integer$"):
+        with pytest.raises(TaskError, match=r"^x_size=.* must be a positive integer$"):
             SfeTask("t", size, 2, 2, table=[[0, 1], [1, 0]])
+
+    @pytest.mark.parametrize(
+        "sizes, table, text",
+        [
+            # the product of two negative sizes is above the materialization cap
+            ((-(10**7), -1, 2), [[0, 1]], "x_size=-10000000 must be a positive integer"),
+            # an empty table is no 2-D array
+            ((0, 2, 2), [], "x_size=0 must be a positive integer"),
+        ],
+    )
+    def test_sizes_below_one_refused_before_the_table(self, sizes, table, text):
+        with pytest.raises(TaskError) as raised:
+            SfeTask("t", *sizes, table=table)
+        assert str(raised.value) == text
 
     def test_tasks_are_immutable(self):
         task = make_family("eq", n=3)
@@ -881,9 +895,9 @@ def library_counts():
             return SfeTask("t", *sizes, [[0, 1], [1, 0]])
 
         def texts(value, key=key):
-            return f"{key}={value!r} must be an integer"
+            return f"{key}={value!r} must be a positive integer"
 
-        case(key, explicit, 2, texts=texts, label="SfeTask")
+        case(key, explicit, 2, 1, texts=texts, label="SfeTask")
     for fn, call in {
         "cb_from_ca": lambda v: bounds.cb_from_ca(1.5, half, v),
         "solve_fixed_point": lambda v: bounds.solve_fixed_point(half, v),
@@ -896,11 +910,33 @@ def library_counts():
     case("seed", lambda v: m.run_campaign(m.gentle_instance, 3, v), 3, 0, label="run_campaign")
     for fn in (m.gentle_instance, m.sequential_instance, m.learning_instance):
         case("max_dim", lambda v, fn=fn: fn([0, 1], max_dim=v), 4, 2, 16, label=fn.__name__)
+
+    def listed(draw):
+        """a generator's draw with its arrays as lists, which compare by value"""
+        if isinstance(draw, np.ndarray):
+            return draw.tolist()
+        return [listed(part) for part in draw] if isinstance(draw, tuple) else draw
+
+    # generator -> count -> (valid, least, most); rank is at most the valid dim
+    for fn, counts in {
+        m.random_density: {"dim": (3, 1, 16), "rank": (2, 1, 3)},
+        m.random_povm: {"dim": (3, 1, 16), "outcomes": (2, 1, None)},
+        m.random_encoding: {
+            "x_count": (2, 1, None),
+            "dim": (2, 1, 16),
+            "n_functions": (1, 1, None),
+            "b_size": (2, 1, None),
+        },
+    }.items():
+        valid = {name: entry[0] for name, entry in counts.items()}
+        for name, entry in counts.items():
+            def drawn(v, fn=fn, name=name, valid=valid):
+                return listed(fn(**{**valid, name: v}, seed=0))
+
+            case(name, drawn, *entry, label=fn.__name__)
     for fn, run in {
         "run_honest": lambda trials, seed: dr.run_honest(eq3, trials, seed),
-        "run_cheating_alice": lambda trials, seed: dr.run_cheating_alice(
-            eq3, dr.blind_alice, trials, seed
-        ),
+        "run_cheating_alice": lambda trials, seed: dr.run_cheating_alice(eq3, trials, seed),
         "run_cheating_bob": lambda trials, seed: dr.run_cheating_bob(eq3, {0, 2}, trials, seed),
     }.items():
         case("trials", lambda v, run=run: run(v, 0), 50, 1, 10**8, label=fn)
