@@ -37,7 +37,7 @@ shape it depends on, and every step below a kernel takes stacks.  The
 densities of the whole chunk are built first, one stack per (d, rank).
 The gentle and sequential kernels then build and check the operators per
 shape of their Gaussians, (2, d, d) or (n, 2, d, d).  The learning kernel
-builds, roots and validates the POVMs of each (b, d) as one stack, sorted
+builds, validates and roots the POVMs of each (b, d) as one stack, sorted
 by n, and splits it by n only for the strategy and the audit, which
 combine an instance's POVMs.  One runner, ``_records``, passes ``_CHUNK``
 draws per kernel call, which bounds the stacks and the memory.  An
@@ -66,6 +66,16 @@ roundoff cannot produce false violations, and eigenvalues in [-1e-10, 0)
 are treated as roundoff while anything below -1e-8 is a hard error.  A
 stacked check applies the 2-D check to every matrix, and the first failing
 matrix in C order raises with the message the 2-D check gives.
+
+Inputs are checked once, where they are built or taken, with those
+tolerances: a measurement operator is Hermitian within HERMITIAN_TOL with
+spectrum in [-PSD_CLAMP_TOL, 1 + PSD_CLAMP_TOL]; a Povm's elements are
+such operators, summing to the identity within COMPLETENESS_TOL in the
+operator norm, checked in its constructor; and the public gentle and
+sequential checks take only measurement operators and a density whose
+trace is 1 within COMPLETENESS_TOL.  The campaign kernels check nothing
+of their draws but the learning POVMs, which go through the Povm check
+stacked.
 """
 
 from __future__ import annotations
@@ -152,9 +162,12 @@ class _PovmFields(NamedTuple):
 class Povm(_PovmFields):
     """Finite outcome-indexed measurement: PSD elements summing to identity.
 
-    ``__new__``, which ``_replace`` goes through too, refuses no elements,
-    elements of mixed dimensions or a label count that differs, so every
-    element is ``dim`` x ``dim``; ``validate`` checks the elements themselves.
+    ``__new__``, which ``_replace`` goes through too, is its one check: it
+    refuses no elements, elements of mixed dimensions or a label count that
+    differs, and then, by ``_validate_stack``, an element that is not a
+    measurement operator or elements whose sum is not the identity within
+    COMPLETENESS_TOL.  So every Povm that exists is one, of ``dim`` x
+    ``dim`` elements, and no caller checks it again.
     """
 
     __slots__ = ()
@@ -168,6 +181,7 @@ class Povm(_PovmFields):
         labels = labels or tuple(range(len(elements)))
         if len(labels) != len(elements):
             raise ValueError("labels and elements differ in length")
+        _validate_stack(np.array(elements), labels)
         return super().__new__(cls, elements, tuple(labels))
 
     _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
@@ -175,11 +189,6 @@ class Povm(_PovmFields):
     @property
     def dim(self) -> int:
         return self.elements[0].shape[0]
-
-    def validate(self) -> None:
-        """Raise unless every element is a measurement operator and the
-        elements sum to the identity within COMPLETENESS_TOL."""
-        _validate_stack(np.array(self.elements), self.labels)
 
 
 class _EncodingFields(NamedTuple):
@@ -194,15 +203,19 @@ class QuantumEncoding(_EncodingFields):
     ``functions[i][x]`` is the outcome index the i-th target function
     assigns to input x.  The classical register is never materialized:
     all expectations are taken blockwise over x.  ``__new__``, which
-    ``_replace`` goes through too, checks that probs is a distribution over
-    the states and that every function is total.
+    ``_replace`` goes through too, checks that the states are square
+    matrices of one shape, that probs is a distribution over them and that
+    every function is total.  It does not check that each state is a
+    density: every campaign instance builds its encoding here.
     """
 
     __slots__ = ()
 
     def __new__(cls, probs: np.ndarray, states: tuple, functions: tuple):
         probs = np.asarray(probs, dtype=float)
-        states = tuple(np.asarray(s, dtype=complex) for s in states)
+        states = tuple(_as_matrix(s) for s in states)
+        if any(s.shape != states[0].shape for s in states):
+            raise ValueError("states have mixed dimensions")
         functions = tuple(tuple(f) for f in functions)
         if probs.ndim != 1 or len(probs) != len(states):
             raise ValueError("probs and states must have matching length")
@@ -298,8 +311,9 @@ def _element_sum(stack: np.ndarray) -> np.ndarray:
 
 
 def _validate_stack(stack: np.ndarray, labels: Sequence) -> None:
-    """``Povm.validate`` for POVMs stacked as (..., b, d, d), all labelled
-    by ``labels``.
+    """The POVM check, for POVMs stacked as (..., b, d, d), all labelled by
+    ``labels``: the Povm constructor passes one, the learning kernel every
+    POVM of a shape group.
 
     The first invalid POVM in C order raises: for its first element that is
     not a measurement operator, else for its completeness defect.
@@ -356,17 +370,34 @@ def _sandwich(op: np.ndarray, roots) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
+def _checked_inputs(rho: np.ndarray, lams: Sequence[np.ndarray]) -> tuple:
+    """``rho`` as a complex matrix and ``lams`` as a stack of its shape, or
+    ValueError: the gentle and sequential lemmas cover only measurement
+    operators, 0 <= L <= I, and a density rho, PSD of trace 1 within
+    COMPLETENESS_TOL.  A refusal names the first bad operator's index, or
+    rho."""
+    rho = _as_matrix(rho)
+    lams = np.array([_same_shape(lam, rho)[0] for lam in lams])
+    ok = _measurement_ok(lams)
+    if not ok.all():
+        raise ValueError(f"operator {int(np.argmin(ok))} is not a measurement operator")
+    if not (_measurement_ok(rho) and abs(np.trace(rho).real - 1.0) <= COMPLETENESS_TOL):
+        raise ValueError("rho is not a density matrix")
+    return rho, lams
+
+
+def _epsilon(lam: np.ndarray, rho: np.ndarray) -> float:
+    """1 - <lam, rho>, clamped to [0, 1] against roundoff: a bare
+    ``np.vdot``, as in every inner product of the checks."""
+    return min(max(1.0 - complex(np.vdot(lam, rho)).real, 0.0), 1.0)
+
+
 def _gentle_reports(rhos: np.ndarray, lams: np.ndarray) -> list:
     """``check_gentle`` on each (rho, lam) pair of the (k, d, d) complex
-    stacks ``rhos`` and ``lams``: every range check, then the roots and the
+    stacks ``rhos`` and ``lams``: every epsilon, then the roots and the
     trace norms of the whole stack.  Inner products are bare ``np.vdot``
     calls, one per pair."""
-    epsilons = []
-    for rho, lam in zip(rhos, lams):
-        p = complex(np.vdot(lam, rho)).real
-        if not -PSD_CLAMP_TOL <= p <= 1.0 + PSD_CLAMP_TOL:
-            raise ValueError(f"<lam, rho> = {p} outside [0, 1]")
-        epsilons.append(min(max(1.0 - p, 0.0), 1.0))
+    epsilons = [_epsilon(lam, rho) for rho, lam in zip(rhos, lams)]
     disturbances = _trace_norms(rhos - _sandwich(rhos, [_psd_roots(lams)]))
     reports = []
     for epsilon, disturbance in zip(epsilons, disturbances):
@@ -387,10 +418,14 @@ def check_gentle(rho: np.ndarray, lam: np.ndarray) -> GentleReport:
     """Verify the disturbance bound for one (state, measurement) pair.
 
     epsilon = 1 - <lam, rho>; disturbance is the trace-norm distance from
-    rho to sqrt(lam) rho sqrt(lam); the bound is 2*sqrt(epsilon).
+    rho to sqrt(lam) rho sqrt(lam); the bound is 2*sqrt(epsilon).  Refuses,
+    with ValueError, a lam of another shape than rho, a lam that is not a
+    measurement operator (``operator 0 is not a measurement operator``) and
+    a rho that is not a density (``rho is not a density matrix``): the
+    lemma says nothing of them.
     """
-    rho, lam = _same_shape(rho, lam)
-    return _gentle_reports(np.array([rho]), np.array([lam]))[0]
+    rho, lams = _checked_inputs(rho, [lam])
+    return _gentle_reports(rho[None], lams)[0]
 
 
 def _sequential_operators(first: np.ndarray, rest: np.ndarray) -> np.ndarray:
@@ -404,10 +439,7 @@ def _sequential_reports(rhos: np.ndarray, lams: np.ndarray) -> list:
     """``check_sequential`` on each state of the (k, d, d) complex stack
     ``rhos`` with its n operators in the (k, n, d, d) stack ``lams``: every
     epsilon, then the sandwiched operators of the whole stack."""
-    epsilons = [
-        [min(max(1.0 - complex(np.vdot(lam, rho)).real, 0.0), 1.0) for lam in row]
-        for rho, row in zip(rhos, lams)
-    ]
+    epsilons = [[_epsilon(lam, rho) for lam in row] for rho, row in zip(rhos, lams)]
     ops = _sequential_operators(lams[:, 0], lams[:, 1:])
     reports = []
     for rho, op, eps in zip(rhos, ops, epsilons):
@@ -428,13 +460,14 @@ def check_sequential(rho: np.ndarray, lams: Sequence[np.ndarray]) -> SequentialR
     """Verify the cumulative-disturbance bound for a measurement sequence.
 
     With eps_k = 1 - <L_k, rho>, the sandwiched expectation must stay
-    above 1 - eps_1 - 2*sum_{k>=2} sqrt(eps_k).
+    above 1 - eps_1 - 2*sum_{k>=2} sqrt(eps_k).  Refuses, with ValueError,
+    fewer than two operators, then what ``check_gentle`` refuses, naming
+    the first bad operator by its index in ``lams``.
     """
     if len(lams) < 2:
         raise ValueError("sequential check needs at least two operators")
-    rho = _as_matrix(rho)
-    lams = np.array([_same_shape(lam, rho)[0] for lam in lams])
-    return _sequential_reports(np.array([rho]), lams[None])[0]
+    rho, lams = _checked_inputs(rho, lams)
+    return _sequential_reports(rho[None], lams[None])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -471,13 +504,13 @@ def combined_povm(povms: Sequence[Povm]) -> Povm:
     conjugated by the square roots of the others' elements, innermost to
     outermost in input order; completeness telescopes.  The learning
     campaign's strategy and audit put each POVM innermost in turn
-    (``_combined_stack``).
+    (``_combined_stack``).  Every input was checked when it was built, and
+    the result is checked as any Povm is, so a sum that drifts from the
+    identity by more than COMPLETENESS_TOL raises instead of returning.
     """
     n = len(povms)
     if n == 0:
         raise ValueError("need at least one POVM")
-    for p in povms:
-        p.validate()
     if n == 1:
         return povms[0]
     dim = povms[0].dim
@@ -499,6 +532,9 @@ def averaged_strategy_success(enc: QuantumEncoding, povms: Sequence[Povm]) -> Le
     the classical register: for middle choice j the element is the
     j-th POVM's correct element conjugated by the other correct elements'
     square roots.  ``achieved`` averages uniformly over the middle choice.
+    Each POVM was checked when it was built, and the encoding's states
+    share one shape, so this checks only that the POVMs match the states'
+    dimension and that each function maps into its POVM's outcomes.
     """
     n = len(povms)
     if n == 0:
@@ -515,8 +551,6 @@ def averaged_strategy_success(enc: QuantumEncoding, povms: Sequence[Povm]) -> Le
 
     stacks = [np.array(p.elements)[None] for p in povms]
     roots = [_psd_roots(stack) for stack in stacks]
-    for state in enc.states:
-        _same_shape(state, stacks[0][0, 0])
     return _learn_reports([enc], stacks, roots)[0]
 
 
@@ -1016,9 +1050,9 @@ def _learning_kernel(drawn: list) -> list[dict]:
     for rows in groups.values():
         rows.sort(key=lambda k: len(drawn[k][2]))
         elements = _povm_elements(np.concatenate([drawn[k][2] for k in rows]))  # (m, b, d, d)
-        roots = _psd_roots(elements)
-        # after the roots, so a bad POVM raises what the public functions raised
+        # before the roots, as Povm checks one, so a bad POVM raises what Povm raises
         _validate_stack(elements, range(elements.shape[-3]))
+        roots = _psd_roots(elements)
         stacks, start = (elements, roots), 0
         for n, run in itertools.groupby(rows, key=lambda k: len(drawn[k][2])):
             run = list(run)

@@ -5,14 +5,15 @@ both inputs uniform and independent.  Tasks are either explicit tables or
 members of one of six parametric families (oblivious-transfer variants,
 equality, inner product, millionaire comparison) with closed-form
 baselines.  A task is checked once, when it is built, and nothing
-downstream re-checks: SfeTask checks an explicit table, and make_family
-builds a family task from its FamilySpec, the one record its name, sizes,
-baseline and table derive from.  A table is a read-only, C-contiguous
-numpy array in the narrowest unsigned type that holds its largest cell,
-uint8 for outputs below 256, and the brute-force baseline reads it as it
-is.  numpy is
-imported inside the functions that build or read tables, so a family task
-used through its closed forms (sizes and baseline) never loads it.  A
+downstream re-checks: the SfeTask constructor checks an explicit table
+with one function, ``_checked_table``, which also returns the final table,
+and make_family builds a family task from its FamilySpec, the one record
+its name, sizes, baseline and table derive from; validate_task has
+nothing left to report.  A table is a read-only, C-contiguous numpy array
+in the narrowest unsigned type that holds its largest cell, uint8 for
+outputs below 256, and the brute-force baseline reads it as it is.  numpy
+is imported inside the functions that build or read tables, so a family
+task used through its closed forms (sizes and baseline) never loads it.  A
 family task builds its table from the family formulas only when the table
 is first read, and only up to MATERIALIZE_CAP cells, so bounds and curves,
 which need only the closed-form baseline, never build one, and huge
@@ -221,22 +222,24 @@ class SfeTask:
     table) and whose name and sizes are the spec's.  ``table[x, y]`` holds
     the output index f(x, y) in a read-only, C-contiguous 2-D array of the
     narrowest unsigned type that holds its largest cell (``_unsigned``).
-    An explicit table is converted here from any nested sequence of
-    integers, checked in its own integer type (int64 for lists), and only
-    then narrowed, so the cast is exact.  A family task within MATERIALIZE_CAP builds its table
-    from the family formulas on the first read of ``table`` and keeps it;
-    above the cap ``table`` is None and the task answers closed-form
-    queries only, its sizes and baseline.
+    An explicit table is converted from any nested sequence of integers
+    by ``_checked_table``, checked in its own integer type (int64 for
+    lists), and only then narrowed, so the cast is exact.  A family task
+    within MATERIALIZE_CAP builds its table from the family formulas on
+    the first read of ``table`` and keeps it; above the cap ``table`` is
+    None and the task answers closed-form queries only, its sizes and
+    baseline.
 
-    The constructor is the one place an explicit task is checked: sizes
-    that are not integers of at least 1 by ``_integer``, checked first, a
-    table that is not a sequence of rows, ragged rows, missing or
-    non-integer cells, values outside int64, tables above MATERIALIZE_CAP
-    and every violation validate_task reports raise TaskError, so a task
-    that exists is valid.  Sizes are kept as Python ints, whatever integer
-    type they came in.  Tasks are immutable; every
-    operation on them is pure.  Family tasks compare equal by their specs,
-    explicit tasks by name, sizes and table contents.
+    The constructor is the one place an explicit task is checked, and it
+    sets the table once: sizes that are not integers of at least 1 by
+    ``_integer``, checked first, then a table that is not a sequence of
+    rows, a row count other than x_size, ragged rows, missing or
+    non-integer cells, cells outside [0, b_size) or int64, and tables
+    above MATERIALIZE_CAP raise TaskError, so a task that exists is valid.
+    Sizes are kept as Python ints, whatever integer type they came in.
+    Tasks are immutable; every operation on them is pure.  Family tasks
+    compare equal by their specs, explicit tasks by name, sizes and table
+    contents.
     """
 
     def __init__(self, name: str, x_size: int, y_size: int, b_size: int, table):
@@ -246,15 +249,8 @@ class SfeTask:
                 sizes[key] = _integer(key, value, 1)
             except ValueError:
                 raise TaskError(f"{key}={value!r} must be a positive integer") from None
-        table = _as_table(table, *sizes.values())
+        table = _checked_table(table, *sizes.values())
         self.__dict__.update(sizes, name=name, family=None, _table=table)
-        violations = validate_task(self)
-        if violations:
-            raise TaskError("; ".join(violations))
-        # every cell checked in [0, b_size), so the cast is exact
-        table = table.astype(_unsigned(int(table.max())), order="C", copy=False)
-        table.flags.writeable = False
-        self.__dict__["_table"] = table
 
     def __setattr__(self, key, value):
         raise AttributeError(f"SfeTask is immutable: cannot set {key!r}")
@@ -299,27 +295,47 @@ def _unsigned(top: int) -> np.dtype:
     return np.min_scalar_type(top)
 
 
-def _as_table(raw, x_size: int, y_size: int, b_size: int) -> np.ndarray:
-    """``raw`` as a private 2-D integer array for validate_task, or
-    TaskError naming bad cells.  An integer array keeps its type, so a
-    table of bytes is checked in bytes; booleans and an empty table become
-    int64, as a table of lists is.  A uint64 array with a cell of 2**63 or
-    more goes to ``_cell_violations``, as any table beyond int64 does."""
+def _checked_table(raw, x_size: int, y_size: int, b_size: int) -> np.ndarray:
+    """``raw`` as the table of an explicit task of these sizes, or TaskError
+    naming every violation: the one check of an explicit table.
+
+    numpy converts ``raw`` into a private copy the caller cannot write to,
+    and an integer array keeps its type, so a table of bytes is checked in
+    bytes.  A 2-D integer table is accepted by its shape and its minimum
+    and maximum alone; every cell then lies in [0, b_size), so the cast to
+    ``_unsigned`` of its largest cell is exact.  For one that is refused,
+    numpy finds the rows to report, and ``_row_violations`` walks only
+    those, in the order and words of ``_cell_violations``.  Anything else,
+    a uint64 array with a cell of 2**63 or more included, goes to
+    ``_cell_violations``, as any table beyond int64 does.  Both caps apply:
+    to the sizes, then to the table numpy built.
+    """
     import numpy as np
 
-    _check_cap(int(x_size) * int(y_size))
+    _check_cap(x_size * y_size)
     try:
-        table = np.array(raw)  # a private copy the caller cannot write to
+        table = np.array(raw)
     except (ValueError, TypeError, OverflowError):  # e.g. ragged rows
         table = None
     if table is not None and table.dtype == np.uint64 and table.size and int(table.max()) >= 2**63:
         table = None
-    integer = table is not None and (table.dtype.kind in "biu" or table.size == 0)
-    if not integer or table.ndim != 2:
+    if table is None or table.dtype.kind not in "biu" or table.ndim != 2:
         violations = _cell_violations(raw, x_size, y_size, b_size)
         raise TaskError("; ".join(violations) or "table must be a 2-D array of integers")
     _check_cap(table.size)
-    return table if table.dtype.kind in "iu" else table.astype(np.int64)
+    shape_ok = table.shape == (x_size, y_size)
+    if shape_ok and int(table.min()) >= 0 and (top := int(table.max())) < b_size:
+        table = table.astype(_unsigned(top), order="C", copy=False)
+        table.flags.writeable = False
+        return table
+    if table.shape[1] != y_size:
+        rows = range(len(table))  # each row has the wrong length
+    else:  # only a row with a cell out of range has something to report
+        high = min(b_size - 1, 2**63 - 1)  # cells above 2**63 - 1 went to _cell_violations
+        rows = ((table < 0) | (table > high)).any(axis=1).nonzero()[0].tolist()
+    # Python ints, which print as 5 where numpy's print as np.int64(5), and bools as 1
+    numbered = ((x, table[x].astype(np.int64).tolist()) for x in rows)
+    raise TaskError("; ".join(_row_violations(len(table), numbered, x_size, y_size, b_size)))
 
 
 def _cell_violations(raw, x_size: int, y_size: int, b_size: int) -> list[str]:
@@ -329,7 +345,7 @@ def _cell_violations(raw, x_size: int, y_size: int, b_size: int) -> list[str]:
 
     The reporter for tables numpy cannot take as 2-D integers; its per-row
     part, ``_row_violations``, words every message, also for the integer
-    tables validate_task refuses, and walks only the rows ``_clean_row``
+    tables ``_checked_table`` refuses, and walks only the rows ``_clean_row``
     does not pass.  Both run only on the error path.  Integral covers
     numpy's integer scalars, which numpy registers with it.
     """
@@ -477,32 +493,15 @@ def make_family(family: str, **params: int) -> SfeTask:
 
 
 def validate_task(task: SfeTask) -> list[str]:
-    """Check an explicit task's table: its shape and range.
+    """The violations of ``task``: always none, as a list.
 
-    Returns a list of human-readable violations; empty means valid.  The
-    SfeTask constructor raises TaskError on a non-empty list, so every task
-    that exists passes; it checks the sizes, all positive, before the
-    table.  A family task has nothing to report: its sizes are its
-    FamilySpec's, and family_table builds its table to those sizes with
-    every cell in [0, b_size), so it is never read here.  An explicit table is
-    accepted by its shape and its minimum and maximum alone; for one that
-    is not, numpy finds the rows to report, and ``_row_violations`` walks
-    only those, in the order and words of ``_cell_violations``.
+    Every task is checked when it is built: an explicit table by the
+    SfeTask constructor, which raises TaskError on any violation, and a
+    family task by its FamilySpec, whose table family_table builds to its
+    sizes with every cell in [0, b_size).  So every task that exists
+    passes, and nothing is read here.
     """
-    if task.family is not None:
-        return []
-    table = task._table
-    shape_ok = table.shape == (task.x_size, task.y_size)
-    if shape_ok and int(table.min()) >= 0 and int(table.max()) < task.b_size:
-        return []
-    if table.shape[1] != task.y_size:
-        rows = range(len(table))  # each row has the wrong length
-    else:  # only a row with a cell out of range has something to report
-        high = min(task.b_size - 1, 2**63 - 1)  # _as_table refuses any cell above 2**63 - 1
-        rows = ((table < 0) | (table > high)).any(axis=1).nonzero()[0].tolist()
-    # Python ints, which print as 5 where numpy's print as np.int64(5)
-    numbered = ((x, table[x].tolist()) for x in rows)
-    return _row_violations(len(table), numbered, task.x_size, task.y_size, task.b_size)
+    return []
 
 
 # ---------------------------------------------------------------------------

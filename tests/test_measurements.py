@@ -75,15 +75,16 @@ def completeness_defect(povm):
     return float(m._operator_norms(sum(povm.elements) - np.eye(povm.dim)))
 
 
-def loop_validate(povm):
-    for i, e in enumerate(povm.elements):
+def loop_validate(elements, labels):
+    elements = [np.asarray(e, dtype=complex) for e in elements]
+    for label, e in zip(labels, elements):
         if not (
             np.abs(e - e.conj().T).max() <= m.HERMITIAN_TOL
             and np.linalg.eigvalsh(e).min() >= -m.PSD_CLAMP_TOL
             and np.linalg.eigvalsh(e).max() <= 1.0 + m.PSD_CLAMP_TOL
         ):
-            raise ValueError(f"element {povm.labels[i]!r} is not a measurement operator")
-    defect = completeness_defect(povm)
+            raise ValueError(f"element {label!r} is not a measurement operator")
+    defect = float(m._operator_norms(sum(elements) - np.eye(len(elements[0]))))
     if defect > m.COMPLETENESS_TOL:
         raise ValueError(f"POVM completeness defect {defect:.3e} exceeds {m.COMPLETENESS_TOL:.0e}")
 
@@ -105,7 +106,7 @@ def loop_sequential_operator(lams):
 
 def loop_combined_povm(povms, middle=0):
     for p in povms:
-        loop_validate(p)
+        loop_validate(p.elements, p.labels)
     n = len(povms)
     if n == 1:
         return povms[0]
@@ -410,9 +411,9 @@ class TestCombinedPovm:
             assert len(tilde.elements) == 8
 
     def test_invalid_input_povm_rejected(self):
-        broken = Povm(elements=(np.eye(2), np.eye(2)))
-        with pytest.raises(ValueError):
-            combined_povm([broken, broken])
+        # refused when it is built, so no combined_povm call can take it
+        with pytest.raises(ValueError, match=r"^POVM completeness defect 1\.000e\+00 exceeds 1e-10$"):
+            Povm(elements=(np.eye(2), np.eye(2)))
 
 
 class TestLearnStrategy:
@@ -455,12 +456,19 @@ class TestLearnStrategy:
         enc = random_encoding(2, 3, 1, 2, seed=1)
         with pytest.raises(ValueError, match=r"^POVM 0 dimension 4 does not match states \(3\)$"):
             averaged_strategy_success(enc, [random_povm(4, 2, seed=0)])
-        # the kernel's bare inner products leave the states to this check
-        odd = QuantumEncoding(
-            probs=np.array([0.5, 0.5]), states=(np.eye(2) / 2, np.eye(3) / 3), functions=((0, 1),)
-        )
-        with pytest.raises(ValueError, match=r"dimension mismatch: \(3, 3\) vs \(2, 2\)"):
-            averaged_strategy_success(odd, [random_povm(2, 2, seed=0)])
+        # the kernel's bare inner products rely on states of one shape,
+        # which the encoding checks when it is built
+        with pytest.raises(ValueError, match="^states have mixed dimensions$"):
+            QuantumEncoding(
+                probs=np.array([0.5, 0.5]), states=(np.eye(2) / 2, np.eye(3) / 3), functions=((0, 1),)
+            )
+
+    def test_a_non_povm_is_never_scored(self):
+        # (I, I) sums to 2I; scored, two copies read holds=True with
+        # individual success 1.0
+        enc = random_encoding(3, 2, 2, 2, seed=1)
+        with pytest.raises(ValueError, match="^POVM completeness defect"):
+            averaged_strategy_success(enc, [Povm(elements=(np.eye(2), np.eye(2)))] * 2)
 
 
 class TestGenerators:
@@ -475,9 +483,8 @@ class TestGenerators:
         assert np.array_equal(random_density(3, 2, seed=42), random_density(3, 2, seed=42))
 
     def test_random_povm_properties(self):
-        pov = random_povm(3, 2, seed=0)
+        pov = random_povm(3, 2, seed=0)  # checked when it is built
         assert completeness_defect(pov) <= 1e-10
-        pov.validate()
 
     def test_invalid_generator_parameters(self):
         with pytest.raises(ValueError):
@@ -507,11 +514,12 @@ class TestGenerators:
 
 class TestPovmType:
     def test_validate_passes_for_generated(self):
-        random_povm(4, 3, seed=2).validate()
+        # a generated POVM passes the constructor's check again when rebuilt
+        assert Povm(*random_povm(4, 3, seed=2)).dim == 4
 
     def test_validate_rejects_incomplete(self):
-        with pytest.raises(ValueError):
-            Povm(elements=(np.eye(2) / 2, np.eye(2) / 3)).validate()
+        with pytest.raises(ValueError, match="^POVM completeness defect"):
+            Povm(elements=(np.eye(2) / 2, np.eye(2) / 3))
 
     def test_labels_default_and_custom(self):
         pov = Povm(elements=(np.eye(2) / 2, np.eye(2) / 2), labels=("yes", "no"))
@@ -545,12 +553,25 @@ HALF = np.eye(2) / 2
 REFUSALS = {
     "gentle-above-one": (
         lambda: check_gentle(HALF, 2 * np.eye(2)),
-        "<lam, rho> = 2.0 outside [0, 1]",
+        "operator 0 is not a measurement operator",
     ),
-    # -I has no root either: the range check runs before any root is taken
+    # -I has no root either: the inputs are checked before any root is taken
     "gentle-below-zero": (
         lambda: check_gentle(HALF, -np.eye(2)),
-        "<lam, rho> = -1.0 outside [0, 1]",
+        "operator 0 is not a measurement operator",
+    ),
+    # <lam, rho> = 0.95 lies in [0, 1], and the lemma's bound is not for this lam
+    "gentle-not-measurement": (
+        lambda: check_gentle(HALF, np.diag([1.9, 0.0])),
+        "operator 0 is not a measurement operator",
+    ),
+    "gentle-trace-two": (
+        lambda: check_gentle(np.eye(2), HALF),
+        "rho is not a density matrix",
+    ),
+    "sequential-not-measurement": (
+        lambda: check_sequential(HALF, [np.eye(2), np.diag([1.9, 0.0])]),
+        "operator 1 is not a measurement operator",
     ),
     "sequential-one-operator": (
         lambda: check_sequential(HALF, [np.eye(2)]),
@@ -587,6 +608,12 @@ REFUSALS = {
         lambda: QuantumEncoding(probs=[0.5, 0.4], states=(HALF, HALF), functions=()),
         "probs must be nonnegative and sum to 1",
     ),
+    "encoding-mixed": (
+        lambda: QuantumEncoding(
+            probs=[0.5, 0.5], states=(HALF, np.eye(3) / 3), functions=((0, 1),)
+        ),
+        "states have mixed dimensions",
+    ),
     "encoding-partial-function": (
         lambda: QuantumEncoding(probs=[0.5, 0.5], states=(HALF, HALF), functions=((0,),)),
         "every function must be total over the inputs",
@@ -594,6 +621,10 @@ REFUSALS = {
     "povm-mixed": (
         lambda: Povm(elements=(np.eye(3) / 2, np.eye(2) / 2)),
         "POVM elements have mixed dimensions",
+    ),
+    "povm-not-measurement": (
+        lambda: Povm(elements=(np.eye(2), np.eye(2))),
+        "POVM completeness defect 1.000e+00 exceeds 1e-10",
     ),
     "povm-labels": (
         lambda: Povm(elements=(np.eye(2),), labels=("a", "b")),
@@ -737,8 +768,8 @@ class TestStackedKernelMatchesLoops:
         ],
     )
     def test_first_validation_failure_reported(self, elements):
-        povm = Povm(elements=elements, labels=tuple("abc"[: len(elements)]))
-        assert error_message(povm.validate) == error_message(loop_validate, povm)
+        labels = tuple("abc"[: len(elements)])
+        assert error_message(Povm, elements, labels) == error_message(loop_validate, elements, labels)
 
 
 CAMPAIGNS = [m.gentle_instance, m.sequential_instance, m.learning_instance]
@@ -827,9 +858,9 @@ class TestCampaignKernels:
         draw, kernel = m.gentle_instance.campaign
 
         def failing(seed, dim):
-            # lam = 2E - I with rho on the top eigenvector of E: <lam, rho>
-            # = 2 e_max - 1 passes the range check, and the root of lam fails
-            # on its eigenvalue 2 e_min - 1 < 0
+            # lam = 2E - I with rho on the top eigenvector of E: the kernel
+            # checks no input, and the root of lam fails on its eigenvalue
+            # 2 e_min - 1 < 0
             seed, _, _, gaussians = draw(seed, max_dim=dim)
             assert gaussians.shape[-1] == dim
             evals, vecs = np.linalg.eigh(m._povm_elements(gaussians)[0])

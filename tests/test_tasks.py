@@ -1,6 +1,9 @@
+import hashlib
 import itertools
 import json
 import pickle
+import random
+import warnings
 from collections import defaultdict
 from fractions import Fraction
 from unittest import mock
@@ -404,7 +407,7 @@ class TestFamilyTables:
         family, params = family_and_params
         task = make_family(family, **params)
         table = task.table  # built by family_table on this first read
-        # what lets validate_task skip the range checks on derived tables
+        # what lets a family task skip the table checks of an explicit one
         assert table.shape == (task.x_size, task.y_size)
         assert table.dtype == np.uint8 == np.min_scalar_type(task.b_size - 1)
         assert table.flags.c_contiguous and not table.flags.writeable
@@ -549,7 +552,9 @@ class TestValidation:
         st.booleans(),
     )
     def test_every_refusal_is_the_cell_reporters(self, rows, x_size, y_size, b_size, as_array):
-        # an int64 array goes through validate_task, a list through _as_table
+        # _checked_table reports an int64 array, and a list of equal rows, from
+        # the rows numpy finds, and a list numpy makes no integer array of (no
+        # rows, or rows of no cells) by _cell_violations
         table = np.array(rows, dtype=np.int64) if as_array else rows
         expected = tasks._cell_violations(rows, x_size, y_size, b_size)
         try:
@@ -593,6 +598,74 @@ class TestValidation:
             "entry 1.5 at (900, 999) outside [0, 2)"
         )
         assert walked == [300, 500, 900]
+
+
+def table_corpus():
+    """(table, x_size, y_size, b_size) cases for TABLE_REFUSALS_DIGEST:
+    seeded list tables, some with ragged, non-sequence or bad-cell rows;
+    the int64, uint8, bool, uint64 and float64 arrays of each that numpy
+    takes as numbers; the materialization-cap cases and the empty tables."""
+    rng = random.Random(7)
+    bad_cells = [None, 1.5, "1", True, np.int64(1), 2**63, 2**64, -1, [0]]
+    for _ in range(1200):
+        x_size, y_size = rng.randint(1, 4), rng.randint(1, 4)
+        b_size = rng.choice([1, 2, 3, 256, 2**64, 2**70])
+        # mostly in range; b_size and b_size + 1 where that is below 300
+        cells = [rng.randrange(min(b_size, 300) + rng.choice([0, 0, 0, 2])) for _ in range(6)]
+        if b_size > 2**63:
+            cells[0] = 2**63 - 1
+        count = x_size + rng.choice([-1, 0, 0, 0, 0, 1])
+        rows = [[rng.choice(cells) for _ in range(y_size)] for _ in range(count)]
+        for _ in range(rng.choice([0, 0, 1, 2])):
+            x = rng.randrange(len(rows)) if rows else None
+            if x is None or not isinstance(rows[x], list) or not rows[x]:
+                continue
+            fault = rng.randrange(4)
+            if fault == 0:
+                rows[x][rng.randrange(len(rows[x]))] = rng.choice(bad_cells)
+            elif fault == 1:
+                rows[x].pop()  # ragged
+            elif fault == 2:
+                rows[x].append(0)  # ragged
+            else:
+                rows[x] = rng.choice([5, None, "ab"])
+        yield rows, x_size, y_size, b_size
+        try:
+            array = np.array(rows)
+        except (ValueError, TypeError, OverflowError):
+            continue
+        if array.dtype.kind in "biuf":
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # wrapping casts are the point
+                forms = [array.astype(dtype) for dtype in (np.int64, np.uint8, bool, np.uint64, np.float64)]
+            for form in forms:
+                yield form, x_size, y_size, b_size
+    for table in (None, [], [[]], np.empty((0, 3))):
+        yield table, 1, 1, 2
+        yield table, 2, 3, 2
+    yield np.zeros((1, 1), dtype=np.int64), 1001, 1000, 2  # declared above the cap
+    yield np.zeros((1001, 1000), dtype=np.int64), 1, 1, 2  # built above the cap
+    yield [[1] * 1000] * 1001, 1001, 1000, 2
+    yield np.ones((1000, 1000), dtype=np.int64), 1000, 1000, 2  # at the cap
+    yield [[1] * 1000] * 1000, 1000, 1000, 2
+
+
+# SHA-256 over the 4963 cases of table_corpus(): per case the accepted
+# table's dtype, shape, read-only flag and bytes, or the TaskError text
+TABLE_REFUSALS_DIGEST = "1f7fea0d574fca970034cfa1395f2fbc306ef12b0260104adc2eab7bcd20934a"
+
+
+def test_table_refusals_are_pinned():
+    digest = hashlib.sha256()
+    for table, *sizes in table_corpus():
+        try:
+            built = SfeTask("t", *sizes, table=table).table
+        except TaskError as refused:
+            digest.update(f"refused {refused}\n".encode())
+        else:
+            digest.update(f"{built.dtype} {built.shape} {built.flags.writeable}\n".encode())
+            digest.update(built.tobytes())
+    assert digest.hexdigest() == TABLE_REFUSALS_DIGEST
 
 
 class TestBaselines:
