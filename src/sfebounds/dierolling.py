@@ -117,13 +117,11 @@ def _stats(sums: np.ndarray, y_size: int, seed: int) -> DrStats:
 def run_honest(task: SfeTask, trials: int, seed: int = 0) -> DrStats:
     """Both parties honest: never aborts, outcomes exactly (b + y) mod |Y|.
 
-    Holds two trial arrays, ys and bs; the sums b + y, which ``_stats``
-    reduces, are formed in place in bs.
+    It is the honest receiver's run, ``run_cheating_bob(task, "honest",
+    trials, seed)``, which holds two trial arrays, ys and bs, and forms the
+    sums b + y, which ``_stats`` reduces, in place in bs.
     """
-    trials, seed = _checked(trials, seed)
-    ys, bs = _draw_trials(task, trials, seed)
-    bs += ys
-    return _stats(bs, task.y_size, seed)
+    return run_cheating_bob(task, "honest", trials, seed)
 
 
 def run_cheating_alice(task: SfeTask, trials: int, seed: int = 0) -> DrStats:
@@ -164,16 +162,19 @@ def _declared(task: SfeTask, learner: BobKnowledge) -> Union[str, list[int]]:
 
 
 def _revealed(
-    task: SfeTask, learner: Union[str, list[int]], required: np.ndarray, ys: np.ndarray
+    task: SfeTask, learner: Union[str, list[int]], bs: np.ndarray, ys: np.ndarray
 ) -> np.ndarray:
     """The input the receiver reveals in each trial, for a ``_declared``
-    learner: the required one when its answer is known, else the least
-    known input.  A declared collection forms it in ``required``, which
-    the caller does not read again."""
-    if learner == "full":
-        return required
+    learner: the required one, -b mod |Y|, when its answer is known, else
+    the least known input.  The honest receiver reveals his own ys, so no
+    required array is formed for him; "full" and a declared collection
+    form it in a new array, which a collection then overwrites in place."""
     if learner == "honest":
         return ys
+    required = np.negative(bs)
+    required %= task.y_size
+    if learner == "full":
+        return required
     # a table of unknown inputs: one byte per input, where np.isin would
     # take two temporary trial arrays
     unknown = np.ones(task.y_size, dtype=bool)
@@ -201,15 +202,14 @@ def run_cheating_bob(
     range(|Y|) and on an empty collection; a learner that is not iterable,
     such as a callable, raises TypeError.
 
-    Holds three trial arrays, ys, bs and the required reveals.  The sums
+    Holds three trial arrays, ys, bs and the required reveals, or two, ys
+    and bs, for the honest receiver, which is ``run_honest``.  The sums
     b + y, which ``_stats`` reduces, are formed in place in bs.
     """
     trials, seed = _checked(trials, seed)
     learner = _declared(task, learner)
     ys, bs = _draw_trials(task, trials, seed)
-    required = np.negative(bs)
-    required %= task.y_size
-    bs += _revealed(task, learner, required, ys)
+    bs += _revealed(task, learner, bs, ys)
     return _stats(bs, task.y_size, seed)
 
 

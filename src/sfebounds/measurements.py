@@ -68,7 +68,11 @@ stacked check applies the 2-D check to every matrix, and the first failing
 matrix in C order raises with the message the 2-D check gives.
 
 Inputs are checked once, where they are built or taken, with those
-tolerances: a measurement operator is Hermitian within HERMITIAN_TOL with
+tolerances.  Every group of matrices that must share a shape goes through
+one rule, ``_matrices``: each item a square matrix, none missing and none
+of another shape (a Povm's elements, an encoding's states, rho with the
+operators of a public check, and the first elements of combined_povm's
+POVMs).  A measurement operator is Hermitian within HERMITIAN_TOL with
 spectrum in [-PSD_CLAMP_TOL, 1 + PSD_CLAMP_TOL]; a Povm's elements are
 such operators, summing to the identity within COMPLETENESS_TOL in the
 operator norm, checked in its constructor; and the public gentle and
@@ -105,6 +109,18 @@ def _as_matrix(a: np.ndarray) -> np.ndarray:
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {a.shape}")
     return a
+
+
+def _matrices(items: Iterable, what: str) -> list:
+    """``items`` as square complex matrices of one shape, or ValueError:
+    ``{what} must not be empty`` or ``{what} have mixed dimensions``, after
+    ``_as_matrix`` has taken every item."""
+    matrices = [_as_matrix(a) for a in items]
+    if not matrices:
+        raise ValueError(f"{what} must not be empty")
+    if any(a.shape != matrices[0].shape for a in matrices):
+        raise ValueError(f"{what} have mixed dimensions")
+    return matrices
 
 
 def _dagger(a: np.ndarray) -> np.ndarray:
@@ -156,33 +172,27 @@ def _measurement_ok(stack: np.ndarray) -> np.ndarray:
 
 class _PovmFields(NamedTuple):
     elements: tuple
-    labels: tuple = ()
 
 
 class Povm(_PovmFields):
-    """Finite outcome-indexed measurement: PSD elements summing to identity.
+    """Finite measurement: PSD elements summing to identity, outcome k
+    being element k.
 
     ``__new__``, which ``_replace`` goes through too, is its one check: it
-    refuses no elements, elements of mixed dimensions or a label count that
-    differs, and then, by ``_validate_stack``, an element that is not a
-    measurement operator or elements whose sum is not the identity within
-    COMPLETENESS_TOL.  So every Povm that exists is one, of ``dim`` x
-    ``dim`` elements, and no caller checks it again.
+    refuses, by ``_matrices``, no elements (``POVM elements must not be
+    empty``) or elements of mixed dimensions, and then, by
+    ``_validate_stack``, an element that is not a measurement operator or
+    elements whose sum is not the identity within COMPLETENESS_TOL.  So
+    every Povm that exists is one, of ``dim`` x ``dim`` elements, and no
+    caller checks it again.
     """
 
     __slots__ = ()
 
-    def __new__(cls, elements: tuple, labels: tuple = ()):
-        elements = tuple(_as_matrix(e) for e in elements)
-        if not elements:
-            raise ValueError("a POVM needs at least one element")
-        if any(e.shape != elements[0].shape for e in elements):
-            raise ValueError("POVM elements have mixed dimensions")
-        labels = labels or tuple(range(len(elements)))
-        if len(labels) != len(elements):
-            raise ValueError("labels and elements differ in length")
-        _validate_stack(np.array(elements), labels)
-        return super().__new__(cls, elements, tuple(labels))
+    def __new__(cls, elements: tuple):
+        elements = tuple(_matrices(elements, "POVM elements"))
+        _validate_stack(np.array(elements))
+        return super().__new__(cls, elements)
 
     _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
 
@@ -203,23 +213,25 @@ class QuantumEncoding(_EncodingFields):
     ``functions[i][x]`` is the outcome index the i-th target function
     assigns to input x.  The classical register is never materialized:
     all expectations are taken blockwise over x.  ``__new__``, which
-    ``_replace`` goes through too, checks that the states are square
-    matrices of one shape, that probs is a distribution over them and that
-    every function is total.  It does not check that each state is a
-    density: every campaign instance builds its encoding here.
+    ``_replace`` goes through too, checks, with ValueError, that there is
+    at least one state and that the states are square matrices of one shape
+    (``_matrices``), that probs is a distribution over them, a NaN
+    refused, and that every function is total.  It does not check that
+    each state is a density, nor the function values, whose range only the
+    POVMs give: ``averaged_strategy_success`` checks those.  Every campaign
+    instance builds its encoding here.
     """
 
     __slots__ = ()
 
     def __new__(cls, probs: np.ndarray, states: tuple, functions: tuple):
         probs = np.asarray(probs, dtype=float)
-        states = tuple(_as_matrix(s) for s in states)
-        if any(s.shape != states[0].shape for s in states):
-            raise ValueError("states have mixed dimensions")
+        states = tuple(_matrices(states, "states"))
         functions = tuple(tuple(f) for f in functions)
-        if probs.ndim != 1 or len(probs) != len(states):
+        if probs.shape != (len(states),):
             raise ValueError("probs and states must have matching length")
-        if probs.min() < 0 or abs(probs.sum() - 1.0) > 1e-12:
+        # every comparison with NaN is false, so a NaN fails both tests
+        if not ((probs >= 0).all() and abs(probs.sum() - 1.0) <= 1e-12):
             raise ValueError("probs must be nonnegative and sum to 1")
         for f in functions:
             if len(f) != len(states):
@@ -273,14 +285,6 @@ class LearnReport(NamedTuple):
 # ---------------------------------------------------------------------------
 
 
-def _same_shape(a: np.ndarray, b: np.ndarray) -> tuple:
-    """``a`` and ``b`` as square complex matrices of one shape."""
-    a, b = _as_matrix(a), _as_matrix(b)
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return a, b
-
-
 def _trace_norms(stack: np.ndarray) -> np.ndarray:
     return np.linalg.svd(stack, compute_uv=False).sum(axis=-1)
 
@@ -310,13 +314,13 @@ def _element_sum(stack: np.ndarray) -> np.ndarray:
     return 0 + np.add.reduce(parts, axis=-3).view(complex)
 
 
-def _validate_stack(stack: np.ndarray, labels: Sequence) -> None:
-    """The POVM check, for POVMs stacked as (..., b, d, d), all labelled by
-    ``labels``: the Povm constructor passes one, the learning kernel every
-    POVM of a shape group.
+def _validate_stack(stack: np.ndarray) -> None:
+    """The POVM check, for POVMs stacked as (..., b, d, d): the Povm
+    constructor passes one, the learning kernel every POVM of a shape group.
 
     The first invalid POVM in C order raises: for its first element that is
-    not a measurement operator, else for its completeness defect.
+    not a measurement operator, named by its index (``element 1 is not a
+    measurement operator``), else for its completeness defect.
     """
     ok = _measurement_ok(stack)
     defect = _operator_norms(_element_sum(stack) - np.eye(stack.shape[-1]))
@@ -324,8 +328,7 @@ def _validate_stack(stack: np.ndarray, labels: Sequence) -> None:
     if bad.any():
         i = _first(bad)
         if not ok[i].all():
-            label = labels[int(np.argmin(ok[i]))]
-            raise ValueError(f"element {label!r} is not a measurement operator")
+            raise ValueError(f"element {int(np.argmin(ok[i]))} is not a measurement operator")
         raise ValueError(f"POVM completeness defect {defect[i]:.3e} exceeds {COMPLETENESS_TOL:.0e}")
 
 
@@ -372,12 +375,14 @@ def _sandwich(op: np.ndarray, roots) -> np.ndarray:
 
 def _checked_inputs(rho: np.ndarray, lams: Sequence[np.ndarray]) -> tuple:
     """``rho`` as a complex matrix and ``lams`` as a stack of its shape, or
-    ValueError: the gentle and sequential lemmas cover only measurement
+    ValueError: ``_matrices`` refuses a matrix that is not square and
+    operators of another shape than rho (``rho and the operators have mixed
+    dimensions``); the gentle and sequential lemmas cover only measurement
     operators, 0 <= L <= I, and a density rho, PSD of trace 1 within
-    COMPLETENESS_TOL.  A refusal names the first bad operator's index, or
-    rho."""
-    rho = _as_matrix(rho)
-    lams = np.array([_same_shape(lam, rho)[0] for lam in lams])
+    COMPLETENESS_TOL.  A refusal of values names the first bad operator's
+    index, or rho."""
+    rho, *lams = _matrices([rho, *lams], "rho and the operators")
+    lams = np.array(lams)
     ok = _measurement_ok(lams)
     if not ok.all():
         raise ValueError(f"operator {int(np.argmin(ok))} is not a measurement operator")
@@ -419,7 +424,8 @@ def check_gentle(rho: np.ndarray, lam: np.ndarray) -> GentleReport:
 
     epsilon = 1 - <lam, rho>; disturbance is the trace-norm distance from
     rho to sqrt(lam) rho sqrt(lam); the bound is 2*sqrt(epsilon).  Refuses,
-    with ValueError, a lam of another shape than rho, a lam that is not a
+    with ValueError, a lam of another shape than rho (``rho and the
+    operators have mixed dimensions``), a lam that is not a
     measurement operator (``operator 0 is not a measurement operator``) and
     a rho that is not a density (``rho is not a density matrix``): the
     lemma says nothing of them.
@@ -500,28 +506,24 @@ def _combined_stack(
 def combined_povm(povms: Sequence[Povm]) -> Povm:
     """Outcome-tuple POVM with the first input POVM sandwiched innermost.
 
-    Element for tuple (b_1, ..., b_n) is the first POVM's b_1 element
-    conjugated by the square roots of the others' elements, innermost to
-    outermost in input order; completeness telescopes.  The learning
-    campaign's strategy and audit put each POVM innermost in turn
-    (``_combined_stack``).  Every input was checked when it was built, and
-    the result is checked as any Povm is, so a sum that drifts from the
-    identity by more than COMPLETENESS_TOL raises instead of returning.
+    Element k is outcome tuple k of ``itertools.product(*(range(len(
+    p.elements)) for p in povms))``: the element for tuple (b_1, ..., b_n)
+    is the first POVM's b_1 element conjugated by the square roots of the
+    others' elements, innermost to outermost in input order; completeness
+    telescopes.  The learning campaign's strategy and audit put each POVM
+    innermost in turn (``_combined_stack``).  ``_matrices`` refuses no
+    POVMs (``POVMs must not be empty``) and POVMs of mixed dimensions, by
+    their first elements; a lone POVM is returned as it is.  Every input
+    was checked when it was built, and the result is checked as any Povm
+    is, so a sum that drifts from the identity by more than
+    COMPLETENESS_TOL raises instead of returning.
     """
-    n = len(povms)
-    if n == 0:
-        raise ValueError("need at least one POVM")
-    if n == 1:
+    _matrices([p.elements[0] for p in povms], "POVMs")
+    if len(povms) == 1:
         return povms[0]
-    dim = povms[0].dim
-    if any(p.dim != dim for p in povms):
-        raise ValueError("POVMs have mixed dimensions")
-
     stacks = [np.array(p.elements) for p in povms]
     roots = [None] + [_psd_roots(stack) for stack in stacks[1:]]
-    elements = _hermitian_part(_combined_stack(stacks, roots, 0))
-    labels = tuple(itertools.product(*(p.labels for p in povms)))
-    return Povm(elements=tuple(elements), labels=labels)
+    return Povm(elements=tuple(_hermitian_part(_combined_stack(stacks, roots, 0))))
 
 
 def averaged_strategy_success(enc: QuantumEncoding, povms: Sequence[Povm]) -> LearnReport:
@@ -534,7 +536,9 @@ def averaged_strategy_success(enc: QuantumEncoding, povms: Sequence[Povm]) -> Le
     square roots.  ``achieved`` averages uniformly over the middle choice.
     Each POVM was checked when it was built, and the encoding's states
     share one shape, so this checks only that the POVMs match the states'
-    dimension and that each function maps into its POVM's outcomes.
+    dimension and that each function value is an outcome of its POVM, by
+    ``tasks._integer`` from 0 to the POVM's last outcome (``function 0 at
+    x=1 must be at most 1, got 2``; a float or a bool is refused too).
     """
     n = len(povms)
     if n == 0:
@@ -545,9 +549,8 @@ def averaged_strategy_success(enc: QuantumEncoding, povms: Sequence[Povm]) -> Le
     for i, p in enumerate(povms):
         if p.dim != dim:
             raise ValueError(f"POVM {i} dimension {p.dim} does not match states ({dim})")
-        for x in range(enc.x_count):
-            if not 0 <= enc.functions[i][x] < len(p.elements):
-                raise ValueError(f"function {i} maps x={x} outside POVM {i}'s outcomes")
+        for x, value in enumerate(enc.functions[i]):
+            _integer(f"function {i} at x={x}", value, 0, len(p.elements) - 1)
 
     stacks = [np.array(p.elements)[None] for p in povms]
     roots = [_psd_roots(stack) for stack in stacks]
@@ -1051,7 +1054,7 @@ def _learning_kernel(drawn: list) -> list[dict]:
         rows.sort(key=lambda k: len(drawn[k][2]))
         elements = _povm_elements(np.concatenate([drawn[k][2] for k in rows]))  # (m, b, d, d)
         # before the roots, as Povm checks one, so a bad POVM raises what Povm raises
-        _validate_stack(elements, range(elements.shape[-3]))
+        _validate_stack(elements)
         roots = _psd_roots(elements)
         stacks, start = (elements, roots), 0
         for n, run in itertools.groupby(rows, key=lambda k: len(drawn[k][2])):

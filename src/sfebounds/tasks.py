@@ -231,8 +231,9 @@ class SfeTask:
     baseline.
 
     The constructor is the one place an explicit task is checked, and it
-    sets the table once: sizes that are not integers of at least 1 by
-    ``_integer``, checked first, then a table that is not a sequence of
+    sets the table once: a name that is not a str, checked first (``name
+    must be a string, got None``), then sizes that are not integers of at
+    least 1 by ``_integer``, then a table that is not a sequence of
     rows, a row count other than x_size, ragged rows, missing or
     non-integer cells, cells outside [0, b_size) or int64, and tables
     above MATERIALIZE_CAP raise TaskError, so a task that exists is valid.
@@ -243,6 +244,8 @@ class SfeTask:
     """
 
     def __init__(self, name: str, x_size: int, y_size: int, b_size: int, table):
+        if not isinstance(name, str):
+            raise TaskError(f"name must be a string, got {name!r}")
         sizes = {"x_size": x_size, "y_size": y_size, "b_size": b_size}
         for key, value in sizes.items():
             try:

@@ -846,6 +846,12 @@ class TestTaskFileInput:
         assert code == 2 and f"x_size={x_size} must be a positive integer" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("name", [None, 5, True, [1], {"a": 1}])
+    def test_non_string_name_exits_2(self, capsys, tmp_path, name):
+        doc = {"name": name, "x_size": 2, "y_size": 2, "b_size": 2, "table": [[0, 1], [1, 0]]}
+        code, out, err = run_task_file(capsys, tmp_path, "bound", doc)
+        assert (code, out, err) == (2, "", f"error: name must be a string, got {name!r}\n")
+
     @pytest.mark.parametrize("command", ["bound", "simulate-dr"])
     def test_boolean_family_parameter_exits_2(self, capsys, tmp_path, command):
         doc = {"family": "ot", "params": {"alphabet": 2, "n": True}}

@@ -76,15 +76,23 @@ SIZES_REFUSED = TaskError, r"^die-rolling needs y_size <= 1000000 and x_size < 2
 TRIALS_REFUSED = ValueError, "^trials must be at least 1, got 0$"
 
 
-@pytest.mark.parametrize("runner", ["honest", "cheating_alice"])
+TWO_ARRAY_RUNNERS = {
+    "honest": dr.run_honest,
+    "cheating_alice": dr.run_cheating_alice,
+    "cheating_bob_honest": lambda task, trials: dr.run_cheating_bob(task, "honest", trials),
+}
+
+
+@pytest.mark.parametrize("runner", TWO_ARRAY_RUNNERS)
 @pytest.mark.parametrize("family,params", [("ot", dict(alphabet=2, n=14)), ("ip", dict(n=9))])
 def test_peak_is_two_trial_arrays(runner, family, params):
     # two int64 arrays of 10**5 trials are 1.6 MB: ys and bs, or ys and the
-    # sender's guesses.  Holding the xs, or sums apart from the ys or bs,
-    # would add a third of 0.8 MB
+    # sender's guesses.  Holding the xs, the honest receiver's required
+    # reveals, or sums apart from the ys or bs, would add a third of 0.8 MB
+    run = TWO_ARRAY_RUNNERS[runner]
     task = make_family(family, **params)
-    RUNNERS[runner](task, 1)  # warm-up: the first call imports numpy.random
-    assert traced_peak(RUNNERS[runner], task, 10**5) < 2.5 * 8 * 10**5
+    run(task, 1)  # warm-up: the first call imports numpy.random
+    assert traced_peak(run, task, 10**5) < 2.5 * 8 * 10**5
 
 
 # SHA-256 over the repr of each DrStats of test_drstats_are_pinned, in its order

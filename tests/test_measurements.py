@@ -75,15 +75,15 @@ def completeness_defect(povm):
     return float(m._operator_norms(sum(povm.elements) - np.eye(povm.dim)))
 
 
-def loop_validate(elements, labels):
+def loop_validate(elements):
     elements = [np.asarray(e, dtype=complex) for e in elements]
-    for label, e in zip(labels, elements):
+    for k, e in enumerate(elements):
         if not (
             np.abs(e - e.conj().T).max() <= m.HERMITIAN_TOL
             and np.linalg.eigvalsh(e).min() >= -m.PSD_CLAMP_TOL
             and np.linalg.eigvalsh(e).max() <= 1.0 + m.PSD_CLAMP_TOL
         ):
-            raise ValueError(f"element {label!r} is not a measurement operator")
+            raise ValueError(f"element {k} is not a measurement operator")
     defect = float(m._operator_norms(sum(elements) - np.eye(len(elements[0]))))
     if defect > m.COMPLETENESS_TOL:
         raise ValueError(f"POVM completeness defect {defect:.3e} exceeds {m.COMPLETENESS_TOL:.0e}")
@@ -106,22 +106,20 @@ def loop_sequential_operator(lams):
 
 def loop_combined_povm(povms, middle=0):
     for p in povms:
-        loop_validate(p.elements, p.labels)
+        loop_validate(p.elements)
     n = len(povms)
     if n == 1:
         return povms[0]
     outer = [i for i in range(n) if i != middle]
     roots = {i: [loop_matrix_sqrt(e) for e in povms[i].elements] for i in outer}
     elements = []
-    labels = []
     for combo in itertools.product(*(range(len(p.elements)) for p in povms)):
         op = povms[middle].elements[combo[middle]]
         for i in outer:
             root = roots[i][combo[i]]
             op = root @ op @ root
         elements.append(0.5 * (op + op.conj().T))
-        labels.append(tuple(povms[i].labels[combo[i]] for i in range(n)))
-    return Povm(elements=tuple(elements), labels=tuple(labels))
+    return Povm(elements=tuple(elements))
 
 
 def loop_averaged_strategy_success(enc, povms):
@@ -293,7 +291,7 @@ class TestShapes:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError):
             check_gentle(np.eye(2) / 2, np.eye(3))
-        with pytest.raises(ValueError, match=r"dimension mismatch: \(3, 3\) vs \(2, 2\)"):
+        with pytest.raises(ValueError, match="^rho and the operators have mixed dimensions$"):
             check_sequential(np.eye(2) / 2, [np.eye(2), np.eye(3)])
 
 
@@ -387,8 +385,8 @@ class TestCombinedPovm:
         basis = [np.diag([1.0, 0.0]), np.diag([0.0, 1.0])]
         pov = Povm(elements=tuple(basis))
         tilde = combined_povm([pov, pov])
-        for element, label in zip(tilde.elements, tilde.labels):
-            b1, b2 = label
+        # element k is outcome tuple k in itertools.product order
+        for element, (b1, b2) in zip(tilde.elements, itertools.product(range(2), repeat=2)):
             expected = basis[b1] @ basis[b2]
             assert np.allclose(element, expected, atol=1e-12)
 
@@ -521,20 +519,13 @@ class TestPovmType:
         with pytest.raises(ValueError, match="^POVM completeness defect"):
             Povm(elements=(np.eye(2) / 2, np.eye(2) / 3))
 
-    def test_labels_default_and_custom(self):
-        pov = Povm(elements=(np.eye(2) / 2, np.eye(2) / 2), labels=("yes", "no"))
-        assert pov.labels == ("yes", "no")
-        assert Povm(elements=(np.eye(2),)).labels == (0,)
-
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
             Povm(elements=())
 
     def test_povm_and_encoding_are_built_through_their_checks(self):
-        pov = Povm(elements=(np.eye(2) / 2, np.eye(2) / 2), labels=("yes", "no"))
-        assert pov._replace(labels=["a", "b"]).labels == ("a", "b")
-        with pytest.raises(ValueError, match="^labels and elements differ in length$"):
-            pov._replace(labels=("yes",))
+        pov = Povm(elements=(np.eye(2) / 2, np.eye(2) / 2))
+        assert Povm._fields == ("elements",)
         with pytest.raises(ValueError, match=r"^expected a square matrix, got shape \(2,\)$"):
             Povm._make(([[1, 0]],))
         with pytest.raises(ValueError, match="^POVM elements have mixed dimensions$"):
@@ -544,7 +535,7 @@ class TestPovmType:
         with pytest.raises(ValueError, match="^probs must be nonnegative and sum to 1$"):
             enc._replace(probs=[0.5])
         with pytest.raises(AttributeError):
-            pov.labels = ()
+            pov.elements = ()
 
 
 HALF = np.eye(2) / 2
@@ -579,9 +570,9 @@ REFUSALS = {
     ),
     "sequential-mixed": (
         lambda: check_sequential(HALF, [np.eye(2), np.eye(3)]),
-        "dimension mismatch: (3, 3) vs (2, 2)",
+        "rho and the operators have mixed dimensions",
     ),
-    "combined-empty": (lambda: combined_povm([]), "need at least one POVM"),
+    "combined-empty": (lambda: combined_povm([]), "POVMs must not be empty"),
     "combined-mixed": (
         lambda: combined_povm([random_povm(2, 2, seed=0), random_povm(3, 2, seed=1)]),
         "POVMs have mixed dimensions",
@@ -608,6 +599,15 @@ REFUSALS = {
         lambda: QuantumEncoding(probs=[0.5, 0.4], states=(HALF, HALF), functions=()),
         "probs must be nonnegative and sum to 1",
     ),
+    # every comparison with NaN is false, so a min-and-sum test let it through
+    "encoding-nan-probs": (
+        lambda: QuantumEncoding(probs=[np.nan, 1.0], states=(HALF, HALF), functions=((0, 1),)),
+        "probs must be nonnegative and sum to 1",
+    ),
+    "encoding-empty": (
+        lambda: QuantumEncoding(probs=[], states=(), functions=()),
+        "states must not be empty",
+    ),
     "encoding-mixed": (
         lambda: QuantumEncoding(
             probs=[0.5, 0.5], states=(HALF, np.eye(3) / 3), functions=((0, 1),)
@@ -626,9 +626,32 @@ REFUSALS = {
         lambda: Povm(elements=(np.eye(2), np.eye(2))),
         "POVM completeness defect 1.000e+00 exceeds 1e-10",
     ),
-    "povm-labels": (
-        lambda: Povm(elements=(np.eye(2),), labels=("a", "b")),
-        "labels and elements differ in length",
+    "povm-empty": (lambda: Povm(elements=()), "POVM elements must not be empty"),
+    "povm-bad-element": (
+        lambda: Povm(elements=(np.eye(2), np.diag([0.0, 2.0]))),
+        "element 1 is not a measurement operator",
+    ),
+    # numpy raised IndexError for 0.5, which the CLI does not catch
+    "learning-fractional-function": (
+        lambda: averaged_strategy_success(
+            QuantumEncoding(probs=[1.0], states=(HALF,), functions=((0.5,),)),
+            [random_povm(2, 2, seed=0)],
+        ),
+        "function 0 at x=0 must be an integer, got 0.5",
+    ),
+    "learning-function-range": (
+        lambda: averaged_strategy_success(
+            QuantumEncoding(probs=[0.5, 0.5], states=(HALF, HALF), functions=((0, 2),)),
+            [random_povm(2, 2, seed=0)],
+        ),
+        "function 0 at x=1 must be at most 1, got 2",
+    ),
+    "learning-bool-function": (
+        lambda: averaged_strategy_success(
+            QuantumEncoding(probs=[1.0], states=(HALF,), functions=((True,),)),
+            [random_povm(2, 2, seed=0)],
+        ),
+        "function 0 at x=0 must be an integer, got True",
     ),
 }
 
@@ -673,7 +696,6 @@ class TestStackedKernelMatchesLoops:
         povms = povm_family(dim, outcomes, seed)
         got = combined_povm(povms)
         want = loop_combined_povm(povms)
-        assert got.labels == want.labels
         assert len(got.elements) == len(want.elements)
         assert all(np.array_equal(a, b) for a, b in zip(got.elements, want.elements))
         # every other middle choice, as the learning audit builds it
@@ -768,8 +790,7 @@ class TestStackedKernelMatchesLoops:
         ],
     )
     def test_first_validation_failure_reported(self, elements):
-        labels = tuple("abc"[: len(elements)])
-        assert error_message(Povm, elements, labels) == error_message(loop_validate, elements, labels)
+        assert error_message(Povm, elements) == error_message(loop_validate, elements)
 
 
 CAMPAIGNS = [m.gentle_instance, m.sequential_instance, m.learning_instance]

@@ -361,6 +361,13 @@ class TestConstructors:
             SfeTask("t", *sizes, table=table)
         assert str(raised.value) == text
 
+    # the task-file form documents "name": str; bound, brand and simulate-dr echo it
+    @pytest.mark.parametrize("name", [None, 5, True, [1], {"a": 1}])
+    def test_non_string_name_refused_first(self, name):
+        with pytest.raises(TaskError) as raised:
+            SfeTask(name, 0, 2, 2, table=None)
+        assert str(raised.value) == f"name must be a string, got {name!r}"
+
     def test_tasks_are_immutable(self):
         task = make_family("eq", n=3)
         with pytest.raises(AttributeError, match=r"^SfeTask is immutable: cannot set 'name'$"):
