@@ -63,7 +63,6 @@ _EXPORTS = {
     **dict.fromkeys(
         (
             "MATERIALIZE_CAP",
-            "FamilySpec",
             "SfeTask",
             "TaskError",
             "a_rand",

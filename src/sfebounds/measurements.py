@@ -78,8 +78,9 @@ such operators, summing to the identity within COMPLETENESS_TOL in the
 operator norm, checked in its constructor; and the public gentle and
 sequential checks take only measurement operators and a density whose
 trace is 1 within COMPLETENESS_TOL.  The campaign kernels check nothing
-of their draws but the learning POVMs, which go through the Povm check
-stacked.
+of their draws but the learning instances': their POVMs go through the
+Povm check stacked, and ``_encodings`` builds each encoding through
+QuantumEncoding's checking constructor.
 """
 
 from __future__ import annotations
@@ -535,20 +536,21 @@ def averaged_strategy_success(enc: QuantumEncoding, povms: Sequence[Povm]) -> Le
     j-th POVM's correct element conjugated by the other correct elements'
     square roots.  ``achieved`` averages uniformly over the middle choice.
     Each POVM was checked when it was built, and the encoding's states
-    share one shape, so this checks only that the POVMs match the states'
-    dimension and that each function value is an outcome of its POVM, by
-    ``tasks._integer`` from 0 to the POVM's last outcome (``function 0 at
-    x=1 must be at most 1, got 2``; a float or a bool is refused too).
+    share one shape, so this checks only that there are POVMs of one
+    dimension, by ``_matrices`` on their first elements as combined_povm
+    does (``POVMs must not be empty``, ``POVMs have mixed dimensions``),
+    one function for each, POVM 0 of the states' dimension, and each
+    function value an outcome of its POVM, by ``tasks._integer`` from 0 to
+    the POVM's last outcome (``function 0 at x=1 must be at most 1, got
+    2``; a float or a bool is refused too).
     """
     n = len(povms)
-    if n == 0:
-        raise ValueError("need at least one POVM")
+    _matrices([p.elements[0] for p in povms], "POVMs")
     if len(enc.functions) != n:
         raise ValueError(f"encoding provides {len(enc.functions)} functions for {n} POVMs")
-    dim = enc.dim
+    if povms[0].dim != enc.dim:
+        raise ValueError(f"POVM 0 dimension {povms[0].dim} does not match states ({enc.dim})")
     for i, p in enumerate(povms):
-        if p.dim != dim:
-            raise ValueError(f"POVM {i} dimension {p.dim} does not match states ({dim})")
         for x, value in enumerate(enc.functions[i]):
             _integer(f"function {i} at x={x}", value, 0, len(p.elements) - 1)
 
@@ -950,12 +952,29 @@ def _instance(kernel: Callable[[list], list]):
     return decorate
 
 
-def _operator_kernel(reports: Callable, record: Callable) -> Callable[[list], list]:
+def _record(
+    seed: list, dim: int, epsilons: list, bound: float, achieved: float, holds: bool, **extra
+) -> dict:
+    """The record of one instance of any campaign: its seven core keys, in
+    this order, then a campaign's ``extra`` keys."""
+    return {
+        "seed": seed,
+        "dims": dim,
+        "n": len(epsilons),
+        "epsilons": epsilons,
+        "bound": bound,
+        "achieved": achieved,
+        "holds": holds,
+        **extra,
+    }
+
+
+def _operator_kernel(reports: Callable, fields: Callable) -> Callable[[list], list]:
     """The kernel of a campaign whose draws are a state and its measurement
     operators: it builds the chunk's densities, then, per shape of the
     operators' Gaussians, the operators, and checks their stacks with
-    ``reports``; ``record`` turns a seed, a dimension and a report into the
-    instance's record."""
+    ``reports``; ``fields`` maps a report to the ``(epsilons, bound,
+    achieved, holds)`` of its instance's record."""
 
     def kernel(drawn: list) -> list[dict]:
         seeds, rho_gaussians, ts, gs = zip(*drawn)
@@ -965,26 +984,15 @@ def _operator_kernel(reports: Callable, record: Callable) -> Callable[[list], li
             rhos = np.array([densities[i] for i in rows])
             lams = _measurement_operators(np.array([ts[i] for i in rows]), g)
             for i, r in zip(rows, reports(rhos, lams)):
-                records[i] = record(seeds[i], g.shape[-1], r)
+                records[i] = _record(seeds[i], g.shape[-1], *fields(r))
         return records
 
     return kernel
 
 
-def _gentle_record(seed: list, dim: int, report: GentleReport) -> dict:
-    """The record of one gentle instance from its report."""
-    return {
-        "seed": seed,
-        "dims": dim,
-        "n": 1,
-        "epsilons": [report.epsilon],
-        "bound": report.bound,
-        "achieved": report.disturbance,
-        "holds": report.holds,
-    }
-
-
-_gentle_kernel = _operator_kernel(_gentle_reports, _gentle_record)
+_gentle_kernel = _operator_kernel(
+    _gentle_reports, lambda r: ([r.epsilon], r.bound, r.disturbance, r.holds)
+)
 
 
 @_instance(_gentle_kernel)
@@ -997,20 +1005,9 @@ def gentle_instance(seed: Sequence[int], max_dim: int = 8):
     return seed, _complex_gaussians(_rng(seed + [1]), (dim, rank)), t, g
 
 
-def _sequential_record(seed: list, dim: int, report: SequentialReport) -> dict:
-    """The record of one sequential instance from its report."""
-    return {
-        "seed": seed,
-        "dims": dim,
-        "n": len(report.epsilons),
-        "epsilons": list(report.epsilons),
-        "bound": report.lower_bound,
-        "achieved": report.expectation,
-        "holds": report.holds,
-    }
-
-
-_sequential_kernel = _operator_kernel(_sequential_reports, _sequential_record)
+_sequential_kernel = _operator_kernel(
+    _sequential_reports, lambda r: (list(r.epsilons), r.lower_bound, r.expectation, r.holds)
+)
 
 
 @_instance(_sequential_kernel)
@@ -1084,19 +1081,18 @@ def _learning_record(
         and min_eig >= -PSD_CLAMP_TOL
         and cs_lhs <= cs_rhs + 1e-12
     )
-    return {
-        "seed": seed,
-        "dims": dim,
-        "n": n,
-        "epsilons": epsilons,
-        "bound": report.bound,
-        "achieved": report.achieved,
-        "holds": holds,
-        "averaged_bound": report.averaged_bound,
-        "completeness_defect": max_defect,
-        "min_eigenvalue": min_eig,
-        "cauchy_schwarz_gap": cs_rhs - cs_lhs,
-    }
+    return _record(
+        seed,
+        dim,
+        epsilons,
+        report.bound,
+        report.achieved,
+        holds,
+        averaged_bound=report.averaged_bound,
+        completeness_defect=max_defect,
+        min_eigenvalue=min_eig,
+        cauchy_schwarz_gap=cs_rhs - cs_lhs,
+    )
 
 
 @_instance(_learning_kernel)

@@ -7,17 +7,18 @@ equality, inner product, millionaire comparison) with closed-form
 baselines.  A task is checked once, when it is built, and nothing
 downstream re-checks: the SfeTask constructor checks an explicit table
 with one function, ``_checked_table``, which also returns the final table,
-and make_family builds a family task from its FamilySpec, the one record
-its name, sizes, baseline and table derive from; validate_task has
-nothing left to report.  A table is a read-only, C-contiguous numpy array
-in the narrowest unsigned type that holds its largest cell, uint8 for
-outputs below 256, and the brute-force baseline reads it as it is.  numpy
-is imported inside the functions that build or read tables, so a family
-task used through its closed forms (sizes and baseline) never loads it.  A
-family task builds its table from the family formulas only when the table
-is first read, and only up to MATERIALIZE_CAP cells, so bounds and curves,
-which need only the closed-form baseline, never build one, and huge
-parametric instances stay usable through their closed forms.
+and make_family checks a family's parameters and builds the task, which
+carries its tag and parameters, the one record its name, sizes, baseline
+and table derive from; validate_task has nothing left to report.  A table
+is a read-only, C-contiguous numpy array in the narrowest unsigned type
+that holds its largest cell, uint8 for outputs below 256, and the
+brute-force baseline reads it as it is.  numpy is imported inside the
+functions that build or read tables, so a family task used through its
+closed forms (sizes and baseline) never loads it.  A family task builds
+its table from the family formulas only when the table is first read, and
+only up to MATERIALIZE_CAP cells, so bounds and curves, which need only
+the closed-form baseline, never build one, and huge parametric instances
+stay usable through their closed forms.
 
 Every count the library takes, here and in the other modules, goes through
 one rule, ``_integer``, over one range table, ``COUNT_RANGES``, whose caps
@@ -163,63 +164,13 @@ FAMILY_TAGS = tuple(_FAMILIES)
 FAMILY_PARAMS = {tag: family.keys for tag, family in _FAMILIES.items()}
 
 
-class _FamilyFields(NamedTuple):
-    family: str
-    params: dict
-
-
-class FamilySpec(_FamilyFields):
-    """Parametric family descriptor: a tag from FAMILY_TAGS plus int params.
-
-    ``__new__`` is the one place family parameters are checked, for
-    ``_replace`` too: it keeps its own copy of ``params``, each a Python
-    int of at least 1 by ``_integer`` (a numpy integer included, a bool
-    not), and raises TaskError on any the family refuses.
-    """
-
-    __slots__ = ()
-
-    def __new__(cls, family: str, params: dict):
-        if family not in FAMILY_TAGS:
-            raise TaskError(f"unknown family tag {family!r}")
-        params = dict(params)
-        kind = _FAMILIES[family]
-        if set(params) != set(kind.keys):
-            raise TaskError(
-                f"family {family!r} takes parameters {kind.keys}, got {tuple(params)}"
-            )
-        for key, value in params.items():
-            try:
-                params[key] = _integer(key, value, 1)
-            except ValueError:
-                raise TaskError(f"parameter {key}={value!r} must be a positive integer") from None
-        if kind.rule is not None and not kind.rule[0](**params):
-            raise TaskError(kind.rule[1])
-        if kind.bits is not None and kind.bits(**params) > MAX_SIZE_BITS:
-            named = ", ".join(f"{key}={params[key]}" for key in kind.keys)
-            raise TaskError(
-                f"family {family!r} with {named} is too large: "
-                f"its sizes are capped at 2**{MAX_SIZE_BITS}"
-            )
-        return super().__new__(cls, family, params)
-
-    _make = classmethod(lambda cls, fields: cls(*fields))  # so _replace checks too
-
-    @property
-    def name(self) -> str:
-        return _FAMILIES[self.family].name.format(**self.params)
-
-    @property
-    def sizes(self) -> tuple[int, int, int]:  # (x_size, y_size, b_size)
-        return _FAMILIES[self.family].sizes(**self.params)
-
-
 class SfeTask:
     """A finite SFE instance with uniform, independent inputs.
 
     The constructor takes an explicit ``table``; make_family builds a
-    family task, whose ``family`` is its FamilySpec (None for an explicit
-    table) and whose name and sizes are the spec's.  ``table[x, y]`` holds
+    family task, whose ``family`` is its tag and ``params`` its checked
+    parameters, a dict (both None for an explicit table), from which its
+    name, sizes, baseline and table derive.  ``table[x, y]`` holds
     the output index f(x, y) in a read-only, C-contiguous 2-D array of the
     narrowest unsigned type that holds its largest cell (``_unsigned``).
     An explicit table is converted from any nested sequence of integers
@@ -239,8 +190,8 @@ class SfeTask:
     above MATERIALIZE_CAP raise TaskError, so a task that exists is valid.
     Sizes are kept as Python ints, whatever integer type they came in.
     Tasks are immutable; every operation on them is pure.  Family tasks
-    compare equal by their specs, explicit tasks by name, sizes and table
-    contents.
+    compare equal by tag and parameters, explicit tasks by name, sizes and
+    table contents.
     """
 
     def __init__(self, name: str, x_size: int, y_size: int, b_size: int, table):
@@ -253,7 +204,7 @@ class SfeTask:
             except ValueError:
                 raise TaskError(f"{key}={value!r} must be a positive integer") from None
         table = _checked_table(table, *sizes.values())
-        self.__dict__.update(sizes, name=name, family=None, _table=table)
+        self.__dict__.update(sizes, name=name, family=None, params=None, _table=table)
 
     def __setattr__(self, key, value):
         raise AttributeError(f"SfeTask is immutable: cannot set {key!r}")
@@ -261,8 +212,8 @@ class SfeTask:
     def __eq__(self, other):
         if not isinstance(other, SfeTask):
             return NotImplemented
-        if self.family is not None or other.family is not None:  # a spec derives the rest
-            return self.family == other.family
+        if self.family is not None or other.family is not None:  # these derive the rest
+            return (self.family, self.params) == (other.family, other.params)
         if (self.name, self.x_size, self.y_size, self.b_size) != (
             other.name, other.x_size, other.y_size, other.b_size
         ):
@@ -278,7 +229,7 @@ class SfeTask:
     @property
     def table(self) -> Optional[np.ndarray]:
         if self._table is None and self.materialized:  # a family task within the cap
-            self.__dict__["_table"] = family_table(self.family)
+            self.__dict__["_table"] = family_table(self)
         return self._table
 
 
@@ -420,7 +371,7 @@ def _row_violations(count: int, numbered, x_size: int, y_size: int, b_size: int)
 # ---------------------------------------------------------------------------
 
 
-def family_table(spec: FamilySpec) -> np.ndarray:
+def family_table(task: SfeTask) -> np.ndarray:
     """The whole table of a family task, f(x, y) at every cell.
 
     Built with array formulas in the index conventions above, in narrow
@@ -435,9 +386,9 @@ def family_table(spec: FamilySpec) -> np.ndarray:
     """
     import numpy as np
 
-    p = spec.params
-    tag = spec.family
-    x_size, y_size, b_size = spec.sizes
+    p = task.params
+    tag = task.family
+    x_size, y_size, b_size = task.x_size, task.y_size, task.b_size
     index = _unsigned(x_size - 1)
     cell = _unsigned(b_size - 1)
     x = np.arange(x_size, dtype=index)
@@ -479,14 +430,36 @@ def family_table(spec: FamilySpec) -> np.ndarray:
 def make_family(family: str, **params: int) -> SfeTask:
     """Construct a parametric task; its table is built on the first read.
 
-    Raises TaskError on parameters FamilySpec refuses.  The task takes its
-    name and sizes from the checked spec, without the SfeTask constructor,
-    whose checks are for explicit tables.
+    The one place family parameters are checked, each rule in turn: the
+    tag, the parameter names, each value a Python int of at least 1 by
+    ``_integer`` (a numpy integer included, a bool not), the family's own
+    rule, then the MAX_SIZE_BITS cap; TaskError on the first it breaks.
+    The task keeps its tag and its own copy of the checked parameters, and
+    takes its name and sizes from them once, without the SfeTask
+    constructor, whose checks are for explicit tables.
     """
-    spec = FamilySpec(family, params)
-    task = object.__new__(SfeTask)  # the spec is checked, and derives everything else
-    sizes = zip(("x_size", "y_size", "b_size"), spec.sizes)
-    task.__dict__.update(sizes, name=spec.name, family=spec, _table=None)
+    if family not in FAMILY_TAGS:
+        raise TaskError(f"unknown family tag {family!r}")
+    kind = _FAMILIES[family]
+    if set(params) != set(kind.keys):
+        raise TaskError(f"family {family!r} takes parameters {kind.keys}, got {tuple(params)}")
+    for key, value in params.items():
+        try:
+            params[key] = _integer(key, value, 1)
+        except ValueError:
+            raise TaskError(f"parameter {key}={value!r} must be a positive integer") from None
+    if kind.rule is not None and not kind.rule[0](**params):
+        raise TaskError(kind.rule[1])
+    if kind.bits is not None and kind.bits(**params) > MAX_SIZE_BITS:
+        named = ", ".join(f"{key}={params[key]}" for key in kind.keys)
+        raise TaskError(
+            f"family {family!r} with {named} is too large: "
+            f"its sizes are capped at 2**{MAX_SIZE_BITS}"
+        )
+    task = object.__new__(SfeTask)  # checked above, and the parameters derive everything else
+    sizes = zip(("x_size", "y_size", "b_size"), kind.sizes(**params))
+    name = kind.name.format(**params)
+    task.__dict__.update(sizes, name=name, family=family, params=params, _table=None)
     return task
 
 
@@ -500,7 +473,7 @@ def validate_task(task: SfeTask) -> list[str]:
 
     Every task is checked when it is built: an explicit table by the
     SfeTask constructor, which raises TaskError on any violation, and a
-    family task by its FamilySpec, whose table family_table builds to its
+    family task by make_family, whose table family_table builds to its
     sizes with every cell in [0, b_size).  So every task that exists
     passes, and nothing is read here.
     """
@@ -620,7 +593,7 @@ def b_rand_closed_form(task: SfeTask) -> Fraction:
     """Per-family closed form of the single-query baseline."""
     if task.family is None:
         raise TaskError("closed-form baseline requires family parameters")
-    return _FAMILIES[task.family.family].b_rand(**task.family.params)
+    return _FAMILIES[task.family].b_rand(**task.params)
 
 
 def b_rand(task: SfeTask) -> Fraction:

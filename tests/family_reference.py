@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from math import comb
 
-from sfebounds.tasks import FamilySpec
+from sfebounds.tasks import SfeTask
 
 
 def _subset_by_rank(rank: int, n: int, k: int) -> tuple[int, ...]:
@@ -29,10 +29,10 @@ def _subset_by_rank(rank: int, n: int, k: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def family_value(spec: FamilySpec, x: int, y: int) -> int:
-    """Closed-form f(x, y) for a parametric family, no table needed."""
-    p = spec.params
-    tag = spec.family
+def family_value(task: SfeTask, x: int, y: int) -> int:
+    """Closed-form f(x, y) for a family task, no table needed."""
+    p = task.params
+    tag = task.family
     if tag == "ot":
         w, n = p["alphabet"], p["n"]
         return (x // w ** (n - 1 - y)) % w

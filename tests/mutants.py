@@ -39,6 +39,8 @@ from typing import NamedTuple
 ROOT = Path(__file__).resolve().parent.parent
 MEASUREMENTS = "src/sfebounds/measurements.py"
 T_MEASUREMENTS = "tests/test_measurements.py"
+TASKS = "src/sfebounds/tasks.py"
+T_CONSTRUCTORS = "tests/test_tasks.py::TestConstructors"
 
 
 class Mutant(NamedTuple):
@@ -94,6 +96,25 @@ MUTANTS = (
         "a function value one past the last outcome reaches numpy's IndexError",
     ),
     Mutant(
+        "scorer-no-shape-rule",
+        MEASUREMENTS,
+        '    _matrices([p.elements[0] for p in povms], "POVMs")\n    if len(enc.functions) != n:\n',
+        "    if len(enc.functions) != n:\n",
+        (
+            f"{T_MEASUREMENTS}::test_public_refusals[learning-empty]",
+            f"{T_MEASUREMENTS}::test_public_refusals[learning-mixed]",
+        ),
+        "the scorer's POVMs take the shape rule of _matrices, as combined_povm's do",
+    ),
+    Mutant(
+        "record-bound-achieved-swapped",
+        MEASUREMENTS,
+        '        "bound": bound,\n        "achieved": achieved,\n',
+        '        "bound": achieved,\n        "achieved": bound,\n',
+        (f"{T_MEASUREMENTS}::TestLearnStrategy::test_random_encodings_all_hold",),
+        "every campaign's record takes its bound and its achieved value from one builder",
+    ),
+    Mutant(
         "validate-stack-argmax",
         MEASUREMENTS,
         'raise ValueError(f"element {int(np.argmin(ok[i]))} is not a measurement operator")',
@@ -119,7 +140,7 @@ MUTANTS = (
     ),
     Mutant(
         "task-name-unchecked",
-        "src/sfebounds/tasks.py",
+        TASKS,
         "        if not isinstance(name, str):\n"
         '            raise TaskError(f"name must be a string, got {name!r}")\n',
         "",
@@ -128,6 +149,30 @@ MUTANTS = (
             "tests/test_cli.py::TestTaskFileInput::test_non_string_name_exits_2",
         ),
         "a task name is a str, as the task-file form documents",
+    ),
+    Mutant(
+        "task-equality-tags-only",
+        TASKS,
+        "return (self.family, self.params) == (other.family, other.params)",
+        "return self.family == other.family",
+        (f"{T_CONSTRUCTORS}::test_equality_compares_table_contents",),
+        "family tasks of one tag and other parameters differ",
+    ),
+    Mutant(
+        "family-no-size-cap",
+        TASKS,
+        "    if kind.bits is not None and kind.bits(**params) > MAX_SIZE_BITS:\n",
+        "    if False:\n",
+        (f"{T_CONSTRUCTORS}::test_invalid_parameters_rejected[ot-params14]",),
+        "a family whose sizes pass 2**MAX_SIZE_BITS is refused before one is computed",
+    ),
+    Mutant(
+        "family-params-not-narrowed",
+        TASKS,
+        "            params[key] = _integer(key, value, 1)\n",
+        "            _integer(key, value, 1)\n",
+        (f"{T_CONSTRUCTORS}::test_numpy_integer_params_become_python_ints[int64]",),
+        "a task keeps its parameters as Python ints, whatever integer type they came in",
     ),
     Mutant(
         "solver-plain-stop-rule",

@@ -502,8 +502,8 @@ class TestFamilyTableOnFirstRead:
         expected = run(capsys, *argv)
         assert expected[0] == 0
 
-        def refuse(spec):
-            raise AssertionError(f"family table of {spec} built")
+        def refuse(task):
+            raise AssertionError(f"family table of {task.name} built")
 
         monkeypatch.setattr(tasks, "family_table", refuse)
         assert run(capsys, *argv) == expected
@@ -511,7 +511,7 @@ class TestFamilyTableOnFirstRead:
     def test_brand_builds_the_table_once(self, capsys, monkeypatch):
         built = []
         real = tasks.family_table
-        monkeypatch.setattr(tasks, "family_table", lambda spec: built.append(spec) or real(spec))
+        monkeypatch.setattr(tasks, "family_table", lambda task: built.append(task) or real(task))
         code, out, _ = run(capsys, "brand", *FAMILY_TASK)
         assert code == 0 and "agree: yes" in out
         assert len(built) == 1

@@ -579,7 +579,14 @@ REFUSALS = {
     ),
     "learning-empty": (
         lambda: averaged_strategy_success(random_encoding(2, 2, 1, 2, seed=1), []),
-        "need at least one POVM",
+        "POVMs must not be empty",
+    ),
+    "learning-mixed": (
+        lambda: averaged_strategy_success(
+            random_encoding(2, 2, 2, 2, seed=1),
+            [random_povm(2, 2, seed=0), random_povm(3, 2, seed=1)],
+        ),
+        "POVMs have mixed dimensions",
     ),
     "learning-function-count": (
         lambda: averaged_strategy_success(

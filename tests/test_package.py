@@ -17,7 +17,6 @@ PUBLIC_NAMES = [
     "BoundReport",
     "CurvePoint",
     "DrStats",
-    "FamilySpec",
     "FixedPointResult",
     "GentleReport",
     "InsecureTaskError",

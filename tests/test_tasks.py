@@ -19,7 +19,6 @@ from sfebounds import tasks
 from sfebounds.tasks import (
     MATERIALIZE_CAP,
     MAX_SIZE_BITS,
-    FamilySpec,
     SfeTask,
     TaskError,
     a_rand,
@@ -119,8 +118,8 @@ class TestConstructors:
         assert not task.materialized and task.table is None
         assert task.y_size == 10**9 - 1
         # poorest sender: any receiver is at least as rich
-        assert family_value(task.family, 0, 0) == 1
-        assert family_value(task.family, 10**9 - 1, 10**9 - 2) == 0
+        assert family_value(task, 0, 0) == 1
+        assert family_value(task, 10**9 - 1, 10**9 - 2) == 0
 
     def test_equality_n2_full_learning(self):
         task = make_family("eq", n=2)
@@ -180,12 +179,8 @@ class TestConstructors:
         ],
     )
     def test_invalid_parameters_rejected(self, family, params):
-        with pytest.raises(TaskError) as built:
+        with pytest.raises(TaskError):
             make_family(family, **params)
-        # a spec built by hand is checked the same way, with the same message
-        with pytest.raises(TaskError) as spec:
-            FamilySpec(family, params)
-        assert str(spec.value) == str(built.value)
 
     @pytest.mark.parametrize(
         "family,params,sizes",
@@ -204,40 +199,38 @@ class TestConstructors:
 
     def test_size_cap_names_the_parameters(self):
         with pytest.raises(TaskError) as refused:
-            FamilySpec("knot", {"n": 10**20, "k": 1, "alphabet": 2})
+            make_family("knot", n=10**20, k=1, alphabet=2)
         assert str(refused.value) == (
             "family 'knot' with alphabet=2, n=100000000000000000000, k=1 is too large: "
             "its sizes are capped at 2**14000"
         )
 
-    def test_spec_keeps_its_own_params(self):
+    def test_task_keeps_its_own_params(self):
         params = {"n": 5}
-        spec = FamilySpec("eq", params)
+        task = make_family("eq", **params)
         params["n"] = 1
-        assert spec.params == {"n": 5}
-        assert make_family("eq", n=5).family == spec
+        assert task.params == {"n": 5}
+        assert task == make_family("eq", n=5)
+
+    @pytest.mark.parametrize(
+        "family,params",
+        [("eq", {"n": 5}), ("knot", {"alphabet": 2, "n": 3, "k": 1}), ("mp", {"n": 10**9})],
+    )
+    def test_family_task_pickles(self, family, params):
+        task = make_family(family, **params)
+        copy = pickle.loads(pickle.dumps(task))
+        assert copy == task and (copy.family, copy.params) == (family, params)
+        assert (copy.name, copy.x_size, copy.y_size, copy.b_size) == (
+            task.name, task.x_size, task.y_size, task.b_size
+        )
 
     @pytest.mark.parametrize("integer", [np.int64, np.int32, np.uint8])
     def test_numpy_integer_params_become_python_ints(self, integer):
         task = make_family("ot", alphabet=integer(2), n=integer(3))
         assert task == make_family("ot", alphabet=2, n=3)
-        assert {type(v) for v in task.family.params.values()} == {int}
-        assert repr(task.family) == "FamilySpec(family='ot', params={'alphabet': 2, 'n': 3})"
+        assert {type(v) for v in task.params.values()} == {int}
+        assert (task.family, task.params) == ("ot", {"alphabet": 2, "n": 3})
         assert (task.name, task.x_size, task.y_size, task.b_size) == ("1-of-3 OT (alphabet 2)", 8, 3, 2)
-
-    def test_spec_is_a_named_tuple_built_through_its_checks(self):
-        spec = FamilySpec("eq", {"n": 5})
-        assert repr(spec) == "FamilySpec(family='eq', params={'n': 5})"
-        assert spec == ("eq", {"n": 5})
-        assert spec._asdict() == {"family": "eq", "params": {"n": 5}}
-        assert spec._replace(params={"n": 6}) == FamilySpec("eq", {"n": 6})
-        assert pickle.loads(pickle.dumps(spec)) == spec
-        with pytest.raises(TaskError, match="^family 'eq' requires n >= 2$"):
-            spec._replace(params={"n": 1})
-        with pytest.raises(TaskError, match="^unknown family tag 'nope'$"):
-            FamilySpec._make(("nope", {}))
-        with pytest.raises(AttributeError):
-            spec.family = "mp"
 
     @pytest.mark.parametrize(
         "family,params,name,sizes",
@@ -256,12 +249,16 @@ class TestConstructors:
         assert (task.x_size, task.y_size, task.b_size) == sizes
 
     def test_unknown_family_rejected(self):
-        with pytest.raises(TaskError):
+        with pytest.raises(TaskError, match="^unknown family tag 'nope'$"):
             make_family("nope", n=3)
 
     def test_wrong_parameter_names_rejected(self):
-        with pytest.raises(TaskError):
+        names = r"^family 'eq' takes parameters \('n',\), got \('n', 'alphabet'\)$"
+        with pytest.raises(TaskError, match=names):
             make_family("eq", n=3, alphabet=2)
+        # names right, values the family's own rule refuses
+        with pytest.raises(TaskError, match="^family 'eq' requires n >= 2$"):
+            make_family("eq", n=1)
 
     def test_materialization_cap_respected(self):
         small = make_family("eq", n=1000)
@@ -420,7 +417,7 @@ class TestFamilyTables:
         assert table.flags.c_contiguous and not table.flags.writeable
         assert 0 <= table.min() and table.max() < task.b_size
         expected = [
-            [family_value(task.family, x, y) for y in range(task.y_size)]
+            [family_value(task, x, y) for y in range(task.y_size)]
             for x in range(task.x_size)
         ]
         assert table.tolist() == expected
@@ -445,7 +442,7 @@ class TestFamilyTables:
         rng = np.random.default_rng(0)
         drawn = rng.choice(task.x_size, size=min(task.x_size, 200), replace=False)
         rows = sorted({0, task.x_size - 1, *drawn.tolist()})
-        expected = [[family_value(task.family, x, y) for y in range(task.y_size)] for x in rows]
+        expected = [[family_value(task, x, y) for y in range(task.y_size)] for x in rows]
         assert table[rows].tolist() == expected
 
     @pytest.mark.parametrize(
@@ -962,11 +959,11 @@ def library_counts():
     case("n", lambda v: make_family("ot", alphabet=2, n=v), 3, 1, texts=positive("n"), label="make_family")
     case(
         "alphabet",
-        lambda v: FamilySpec("knot", {"alphabet": v, "n": 3, "k": 1}),
+        lambda v: make_family("knot", alphabet=v, n=3, k=1),
         2,
         1,
         texts=positive("alphabet"),
-        label="FamilySpec",
+        label="make_family knot",
     )
     for position, key in enumerate(("x_size", "y_size", "b_size")):
         def explicit(value, position=position):
